@@ -10,8 +10,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import ParseError, parse_config
 from .fixtures import FIXTURES, FIXTURE_NOTES
 from .runner import emit, run

@@ -3,26 +3,27 @@ weight sequences used to build them, together with sequence diagnostics:
 total N-variation, Carleman sums, and the heuristic series verdicts shared by
 every summability check in the package.
 
-Families evaluate lazily and memoize; instances are treated as immutable.
+Families return arrays for index ranges (`CoefficientFamily.stacks`) and
+weights evaluate on index arrays (`ScalarWeight.array`); the per-index
+accessors read the same arrays.  Instances are treated as immutable.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .opcore import (
+    CONDITION_LIMIT,
     DomainError,
     SingularError,
     as_operator,
-    condition_estimate,
-    herm_defect,
-    invert,
-    op_norm,
+    condition_limit_mask,
+    stack_adj,
+    stack_norms,
 )
 
 # Default index horizon for whole-family diagnostics.
@@ -39,6 +40,9 @@ VARIATION_CONVERGED_FRACTION = 1e-8
 # numerically zero.  Every call site feeds normalized (relative) terms, so
 # values this small are rounding residue of cancellations, not data.
 SERIES_NOISE_FLOOR = 1e-12
+
+# Families with vectorised entries compute at least this many rows at once.
+MIN_FILL = 256
 
 
 # ---- iterated logarithms ----
@@ -72,6 +76,21 @@ def g_product(depth: int, x: float) -> float:
     return out
 
 
+def iter_log_arrays(depth: int, xs) -> tuple[np.ndarray, np.ndarray]:
+    """iter_log(depth, x) and g_product(depth, x) for every x of an array."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    v = np.asarray(xs, dtype=float)
+    g = np.ones_like(v)
+    for _ in range(depth):
+        low = v <= 0.0
+        if low.any():
+            raise DomainError(f"iterated log hit non-positive value {float(v[low][0])!r}")
+        v = np.log(v)
+        g = g * v
+    return v, g
+
+
 # ---- scalar weights ----
 
 
@@ -83,6 +102,11 @@ class ScalarWeight:
     def __call__(self, n: int) -> float:
         raise NotImplementedError
 
+    def array(self, ns) -> np.ndarray:
+        """w(n) for every n of an integer array; this default calls the
+        weight once per index."""
+        return np.array([self(int(n)) for n in np.asarray(ns).ravel()], dtype=float)
+
 
 @dataclass(frozen=True)
 class ConstantWeight(ScalarWeight):
@@ -91,6 +115,9 @@ class ConstantWeight(ScalarWeight):
 
     def __call__(self, n: int) -> float:
         return self.value
+
+    def array(self, ns) -> np.ndarray:
+        return np.full(np.shape(ns), float(self.value))
 
 
 @dataclass(frozen=True)
@@ -108,6 +135,9 @@ class PowerWeight(ScalarWeight):
     def __call__(self, n: int) -> float:
         return float(n + self.offset) ** self.exponent
 
+    def array(self, ns) -> np.ndarray:
+        return (np.asarray(ns) + self.offset).astype(float) ** self.exponent
+
 
 @dataclass(frozen=True)
 class TabulatedWeight(ScalarWeight):
@@ -116,6 +146,9 @@ class TabulatedWeight(ScalarWeight):
 
     def __call__(self, n: int) -> float:
         return self.values[n]
+
+    def array(self, ns) -> np.ndarray:
+        return np.asarray(self.values, dtype=float)[ns]
 
 
 @dataclass(frozen=True)
@@ -139,6 +172,10 @@ class LogProductWeight(ScalarWeight):
     def __call__(self, n: int) -> float:
         return (n + self.offset) * g_product(self.depth, float(n + self.offset))
 
+    def array(self, ns) -> np.ndarray:
+        m = np.asarray(ns) + self.offset
+        return m * iter_log_arrays(self.depth, m)[1]
+
 
 @dataclass(frozen=True)
 class RecipIterLogWeight(ScalarWeight):
@@ -157,6 +194,9 @@ class RecipIterLogWeight(ScalarWeight):
     def __call__(self, n: int) -> float:
         return 1.0 / iter_log(self.depth, float(n + self.offset))
 
+    def array(self, ns) -> np.ndarray:
+        return 1.0 / iter_log_arrays(self.depth, np.asarray(ns) + self.offset)[0]
+
 
 def block_index(n: int) -> int:
     """Block number k >= 1 of position n >= 0 when block k is repeated k times.
@@ -169,6 +209,18 @@ def block_index(n: int) -> int:
     return (1 + math.isqrt(8 * n + 1)) // 2
 
 
+def block_indices(ns) -> np.ndarray:
+    """block_index(n) for every n of an integer array."""
+    m = 8 * np.asarray(ns, dtype=np.int64) + 1
+    if np.any(m < 1):
+        raise ValueError("n must be >= 0")
+    r = np.sqrt(m).astype(np.int64)
+    # exact integer square root: correct the float estimate by one either way
+    r -= r * r > m
+    r += (r + 1) * (r + 1) <= m
+    return (1 + r) // 2
+
+
 @dataclass(frozen=True)
 class BlockSqrtLogWeight(ScalarWeight):
     """k * sqrt(log(k+1)) held constant across block k (repeated k times)."""
@@ -178,6 +230,10 @@ class BlockSqrtLogWeight(ScalarWeight):
     def __call__(self, n: int) -> float:
         k = block_index(n)
         return k * math.sqrt(math.log(k + 1.0))
+
+    def array(self, ns) -> np.ndarray:
+        k = block_indices(ns)
+        return k * np.sqrt(np.log(k + 1.0))
 
 
 @dataclass(frozen=True)
@@ -190,6 +246,10 @@ class BlockRecipLogWeight(ScalarWeight):
     def __call__(self, n: int) -> float:
         k = block_index(n)
         return 1.0 / (k * math.log(k + 1.0))
+
+    def array(self, ns) -> np.ndarray:
+        k = block_indices(ns)
+        return 1.0 / (k * np.log(k + 1.0))
 
 
 WEIGHT_KINDS: dict[str, type] = {
@@ -206,55 +266,213 @@ WEIGHT_KINDS: dict[str, type] = {
 # ---- coefficient families ----
 
 
-class _MemoSeq:
-    """Grow-only memoized integer-indexed sequence, safe under concurrent reads."""
+def _grown(arr: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
+    """arr[:n] followed by rows.  Writes into arr while it has room and
+    otherwise moves to an array of at least twice the capacity; the result
+    is read-only, so views handed out stay valid and unmodified."""
+    need = n + len(rows)
+    if need > len(arr):
+        new = np.empty((max(need, 2 * len(arr)),) + arr.shape[1:], arr.dtype)
+        new[:n] = arr[:n]
+        arr = new
+    arr.flags.writeable = True
+    arr[n:need] = rows
+    arr.flags.writeable = False
+    return arr
 
-    def __init__(self, fn: Callable[[int], object]):
-        self._fn = fn
-        self._vals: list = []
-        self._lock = threading.Lock()
 
-    def __call__(self, n: int):
-        if n < 0:
-            raise ValueError("index must be >= 0")
-        vals = self._vals
-        if n < len(vals):
-            return vals[n]
-        with self._lock:
-            while len(self._vals) <= n:
-                self._vals.append(self._fn(len(self._vals)))
-            return self._vals[n]
+def _finite_rows(rows: np.ndarray):
+    """rows up to the first matrix with a non-finite entry, and the error
+    for that matrix (None when every row is finite)."""
+    ok = np.isfinite(rows).all(axis=(1, 2))
+    if ok.all():
+        return rows, None
+    return rows[:int(np.argmin(ok))], ValueError("matrix has non-finite entries")
+
+
+def _call_rows(fn: Callable[[int], np.ndarray], lo: int, hi: int, dim: int):
+    """fn(lo) .. fn(hi-1) as operators, each evaluated once; stops at the
+    first index that fails and returns its error with the rows before it."""
+    rows = np.empty((hi - lo, dim, dim), np.complex128)
+    for k in range(hi - lo):
+        try:
+            m = as_operator(fn(lo + k))
+            if m.shape != (dim, dim):
+                raise ValueError(f"expected a {dim}x{dim} matrix at index {lo + k}, "
+                                 f"got shape {m.shape}")
+        except Exception as exc:  # the caller stores the rows before it, then raises it
+            return rows[:k], exc
+        rows[k] = m
+    return rows, None
+
+
+def _norms_and_inverses(mats: np.ndarray):
+    """Operator norms, inverses, condition estimates and the mask of
+    matrices past CONDITION_LIMIT (whose inverse rows are left NaN)."""
+    s = np.linalg.svd(mats, compute_uv=False)
+    cond, bad = condition_limit_mask(s)
+    inv = np.full_like(mats, np.nan)
+    inv[~bad] = np.linalg.inv(mats[~bad])
+    return s[:, 0], inv, cond, bad
 
 
 class CoefficientFamily:
     """Pair of operator sequences: a(n) invertible, b(n) self-adjoint.
 
-    Evaluation is lazy and memoized; entries are owned by the family and must
-    not be mutated by callers.  Validation of invertibility and Hermiticity is
-    a separate pass (validate_family), so that defective families can still be
-    probed and reported on.
+    Entries live in per-family arrays filled in index order, one for a, one
+    for b and one each for ||a_n|| and a_n^{-1}, whose capacity doubles as
+    they grow.  `stacks` returns read-only views of them for an index range
+    and the per-index accessors are lookups into the same arrays.  This class
+    evaluates user callables once per index and never past the largest
+    index requested; subclasses with vectorised entries fill ahead.
+    Validation of invertibility and Hermiticity is a separate pass
+    (validate_family), so that defective families can still be probed and
+    reported on.  Not safe for concurrent use.
     """
 
-    def __init__(self, dim: int, a_fn: Callable[[int], np.ndarray],
-                 b_fn: Callable[[int], np.ndarray], description: str = ""):
+    def __init__(self, dim: int, a_fn: Callable[[int], np.ndarray] | None,
+                 b_fn: Callable[[int], np.ndarray] | None, description: str = ""):
         self.dim = int(dim)
         self.description = description
-        self._a = _MemoSeq(lambda n: as_operator(a_fn(n)))
-        self._b = _MemoSeq(lambda n: as_operator(b_fn(n)))
-        self._a_inv = _MemoSeq(lambda n: invert(self._a(n)))
-        self._norm_a = _MemoSeq(lambda n: op_norm(self._a(n)))
+        self._a_fn = a_fn
+        self._b_fn = b_fn
+        d = self.dim
+        self._A = np.empty((0, d, d), np.complex128)
+        self._B = np.empty((0, d, d), np.complex128)
+        self._AINV = np.empty((0, d, d), np.complex128)
+        self._NRM = np.empty(0)
+        self._na = self._nb = self._nd = 0  # rows filled: a, b, norms/inverses
+        self._singular: dict[int, float] = {}  # index -> condition of a_n
+
+    # -- rows for subclasses to supply --
+
+    def _target(self, filled: int, stop: int) -> int:
+        """Rows to hold when rows below stop are needed and `filled` exist."""
+        return stop
+
+    def _a_rows(self, lo: int, hi: int):
+        return _call_rows(self._a_fn, lo, hi, self.dim)
+
+    def _b_rows(self, lo: int, hi: int):
+        return _call_rows(self._b_fn, lo, hi, self.dim)
+
+    def _derived_rows(self, lo: int, hi: int):
+        """||a_n||, a_n^{-1} and the condition estimates past the limit, by
+        index, for filled rows lo .. hi-1."""
+        nrm, inv, cond, bad = _norms_and_inverses(self._A[lo:hi])
+        return nrm, inv, {lo + int(k): float(cond[k]) for k in np.flatnonzero(bad)}
+
+    # -- filling --
+
+    def _rows(self, rows_fn, filled: int, stop: int):
+        """rows_fn over [filled, target), or over [filled, stop) when the
+        rows ahead of stop cannot be computed."""
+        if stop <= 0:
+            raise ValueError("index must be >= 0")
+        hi = self._target(filled, stop)
+        if hi > stop:
+            try:
+                return rows_fn(filled, hi)
+            except (LookupError, ValueError, ArithmeticError):
+                pass  # e.g. a weight table shorter than the fill; stop at the request
+        return rows_fn(filled, stop)
+
+    def _fill_a(self, stop: int) -> None:
+        rows, err = self._rows(self._a_rows, self._na, stop)
+        self._A = _grown(self._A, self._na, rows)
+        self._na += len(rows)
+        if self._na < stop:
+            raise err
+
+    def _fill_b(self, stop: int) -> None:
+        rows, err = self._rows(self._b_rows, self._nb, stop)
+        self._B = _grown(self._B, self._nb, rows)
+        self._nb += len(rows)
+        if self._nb < stop:
+            raise err
+
+    def _fill_derived(self, stop: int) -> None:
+        if stop <= 0:
+            raise ValueError("index must be >= 0")
+        if self._na < stop:
+            self._fill_a(stop)
+        hi = min(self._na, self._target(self._nd, stop))
+        nrm, inv, singular = self._derived_rows(self._nd, hi)
+        self._NRM = _grown(self._NRM, self._nd, nrm)
+        self._AINV = _grown(self._AINV, self._nd, inv)
+        self._singular.update(singular)
+        self._nd = hi
+
+    def _singular_error(self, n: int) -> SingularError:
+        return SingularError(f"a_{n}: condition estimate {self._singular[n]:.3e} "
+                             f"exceeds {CONDITION_LIMIT:.1e}")
+
+    def _entry_prefix(self, stop: int):
+        """(A, a_error, B, b_error): rows of a below stop as far as they
+        evaluate, rows of b as far as those of a, and the message of the
+        error that cut each short (None when it was not)."""
+        a_err = b_err = None
+        try:
+            if self._na < stop:
+                self._fill_a(stop)
+        except ValueError as exc:
+            a_err = str(exc)
+        stop = min(stop, self._na)
+        try:
+            if self._nb < stop:
+                self._fill_b(stop)
+        except ValueError as exc:
+            b_err = str(exc)
+        return self._A[:stop], a_err, self._B[:min(stop, self._nb)], b_err
+
+    # -- reads --
+
+    def stacks(self, start: int, count: int, inverse: bool = True):
+        """(A, AINV, B, NRM) for indices start .. start+count-1: read-only
+        stacks of a_n, a_n^{-1} and b_n, and the vector of ||a_n||.
+
+        With inverse=False, AINV is None and singular a_n raise nothing;
+        otherwise a SingularError names the first index in the range whose
+        condition estimate exceeds CONDITION_LIMIT.
+        """
+        if start < 0:
+            raise ValueError("index must be >= 0")
+        stop = start + max(count, 0)
+        if self._na < stop:
+            self._fill_a(stop)
+        if self._nb < stop:
+            self._fill_b(stop)
+        if self._nd < stop:
+            self._fill_derived(stop)
+        ainv = None
+        if inverse:
+            bad = next((k for k in self._singular if start <= k < stop), None)
+            if bad is not None:
+                raise self._singular_error(bad)
+            ainv = self._AINV[start:stop]
+        return self._A[start:stop], ainv, self._B[start:stop], self._NRM[start:stop]
 
     def a(self, n: int) -> np.ndarray:
-        return self._a(n)
+        if not 0 <= n < self._na:
+            self._fill_a(n + 1)
+        return self._A[n]
 
     def b(self, n: int) -> np.ndarray:
-        return self._b(n)
+        if not 0 <= n < self._nb:
+            self._fill_b(n + 1)
+        return self._B[n]
 
     def a_inv(self, n: int) -> np.ndarray:
-        return self._a_inv(n)
+        if not 0 <= n < self._nd:
+            self._fill_derived(n + 1)
+        if n in self._singular:
+            raise self._singular_error(n)
+        return self._AINV[n]
 
     def norm_a(self, n: int) -> float:
-        return self._norm_a(n)
+        if not 0 <= n < self._nd:
+            self._fill_derived(n + 1)
+        return float(self._NRM[n])
 
     def __repr__(self):
         return f"<CoefficientFamily dim={self.dim} {self.description!r}>"
@@ -264,8 +482,8 @@ class ScaledPeriodicFamily(CoefficientFamily):
     """a_n = x_n * X_(n mod N), b_n = y_n * Y_(n mod N) with scalar weights
     x, y > 0 and a fixed period of operators.
 
-    Inverses and norms factor through the scalars, which keeps large-horizon
-    scans cheap: a_n^-1 = X_j^-1 / x_n and ||a_n|| = x_n ||X_j||.
+    Rows come from the weights' arrays, and inverses and norms factor
+    through the scalars: a_n^-1 = X_j^-1 / x_n and ||a_n|| = x_n ||X_j||.
     """
 
     def __init__(self, period: int, x: ScalarWeight, y: ScalarWeight,
@@ -274,44 +492,80 @@ class ScaledPeriodicFamily(CoefficientFamily):
         Y = [as_operator(m) for m in Y]
         if len(X) != period or len(Y) != period:
             raise ValueError("need exactly `period` operators for X and Y")
-        dim = X[0].shape[0]
+        super().__init__(X[0].shape[0], None, None, description)
         self.period = period
         self.x = x
         self.y = y
         self.X = X
         self.Y = Y
-        self._X_inv = [invert(m) for m in X]
-        self._X_norm = [op_norm(m) for m in X]
-        super().__init__(
-            dim,
-            lambda n: x(n) * X[n % period],
-            lambda n: y(n) * Y[n % period],
-            description,
-        )
-        # cheap exact overrides; no memo tables needed
-        self._a_inv = lambda n: self._X_inv[n % period] / x(n)  # type: ignore
-        self._norm_a = lambda n: self._X_norm[n % period] * x(n)  # type: ignore
+        self._Xs = np.stack(X)
+        self._Ys = np.stack(Y)
+        self._X_norm, self._X_inv, self._X_cond, self._X_bad = _norms_and_inverses(self._Xs)
+
+    def _target(self, filled: int, stop: int) -> int:
+        return max(stop, 2 * filled, MIN_FILL)
+
+    def _scaled_rows(self, w: ScalarWeight, mats: np.ndarray, lo: int, hi: int):
+        ns = np.arange(lo, hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite_rows(w.array(ns)[:, None, None] * mats[ns % self.period])
+
+    def _a_rows(self, lo: int, hi: int):
+        return self._scaled_rows(self.x, self._Xs, lo, hi)
+
+    def _b_rows(self, lo: int, hi: int):
+        return self._scaled_rows(self.y, self._Ys, lo, hi)
+
+    def _derived_rows(self, lo: int, hi: int):
+        ns = np.arange(lo, hi)
+        js = ns % self.period
+        xs = self.x.array(ns)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = self._X_inv[js] / xs[:, None, None]
+        cond = np.where(xs == 0.0, np.inf, self._X_cond[js])
+        bad = self._X_bad[js] | (xs == 0.0)
+        return (xs * self._X_norm[js], inv,
+                {lo + int(k): float(cond[k]) for k in np.flatnonzero(bad)})
 
     def scalar_arrays(self, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        xs = np.fromiter((self.x(n) for n in range(start, start + count)),
-                         dtype=float, count=count)
-        ys = np.fromiter((self.y(n) for n in range(start, start + count)),
-                         dtype=float, count=count)
-        return xs, ys
+        ns = np.arange(start, start + count)
+        return self.x.array(ns), self.y.array(ns)
+
+
+class TabulatedFamily(CoefficientFamily):
+    """Finite tables of a_n and b_n; reading past the end raises IndexError.
+    Norms and inverses are computed on first use, never at construction."""
+
+    def __init__(self, A: np.ndarray, B: np.ndarray, description: str = ""):
+        super().__init__(A.shape[1], None, None, description)
+        A.flags.writeable = B.flags.writeable = False
+        self._A, self._B = A, B
+        self._na = self._nb = self.length = len(A)
+
+    def _target(self, filled: int, stop: int) -> int:
+        return min(self.length, max(stop, 2 * filled, MIN_FILL))
+
+    def _a_rows(self, lo: int, hi: int):
+        return self._A[:0], IndexError(f"index {lo} is past the table of {self.length} entries")
+
+    _b_rows = _a_rows
+
+
+def _operator_table(mats: Sequence) -> np.ndarray:
+    """Stack of square, finite complex matrices."""
+    t = np.array([np.asarray(m) for m in mats], dtype=np.complex128)
+    if t.ndim != 3 or t.shape[1] != t.shape[2] or not len(t):
+        raise ValueError(f"expected a non-empty list of square matrices, got shape {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("matrix has non-finite entries")
+    return t
 
 
 def constant_family(a, b, description: str = "constant") -> CoefficientFamily:
-    a = as_operator(a)
-    b = as_operator(b)
-    try:
-        # period-1 scaled family with unit weights; gives the exact
-        # inverse/norm shortcuts and the vectorised stack path for free
-        one = ConstantWeight(1.0)
-        return ScaledPeriodicFamily(1, one, one, [a], [b], description)
-    except SingularError:
-        # keep non-invertible data constructible so validate_family can
-        # report on it
-        return CoefficientFamily(a.shape[0], lambda n: a, lambda n: b, description)
+    # period-1 scaled family with unit weights; a singular a still builds so
+    # that validate_family can report on it
+    one = ConstantWeight(1.0)
+    return ScaledPeriodicFamily(1, one, one, [a], [b], description)
 
 
 def scaled_periodic_family(period: int, x: ScalarWeight, y: ScalarWeight,
@@ -322,12 +576,11 @@ def scaled_periodic_family(period: int, x: ScalarWeight, y: ScalarWeight,
 
 def tabulated_family(a_list: Sequence, b_list: Sequence,
                      description: str = "tabulated") -> CoefficientFamily:
-    a_list = [as_operator(m) for m in a_list]
-    b_list = [as_operator(m) for m in b_list]
-    if len(a_list) != len(b_list):
+    A = _operator_table(a_list)
+    B = _operator_table(b_list)
+    if len(A) != len(B):
         raise ValueError("a and b tables must have equal length")
-    dim = a_list[0].shape[0]
-    return CoefficientFamily(dim, lambda n: a_list[n], lambda n: b_list[n], description)
+    return TabulatedFamily(A, B, description)
 
 
 def custom_family(dim: int, a_fn: Callable[[int], np.ndarray],
@@ -345,26 +598,42 @@ class Violation:
 
 def validate_family(fam: CoefficientFamily, indices: Sequence[int],
                     herm_rtol: float = 1e-10) -> list[Violation]:
-    """Check invertibility of a_n and self-adjointness of b_n on the indices."""
+    """Check invertibility of a_n and self-adjointness of b_n on the indices.
+
+    Reads a and b only, one batch each.  Families evaluate in index order, so
+    an entry that cannot be evaluated is reported as non_finite at its index
+    and at every later one; b is checked only where a evaluated.
+    """
+    idx = np.fromiter(indices, dtype=np.int64)
+    if not len(idx):
+        return []
+    if idx.min() < 0:
+        raise ValueError("index must be >= 0")
+    A, a_err, B, b_err = fam._entry_prefix(int(idx.max()) + 1)
+    has_a = idx < len(A)
+    has_b = idx < len(B)
+    cond = np.zeros(len(idx))
+    singular = np.zeros(len(idx), dtype=bool)
+    cond[has_a], singular[has_a] = condition_limit_mask(
+        np.linalg.svd(A[idx[has_a]], compute_uv=False))
+    Bs = B[idx[has_b]]
+    defect = np.zeros(len(idx))
+    defect[has_b] = stack_norms(Bs - stack_adj(Bs))
+    scale = np.ones(len(idx))
+    scale[has_b] = np.maximum(1.0, stack_norms(Bs))
+    non_herm = has_b & (defect > herm_rtol * scale)
     out: list[Violation] = []
-    for n in indices:
-        try:
-            a = fam.a(n)
-        except ValueError as exc:
-            out.append(Violation(n, "non_finite", str(exc)))
+    for k in np.flatnonzero(~has_b | singular | non_herm):
+        n = int(idx[k])
+        if not has_a[k]:
+            out.append(Violation(n, "non_finite", a_err))
             continue
-        cond = condition_estimate(a)
-        if not np.isfinite(cond) or cond > 1e12:
-            out.append(Violation(n, "singular_a", f"condition estimate {cond:.3e}"))
-        try:
-            b = fam.b(n)
-        except ValueError as exc:
-            out.append(Violation(n, "non_finite", str(exc)))
-            continue
-        defect = herm_defect(b)
-        scale = max(1.0, op_norm(b))
-        if defect > herm_rtol * scale:
-            out.append(Violation(n, "non_hermitian_b", f"defect {defect:.3e}"))
+        if singular[k]:
+            out.append(Violation(n, "singular_a", f"condition estimate {cond[k]:.3e}"))
+        if not has_b[k]:
+            out.append(Violation(n, "non_finite", b_err))
+        elif non_herm[k]:
+            out.append(Violation(n, "non_hermitian_b", f"defect {defect[k]:.3e}"))
     return out
 
 
@@ -380,22 +649,27 @@ class VariationReport:
     converged: bool
 
 
-def total_variation(seq: Callable[[int], np.ndarray], N: int,
-                    window: tuple[int, int]) -> VariationReport:
+def total_variation(seq, N: int, window: tuple[int, int]) -> VariationReport:
     """Windowed total N-variation sum ||seq(n+N) - seq(n)|| for n in [start, end).
 
-    seq must be evaluable on [start, end + N).  The report flags convergence
-    when the last tenth of the window contributes a negligible fraction, and
-    carries a geometric tail extrapolation of the increments.
+    seq is a callable n -> matrix, evaluated once per index on
+    [start, end + N), or the stack of those values (row k is index
+    start + k).  The report flags convergence when the last tenth of the
+    window contributes a negligible fraction, and carries a geometric tail
+    extrapolation of the increments.
     """
     start, end = window
     if N < 1:
         raise ValueError("N must be >= 1")
     if end <= start:
         raise ValueError("empty window")
-    incs = np.empty(end - start)
-    for i, n in enumerate(range(start, end)):
-        incs[i] = op_norm(np.asarray(seq(n + N)) - np.asarray(seq(n)))
+    if callable(seq):
+        seq = np.stack([as_operator(seq(n)) for n in range(start, end + N)])
+    vals = np.asarray(seq)
+    if vals.ndim != 3 or vals.shape[1] != vals.shape[2] or len(vals) != end + N - start:
+        raise ValueError(f"expected {end + N - start} square matrices for the window, "
+                         f"got shape {vals.shape}")
+    incs = stack_norms(vals[N:] - vals[:-N])
     total = float(incs.sum())
     cut = max(1, len(incs) // 10)
     last = float(incs[-cut:].sum())
@@ -417,6 +691,23 @@ def _geometric_tail(incs: np.ndarray) -> float:
         return float("inf")
     q = b / a
     return b * q / (1.0 - q)
+
+
+def sequence_stack(fam: CoefficientFamily, name: str, start: int, count: int) -> np.ndarray:
+    """Stack of a derived sequence of the family for n = start .. start+count-1:
+    "a", "b", "a_inv", "a_inv_b" (a_n^{-1} b_n) or "a_inv_a_prev"
+    (a_n^{-1} a_{n-1}^*)."""
+    if name in ("a", "b"):
+        A, _, B, _ = fam.stacks(start, count, inverse=False)
+        return A if name == "a" else B
+    _, AINV, B, _ = fam.stacks(start, count)
+    if name == "a_inv":
+        return AINV
+    if name == "a_inv_b":
+        return AINV @ B
+    if name == "a_inv_a_prev":
+        return AINV @ stack_adj(fam.stacks(start - 1, count, inverse=False)[0])
+    raise ValueError(f"unknown sequence {name!r}; known: a, b, a_inv, a_inv_b, a_inv_a_prev")
 
 
 # ---- series verdicts ----
@@ -689,6 +980,6 @@ def carleman_diagnostic(fam: CoefficientFamily, horizon: int = DEFAULT_HORIZON) 
     matrix to be essentially self-adjoint; its failure opens the door to
     complete indeterminacy.
     """
-    terms = np.array([1.0 / fam.norm_a(n) for n in range(horizon)])
+    terms = 1.0 / fam.stacks(0, horizon, inverse=False)[3]
     ev = series_verdict(terms, first_index=0)
     return CarlemanReport(horizon, float(terms.sum()), ev)

@@ -16,8 +16,7 @@ just fast enough.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,24 +27,27 @@ from .coeffs import (
     bounded_verdict,
     g_product,
     iter_log,
+    iter_log_arrays,
     sequence_limit,
     series_verdict,
     vanishing_verdict,
 )
 from .opcore import (
+    CONDITION_LIMIT,
     Definiteness,
     DomainError,
     NotConvergentError,
-    abs_val,
     adj,
     as_operator,
     block2x2,
     classify_definiteness,
     condition_estimate,
-    hermitian_extremes,
-    neg_part,
     op_norm,
     quad_form,
+    stack_adj,
+    stack_neg_part_norms,
+    stack_norms,
+    stack_sym,
     sym,
 )
 from .recurrence import Trajectory, propagate
@@ -62,12 +64,22 @@ class AlphaStrategy:
     def alpha(self, fam: CoefficientFamily, n: int) -> np.ndarray:
         raise NotImplementedError
 
+    def stack(self, fam: CoefficientFamily, start: int, count: int) -> np.ndarray:
+        """alpha_n for n = start .. start+count-1 as one (count, d, d) array;
+        this default evaluates alpha once per index."""
+        rows = [self.alpha(fam, n) for n in range(start, start + count)]
+        return np.array(rows, dtype=np.complex128).reshape(len(rows), fam.dim, fam.dim)
+
 
 class IdentityWeights(AlphaStrategy):
     name = "identity"
 
     def alpha(self, fam: CoefficientFamily, n: int) -> np.ndarray:
         return np.eye(fam.dim, dtype=np.complex128)
+
+    def stack(self, fam: CoefficientFamily, start: int, count: int) -> np.ndarray:
+        return np.broadcast_to(np.eye(fam.dim, dtype=np.complex128),
+                               (max(count, 0), fam.dim, fam.dim))
 
 
 class ANWeights(AlphaStrategy):
@@ -77,6 +89,9 @@ class ANWeights(AlphaStrategy):
 
     def alpha(self, fam: CoefficientFamily, n: int) -> np.ndarray:
         return fam.a(n)
+
+    def stack(self, fam: CoefficientFamily, start: int, count: int) -> np.ndarray:
+        return fam.stacks(start, count, inverse=False)[0]
 
 
 class LogWeights(AlphaStrategy):
@@ -94,6 +109,15 @@ class LogWeights(AlphaStrategy):
         if n < self.n_start:
             return np.eye(fam.dim, dtype=np.complex128)
         return n * g_product(self.depth, float(n)) * adj(fam.a_inv(n))
+
+    def stack(self, fam: CoefficientFamily, start: int, count: int) -> np.ndarray:
+        out = np.array(IdentityWeights().stack(fam, start, count))
+        lo, stop = max(start, self.n_start), start + count
+        if lo < stop:
+            ns = np.arange(lo, stop)
+            scale = ns * iter_log_arrays(self.depth, ns)[1]
+            out[lo - start:] = scale[:, None, None] * stack_adj(fam.stacks(lo, stop - lo)[1])
+        return out
 
 
 class CustomWeights(AlphaStrategy):
@@ -178,6 +202,26 @@ class CLimitReport:
     horizon: int
 
 
+def _normalized_forms(fam: CoefficientFamily, strategy: AlphaStrategy, lam: float,
+                      ns: np.ndarray) -> np.ndarray:
+    """commutator_form(n) / weight_scale(n) for every n of an increasing
+    index array (n >= 1), as one stack."""
+    lo = int(ns[0]) - 1
+    count = int(ns[-1]) + 1 - lo
+    A, _, B, _ = fam.stacks(lo, count, inverse=False)
+    AINV = fam.stacks(lo, count - 1)[1]
+    AL = strategy.stack(fam, lo, count)
+    k = ns - lo
+    AH = stack_adj(A[k])
+    g = AINV[k - 1] @ AL[k - 1] @ A[k]
+    d = fam.dim
+    m = np.zeros((len(k), 2 * d, 2 * d), dtype=np.complex128)
+    m[:, :d, :d] = AL[k] @ AH
+    m[:, :d, d:] = -(lam * np.eye(d) - B[k]) @ g
+    m[:, d:, d:] = AH @ g
+    return stack_sym(m) / stack_norms(m[:, :d, :d])[:, None, None]
+
+
 def c_limit(fam: CoefficientFamily, strategy: AlphaStrategy, lam: float,
             horizon: int = _coeffs.DEFAULT_HORIZON) -> CLimitReport:
     """Numerical limit of the normalized form matrices.
@@ -186,14 +230,10 @@ def c_limit(fam: CoefficientFamily, strategy: AlphaStrategy, lam: float,
     residual that refuses to contract (no better than half the mid-trace
     residual, and larger than 1e-3) raises NotConvergentError.
     """
-    def form(n: int) -> np.ndarray:
-        return commutator_form(fam, strategy, n, lam) / weight_scale(fam, strategy, n)
-
     def window_residual(lo: int, hi: int, step: int) -> tuple[np.ndarray, float]:
-        pts = list(range(lo, hi, step))
-        vals = [form(n) for n in pts]
-        mean = sum(vals) / len(vals)
-        return mean, max(float(op_norm(v - mean)) for v in vals)
+        forms = _normalized_forms(fam, strategy, lam, np.arange(lo, hi, step))
+        mean = forms.sum(axis=0) / len(forms)
+        return mean, float(stack_norms(forms - mean).max())
 
     step = max(1, horizon // 400)
     mid, mid_res = window_residual(max(1, int(0.45 * horizon)), int(0.55 * horizon), step)
@@ -242,19 +282,19 @@ def weight_conditions(fam: CoefficientFamily, strategy: AlphaStrategy,
 
     Terms start at n = 1 (the n = 0 commutator term would reach back to the
     undefined a_{-1}; summability is a tail property, so the start index does
-    not affect any verdict).
+    not affect any verdict).  Row k of the stacks below is index k, and the
+    term arrays run over n = 1 .. horizon-1.
     """
-    scales = np.array([weight_scale(fam, strategy, n) for n in range(horizon + 1)])
-    t_neg = np.empty(horizon - 1)
-    t_drift = np.empty(horizon - 1)
-    t_comm = np.empty(horizon - 1)
-    for n in range(1, horizon):
-        g = _cross_term(fam, strategy, n)
-        m = strategy.alpha(fam, n + 1) @ adj(fam.a(n + 1)) - adj(fam.a(n)) @ g
-        t_neg[n - 1] = op_norm(neg_part(sym(m))) / scales[n]
-        t_drift[n - 1] = op_norm(g - strategy.alpha(fam, n)) / scales[n]
-        t_comm[n - 1] = op_norm(strategy.alpha(fam, n) @ fam.b(n + 1)
-                                - fam.b(n) @ g) / scales[n]
+    A, _, B, _ = fam.stacks(0, horizon + 1, inverse=False)
+    AINV = fam.stacks(0, horizon - 1)[1]
+    AL = strategy.stack(fam, 0, horizon + 1)
+    AH = stack_adj(A)
+    scales = stack_norms(AL @ AH)
+    g = AINV @ AL[:-2] @ A[1:-1]
+    s = scales[1:-1]
+    t_neg = stack_neg_part_norms(AL[2:] @ AH[2:] - AH[1:-1] @ g) / s
+    t_drift = stack_norms(g - AL[1:-1]) / s
+    t_comm = stack_norms(AL[1:-1] @ B[2:] - B[1:-1] @ g) / s
     t_inv = 1.0 / scales[:horizon]
     return ConditionReport(
         strategy=strategy.name,
@@ -283,6 +323,7 @@ class CriterionReport:
     name: str
     horizon: int
     items: list[CheckItem]
+    traces: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -302,25 +343,25 @@ def check_growth_criterion(fam: CoefficientFamily,
     ||a_n||^2), summable normalized commutators a_n b_{n+1} - b_n a_n,
     divergent sum of 1/||a_n||^2, and convergence of a_n/||a_n|| to an
     invertible direction."""
-    inv_norms = np.array([op_norm(fam.a_inv(n)) for n in range(horizon)])
-    invb_norms = np.array([op_norm(fam.a_inv(n) @ fam.b(n)) for n in range(horizon)])
+    A, _, B, NRM = fam.stacks(0, horizon + 1, inverse=False)
+    AINV = fam.stacks(0, horizon)[1]
+    inv_norms = stack_norms(AINV)
+    invb_norms = stack_norms(AINV @ B[:-1])
     ok_inv, ev_inv = vanishing_verdict(inv_norms)
     ok_invb, ev_invb = vanishing_verdict(invb_norms)
 
-    sq = np.array([fam.norm_a(n) ** 2 for n in range(horizon)])
-    t_neg = np.empty(horizon - 1)
-    t_comm = np.empty(horizon - 1)
-    for n in range(1, horizon):
-        diff = fam.a(n + 1) @ adj(fam.a(n + 1)) - adj(fam.a(n)) @ fam.a(n)
-        t_neg[n - 1] = op_norm(neg_part(sym(diff))) / sq[n]
-        t_comm[n - 1] = op_norm(fam.a(n) @ fam.b(n + 1) - fam.b(n) @ fam.a(n)) / sq[n]
+    # terms for n = 1 .. horizon-1
+    AH = stack_adj(A)
+    sq = NRM[:-1] ** 2
+    t_neg = stack_neg_part_norms(A[2:] @ AH[2:] - AH[1:-1] @ A[1:-1]) / sq[1:]
+    t_comm = stack_norms(A[1:-1] @ B[2:] - B[1:-1] @ A[1:-1]) / sq[1:]
     ev_neg = series_verdict(t_neg, first_index=1)
     ev_comm = series_verdict(t_comm, first_index=1)
     ev_sq = series_verdict(1.0 / sq, first_index=0)
 
-    lim = sequence_limit(lambda n: fam.a(n) / fam.norm_a(n), list(range(horizon)))
+    lim = sequence_limit(lambda n: A[n] / NRM[n], list(range(horizon)))
     cond = condition_estimate(lim.value) if lim.converged else float("inf")
-    ok_dir = lim.converged and np.isfinite(cond) and cond <= 1e12
+    ok_dir = lim.converged and np.isfinite(cond) and cond <= CONDITION_LIMIT
 
     items = [
         CheckItem("inverse_vanishes", ok_inv, ev_inv),
@@ -331,7 +372,9 @@ def check_growth_criterion(fam: CoefficientFamily,
         CheckItem("direction_converges", ok_dir,
                   {"residual": lim.residual, "condition": cond, "method": lim.method}),
     ]
-    return CriterionReport("growth_criterion", horizon, items)
+    traces = {"inverse_norms": inv_norms, "inverse_b_norms": invb_norms,
+              "neg_part": t_neg, "commutator": t_comm, "norm_squares": sq}
+    return CriterionReport("growth_criterion", horizon, items, traces)
 
 
 def check_log_weight_criterion(fam: CoefficientFamily, depth: int,
@@ -346,23 +389,26 @@ def check_log_weight_criterion(fam: CoefficientFamily, depth: int,
     commutators, and summable ||a_n^{-1}||/n."""
     if iter_log(depth, float(n_start)) <= 0.0:
         raise DomainError(f"n_start {n_start} too small for {depth} nested logs")
-    inv_norms = np.array([op_norm(fam.a_inv(n)) for n in range(horizon)])
+    A, _, B, _ = fam.stacks(0, horizon + 1, inverse=False)
+    AINV = fam.stacks(0, horizon)[1]
+    inv_norms = stack_norms(AINV)
     ok_inv, ev_inv = vanishing_verdict(inv_norms)
 
+    # |W| has the singular values of W as its spectrum, so the envelope
+    # compares the extreme singular values of W = (a_{n-1}^*)^{-1} a_n
     ns = np.arange(n_start + 1, horizon)
-    slack = np.empty(len(ns))
-    for i, n in enumerate(ns):
-        w = abs_val(adj(fam.a_inv(n - 1)) @ fam.a(n))
-        lo, hi = hermitian_extremes(w)
-        env = 1.0 + 1.0 / n + sum(1.0 / (n * g_product(j, float(n)))
-                                  for j in range(1, depth + 1))
-        slack[i] = max(0.0, 1.0 - lo, hi - env)
-    ev_slack = series_verdict(slack, first_index=int(ns[0]))
+    sv = np.linalg.svd(stack_adj(AINV[n_start:horizon - 1]) @ A[n_start + 1:horizon],
+                       compute_uv=False)
+    env_sum = np.zeros(len(ns))
+    for j in range(1, depth + 1):
+        env_sum = env_sum + 1.0 / (ns * iter_log_arrays(j, ns)[1])
+    env = 1.0 + 1.0 / ns + env_sum
+    slack = np.maximum(np.maximum(0.0, 1.0 - sv[:, -1]), sv[:, 0] - env)
+    ev_slack = series_verdict(slack, first_index=n_start + 1)
 
-    b_norms = np.array([op_norm(fam.b(n)) for n in range(horizon)])
+    b_norms = stack_norms(B[:-1])
     ok_b, ev_b = bounded_verdict(b_norms)
-    t_tw = np.array([op_norm(fam.a_inv(n) @ fam.b(n) - fam.b(n + 1) @ fam.a_inv(n))
-                     for n in range(horizon)])
+    t_tw = stack_norms(AINV @ B[:-1] - B[1:] @ AINV)
     ev_tw = series_verdict(t_tw, first_index=0)
 
     ev_wsum = series_verdict(inv_norms[1:] / np.arange(1, horizon), first_index=1)
@@ -377,4 +423,6 @@ def check_log_weight_criterion(fam: CoefficientFamily, depth: int,
         CheckItem("weighted_inverse_summable", ev_wsum.verdict == _coeffs.CONVERGES,
                   ev_wsum.to_dict()),
     ]
-    return CriterionReport("log_weight_criterion", horizon, items)
+    traces = {"inverse_norms": inv_norms, "envelope_slack": slack, "b_norms": b_norms,
+              "twisted_commutator": t_tw}
+    return CriterionReport("log_weight_criterion", horizon, items, traces)

@@ -50,6 +50,9 @@ class _ScaledPower(ScalarWeight):
     def __call__(self, n: int) -> float:
         return self.scale * self._w(n)
 
+    def array(self, ns) -> np.ndarray:
+        return self.scale * self._w.array(ns)
+
 
 def paper_blockrepeat() -> CoefficientFamily:
     """a_n = x_n X, b_n = y_n Y with x the block-repeated k sqrt(log(k+1)) and
@@ -78,6 +81,9 @@ class _Doubling(ScalarWeight):
 
     def __call__(self, n: int) -> float:
         return float(2.0 ** n)
+
+    def array(self, ns) -> np.ndarray:
+        return 2.0 ** np.asarray(ns, dtype=float)
 
 
 def sqrt_growth() -> CoefficientFamily:

@@ -141,6 +141,14 @@ def condition_estimate(x) -> float:
     return float(s[0] / s[-1])
 
 
+def condition_limit_mask(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Condition estimates from rows of descending singular values, and the
+    mask of rows past CONDITION_LIMIT (rank deficient rows count as inf)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(s[..., -1] == 0.0, np.inf, s[..., 0] / s[..., -1])
+    return cond, ~(cond <= CONDITION_LIMIT)
+
+
 def invert(x) -> np.ndarray:
     """Inverse of a well-conditioned matrix.
 
@@ -152,6 +160,33 @@ def invert(x) -> np.ndarray:
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise SingularError(f"condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.1e}")
     return np.linalg.inv(a)
+
+
+# ---- stacks of operators ----
+#
+# Batched counterparts of the helpers above for arrays of shape (k, d, d):
+# one numpy.linalg call per stack instead of one per matrix.
+
+
+def stack_adj(x: np.ndarray) -> np.ndarray:
+    """Adjoint of every matrix in a stack."""
+    return np.swapaxes(np.conj(x), -1, -2)
+
+
+def stack_sym(x: np.ndarray) -> np.ndarray:
+    """Self-adjoint part of every matrix in a stack."""
+    return (x + stack_adj(x)) / 2.0
+
+
+def stack_norms(x: np.ndarray) -> np.ndarray:
+    """Operator norm of every matrix in a stack."""
+    return np.linalg.svd(x, compute_uv=False)[..., 0]
+
+
+def stack_neg_part_norms(x: np.ndarray) -> np.ndarray:
+    """||sym(X)^-|| for every X in a stack: the negative part's norm is
+    max(0, -smallest eigenvalue of sym(X))."""
+    return np.maximum(0.0, -np.linalg.eigvalsh(stack_sym(x))[..., 0])
 
 
 # ---- block operators on H (+) H ----

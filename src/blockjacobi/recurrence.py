@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .coeffs import CoefficientFamily, ScaledPeriodicFamily
-from .opcore import adj, as_operator, invert
+from .coeffs import CoefficientFamily
+from .opcore import adj
 
 # Trajectories are truncated once a norm passes this guard.
 OVERFLOW_LIMIT = 1e150
@@ -67,35 +67,15 @@ def window_product(fam: CoefficientFamily, z: complex, n: int, N: int) -> np.nda
 
 
 def coefficient_stacks(fam: CoefficientFamily, start: int, count: int):
-    """Stacked coefficient data for indices start .. start+count-1.
-
-    Returns (A, AINV, B, NRM) with A[k] = a(start+k) etc. and NRM the operator
-    norms of a.  Scalar-scaled periodic families fill the stacks by residue
-    class in vectorised form; anything else falls back to a per-index gather.
-    """
-    if isinstance(fam, ScaledPeriodicFamily):
-        xs, ys = fam.scalar_arrays(start, count)
-        js = np.arange(start, start + count) % fam.period
-        A = xs[:, None, None] * np.stack(fam.X)[js]
-        AINV = (1.0 / xs)[:, None, None] * np.stack(fam._X_inv)[js]
-        B = ys[:, None, None] * np.stack(fam.Y)[js]
-        NRM = xs * np.asarray(fam._X_norm)[js]
-        return A, AINV, B, NRM
-    rng = range(start, start + count)
-    A = np.stack([fam.a(n) for n in rng])
-    AINV = np.stack([fam.a_inv(n) for n in rng])
-    B = np.stack([fam.b(n) for n in rng])
-    NRM = np.array([fam.norm_a(n) for n in rng])
-    return A, AINV, B, NRM
+    """Stacked coefficient data for indices start .. start+count-1:
+    (A, AINV, B, NRM) with A[k] = a(start+k) etc. and NRM the operator norms
+    of a, as read-only views of the family's arrays."""
+    return fam.stacks(start, count)
 
 
 def norm_stack(fam: CoefficientFamily, start: int, count: int) -> np.ndarray:
     """||a_n|| for n = start .. start+count-1 as a vector."""
-    if isinstance(fam, ScaledPeriodicFamily):
-        xs, _ = fam.scalar_arrays(start, count)
-        js = np.arange(start, start + count) % fam.period
-        return xs * np.asarray(fam._X_norm)[js]
-    return np.array([fam.norm_a(n) for n in range(start, start + count)])
+    return fam.stacks(start, count, inverse=False)[3]
 
 
 def transfer_stack(fam: CoefficientFamily, z: complex, start: int, count: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coeffs import carleman_diagnostic, total_variation, validate_family
+from .coeffs import carleman_diagnostic, sequence_stack, total_variation, validate_family
 from .commutator import (
     ANWeights,
     IdentityWeights,
@@ -28,7 +28,7 @@ from .commutator import (
     weight_conditions,
 )
 from .config import AnalysisConfig, AnalysisSpec, encode_matrix
-from .opcore import NotConvergentError, HypothesisViolatedError, adj
+from .opcore import NotConvergentError, HypothesisViolatedError
 from .recurrence import propagate, weighted_norm_trace
 from .turan import (
     asymptotic_band,
@@ -125,15 +125,10 @@ def _run_one(fam, spec: AnalysisSpec, config: AnalysisConfig, rng, limits,
         return {"partial_sum": rep.partial_sum, "verdict": rep.verdict,
                 "evidence": rep.evidence.to_dict()}
     if spec.kind == "variation":
-        seq = {
-            "a": fam.a,
-            "b": fam.b,
-            "a_inv": fam.a_inv,
-            "a_inv_b": lambda n: fam.a_inv(n) @ fam.b(n),
-            "a_inv_a_prev": lambda n: fam.a_inv(n) @ adj(fam.a(n - 1)),
-        }[p["sequence"]]
+        N = p["N"]
         start, end = p.get("window", [1, horizon])
-        rep = total_variation(seq, p["N"], (start, end))
+        values = sequence_stack(fam, p["sequence"], start, end + N - start)
+        rep = total_variation(values, N, (start, end))
         return {"sequence": p["sequence"], "N": rep.N, "window": list(rep.window),
                 "partial_sum": rep.partial_sum, "tail_estimate": rep.tail_estimate,
                 "converged": rep.converged}
@@ -268,7 +263,7 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         obj = obj.item()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
@@ -304,7 +299,7 @@ def emit(report: AnalysisReport, out_dir: str | Path, fmt: str = "json") -> list
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return encode_matrix(obj) if obj.ndim == 2 else [_json_default(x) for x in obj]

@@ -21,33 +21,30 @@ import numpy as np
 
 from . import coeffs as _coeffs
 from .coeffs import (
-    CAUCHY_TOL,
     CoefficientFamily,
-    SequenceLimit,
     carleman_diagnostic,
     sequence_limit,
+    sequence_stack,
     series_verdict,
     total_variation,
 )
 from .opcore import (
+    CONDITION_LIMIT,
     Definiteness,
     HypothesisViolatedError,
     NotConvergentError,
-    SingularError,
     adj,
     as_operator,
     classify_definiteness,
     condition_estimate,
-    exchange_matrix,
     invert,
     op_norm,
-    pair_diag,
     quad_form,
     require_hermitian,
+    stack_norms,
     sym,
 )
 from .recurrence import (
-    NOT_SQUARE_SUMMABLE,
     SQUARE_SUMMABLE,
     Trajectory,
     basis_trajectories,
@@ -57,7 +54,6 @@ from .recurrence import (
     propagate,
     propagate_block,
     solution_space_dimension,
-    transfer,
     transfer_stack,
     window_product,
     weighted_norm_trace,
@@ -251,7 +247,7 @@ def extract_periodic_limits(fam: CoefficientFamily, N: int,
     invertible = True
     for j in range(N):
         C, R = data["C"][j], data["R"][j]
-        if condition_estimate(C) > 1e12 or condition_estimate(R) > 1e12:
+        if condition_estimate(C) > CONDITION_LIMIT or condition_estimate(R) > CONDITION_LIMIT:
             invertible = False
             r.append(float("nan"))
             continue
@@ -465,13 +461,14 @@ def _variation_tails(fam: CoefficientFamily, N: int, z: complex, m: int,
     """Tail driving the Turan increment bound: windowed N-variations of
     a_n^{-1} a_{n-1}^*, a_n^{-1} and a_n^{-1} b_n past m, plus the
     non-real-shift term |z - conj(z)| sum ||a_n^{-1}||."""
-    v1 = total_variation(lambda n: fam.a_inv(n) @ adj(fam.a(n - 1)), N, (m, horizon)).partial_sum
-    v2 = total_variation(lambda n: fam.a_inv(n), N, (m, horizon)).partial_sum
-    v3 = total_variation(lambda n: fam.a_inv(n) @ fam.b(n), N, (m, horizon)).partial_sum
-    tail = v1 + abs(z) * v2 + v3
+    def variation(name: str) -> float:
+        values = sequence_stack(fam, name, m, horizon + N - m)
+        return total_variation(values, N, (m, horizon)).partial_sum
+
+    tail = variation("a_inv_a_prev") + abs(z) * variation("a_inv") + variation("a_inv_b")
     imag = abs(z - np.conj(z))
     if imag > 0:
-        tail += imag * sum(op_norm(fam.a_inv(n)) for n in range(m, horizon))
+        tail += imag * float(stack_norms(fam.stacks(m, horizon - m)[1]).sum())
     return float(tail)
 
 
@@ -510,8 +507,9 @@ def turan_convergence(fam: CoefficientFamily, N: int, z: complex,
     rate_ok = True
     for dct in details:
         bound = worst * dct["tail"] * (1 + 1e-6) + 1e-12
-        ok = dct["deviation"] <= bound or dct["tail"] == 0 and dct["deviation"] <= 1e-10
-        dct["ok"] = bool(ok)
+        ok = bool(dct["deviation"] <= bound
+                  or dct["tail"] == 0 and dct["deviation"] <= 1e-10)
+        dct["ok"] = ok
         rate_ok = rate_ok and ok
     return ConvergenceReport(N, z, horizon, per, rate_ok, worst, details)
 

@@ -1,0 +1,329 @@
+"""Batched checkers against per-index oracles.
+
+Every checker that runs over stacks of coefficients is compared here with a
+loop over the scalar helpers (commutator_form, weight_scale, op_norm,
+neg_part) on the same family, one index at a time.  Agreement is asked to
+rtol 1e-12; terms that cancel to rounding level carry an absolute
+allowance of 1e-14 times the size of the parts that cancel, since the two
+paths round those parts differently.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from conftest import rand_family
+from blockjacobi import fixtures
+from blockjacobi.coeffs import (
+    WEIGHT_KINDS,
+    BlockRecipLogWeight,
+    BlockSqrtLogWeight,
+    ConstantWeight,
+    LogProductWeight,
+    PowerWeight,
+    RecipIterLogWeight,
+    TabulatedWeight,
+    block_index,
+    block_indices,
+    carleman_diagnostic,
+    custom_family,
+    g_product,
+    sequence_stack,
+    tabulated_family,
+    total_variation,
+    validate_family,
+)
+from blockjacobi.commutator import (
+    ANWeights,
+    CustomWeights,
+    IdentityWeights,
+    LogWeights,
+    c_limit,
+    check_growth_criterion,
+    check_log_weight_criterion,
+    commutator_form,
+    weight_conditions,
+    weight_scale,
+)
+from blockjacobi.opcore import SingularError, adj, neg_part, op_norm, sym
+
+H = 500
+RTOL = 1e-12
+ATOL = 1e-14
+
+X = fixtures.X_OP
+Y = fixtures.Y_OP
+
+
+def _custom():
+    return custom_family(
+        2,
+        lambda n: (n + 1.0) ** 0.75 * (X + 0.1 * math.sin(n) * Y),
+        lambda n: math.cos(n) / (n + 1.0) * Y,
+        "custom oscillating")
+
+
+FAMILIES = {
+    "paper-constant": fixtures.paper_constant,
+    "paper-unbounded": fixtures.paper_unbounded,
+    "paper-blockrepeat": fixtures.paper_blockrepeat,
+    "paper-logweight": fixtures.paper_logweight,
+    "sqrt-growth": fixtures.sqrt_growth,
+    "tabulated": lambda: rand_family(np.random.default_rng(5), 2, H + 8),
+    "custom": _custom,
+}
+
+STRATEGIES = {
+    "identity": IdentityWeights,
+    "an": ANWeights,
+    "log": lambda: LogWeights(1),
+}
+
+
+def _close(batched, oracle, scale=1.0):
+    """|batched - oracle| <= RTOL |oracle| + ATOL max(scale, 1), entrywise."""
+    batched, oracle = np.asarray(batched), np.asarray(oracle)
+    assert batched.shape == oracle.shape
+    allowed = RTOL * np.abs(oracle) + ATOL * np.maximum(scale, 1.0)
+    excess = np.abs(batched - oracle) / allowed
+    k = np.unravel_index(np.argmax(excess), excess.shape) if excess.size else None
+    assert not excess.size or excess[k] <= 1.0, (k, batched[k], oracle[k])
+
+
+@pytest.fixture(params=sorted(FAMILIES))
+def fam(request):
+    return FAMILIES[request.param]()
+
+
+# ---- weight conditions and the limit form ----
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_weight_conditions_match_per_index_loop(fam, strategy):
+    strat = STRATEGIES[strategy]()
+    rep = weight_conditions(fam, strat, H)
+    scales = np.array([weight_scale(fam, strat, n) for n in range(H + 1)])
+    t_neg, t_drift, t_comm, parts = [], [], [], []
+    for n in range(1, H):
+        g = fam.a_inv(n - 1) @ strat.alpha(fam, n - 1) @ fam.a(n)
+        up = strat.alpha(fam, n + 1) @ adj(fam.a(n + 1))
+        m = up - adj(fam.a(n)) @ g
+        t_neg.append(op_norm(neg_part(sym(m))) / scales[n])
+        t_drift.append(op_norm(g - strat.alpha(fam, n)) / scales[n])
+        t_comm.append(op_norm(strat.alpha(fam, n) @ fam.b(n + 1) - fam.b(n) @ g)
+                      / scales[n])
+        parts.append((op_norm(up) + op_norm(g) * op_norm(fam.a(n))
+                      + op_norm(g) * op_norm(fam.b(n))
+                      + op_norm(strat.alpha(fam, n)) * op_norm(fam.b(n + 1))) / scales[n])
+    parts = np.array(parts)
+    _close(rep.traces["neg_part"], t_neg, parts)
+    _close(rep.traces["drift"], t_drift, parts)
+    _close(rep.traces["commutator"], t_comm, parts)
+    _close(rep.traces["inverse_weight"], 1.0 / scales[:H])
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_c_limit_matches_per_index_forms(fam, strategy):
+    strat = STRATEGIES[strategy]()
+    step = max(1, H // 400)
+    pts = list(range(int(0.9 * H), H, step))
+    forms = [commutator_form(fam, strat, n, 0.5) / weight_scale(fam, strat, n) for n in pts]
+    mean = sum(forms) / len(forms)
+    try:
+        rep = c_limit(fam, strat, 0.5, H)
+    except Exception as exc:  # the oracle must then fail to settle as well
+        assert type(exc).__name__ == "NotConvergentError"
+        return
+    _close(rep.C_lambda, mean, max(op_norm(f) for f in forms))
+    assert rep.residual == pytest.approx(max(op_norm(f - mean) for f in forms),
+                                         rel=1e-9, abs=1e-13)
+
+
+# ---- packaged criteria ----
+
+
+def test_growth_criterion_traces_match_per_index_loop(fam):
+    rep = check_growth_criterion(fam, H)
+    tr = rep.traces
+    _close(tr["inverse_norms"], [op_norm(fam.a_inv(n)) for n in range(H)])
+    _close(tr["inverse_b_norms"], [op_norm(fam.a_inv(n) @ fam.b(n)) for n in range(H)])
+    sq = np.array([fam.norm_a(n) ** 2 for n in range(H)])
+    _close(tr["norm_squares"], sq)
+    t_neg, t_comm, parts = [], [], []
+    for n in range(1, H):
+        up = fam.a(n + 1) @ adj(fam.a(n + 1))
+        down = adj(fam.a(n)) @ fam.a(n)
+        t_neg.append(op_norm(neg_part(sym(up - down))) / sq[n])
+        t_comm.append(op_norm(fam.a(n) @ fam.b(n + 1) - fam.b(n) @ fam.a(n)) / sq[n])
+        parts.append((op_norm(up) + op_norm(down)
+                      + 2 * op_norm(fam.a(n)) * op_norm(fam.b(n + 1))) / sq[n])
+    _close(tr["neg_part"], t_neg, np.array(parts))
+    _close(tr["commutator"], t_comm, np.array(parts))
+
+
+def test_log_weight_criterion_traces_match_per_index_loop(fam):
+    n_start = 20
+    rep = check_log_weight_criterion(fam, 1, n_start, H)
+    tr = rep.traces
+    _close(tr["inverse_norms"], [op_norm(fam.a_inv(n)) for n in range(H)])
+    slack, w_norms = [], []
+    for n in range(n_start + 1, H):
+        w = adj(fam.a_inv(n - 1)) @ fam.a(n)
+        sv = np.linalg.svd(w, compute_uv=False)
+        env = 1.0 + 1.0 / n + 1.0 / (n * g_product(1, float(n)))
+        slack.append(max(0.0, 1.0 - sv[-1], sv[0] - env))
+        w_norms.append(sv[0])
+    _close(tr["envelope_slack"], slack, np.array(w_norms))
+    _close(tr["b_norms"], [op_norm(fam.b(n)) for n in range(H)])
+    tw, parts = [], []
+    for n in range(H):
+        tw.append(op_norm(fam.a_inv(n) @ fam.b(n) - fam.b(n + 1) @ fam.a_inv(n)))
+        parts.append(op_norm(fam.a_inv(n)) * (op_norm(fam.b(n)) + op_norm(fam.b(n + 1))))
+    _close(tr["twisted_commutator"], tw, np.array(parts))
+
+
+# ---- variation, Carleman sums, validation ----
+
+SEQUENCES = {
+    "a": lambda f: f.a,
+    "b": lambda f: f.b,
+    "a_inv": lambda f: f.a_inv,
+    "a_inv_b": lambda f: (lambda n: f.a_inv(n) @ f.b(n)),
+    "a_inv_a_prev": lambda f: (lambda n: f.a_inv(n) @ adj(f.a(n - 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCES))
+@pytest.mark.parametrize("N", [1, 2])
+def test_total_variation_matches_per_index_loop(fam, name, N):
+    seq = SEQUENCES[name](fam)
+    start, end = 1, H
+    incs = np.array([op_norm(seq(n + N) - seq(n)) for n in range(start, end)])
+    values = sequence_stack(fam, name, start, end + N - start)
+    rep = total_variation(values, N, (start, end))
+    scale = max(op_norm(seq(n)) for n in range(start, end + N))
+    assert rep.partial_sum == pytest.approx(float(incs.sum()), rel=RTOL,
+                                            abs=ATOL * scale * len(incs))
+    # the callable form evaluates the same sums
+    assert total_variation(seq, N, (start, end)).partial_sum == rep.partial_sum
+
+
+def test_carleman_matches_per_index_loop(fam):
+    terms = np.array([1.0 / op_norm(fam.a(n)) for n in range(H)])
+    rep = carleman_diagnostic(fam, H)
+    assert rep.partial_sum == pytest.approx(float(terms.sum()), rel=RTOL)
+
+
+def test_validate_matches_per_index_checks(fam):
+    assert validate_family(fam, range(H)) == []
+
+
+# ---- weights ----
+
+WEIGHTS = [
+    ConstantWeight(2.5),
+    PowerWeight(0.5, 3),
+    PowerWeight(-1.5),
+    PowerWeight(2),
+    TabulatedWeight(tuple(float(v) for v in np.linspace(0.5, 7.0, 3000))),
+    LogProductWeight(1, 10),
+    LogProductWeight(2, 20),
+    RecipIterLogWeight(1, 10),
+    RecipIterLogWeight(3, 20),
+    BlockSqrtLogWeight(),
+    BlockRecipLogWeight(),
+    fixtures._ScaledPower(0.5, 0.25),
+    fixtures._Doubling(),
+]
+
+
+def test_weight_list_covers_every_kind():
+    assert set(WEIGHT_KINDS.values()) <= {type(w) for w in WEIGHTS}
+
+
+@pytest.mark.parametrize("w", WEIGHTS, ids=lambda w: type(w).__name__)
+def test_weight_array_matches_call(w):
+    # doubling leaves the floating range past 2^1023
+    ns = np.arange(1000 if isinstance(w, fixtures._Doubling) else 3000)
+    want = np.array([w(int(n)) for n in ns])
+    np.testing.assert_allclose(w.array(ns), want, rtol=1e-14, atol=0.0)
+
+
+def test_block_indices_match_block_index_near_block_edges():
+    ks = np.array([1, 2, 3, 10, 1000, 94906265, 10 ** 8])
+    starts = ks * (ks - 1) // 2
+    ns = np.unique(np.concatenate([starts - 1, starts, starts + 1, starts + ks - 1]))
+    ns = ns[ns >= 0]
+    assert block_indices(ns).tolist() == [block_index(int(n)) for n in ns]
+
+
+# ---- evaluation discipline of the families ----
+
+
+def test_custom_family_evaluates_each_index_at_most_once():
+    seen = {"a": [], "b": []}
+
+    def a_fn(n):
+        seen["a"].append(n)
+        return (n + 1.0) * X
+
+    def b_fn(n):
+        seen["b"].append(n)
+        return Y / (n + 1.0)
+
+    fam = custom_family(2, a_fn, b_fn)
+    horizon = 300
+    validate_family(fam, range(horizon))
+    carleman_diagnostic(fam, horizon)
+    weight_conditions(fam, ANWeights(), horizon)
+    check_growth_criterion(fam, horizon)
+    check_log_weight_criterion(fam, 1, horizon=horizon)
+    for n in range(horizon):
+        fam.a(n), fam.b(n), fam.a_inv(n), fam.norm_a(n)
+    for calls in seen.values():
+        assert len(calls) == len(set(calls))
+        assert max(calls) == horizon  # the checkers read b_{n+1} and a_{n+1}
+
+
+def test_custom_weights_evaluate_each_index_once_per_checker():
+    calls = []
+    strat = CustomWeights(lambda n: (calls.append(n), (n + 1.0) * np.eye(2))[1])
+    weight_conditions(fixtures.paper_unbounded(), strat, 200)
+    assert sorted(calls) == list(range(201))
+
+
+def test_family_reads_are_views_of_one_read_only_array():
+    fam = fixtures.paper_logweight()
+    A, AINV, B, NRM = fam.stacks(0, 1000)
+    assert np.shares_memory(A, fam.a(500))
+    for arr in (A, AINV, B, NRM, fam.a(3), fam.a_inv(3)):
+        with pytest.raises(ValueError):
+            arr.reshape(-1)[0] = 0.0
+
+
+def test_singular_entries_raise_only_where_inverses_are_read():
+    a_list = [X] * 8
+    a_list[3] = np.array([[1.0, 2.0], [2.0, 4.0]])
+    fam = tabulated_family(a_list, [Y] * 8)
+    assert np.abs(fam.a_inv(5) @ fam.a(5) - np.eye(2)).max() < 1e-12
+    with pytest.raises(SingularError, match="a_3"):
+        fam.a_inv(3)
+    with pytest.raises(SingularError, match="a_3"):
+        fam.stacks(1, 7)
+    assert fam.stacks(4, 4)[1].shape == (4, 2, 2)
+    assert len(fam.stacks(0, 8, inverse=False)[3]) == 8
+    with pytest.raises(IndexError):
+        fam.stacks(0, 9)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_negative_indices_raise_after_reads(name):
+    fam = FAMILIES[name]()
+    fam.stacks(0, 50)
+    for read in (fam.a, fam.b, fam.a_inv, fam.norm_a):
+        with pytest.raises(ValueError):
+            read(-1)
+    with pytest.raises(ValueError):
+        fam.stacks(-1, 3)
+    assert np.abs(fam.a_inv(7) @ fam.a(7) - np.eye(2)).max() < 1e-10

@@ -271,3 +271,26 @@ def test_cli_seeded_runs_agree(tmp_path):
         doc.pop("wall_times")
         outs.append(doc)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("out_dir", [False, True])
+def test_cli_turan_convergence_report_serialises(tmp_path, capsys, out_dir):
+    # rate_bound_ok comes out of numpy comparisons; the report must still be
+    # plain JSON with a real boolean there, printed or written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "paper-constant",
+                               "analyses": [{"kind": "turan_convergence", "z": 1.0,
+                                             "alphas": {"random": 2}}],
+                               "horizon": 400}))
+    argv = ["analyze", str(cfg)]
+    if out_dir:
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 0
+    if out_dir:
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    else:
+        doc = json.loads(capsys.readouterr().out)
+    result = doc["results"]["00_turan_convergence"]
+    assert "error" not in result
+    assert isinstance(result["rate_bound_ok"], bool)
+    assert len(result["g"]) == 2
