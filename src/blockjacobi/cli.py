@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .config import ParseError, parse_config
 from .fixtures import FIXTURES, FIXTURE_NOTES
-from .runner import emit, run
+from .runner import emit, report_json, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -143,9 +143,7 @@ def _dispatch(args) -> int:
         emit(report, doc.out_dir, args.format)
         print(f"wrote {doc.out_dir}/report.json")
     else:
-        from .runner import _jsonable
-        print(json.dumps(_jsonable(report.to_json_dict(include_times=False)),
-                         sort_keys=True, indent=2))
+        print(report_json(report, include_times=False))
     return 0
 
 

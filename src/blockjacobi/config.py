@@ -160,6 +160,9 @@ ANALYSIS_SCHEMAS: dict[str, tuple[set[str], set[str]]] = {
 
 VARIATION_SEQUENCES = {"a", "b", "a_inv", "a_inv_b", "a_inv_a_prev"}
 
+# analyses whose limit theory holds for a real spectral parameter only
+REAL_Z_KINDS = {"exact_asymptotics", "christoffel"}
+
 
 @dataclass
 class AnalysisSpec:
@@ -181,6 +184,8 @@ def parse_analysis(obj: Any, path: str) -> AnalysisSpec:
     params = {k: v for k, v in obj.items() if k != "kind"}
     if "z" in params:
         params["z"] = parse_complex(params["z"], f"{path}.z")
+        if kind in REAL_Z_KINDS and params["z"].imag != 0.0:
+            raise ParseError(f"{path}.z", f"{kind} needs a real z")
     if "lambda" in params:
         lam = params.pop("lambda")
         if not isinstance(lam, (int, float)) or isinstance(lam, bool):

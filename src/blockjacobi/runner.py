@@ -29,12 +29,13 @@ from .commutator import (
 )
 from .config import AnalysisConfig, AnalysisSpec, encode_matrix
 from .opcore import NotConvergentError, HypothesisViolatedError
-from .recurrence import propagate, weighted_norm_trace
+from .recurrence import propagate, trajectory_table
 from .turan import (
     asymptotic_band,
     christoffel_limit,
     exact_asymptotics,
     extract_periodic_limits,
+    indeterminacy_probe,
     lambda_scan,
     turan_convergence,
 )
@@ -189,7 +190,6 @@ def _run_one(fam, spec: AnalysisSpec, config: AnalysisConfig, rng, limits,
         rep = check_log_weight_criterion(fam, p["depth"], p.get("n_start", 20), horizon)
         return _criterion_dict(rep)
     if spec.kind == "indeterminacy":
-        from .turan import indeterminacy_probe
         rep = indeterminacy_probe(fam, p["z_samples"], horizon, N=p.get("N", 1),
                                   scan_range=p.get("range", (-10.0, 10.0)),
                                   scan_grid=p.get("grid", 101))
@@ -198,7 +198,7 @@ def _run_one(fam, spec: AnalysisSpec, config: AnalysisConfig, rng, limits,
         N = p.get("N", 1)
         lim = limits(N)
         alphas = _resolve_alphas(p.get("alphas"), rng, fam.dim)
-        rep = exact_asymptotics(fam, lim, float(np.real(p["z"])), alphas, horizon)
+        rep = exact_asymptotics(fam, lim, p["z"].real, alphas, horizon)
         return {"C": encode_matrix(rep.C),
                 "per_alpha": [{"g": d["g"],
                                "weighted_trace_limit": d["weighted_trace_limit"],
@@ -208,31 +208,14 @@ def _run_one(fam, spec: AnalysisSpec, config: AnalysisConfig, rng, limits,
         alpha = p.get("alpha")
         if alpha is None:
             alpha = _unit_alphas(rng, 1, 2 * fam.dim)[0]
-        rep_ea = exact_asymptotics(fam, lim, float(np.real(p["z"])),
-                                   [alpha], horizon)
-        traj = propagate(fam, p["z"], alpha, horizon)
-        rep = christoffel_limit(fam, rep_ea.C, traj)
+        rep_ea = exact_asymptotics(fam, lim, p["z"].real, [alpha], horizon)
+        rep = christoffel_limit(fam, rep_ea.C, rep_ea.trajectories[0])
         return {"limit_estimate": rep.limit_estimate, "residual": rep.residual,
                 "g": rep_ea.per_alpha[0]["g"],
                 "half_g_gap": abs(rep.limit_estimate - rep_ea.per_alpha[0]["g"] / 2.0)}
     if spec.kind == "trajectory":
         traj = propagate(fam, p["z"], p["alpha"], horizon)
-        s = weighted_norm_trace(fam, traj)
-        norms = traj.norms()
-        rows = []
-        for n in range(traj.u.shape[0]):
-            row = [n]
-            for j in range(fam.dim):
-                row += [traj.u[n, j].real, traj.u[n, j].imag]
-            row += [float(norms[n]),
-                    float(s[n - 1]) if 1 <= n < traj.last_index else None,
-                    float(traj.residuals[n]) if 1 <= n < len(traj.residuals) else None]
-            rows.append(row)
-        cols = ["n"]
-        for j in range(fam.dim):
-            cols += [f"re_u{j}", f"im_u{j}"]
-        cols += ["norm", "s_n", "residual"]
-        report.traces[f"{key}_trajectory"] = Table(cols, rows)
+        report.traces[f"{key}_trajectory"] = Table(*trajectory_table(traj, fam))
         return {"points": traj.u.shape[0], "overflow": traj.overflow,
                 "truncated_at": traj.truncated_at,
                 "max_residual": float(traj.residuals.max(initial=0.0))}
@@ -259,6 +242,9 @@ def _criterion_dict(rep) -> dict:
 
 
 def _jsonable(obj):
+    """Plain JSON data: numpy scalars and arrays become Python numbers and
+    lists, complex numbers [re, im] pairs, and non-finite floats the strings
+    "inf", "-inf" and "nan"."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -266,12 +252,18 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         obj = obj.item()
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [_jsonable(obj.real), _jsonable(obj.imag)]
     if isinstance(obj, float) and (obj != obj or obj in (float("inf"), float("-inf"))):
         return repr(obj)
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     return obj
+
+
+def report_json(report: AnalysisReport, include_times: bool = True) -> str:
+    """The report as key-sorted, indented JSON text."""
+    return json.dumps(_jsonable(report.to_json_dict(include_times)), sort_keys=True,
+                      indent=2, allow_nan=False)
 
 
 def emit(report: AnalysisReport, out_dir: str | Path, fmt: str = "json") -> list[Path]:
@@ -280,10 +272,8 @@ def emit(report: AnalysisReport, out_dir: str | Path, fmt: str = "json") -> list
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    doc = json.dumps(_jsonable(report.to_json_dict()), sort_keys=True, indent=2,
-                     allow_nan=False, default=_json_default)
     path = out / "report.json"
-    path.write_text(doc + "\n")
+    path.write_text(report_json(report) + "\n")
     written.append(path)
     if fmt == "csv-bundle":
         for name, table in report.traces.items():
@@ -296,13 +286,3 @@ def emit(report: AnalysisReport, out_dir: str | Path, fmt: str = "json") -> list
     elif fmt != "json":
         raise ValueError(f"unknown format {fmt!r}; known: json, csv-bundle")
     return written
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return encode_matrix(obj) if obj.ndim == 2 else [_json_default(x) for x in obj]
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")

@@ -271,25 +271,20 @@ def limit_block(lim: PeriodicLimitData, z: complex, i: int) -> np.ndarray:
     return out
 
 
-def limit_form_window(lim: PeriodicLimitData, z: complex, start: int = 0) -> np.ndarray:
-    """Un-symmetrized limit form with window [start, start + N), built as
-    [[0, -C_e], [C_e^*, 0]] times the ordered product of limit factors,
-    highest index leftmost, where e = start + N - 1 (mod N)."""
+def limit_form(lim: PeriodicLimitData, lam: float, start: int = 0) -> np.ndarray:
+    """Hermitian limit form F(lambda) = sym of [[0, -C_e], [C_e^*, 0]] times
+    the ordered product of limit factors over the window [start, start + N),
+    highest index leftmost, where e = start + N - 1 (mod N).  Strict
+    definiteness marks lambda as a point of the asymptotic band."""
     d = lim.dim
     prod = np.eye(2 * d, dtype=np.complex128)
     for k in range(start, start + lim.N):
-        prod = limit_block(lim, z, k) @ prod
+        prod = limit_block(lim, lam, k) @ prod
     ce = lim.C[(start + lim.N - 1) % lim.N]
     pre = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     pre[:d, d:] = -ce
     pre[d:, :d] = adj(ce)
-    return pre @ prod
-
-
-def limit_form(lim: PeriodicLimitData, lam: float, start: int = 0) -> np.ndarray:
-    """Hermitian limit form F(lambda); strict definiteness marks lambda as a
-    point of the asymptotic band."""
-    return sym(limit_form_window(lim, lam, start))
+    return sym(pre @ prod)
 
 
 def principal_minors(m, rtol: float = 1e-10) -> list[float]:
@@ -590,6 +585,7 @@ class ExactAsymptoticsReport:
     C: np.ndarray
     per_alpha: list[dict]
     horizon: int
+    trajectories: list[Trajectory]  # one per alpha, as propagated for the limits
 
 
 def exact_asymptotics(fam: CoefficientFamily, lim: PeriodicLimitData, z: float,
@@ -639,7 +635,7 @@ def exact_asymptotics(fam: CoefficientFamily, lim: PeriodicLimitData, z: float,
             "gap": abs(west - g),
             "last_decade_spread": float(np.abs(wtrace[-cut:] - west).max()),
         })
-    return ExactAsymptoticsReport(C, per, horizon)
+    return ExactAsymptoticsReport(C, per, horizon, trajs)
 
 
 @dataclass

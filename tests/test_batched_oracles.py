@@ -1,11 +1,12 @@
-"""Batched checkers against per-index oracles.
+"""Batched checkers and propagation against per-index oracles.
 
 Every checker that runs over stacks of coefficients is compared here with a
 loop over the scalar helpers (commutator_form, weight_scale, op_norm,
-neg_part) on the same family, one index at a time.  Agreement is asked to
-rtol 1e-12; terms that cancel to rounding level carry an absolute
-allowance of 1e-14 times the size of the parts that cancel, since the two
-paths round those parts differently.
+neg_part) on the same family, one index at a time, and every trajectory with
+a sequential step loop that reads the coefficients through the accessors.
+Agreement is asked to rtol 1e-12; terms that cancel to rounding level carry
+an absolute allowance of 1e-14 times the size of the parts that cancel, since
+the two paths round those parts differently.
 """
 
 import math
@@ -47,6 +48,12 @@ from blockjacobi.commutator import (
     weight_scale,
 )
 from blockjacobi.opcore import SingularError, adj, neg_part, op_norm, sym
+from blockjacobi.recurrence import (
+    OVERFLOW_LIMIT,
+    basis_trajectories,
+    propagate,
+    propagate_block,
+)
 
 H = 500
 RTOL = 1e-12
@@ -217,6 +224,90 @@ def test_carleman_matches_per_index_loop(fam):
 
 def test_validate_matches_per_index_checks(fam):
     assert validate_family(fam, range(H)) == []
+
+
+# ---- propagation ----
+
+
+def _sequential_propagate(fam, z, alpha, horizon):
+    """Reference step loop, one index at a time through the accessors:
+    (u, residuals, overflow, truncated_at) of one column."""
+    d = fam.dim
+    alpha = np.asarray(alpha, dtype=np.complex128).reshape(2 * d)
+    u = np.zeros((horizon + 1, d), dtype=np.complex128)
+    res = np.zeros(horizon)
+    u[0], u[1] = alpha[:d], alpha[d:]
+    for n in range(1, horizon):
+        t1 = adj(fam.a(n - 1)) @ u[n - 1]
+        rhs = z * u[n] - fam.b(n) @ u[n] - t1
+        u[n + 1] = fam.a_inv(n) @ rhs
+        res[n] = float(np.linalg.norm(fam.a(n) @ u[n + 1] - rhs))
+        if np.abs(u[n + 1]).max() > OVERFLOW_LIMIT:
+            return u[:n + 2], res[:n + 1], True, n + 1
+    return u, res, False, None
+
+
+def _check_against_sequential(fam, z, alphas, trajs, horizon):
+    """Each trajectory equals its sequential column, with the batch cut at
+    the first step where any column overflows."""
+    refs = [_sequential_propagate(fam, z, a, horizon) for a in alphas]
+    cut = min((r[3] for r in refs if r[2]), default=None)
+    last = horizon if cut is None else cut
+    assert len(trajs) == len(alphas)
+    for traj, (u, res, _, _) in zip(trajs, refs):
+        u, res = u[:last + 1], res[:last]
+        assert traj.last_index == last
+        assert traj.truncated_at == cut
+        assert traj.overflow == bool(cut is not None and np.abs(u[last]).max() > OVERFLOW_LIMIT)
+        _close(traj.u, u, np.linalg.norm(u, axis=1)[:, None])
+        # a residual is the rounding left when a_n u_{n+1} cancels the rest
+        parts = np.array([fam.norm_a(n) for n in range(last)]) * np.linalg.norm(u[1:], axis=1)
+        _close(traj.residuals, res, parts)
+
+
+PROPAGATION_Z = [0.75, 0.5 + 0.5j]
+
+
+@pytest.mark.parametrize("z", PROPAGATION_Z)
+def test_propagate_matches_sequential_loop(fam, z):
+    alpha = np.array([0.6, -0.3j, 0.2 + 0.4j, 0.5])
+    _check_against_sequential(fam, z, [alpha], [propagate(fam, z, alpha, H)], H)
+
+
+@pytest.mark.parametrize("z", PROPAGATION_Z)
+def test_propagate_block_matches_sequential_loop(fam, z):
+    rng = np.random.default_rng(21)
+    alphas = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(3)]
+    _check_against_sequential(fam, z, alphas, propagate_block(fam, z, alphas, H), H)
+
+
+@pytest.mark.parametrize("z", PROPAGATION_Z)
+def test_basis_trajectories_match_sequential_loop(fam, z):
+    _check_against_sequential(fam, z, list(np.eye(4)), basis_trajectories(fam, z, H), H)
+
+
+def test_overflowing_scalar_propagation_matches_sequential_loop():
+    # a = 1, b = 0 at z = 10: solutions grow like 9.9^n and overflow early
+    fam = custom_family(1, lambda n: np.eye(1), lambda n: np.zeros((1, 1)))
+    grow, small = np.array([1.0, 1.0]), np.array([1.0, 0.09901951358])
+    traj = propagate(fam, 10.0, grow, H)
+    assert traj.overflow and traj.truncated_at < H
+    _check_against_sequential(fam, 10.0, [grow], [traj], H)
+    _check_against_sequential(fam, 10.0, [small, grow, small],
+                              propagate_block(fam, 10.0, [small, grow, small], H), H)
+    _check_against_sequential(fam, 10.0, list(np.eye(2)), basis_trajectories(fam, 10.0, H), H)
+
+
+def test_propagation_never_reads_the_inverse_of_a_0():
+    a_list = [X] * (H + 1)
+    a_list[0] = np.array([[1.0, 2.0], [2.0, 4.0]])
+    fam = tabulated_family(a_list, [Y] * (H + 1))
+    with pytest.raises(SingularError, match="a_0"):
+        fam.a_inv(0)
+    alphas = [np.array([1.0, 0.0, 0.5, -0.5j]), np.array([0.0, 1.0, 1.0, 0.0])]
+    _check_against_sequential(fam, 0.75, alphas[:1], [propagate(fam, 0.75, alphas[0], H)], H)
+    _check_against_sequential(fam, 0.75, alphas, propagate_block(fam, 0.75, alphas, H), H)
+    _check_against_sequential(fam, 0.75, list(np.eye(4)), basis_trajectories(fam, 0.75, H), H)
 
 
 # ---- weights ----

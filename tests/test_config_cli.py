@@ -273,6 +273,20 @@ def test_cli_seeded_runs_agree(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("kind", ["exact_asymptotics", "christoffel"])
+def test_cli_rejects_non_real_z_where_the_theory_is_real(tmp_path, capsys, kind):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "paper-constant",
+                               "analyses": [{"kind": "carleman"},
+                                            {"kind": kind, "z": [0.5, 0.25]}],
+                               "horizon": 400}))
+    assert main(["analyze", str(cfg)]) == 2
+    assert "$.analyses[1].z" in capsys.readouterr().err
+    # a real z written as an [re, im] pair is accepted
+    doc = parse_config({"family": "paper-constant", "analyses": [{"kind": kind, "z": [0.5, 0]}]})
+    assert doc.analyses[0].params["z"] == 0.5
+
+
 @pytest.mark.parametrize("out_dir", [False, True])
 def test_cli_turan_convergence_report_serialises(tmp_path, capsys, out_dir):
     # rate_bound_ok comes out of numpy comparisons; the report must still be

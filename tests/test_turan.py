@@ -23,7 +23,12 @@ from blockjacobi.opcore import (
     quad_form,
     sym,
 )
-from blockjacobi.recurrence import propagate, transfer, transfer_inv
+from blockjacobi.recurrence import (
+    propagate,
+    solution_space_dimension,
+    transfer,
+    transfer_inv,
+)
 from blockjacobi.turan import (
     COMPLETE_INDETERMINATE,
     PROBE_UNDECIDED,
@@ -426,6 +431,19 @@ def test_probe_undecided_when_standards_fail():
     rep = indeterminacy_probe(wild, [1j], horizon=300)
     assert rep.verdict == PROBE_UNDECIDED
     assert rep.carleman.verdict == "converges"
+
+
+def test_probe_survives_formal_starts_that_overflow_at_different_steps():
+    # a_n = 2^n Id, b_n = 8^n diag(1, 0) at z = 0.5: the first formal start
+    # overflows at n = 23, the second stays bounded up to n = 300.  Both are
+    # propagated as one batch, cut together, so their samples stack.
+    fam = custom_family(2, lambda n: 2.0 ** n * np.eye(2),
+                        lambda n: 8.0 ** n * np.diag([1.0, 0.0]))
+    assert solution_space_dimension(fam, 0.5, 300) == 2
+    rep = indeterminacy_probe(fam, [0.5], horizon=300)
+    assert rep.per_z[0]["solution_dim"] == 2
+    assert not rep.per_z[0]["ok"]
+    assert rep.verdict == PROBE_UNDECIDED
 
 
 # ---- exact asymptotics and the Christoffel ratio ----
