@@ -266,6 +266,14 @@ WEIGHT_KINDS: dict[str, type] = {
 # ---- coefficient families ----
 
 
+def _fill_ahead(filled: int, stop: int) -> int:
+    """Rows a vectorised family fills when rows below stop are needed and
+    `filled` exist: half as many again, so that per-index reads stay
+    amortised while a read just past a large range (||a_L|| after a
+    trajectory to L) leaves at most a third of the rows unused."""
+    return max(stop, filled + filled // 2, MIN_FILL)
+
+
 def _grown(arr: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
     """arr[:n] followed by rows.  Writes into arr while it has room and
     otherwise moves to an array of at least twice the capacity; the result
@@ -469,6 +477,21 @@ class CoefficientFamily:
             raise self._singular_error(n)
         return self._AINV[n]
 
+    def a_inv_rows(self, ns) -> np.ndarray:
+        """a_n^{-1} for the indices in the array ns, as one stack; a
+        SingularError names the first of them whose condition estimate
+        exceeds CONDITION_LIMIT."""
+        ns = np.asarray(ns)
+        if ns.min(initial=0) < 0:
+            raise ValueError("index must be >= 0")
+        stop = int(ns.max(initial=-1)) + 1
+        if self._nd < stop:
+            self._fill_derived(stop)
+        bad = next((n for n in ns.tolist() if n in self._singular), None)
+        if bad is not None:
+            raise self._singular_error(bad)
+        return self._AINV[ns]
+
     def norm_a(self, n: int) -> float:
         if not 0 <= n < self._nd:
             self._fill_derived(n + 1)
@@ -503,7 +526,7 @@ class ScaledPeriodicFamily(CoefficientFamily):
         self._X_norm, self._X_inv, self._X_cond, self._X_bad = _norms_and_inverses(self._Xs)
 
     def _target(self, filled: int, stop: int) -> int:
-        return max(stop, 2 * filled, MIN_FILL)
+        return _fill_ahead(filled, stop)
 
     def _scaled_rows(self, w: ScalarWeight, mats: np.ndarray, lo: int, hi: int):
         ns = np.arange(lo, hi)
@@ -543,7 +566,7 @@ class TabulatedFamily(CoefficientFamily):
         self._na = self._nb = self.length = len(A)
 
     def _target(self, filled: int, stop: int) -> int:
-        return min(self.length, max(stop, 2 * filled, MIN_FILL))
+        return min(self.length, _fill_ahead(filled, stop))
 
     def _a_rows(self, lo: int, hi: int):
         return self._A[:0], IndexError(f"index {lo} is past the table of {self.length} entries")
@@ -875,14 +898,18 @@ def bounded_verdict(values: np.ndarray) -> tuple[bool, dict]:
 
 def _aitken(s1: np.ndarray, s2: np.ndarray, s3: np.ndarray) -> np.ndarray:
     """Entrywise Aitken extrapolation from samples at geometrically spaced
-    indices; exact for limits approached like c * n^(-p) or c * r^n."""
+    indices; exact for limits approached like c * n^(-p) or c * r^n.  An
+    entry whose extrapolant is not finite (second differences too large to
+    square) keeps its raw value s3."""
     d1 = s2 - s1
     d2 = s3 - s2
     denom = d2 - d1
     scale = max(float(np.abs(s3).max()), 1.0)
     out = s3.astype(np.complex128).copy()
-    mask = np.abs(denom) > 1e-14 * scale
-    out[mask] = s3[mask] - d2[mask] ** 2 / denom[mask]
+    with np.errstate(all="ignore"):
+        ext = s3 - d2 ** 2 / denom
+    ok = (np.abs(denom) > 1e-14 * scale) & np.isfinite(ext)
+    out[ok] = ext[ok]
     return out
 
 
@@ -911,23 +938,31 @@ class SequenceLimit:
 
 def sequence_limit(getter: Callable[[int], np.ndarray], indices: Sequence[int],
                    tol: float = CAUCHY_TOL) -> SequenceLimit:
-    """Numerical limit of getter(n) along the given increasing index list.
+    """Numerical limit of getter(n) along the given increasing index list:
+    stack_limit with the terms read one index at a time."""
+    return stack_limit(
+        lambda ns: np.stack([np.asarray(getter(n), dtype=np.complex128) for n in ns]),
+        indices, tol)
+
+
+def stack_limit(take: Callable[[np.ndarray], np.ndarray], indices: Sequence[int],
+                tol: float = CAUCHY_TOL) -> SequenceLimit:
+    """Numerical limit of a matrix sequence along the given increasing index
+    list, where take(ns) returns the terms at the index array ns as a stack.
 
     Accepts by the plain Cauchy rule over the last decade of indices; when
     the raw terms still drift (slow power tails), falls back to Aitken
     extrapolation over geometrically spaced samples and accepts when two
     staggered extrapolations agree.
     """
-    idx = list(indices)
+    idx = np.asarray(indices)
     if len(idx) < 16:
-        last = np.asarray(getter(idx[-1]))
-        return SequenceLimit(last, float("inf"), False, "none")
+        return SequenceLimit(take(idx[-1:])[0], float("inf"), False, "none")
     cut = max(2, len(idx) // 10)
-    tail = idx[-cut:]
-    vals = [np.asarray(getter(n), dtype=np.complex128) for n in tail]
+    vals = np.asarray(take(idx[-cut:]), dtype=np.complex128)
     # drift across the whole last decade, not between neighbours: slow
     # monotone tails have tiny consecutive steps but large remaining drift
-    raw_res = max(float(np.linalg.norm(v - vals[-1], 2)) for v in vals)
+    raw_res = float(stack_norms(vals - vals[-1]).max())
     scale = max(1.0, float(np.linalg.norm(vals[-1], 2)))
     if raw_res < tol * scale:
         return SequenceLimit(vals[-1], raw_res, True, "cauchy")
@@ -935,7 +970,7 @@ def sequence_limit(getter: Callable[[int], np.ndarray], indices: Sequence[int],
     k = len(idx) - 1
     picks = sorted({k // 32, k // 16, k // 8, k // 4, k // 2, k})
     if len(picks) == 6 and picks[0] >= 1:
-        s = [np.asarray(getter(idx[j]), dtype=np.complex128) for j in picks]
+        s = list(np.asarray(take(idx[picks]), dtype=np.complex128))
         a = [_aitken(s[i], s[i + 1], s[i + 2]) for i in range(4)]
         ext_scale = max(1.0, float(np.linalg.norm(a[3], 2)))
         first_res = float(np.linalg.norm(a[3] - a[2], 2))

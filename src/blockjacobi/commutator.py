@@ -28,8 +28,8 @@ from .coeffs import (
     g_product,
     iter_log,
     iter_log_arrays,
-    sequence_limit,
     series_verdict,
+    stack_limit,
     vanishing_verdict,
 )
 from .opcore import (
@@ -359,7 +359,7 @@ def check_growth_criterion(fam: CoefficientFamily,
     ev_comm = series_verdict(t_comm, first_index=1)
     ev_sq = series_verdict(1.0 / sq, first_index=0)
 
-    lim = sequence_limit(lambda n: A[n] / NRM[n], list(range(horizon)))
+    lim = stack_limit(lambda ns: A[ns] / NRM[ns, None, None], range(horizon))
     cond = condition_estimate(lim.value) if lim.converged else float("inf")
     ok_dir = lim.converged and np.isfinite(cond) and cond <= CONDITION_LIMIT
 

@@ -9,6 +9,7 @@ square-summability diagnostics of trajectories.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,6 +20,18 @@ from .opcore import adj
 
 # Trajectories are truncated once a norm passes this guard.
 OVERFLOW_LIMIT = 1e150
+
+# Largest recurrence defect a chunk of the transfer-product path may leave,
+# relative to ||a_n|| ||u_{n+1}|| + ||rhs_n||.  A sequential step leaves a few
+# units of rounding there; a chunk product applied to a solution that decays
+# next to a growing one loses it to cancellation, and leaves far more.  Such a
+# chunk is stepped again sequentially.
+DEFECT_GATE = 64 * np.finfo(np.float64).eps
+
+# Chunks whose local transfer products are formed together: bounds the extra
+# memory to CHUNK_GROUP * c * 2d^2 entries, and an early overflow leaves the
+# products of later groups unformed.
+CHUNK_GROUP = 32
 
 SQUARE_SUMMABLE = "square_summable"
 NOT_SQUARE_SUMMABLE = "not_square_summable"
@@ -106,7 +119,8 @@ def formal_eigenvector_start(fam: CoefficientFamily, z: complex, u0: np.ndarray)
 class Trajectory:
     """Solution samples u_0 .. u_L of the recurrence at spectral parameter z.
 
-    residuals[n] is the norm of the recurrence defect at interior index n
+    residuals[n] is the norm of the recurrence defect of the stored samples,
+    a_n u_{n+1} - (z u_n - b_n u_n - a_{n-1}^* u_{n-1}), at interior index n
     (1 <= n <= L-1); entry 0 is unused.  overflow marks trajectories truncated
     by the norm guard, with truncated_at the last stored index.
     """
@@ -126,16 +140,61 @@ class Trajectory:
         return np.linalg.norm(self.u, axis=1)
 
 
+def _apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M[n] @ v[n] over a stack of small matrices, as d broadcast products:
+    for a few columns this is several times faster than a batched matmul,
+    which pays a fixed cost per matrix."""
+    out = M[:, :, :1] * v[:, None, 0]
+    for j in range(1, M.shape[2]):
+        out += M[:, :, j:j + 1] * v[:, None, j]
+    return out
+
+
+def _chunk_products(AINV: np.ndarray, AH: np.ndarray, B: np.ndarray, z: complex,
+                    lo: int, hi: int, c: int) -> np.ndarray:
+    """Local prefix products of the transfer matrices of steps lo .. hi-1,
+    cut into chunks of c steps, by their lower halves.
+
+    With m = lo + j c the start of chunk j, out[j, i + 2] is the lower half
+    of B_{m+i}(z) ... B_m(z), which maps (u_{m-1}, u_m) to u_{m+i+1}, and
+    out[j, 0], out[j, 1] are [Id, 0] and [0, Id]; the whole product is the
+    window out[j, i + 1 : i + 3].  The last chunk is padded with steps that
+    repeat u_n.
+    """
+    d = B.shape[1]
+    cnt = hi - lo
+    eye = np.eye(d)
+    ainv = AINV[lo - 1:hi - 1]
+    L = np.zeros((-(-cnt // c) * c, d, 2 * d), dtype=np.complex128)
+    L[:cnt, :, :d] = -_apply(ainv, AH[lo - 1:hi - 1])
+    L[:cnt, :, d:] = _apply(ainv, z * eye - B[lo:hi])
+    L[cnt:, :, d:] = eye
+    L = L.reshape(-1, c, d, 2 * d)
+    Q = np.empty((len(L), c + 2, d, 2 * d), dtype=np.complex128)
+    Q[:, :2] = np.eye(2 * d).reshape(2, d, 2 * d)
+    for i in range(c):
+        Q[:, i + 2] = L[:, i] @ Q[:, i:i + 2].reshape(-1, 2 * d, 2 * d)
+    return Q
+
+
 def _propagate(fam: CoefficientFamily, z: complex, alphas: Sequence[np.ndarray],
                horizon: int) -> list[Trajectory]:
-    """The step loop behind every trajectory: solve the recurrence for a batch
+    """The engine behind every trajectory: solve the recurrence for a batch
     of initial data (u_0, u_1) = alpha up to index `horizon`.
 
-    Each step solves directly for u_{n+1} through a_n^{-1}, n = 1 .. horizon-1,
-    and records the defect norm of the recurrence per column.  The whole batch
-    is cut at the first step where any column passes OVERFLOW_LIMIT; columns
-    actually past the limit carry the overflow flag, the rest are merely
-    shortened (truncated_at is set for all of them).
+    The steps n = 1 .. horizon-1 are cut into chunks of c = isqrt(horizon-1)
+    steps.  The transfer products local to each chunk are formed batched
+    across CHUNK_GROUP chunks at a time; then each chunk's samples come from
+    one product of its stacked prefix products with the boundary state
+    (u_{m-1}, u_m) its predecessor left, and the recurrence defects of the
+    stored samples are evaluated over the whole chunk.  A chunk whose samples
+    are non-finite or near OVERFLOW_LIMIT, or whose defect anywhere exceeds
+    DEFECT_GATE, is stepped again from its boundary state by the sequential
+    step, which solves for u_{n+1} through a_n^{-1}.  So the batch is cut
+    exactly where the sequential step cuts it: at the first step where any
+    column passes OVERFLOW_LIMIT.  Columns actually past the limit carry the
+    overflow flag, the rest are merely shortened (truncated_at is set for all
+    of them).
     """
     d = fam.dim
     al = np.stack([np.asarray(a, dtype=np.complex128).reshape(2 * d) for a in alphas])
@@ -144,47 +203,75 @@ def _propagate(fam: CoefficientFamily, z: complex, alphas: Sequence[np.ndarray],
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     k = al.shape[0]
-    A, _, B, _ = fam.stacks(0, horizon, inverse=False)
+    A, _, B, NRM = fam.stacks(0, horizon, inverse=False)
     AINV = fam.stacks(1, horizon - 1)[1]  # AINV[n - 1] = a_n^{-1}
     AH = A.conj().transpose(0, 2, 1)
-    u = np.zeros((horizon + 1, d, k), dtype=np.complex128)
-    res = np.zeros((horizon, k))
-    u[0] = al[:, :d].T
-    u[1] = al[:, d:].T
-    last = horizon
-    truncated = False
-    for n in range(1, horizon):
-        cur = u[n]
-        rhs = z * cur - B[n] @ cur - AH[n - 1] @ u[n - 1]
-        nxt = u[n + 1] = AINV[n - 1] @ rhs
-        r = A[n] @ nxt - rhs
-        # np.linalg.norm(r, axis=0) spelled out: same operations, without
-        # the call overhead that costs a tenth of a one-column step
-        res[n] = np.sqrt(np.add.reduce((r.conj() * r).real, axis=0))
-        if np.abs(nxt).max() > OVERFLOW_LIMIT:
-            truncated = True
-            last = n + 1
-            break
-    out = []
-    for j in range(k):
-        uj = np.ascontiguousarray(u[: last + 1, :, j])
-        over = truncated and bool(np.abs(uj[last]).max() > OVERFLOW_LIMIT)
-        out.append(Trajectory(z, al[j], uj, res[:last, j].copy(), over,
-                              last if truncated else None))
-    return out
+    # column-major storage, so each trajectory is a view of its own rows;
+    # the arithmetic reads it through ut[n] = (u_n of every column)
+    u = np.zeros((k, horizon + 1, d), dtype=np.complex128)
+    res = np.zeros((k, horizon))
+    ut, rt = u.transpose(1, 2, 0), res.T
+    u[:, 0] = al[:, :d]
+    u[:, 1] = al[:, d:]
+
+    def steps(lo: int, hi: int) -> int | None:
+        """The sequential step for n = lo .. hi-1; the last stored index
+        when a column passes OVERFLOW_LIMIT, else None."""
+        for n in range(lo, hi):
+            cur = ut[n]
+            rhs = z * cur - B[n] @ cur - AH[n - 1] @ ut[n - 1]
+            nxt = ut[n + 1] = AINV[n - 1] @ rhs
+            r = A[n] @ nxt - rhs
+            # np.linalg.norm(r, axis=0) spelled out: same operations, without
+            # the call overhead that costs a tenth of a one-column step
+            rt[n] = np.sqrt(np.add.reduce((r.conj() * r).real, axis=0))
+            if np.abs(nxt).max() > OVERFLOW_LIMIT:
+                return n + 1
+        return None
+
+    def chunks():
+        """(lo, hi, prefix products) per chunk, formed a group at a time."""
+        c = math.isqrt(horizon - 1)
+        for lo in range(1, horizon, max(CHUNK_GROUP * c, 1)):
+            hi = min(lo + CHUNK_GROUP * c, horizon)
+            for j, Q in enumerate(_chunk_products(AINV, AH, B, z, lo, hi, c)):
+                yield lo + j * c, min(lo + (j + 1) * c, hi), Q
+
+    cut = None
+    with np.errstate(all="ignore"):  # overflow is detected and stepped again
+        for lo, hi, Q in chunks():
+            s = ut[lo - 1:lo + 1].reshape(2 * d, k)
+            new = (Q[2:].reshape(-1, 2 * d) @ s).reshape(-1, d, k)[:hi - lo]
+            ut[lo + 1:hi + 1] = new
+            prev, cur, nxt = ut[lo - 1:hi - 1], ut[lo:hi], ut[lo + 1:hi + 1]
+            rhs = z * cur - _apply(B[lo:hi], cur) - _apply(AH[lo - 1:hi - 1], prev)
+            r = _apply(A[lo:hi], nxt) - rhs
+            rt[lo:hi] = np.sqrt(np.add.reduce((r.conj() * r).real, axis=1))
+            gate = DEFECT_GATE * (NRM[lo:hi, None] * np.linalg.norm(nxt, axis=1)
+                                  + np.linalg.norm(rhs, axis=1))
+            # half the limit, so that a chunk accepted here cannot hold a value
+            # the sequential step would have found past it
+            if not (np.abs(new).max() <= OVERFLOW_LIMIT / 2 and np.all(rt[lo:hi] <= gate)):
+                cut = steps(lo, hi)
+                if cut is not None:
+                    break
+    last = horizon if cut is None else cut
+    return [Trajectory(z, al[j], u[j, :last + 1], res[j, :last],
+                       cut is not None and bool(np.abs(u[j, last]).max() > OVERFLOW_LIMIT), cut)
+            for j in range(k)]
 
 
 def propagate(fam: CoefficientFamily, z: complex, alpha: np.ndarray, horizon: int) -> Trajectory:
     """Solve the recurrence from (u_0, u_1) = alpha up to index `horizon`: a
-    one-column batch of the shared step loop.  Norms beyond OVERFLOW_LIMIT
+    one-column batch of the shared engine.  Norms beyond OVERFLOW_LIMIT
     truncate the trajectory and set the overflow flag."""
     return _propagate(fam, z, [alpha], horizon)[0]
 
 
 def propagate_block(fam: CoefficientFamily, z: complex, alphas: Sequence[np.ndarray],
                     horizon: int) -> list[Trajectory]:
-    """Propagate several initial conditions at once through the shared step
-    loop; the batch is cut together at the first overflow."""
+    """Propagate several initial conditions at once through the shared
+    engine; the batch is cut together at the first overflow."""
     return _propagate(fam, z, alphas, horizon)
 
 

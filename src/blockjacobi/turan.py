@@ -23,9 +23,9 @@ from . import coeffs as _coeffs
 from .coeffs import (
     CoefficientFamily,
     carleman_diagnostic,
-    sequence_limit,
     sequence_stack,
     series_verdict,
+    stack_limit,
     total_variation,
 )
 from .opcore import (
@@ -41,11 +41,13 @@ from .opcore import (
     op_norm,
     quad_form,
     require_hermitian,
+    stack_adj,
     stack_norms,
     sym,
 )
 from .recurrence import (
     SQUARE_SUMMABLE,
+    UNDECIDED,
     Trajectory,
     basis_trajectories,
     coefficient_stacks,
@@ -223,23 +225,24 @@ def extract_periodic_limits(fam: CoefficientFamily, N: int,
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    getters: dict[str, Callable[[int], np.ndarray]] = {
-        "T": lambda n: fam.a_inv(n),
-        "Q": lambda n: fam.a_inv(n) @ fam.b(n),
-        "R": lambda n: fam.a_inv(n) @ adj(fam.a(n - 1)),
-        "C": lambda n: fam.a(n) / fam.norm_a(n),
+    A, _, B, NRM = fam.stacks(0, horizon, inverse=False)
+    takes: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+        "T": fam.a_inv_rows,
+        "Q": lambda ns: fam.a_inv_rows(ns) @ B[ns],
+        "R": lambda ns: fam.a_inv_rows(ns) @ stack_adj(A[ns - 1]),
+        "C": lambda ns: A[ns] / NRM[ns, None, None],
     }
-    data: dict[str, list[np.ndarray]] = {k: [] for k in getters}
-    residuals: dict[str, list[float]] = {k: [] for k in getters}
+    data: dict[str, list[np.ndarray]] = {k: [] for k in takes}
+    residuals: dict[str, list[float]] = {k: [] for k in takes}
     converged = True
-    for name, g in getters.items():
+    for name, take in takes.items():
         lo = 1 if name == "R" else 0
         for j in range(N):
             first = j if j >= lo else j + N
             idx = list(range(first, horizon, N))
             if not idx:
                 raise ValueError("horizon too small for the requested period")
-            lim = sequence_limit(g, idx, tol=EXTRACTION_TOL)
+            lim = stack_limit(take, idx, tol=EXTRACTION_TOL)
             data[name].append(lim.value)
             residuals[name].append(lim.residual)
             converged = converged and lim.converged
@@ -560,13 +563,17 @@ def indeterminacy_probe(fam: CoefficientFamily, z_samples: Sequence[complex],
     per_z = []
     all_ok = True
     for z in z_samples:
-        diags = [l2_tail_diagnostic(t) for t in basis_trajectories(fam, z, traj_horizon)]
+        # a column cut short because another one overflowed has only the
+        # short tail before the cut to read, which decides nothing
+        verdicts = [UNDECIDED if t.truncated_at is not None and not t.overflow
+                    else l2_tail_diagnostic(t).verdict
+                    for t in basis_trajectories(fam, z, traj_horizon)]
         dim = solution_space_dimension(fam, z, traj_horizon)
-        ok = all(dg.verdict == SQUARE_SUMMABLE for dg in diags) and dim == fam.dim
+        ok = all(v == SQUARE_SUMMABLE for v in verdicts) and dim == fam.dim
         all_ok = all_ok and ok
         per_z.append({
             "z": complex(z),
-            "basis_verdicts": [dg.verdict for dg in diags],
+            "basis_verdicts": verdicts,
             "solution_dim": dim,
             "ok": ok,
         })

@@ -10,6 +10,7 @@ the two paths round those parts differently.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from blockjacobi.coeffs import (
     carleman_diagnostic,
     custom_family,
     g_product,
+    sequence_limit,
     sequence_stack,
     tabulated_family,
     total_variation,
@@ -48,12 +50,14 @@ from blockjacobi.commutator import (
     weight_scale,
 )
 from blockjacobi.opcore import SingularError, adj, neg_part, op_norm, sym
+from blockjacobi import recurrence
 from blockjacobi.recurrence import (
     OVERFLOW_LIMIT,
     basis_trajectories,
     propagate,
     propagate_block,
 )
+from blockjacobi.turan import EXTRACTION_TOL, extract_periodic_limits
 
 H = 500
 RTOL = 1e-12
@@ -418,3 +422,214 @@ def test_negative_indices_raise_after_reads(name):
     with pytest.raises(ValueError):
         fam.stacks(-1, 3)
     assert np.abs(fam.a_inv(7) @ fam.a(7) - np.eye(2)).max() < 1e-10
+
+
+# ---- the chunked transfer-product path of the propagation engine ----
+
+# c = isqrt(H - 1) = 70 steps per chunk: 72 chunks in 3 groups.
+H_CHUNKED = 5000
+
+# Measured at H_CHUNKED over the families below, two columns each: the
+# engine and the per-index loop differ by at most 1.1e-12 of the row norm
+# (sqrt-growth at z = 2; every other case stays at or below 3.5e-13).
+CHUNKED_TOL = 1e-11
+
+CHUNKED_FAMILIES = dict(
+    FAMILIES, tabulated=lambda: rand_family(np.random.default_rng(5), 2, H_CHUNKED + 8))
+
+
+def _scale(fam, z, u):
+    """||a_n|| ||u_{n+1}|| + ||rhs_n|| for n = 1 .. L-1: the size of the parts
+    the defect of a stored trajectory u cancels (the gate's unit)."""
+    L = len(u) - 1
+    A, _, B, NRM = fam.stacks(0, L, inverse=False)
+    AH = A.conj().transpose(0, 2, 1)
+    v = u[..., None]
+    rhs = (z * v[1:L] - B[1:L] @ v[1:L] - AH[:L - 1] @ v[:L - 1])[..., 0]
+    return NRM[1:L] * np.linalg.norm(u[2:], axis=1) + np.linalg.norm(rhs, axis=1)
+
+
+@pytest.mark.parametrize("z", [0.75, 2.0])
+@pytest.mark.parametrize("name", sorted(CHUNKED_FAMILIES))
+def test_chunked_path_matches_sequential_loop_over_many_chunks(name, z):
+    fam = CHUNKED_FAMILIES[name]()
+    rng = np.random.default_rng(22)
+    alphas = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(2)]
+    trajs = propagate_block(fam, z, alphas, H_CHUNKED)
+    refs = [_sequential_propagate(fam, z, a, H_CHUNKED) for a in alphas]
+    cut = min((r[3] for r in refs if r[2]), default=None)
+    last = H_CHUNKED if cut is None else cut
+    for traj, (u, _, _, _) in zip(trajs, refs):
+        u = u[:last + 1]
+        assert traj.truncated_at == cut
+        assert traj.overflow == bool(cut is not None and np.abs(u[last]).max() > OVERFLOW_LIMIT)
+        assert traj.u.shape == u.shape
+        err = np.abs(traj.u - u).max(axis=1)
+        assert np.all(err <= CHUNKED_TOL * np.linalg.norm(u, axis=1)), err.max()
+
+
+def _decay_window_family(start, length, beta):
+    """Scalar a_n = 1, b_n = beta on [start, start + length) and 0 elsewhere."""
+    return custom_family(
+        1, lambda n: np.eye(1),
+        lambda n: (beta if start <= n < start + length else 0.0) * np.eye(1))
+
+
+def test_defect_gate_steps_a_mid_run_chunk_again(monkeypatch):
+    # At z = 0.5 the scalar recurrence oscillates; on the window b_n = -2.6
+    # it has the modes 2.734^n and 0.366^n.  Started so that it enters the
+    # window on the decaying mode, the trajectory decays there until rounding
+    # wakes the growing mode.  A chunk product, of norm up to 2.734^c, loses
+    # the decaying solution to cancellation: its defect exceeds the gate by
+    # orders of magnitude, so that chunk must be stepped again.
+    H, start, z, beta = 2000, 1000, 0.5, -2.6
+    fam = _decay_window_family(start, 100, beta)
+    lam = ((z - beta) - math.sqrt((z - beta) ** 2 - 4.0)) / 2.0
+    u = np.zeros(start + 1)
+    u[start - 1], u[start] = 1.0, lam
+    for n in range(start - 1, 0, -1):  # a = 1, b = 0 below the window
+        u[n - 1] = z * u[n] - u[n + 1]
+    alpha = np.array([u[0], u[1]])
+
+    gate = recurrence.DEFECT_GATE
+    gated = propagate(fam, z, alpha, H)
+    monkeypatch.setattr(recurrence, "DEFECT_GATE", np.inf)
+    raw = propagate(fam, z, alpha, H)
+    monkeypatch.undo()
+
+    raw_excess = raw.residuals[1:] / (gate * _scale(fam, z, raw.u))
+    far = 1 + np.flatnonzero(raw_excess > 1e3)  # measured: up to 2.6e8 in the window
+    assert len(far) and start <= far.min() and far.max() < start + 100
+    # every stored step satisfies the gate or was stepped sequentially (the
+    # 1e-9 covers rounding in evaluating the gate's unit here and there)
+    assert np.all(gated.residuals[1:] <= (1 + 1e-9) * gate * _scale(fam, z, gated.u))
+    ref = _sequential_propagate(fam, z, alpha, H)[0]
+    assert np.abs(gated.u[:start] - ref[:start]).max() <= CHUNKED_TOL
+
+
+@pytest.mark.parametrize("case", ["scalar-z10", "paper-constant-z0", "tabulated-z0.75"])
+def test_chunked_path_cuts_early_overflow_where_the_loop_does(case):
+    fam, z = {
+        "scalar-z10": (custom_family(1, lambda n: np.eye(1), lambda n: np.zeros((1, 1))), 10.0),
+        "paper-constant-z0": (fixtures.paper_constant(), 0.0),
+        "tabulated-z0.75": (CHUNKED_FAMILIES["tabulated"](), 0.75),
+    }[case]
+    alphas = list(np.eye(2 * fam.dim))
+    trajs = basis_trajectories(fam, z, H_CHUNKED)
+    assert trajs[0].truncated_at is not None and trajs[0].truncated_at > math.isqrt(H_CHUNKED - 1)
+    _check_against_sequential(fam, z, alphas, trajs, H_CHUNKED)
+
+
+def test_chunked_path_raises_no_runtime_warning():
+    doubling = custom_family(2, lambda n: 2.0 ** n * np.eye(2),
+                             lambda n: 8.0 ** n * np.diag([1.0, 0.0]))
+    scalar = custom_family(1, lambda n: np.eye(1), lambda n: np.zeros((1, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fam, z, horizon in [(doubling, 0.5, 300), (scalar, 10.0, H_CHUNKED),
+                                (fixtures.paper_constant(), 1j, H_CHUNKED),
+                                (fixtures.sqrt_growth(), 2.0, H_CHUNKED)]:
+            trajs = basis_trajectories(fam, z, horizon)
+            assert all(np.isfinite(t.u).all() and np.isfinite(t.residuals).all() for t in trajs)
+        assert any(t.overflow for t in basis_trajectories(doubling, 0.5, 300))
+
+
+def _mp_trajectory(mpmath, fam, z, alpha, horizon):
+    """The recurrence solved for u_{n+1} in mpmath's working precision, from
+    the family's float64 coefficients taken as exact."""
+    d = fam.dim
+    A, _, B, _ = fam.stacks(0, horizon, inverse=False)
+    mat = lambda m: mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in m])
+    vec = lambda v: mpmath.matrix([mpmath.mpc(complex(x)) for x in v])
+    As, Bs, zz = [mat(a) for a in A], [mat(b) for b in B], mpmath.mpc(z)
+    u = [vec(alpha[:d]), vec(alpha[d:])]
+    for n in range(1, horizon):
+        rhs = zz * u[n] - Bs[n] * u[n] - As[n - 1].H * u[n - 1]
+        u.append(mpmath.lu_solve(As[n], rhs))
+    return u, As, Bs
+
+
+# Measured at H = 200 (c = 14) on the four fixtures at z in {0.75, 2,
+# 0.5+0.5j}: the engine is within 7.0e-15 of the row norm of the 50-digit
+# recurrence, and each reported residual is within 0.42 eps of the exact
+# defect of the stored samples, in units of ||a_n|| ||u_{n+1}|| +
+# ||z - b_n|| ||u_n|| + ||a_{n-1}|| ||u_{n-1}||.
+MP_HORIZON = 200
+MP_TOL = 1e-13
+MP_DEFECT_TOL = 4 * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("z", [0.75, 0.5 + 0.5j])
+@pytest.mark.parametrize("name", ["paper-constant", "paper-unbounded", "paper-blockrepeat",
+                                  "paper-logweight"])
+def test_chunked_path_matches_a_50_digit_recurrence(name, z):
+    mpmath = pytest.importorskip("mpmath")
+    fam = FAMILIES[name]()
+    alpha = np.array([0.6, -0.3j, 0.2 + 0.4j, 0.5])
+    traj = propagate(fam, z, alpha, MP_HORIZON)
+    assert traj.truncated_at is None
+    with mpmath.workdps(50):
+        u_mp, As, Bs = _mp_trajectory(mpmath, fam, z, alpha, MP_HORIZON)
+        ref = np.array([[complex(x) for x in v] for v in u_mp])
+        err = np.abs(traj.u - ref).max(axis=1)
+        assert np.all(err <= MP_TOL * np.linalg.norm(ref, axis=1)), err.max()
+        # the residuals are the defects of the stored samples
+        stored = [mpmath.matrix([mpmath.mpc(complex(x)) for x in row]) for row in traj.u]
+        for n in range(1, MP_HORIZON):
+            r = As[n] * stored[n + 1] - (mpmath.mpc(z) * stored[n] - Bs[n] * stored[n]
+                                          - As[n - 1].H * stored[n - 1])
+            scale = (fam.norm_a(n) * np.linalg.norm(traj.u[n + 1])
+                     + op_norm(z * np.eye(2) - fam.b(n)) * np.linalg.norm(traj.u[n])
+                     + fam.norm_a(n - 1) * np.linalg.norm(traj.u[n - 1]))
+            assert abs(traj.residuals[n] - float(mpmath.norm(r))) <= MP_DEFECT_TOL * scale
+
+
+# ---- periodic limit extraction ----
+
+
+def _per_index_limits(fam, N, horizon):
+    """The four limit sequences of extract_periodic_limits, each term read
+    through the per-index accessors."""
+    getters = {
+        "T": lambda n: fam.a_inv(n),
+        "Q": lambda n: fam.a_inv(n) @ fam.b(n),
+        "R": lambda n: fam.a_inv(n) @ adj(fam.a(n - 1)),
+        "C": lambda n: fam.a(n) / fam.norm_a(n),
+    }
+    return {name: [sequence_limit(g, range(j if j >= (name == "R") else j + N, horizon, N),
+                                  tol=EXTRACTION_TOL) for j in range(N)]
+            for name, g in getters.items()}
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_extracted_limits_match_per_index_getters(fam, N):
+    lim = extract_periodic_limits(fam, N, H)
+    ref = _per_index_limits(fam, N, H)
+    for name, seqs in ref.items():
+        for j, want in enumerate(seqs):
+            got = getattr(lim, name)[j]
+            _close(got, want.value, np.abs(want.value).max())
+            _close(lim.residuals[name][j], want.residual, np.abs(want.value).max())
+    assert lim.converged <= all(w.converged for seqs in ref.values() for w in seqs)
+
+
+def test_inverse_rows_raise_only_for_singular_indices_read():
+    a_list = [X] * 8
+    a_list[3] = np.array([[1.0, 2.0], [2.0, 4.0]])
+    fam = tabulated_family(a_list, [Y] * 8)
+    assert np.array_equal(fam.a_inv_rows([5, 1]), np.stack([fam.a_inv(5), fam.a_inv(1)]))
+    with pytest.raises(SingularError, match="a_3"):
+        fam.a_inv_rows([1, 3])
+    with pytest.raises(ValueError):
+        fam.a_inv_rows([-1])
+
+
+def test_extraction_reads_no_inverse_outside_its_samples():
+    # the limits sample a_n^{-1} in the last decade and at n >= H/32 only,
+    # so a singular a_0 stops nothing
+    a_list = [X] * (H + 1)
+    a_list[0] = np.array([[1.0, 2.0], [2.0, 4.0]])
+    fam = tabulated_family(a_list, [Y] * (H + 1))
+    lim = extract_periodic_limits(fam, 1, H)
+    assert lim.converged
+    _close(lim.T[0], np.linalg.inv(X), 1.0)

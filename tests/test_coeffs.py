@@ -2,6 +2,7 @@
 (variation windows, series verdicts, numerical limits, Carleman sums)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +316,17 @@ def test_sequence_limit_matrix_valued_random_tail():
     lim = sequence_limit(lambda n: target + pert * 3.0 ** (-n), list(range(100)))
     assert lim.converged
     assert np.abs(lim.value - target).max() < 1e-8
+
+
+def test_sequence_limit_keeps_raw_values_where_aitken_overflows():
+    # squaring the second differences of 8^n samples leaves the float range;
+    # the extrapolant is not finite there, so the raw term stays unconverged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lim = sequence_limit(lambda n: 8.0 ** n * np.diag([1.0, 0.0]), list(range(300)))
+    assert not lim.converged
+    assert np.isfinite(lim.value).all()
+    assert lim.value[0, 0] == 8.0 ** 299 and lim.value[1, 1] == 0.0
 
 
 # ---- Carleman sums ----

@@ -1,5 +1,7 @@
 """Tests for window forms, periodic limit data, scans, and probes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from blockjacobi.opcore import (
     sym,
 )
 from blockjacobi.recurrence import (
+    basis_trajectories,
     propagate,
     solution_space_dimension,
     transfer,
@@ -444,6 +447,35 @@ def test_probe_survives_formal_starts_that_overflow_at_different_steps():
     assert rep.per_z[0]["solution_dim"] == 2
     assert not rep.per_z[0]["ok"]
     assert rep.verdict == PROBE_UNDECIDED
+
+
+def test_probe_reads_basis_columns_cut_short_by_another_as_undecided():
+    # at z = 0.5 columns 0 and 2 overflow at n = 23; columns 1 and 3 stop
+    # there with them and have no tail to read
+    fam = custom_family(2, lambda n: 2.0 ** n * np.eye(2),
+                        lambda n: 8.0 ** n * np.diag([1.0, 0.0]))
+    trajs = basis_trajectories(fam, 0.5, 300)
+    assert [t.overflow for t in trajs] == [True, False, True, False]
+    assert {t.truncated_at for t in trajs} == {23}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = indeterminacy_probe(fam, [0.5], horizon=300)
+    assert rep.per_z[0]["basis_verdicts"] == [
+        "not_square_summable", "undecided", "not_square_summable", "undecided"]
+    assert not rep.per_z[0]["ok"]
+
+
+def test_extraction_keeps_raw_values_where_aitken_overflows():
+    # Q_n = a_n^{-1} b_n = 4^n diag(1, 0) grows past the square of any
+    # extrapolation; the entry stays raw, finite and unconverged
+    fam = custom_family(2, lambda n: 2.0 ** n * np.eye(2),
+                        lambda n: 8.0 ** n * np.diag([1.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lim = extract_periodic_limits(fam, 1, 300)
+    assert not lim.converged
+    assert all(np.isfinite(m).all() for m in lim.T + lim.Q + lim.R + lim.C)
+    assert lim.Q[0][0, 0] == pytest.approx(4.0 ** 299, rel=1e-12)
 
 
 # ---- exact asymptotics and the Christoffel ratio ----
