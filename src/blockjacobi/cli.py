@@ -54,17 +54,12 @@ def _common(p: argparse.ArgumentParser) -> None:
 def _family_config(arg: str):
     if arg in FIXTURES:
         return arg
-    path = Path(arg)
     try:
-        return json.loads(path.read_text())
+        return json.loads(Path(arg).read_text())
     except OSError as exc:
-        raise _IOFail(f"cannot read family file {arg}: {exc}") from exc
+        raise OSError(f"cannot read family file {arg}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(arg, f"invalid JSON: {exc}") from exc
-
-
-class _IOFail(Exception):
-    pass
 
 
 def _parse_z(text: str) -> list[float]:
@@ -92,9 +87,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _IOFail as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -110,7 +102,7 @@ def _dispatch(args) -> int:
         try:
             text = Path(args.config).read_text()
         except OSError as exc:
-            raise _IOFail(f"cannot read {args.config}: {exc}") from exc
+            raise OSError(f"cannot read {args.config}: {exc}") from exc
         doc = parse_config(text)
     elif args.command == "scan":
         lo_hi = args.range.split(",")
@@ -122,14 +114,12 @@ def _dispatch(args) -> int:
                           "range": [float(lo_hi[0]), float(lo_hi[1])],
                           "grid": args.grid, "N": args.period}],
         })
-    elif args.command == "trajectory":
+    else:  # trajectory
         doc = parse_config({
             "family": _family_config(args.family),
             "analyses": [{"kind": "trajectory", "z": _parse_z(args.z),
                           "alpha": _parse_alpha(args.alpha)}],
         })
-    else:
-        raise ParseError("$", f"unknown command {args.command!r}")
 
     if args.horizon is not None:
         doc.horizon = args.horizon

@@ -1,13 +1,17 @@
 """Strict JSON analysis-configuration parsing.
 
-Unknown keys are rejected with the offending path; complex scalars are
-encoded as [re, im] pairs and matrices as row-major nested arrays whose
-entries are reals or [re, im] pairs.
+Unknown keys are rejected with the offending path and every value is typed
+here, so a malformed document fails before any analysis runs.  The keys of an
+analysis kind are the keyword parameters of its handler in `runner.ANALYSES`.
+Complex scalars are written as [re, im] pairs and matrices as row-major
+nested arrays whose entries are reals or [re, im] pairs.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -21,7 +25,8 @@ from .coeffs import (
     scaled_periodic_family,
     tabulated_family,
 )
-from .fixtures import FIXTURES, get_fixture
+from .fixtures import FIXTURES
+from .runner import ANALYSES
 
 
 class ParseError(ValueError):
@@ -41,197 +46,208 @@ def _require_keys(obj: dict, path: str, required: set[str], optional: set[str]) 
         raise ParseError(path, f"missing required keys {sorted(missing)}")
 
 
+def _kind(obj: Any, path: str, known, what: str) -> str:
+    """The "kind" of an object, one of `known`."""
+    if not isinstance(obj, dict):
+        raise ParseError(path, f"expected an object, got {type(obj).__name__}")
+    if "kind" not in obj:
+        raise ParseError(path, "missing required keys ['kind']")
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in known:
+        raise ParseError(f"{path}.kind", f"unknown {what} {kind!r}; known: {sorted(known)}")
+    return kind
+
+
+def _is_real(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def parse_complex(v: Any, path: str) -> complex:
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
-        return complex(v[0], v[1])
-    raise ParseError(path, "expected a real number or an [re, im] pair")
+    parts = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
+    if not all(_is_real(x) and math.isfinite(x) for x in parts):
+        raise ParseError(path, "expected a finite real number or an [re, im] pair")
+    return complex(*parts)
 
 
 def parse_matrix(v: Any, path: str) -> np.ndarray:
     if not isinstance(v, list) or not v or not all(isinstance(r, list) for r in v):
         raise ParseError(path, "expected a nested array (row-major matrix)")
-    rows = []
-    for i, r in enumerate(v):
-        rows.append([parse_complex(x, f"{path}[{i}][{j}]") for j, x in enumerate(r)])
-    lens = {len(r) for r in rows}
-    if len(lens) != 1:
+    rows = [[parse_complex(x, f"{path}[{i}][{j}]") for j, x in enumerate(r)]
+            for i, r in enumerate(v)]
+    if len({len(r) for r in rows}) != 1:
         raise ParseError(path, "rows have differing lengths")
     return np.array(rows, dtype=np.complex128)
 
 
-def encode_complex(z: complex) -> Any:
-    if float(np.imag(z)) == 0.0:
-        return float(np.real(z))
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def encode_matrix(m: np.ndarray) -> list:
-    return [[encode_complex(x) for x in row] for row in np.asarray(m)]
-
-
 def parse_weight(obj: Any, path: str) -> ScalarWeight:
+    kind = _kind(obj, path, WEIGHT_KINDS, "weight kind")
     _require_keys(obj, path, {"kind"}, {"exponent", "offset", "value", "values", "depth"})
-    kind = obj["kind"]
-    if kind not in WEIGHT_KINDS:
-        raise ParseError(f"{path}.kind", f"unknown weight kind {kind!r}; "
-                                         f"known: {sorted(WEIGHT_KINDS)}")
-    cls = WEIGHT_KINDS[kind]
     params = {k: v for k, v in obj.items() if k != "kind"}
-    if kind == "tabulated" and "values" in params:
-        params["values"] = tuple(float(x) for x in params["values"])
     try:
-        return cls(**params)
+        if kind == "tabulated" and "values" in params:
+            params["values"] = tuple(float(x) for x in params["values"])
+        return WEIGHT_KINDS[kind](**params)
     except (TypeError, ValueError) as exc:
         raise ParseError(path, str(exc)) from exc
 
 
 @dataclass
 class FamilySpec:
-    fixture: str | None = None
-    fixture_params: dict = field(default_factory=dict)
-    family: CoefficientFamily | None = None
-    raw: dict = field(default_factory=dict)
+    family: CoefficientFamily
 
     def build(self) -> CoefficientFamily:
-        if self.family is not None:
-            return self.family
-        return get_fixture(self.fixture, **self.fixture_params)
+        return self.family
+
+
+def _built(make, path: str, *args, **kwargs) -> FamilySpec:
+    """The family make(*args, **kwargs); a refusal is reported at path."""
+    try:
+        return FamilySpec(make(*args, **kwargs))
+    except ValueError as exc:
+        raise ParseError(path, str(exc)) from exc
+
+
+def _fixture(name: Any, params: Any, name_path: str, params_path: str) -> FamilySpec:
+    """A built-in family, each parameter typed like its factory default."""
+    if not isinstance(name, str) or name not in FIXTURES:
+        raise ParseError(name_path, f"unknown fixture {name!r}; known: {sorted(FIXTURES)}")
+    factory = FIXTURES[name]
+    defaults = {k: p.default for k, p in inspect.signature(factory).parameters.items()}
+    _require_keys(params, params_path, set(), set(defaults))
+    for key, value in params.items():
+        _number(type(defaults[key]))(value, f"{params_path}.{key}")
+    return _built(factory, params_path, **params)
+
+
+def _matrices(v: Any, path: str) -> list[np.ndarray]:
+    if not isinstance(v, list) or not v:
+        raise ParseError(path, "expected a non-empty array of matrices")
+    return [parse_matrix(m, f"{path}[{i}]") for i, m in enumerate(v)]
 
 
 def parse_family(obj: Any, path: str) -> FamilySpec:
     if isinstance(obj, str):
-        if obj not in FIXTURES:
-            raise ParseError(path, f"unknown fixture {obj!r}; known: {sorted(FIXTURES)}")
-        return FamilySpec(fixture=obj, raw={"fixture": obj})
-    _require_keys(obj, path, {"kind"},
-                  {"a", "b", "period", "x", "y", "X", "Y", "params", "name"})
-    kind = obj["kind"]
+        return _fixture(obj, {}, path, path)
+    kind = _kind(obj, path, ("fixture", "constant", "scaled_periodic", "tabulated"),
+                 "family kind")
     if kind == "fixture":
-        name = obj.get("name")
-        if name not in FIXTURES:
-            raise ParseError(f"{path}.name", f"unknown fixture {name!r}")
-        params = obj.get("params", {})
-        if not isinstance(params, dict):
-            raise ParseError(f"{path}.params", "expected an object")
-        return FamilySpec(fixture=name, fixture_params=params, raw=obj)
-    if kind == "constant":
-        _require_keys(obj, path, {"kind", "a", "b"}, set())
-        fam = constant_family(parse_matrix(obj["a"], f"{path}.a"),
-                              parse_matrix(obj["b"], f"{path}.b"))
-        return FamilySpec(family=fam, raw=obj)
+        _require_keys(obj, path, {"kind", "name"}, {"params"})
+        return _fixture(obj["name"], obj.get("params", {}), f"{path}.name", f"{path}.params")
     if kind == "scaled_periodic":
         _require_keys(obj, path, {"kind", "period", "x", "y", "X", "Y"}, set())
-        period = obj["period"]
-        if not isinstance(period, int) or period < 1:
-            raise ParseError(f"{path}.period", "expected a positive integer")
-        X = [parse_matrix(m, f"{path}.X[{i}]") for i, m in enumerate(obj["X"])]
-        Y = [parse_matrix(m, f"{path}.Y[{i}]") for i, m in enumerate(obj["Y"])]
-        fam = scaled_periodic_family(period, parse_weight(obj["x"], f"{path}.x"),
-                                     parse_weight(obj["y"], f"{path}.y"), X, Y)
-        return FamilySpec(family=fam, raw=obj)
-    if kind == "tabulated":
-        _require_keys(obj, path, {"kind", "a", "b"}, set())
-        a = [parse_matrix(m, f"{path}.a[{i}]") for i, m in enumerate(obj["a"])]
-        b = [parse_matrix(m, f"{path}.b[{i}]") for i, m in enumerate(obj["b"])]
-        fam = tabulated_family(a, b)
-        return FamilySpec(family=fam, raw=obj)
-    raise ParseError(f"{path}.kind", f"unknown family kind {kind!r}")
+        return _built(scaled_periodic_family, path,
+                      _number(int, 1)(obj["period"], f"{path}.period"),
+                      parse_weight(obj["x"], f"{path}.x"), parse_weight(obj["y"], f"{path}.y"),
+                      _matrices(obj["X"], f"{path}.X"), _matrices(obj["Y"], f"{path}.Y"))
+    _require_keys(obj, path, {"kind", "a", "b"}, set())
+    if kind == "constant":
+        return _built(constant_family, path, parse_matrix(obj["a"], f"{path}.a"),
+                      parse_matrix(obj["b"], f"{path}.b"))
+    return _built(tabulated_family, path, _matrices(obj["a"], f"{path}.a"),
+                  _matrices(obj["b"], f"{path}.b"))
 
 
-# analysis kind -> (required params, optional params)
-ANALYSIS_SCHEMAS: dict[str, tuple[set[str], set[str]]] = {
-    "validate": (set(), {"upto"}),
-    "carleman": (set(), set()),
-    "variation": ({"sequence", "N"}, {"window"}),
-    "lambda_scan": ({"range"}, {"grid", "eps", "N"}),
-    "band": ({"z"}, {"N", "alphas", "burn_in"}),
-    "turan_convergence": ({"z"}, {"N", "alphas"}),
-    "commutator": ({"strategy", "lambda"}, {"depth", "n_start"}),
-    "growth_criterion": (set(), set()),
-    "log_weight_criterion": ({"depth"}, {"n_start"}),
-    "indeterminacy": ({"z_samples"}, {"N", "range", "grid"}),
-    "exact_asymptotics": ({"z"}, {"N", "alphas"}),
-    "christoffel": ({"z"}, {"alpha"}),
-    "trajectory": ({"z", "alpha"}, set()),
+# ---- analysis keys ----
+# A parser takes a value, its JSON path and the family dimension d, and
+# returns what the handler receives.
+
+
+def _number(kind: type, lo: float = -math.inf):
+    """Parser of a finite int (kind int) or real number (kind float) >= lo."""
+    def parse(v: Any, path: str, dim: int = 0):
+        if not (_is_real(v) and isinstance(v, (int, kind)) and math.isfinite(v) and v >= lo):
+            what = "an integer" if kind is int else "a finite real number"
+            raise ParseError(path, f"expected {what}" + (f" >= {lo}" if lo > -math.inf else ""))
+        return v
+    return parse
+
+
+def _interval(item):
+    """Parser of [lo, hi] with lo < hi, each end typed by `item`."""
+    def parse(v: Any, path: str, dim: int):
+        if not isinstance(v, list) or len(v) != 2:
+            raise ParseError(path, "expected [lo, hi]")
+        lo, hi = (item(x, f"{path}[{i}]") for i, x in enumerate(v))
+        if not lo < hi:
+            raise ParseError(path, "expected lo < hi")
+        return (lo, hi)
+    return parse
+
+
+def _choice(*names: str):
+    def parse(v: Any, path: str, dim: int):
+        if v not in names:
+            raise ParseError(path, f"expected one of {list(names)}")
+        return v
+    return parse
+
+
+def _complex_list(v: Any, path: str, dim: int) -> list[complex]:
+    if not isinstance(v, list) or not v:
+        raise ParseError(path, "expected a non-empty array")
+    return [parse_complex(z, f"{path}[{i}]") for i, z in enumerate(v)]
+
+
+def _vector(v: Any, path: str, dim: int) -> np.ndarray:
+    """Initial data in H (+) H: 2d numbers."""
+    if not isinstance(v, list) or len(v) != 2 * dim:
+        raise ParseError(path, f"expected an array of 2d = {2 * dim} numbers")
+    return np.array(_complex_list(v, path, dim), dtype=np.complex128)
+
+
+def _alphas(v: Any, path: str, dim: int):
+    """{"random": k}, a seeded sample of k unit vectors, or a list of vectors."""
+    if isinstance(v, dict):
+        _require_keys(v, path, {"random"}, set())
+        return {"random": _number(int, 1)(v["random"], f"{path}.random")}
+    if isinstance(v, list) and v:
+        return [_vector(x, f"{path}[{i}]", dim) for i, x in enumerate(v)]
+    raise ParseError(path, "expected a non-empty list of vectors or {\"random\": k}")
+
+
+_PARSERS = {
+    "alpha": _vector,
+    "alphas": _alphas,
+    "burn_in": _number(int, 1),
+    "depth": _number(int, 0),
+    "eps": _number(float, 0),
+    "grid": _number(int, 2),
+    "lambda": _number(float),
+    "N": _number(int, 1),
+    "n_start": _number(int, 0),
+    "range": _interval(_number(float)),
+    "sequence": _choice("a", "b", "a_inv", "a_inv_b", "a_inv_a_prev"),
+    "strategy": _choice("identity", "an", "log"),
+    "upto": _number(int, 1),
+    "window": _interval(_number(int, 0)),
+    "z": lambda v, path, dim: parse_complex(v, path),
+    "z_samples": _complex_list,
 }
-
-VARIATION_SEQUENCES = {"a", "b", "a_inv", "a_inv_b", "a_inv_a_prev"}
-
-# analyses whose limit theory holds for a real spectral parameter only
-REAL_Z_KINDS = {"exact_asymptotics", "christoffel"}
 
 
 @dataclass
 class AnalysisSpec:
     kind: str
-    params: dict
+    params: dict  # handler keyword arguments
 
 
-def parse_analysis(obj: Any, path: str) -> AnalysisSpec:
-    if not isinstance(obj, dict):
-        raise ParseError(path, f"expected an object, got {type(obj).__name__}")
-    if "kind" not in obj:
-        raise ParseError(path, "missing required keys ['kind']")
-    kind = obj["kind"]
-    if kind not in ANALYSIS_SCHEMAS:
-        raise ParseError(f"{path}.kind",
-                         f"unknown analysis {kind!r}; known: {sorted(ANALYSIS_SCHEMAS)}")
-    required, optional = ANALYSIS_SCHEMAS[kind]
-    _require_keys(obj, path, {"kind"} | required, optional)
-    params = {k: v for k, v in obj.items() if k != "kind"}
-    if "z" in params:
-        params["z"] = parse_complex(params["z"], f"{path}.z")
-        if kind in REAL_Z_KINDS and params["z"].imag != 0.0:
-            raise ParseError(f"{path}.z", f"{kind} needs a real z")
-    if "lambda" in params:
-        lam = params.pop("lambda")
-        if not isinstance(lam, (int, float)) or isinstance(lam, bool):
-            raise ParseError(f"{path}.lambda", "expected a real number")
-        params["lam"] = float(lam)
-    if "z_samples" in params:
-        zs = params["z_samples"]
-        if not isinstance(zs, list) or not zs:
-            raise ParseError(f"{path}.z_samples", "expected a non-empty array")
-        params["z_samples"] = [parse_complex(z, f"{path}.z_samples[{i}]")
-                               for i, z in enumerate(zs)]
-    if "range" in params:
-        rng = params["range"]
-        if (not isinstance(rng, list) or len(rng) != 2
-                or not all(isinstance(x, (int, float)) for x in rng)):
-            raise ParseError(f"{path}.range", "expected [lo, hi]")
-        params["range"] = (float(rng[0]), float(rng[1]))
-    if "alphas" in params:
-        params["alphas"] = _parse_alphas(params["alphas"], f"{path}.alphas")
-    if "alpha" in params:
-        params["alpha"] = _parse_vector(params["alpha"], f"{path}.alpha")
-    if "sequence" in params and params["sequence"] not in VARIATION_SEQUENCES:
-        raise ParseError(f"{path}.sequence",
-                         f"unknown sequence; known: {sorted(VARIATION_SEQUENCES)}")
+def parse_analysis(obj: Any, path: str, dim: int) -> AnalysisSpec:
+    """Type the keys of one analysis for a family of dimension `dim`."""
+    kind = _kind(obj, path, ANALYSES, "analysis")
+    keys = {name.rstrip("_"): p
+            for name, p in inspect.signature(ANALYSES[kind]).parameters.items()
+            if p.kind is p.KEYWORD_ONLY}
+    _require_keys(obj, path, {"kind"} | {k for k, p in keys.items() if p.default is p.empty},
+                  set(keys))
+    params = {}
+    for key in [k for k in obj if k != "kind"]:
+        value = _PARSERS[key](obj[key], f"{path}.{key}", dim)
+        if keys[key].annotation in (float, "float"):
+            if value.imag != 0.0:
+                raise ParseError(f"{path}.{key}", f"{kind} needs a real {key}")
+            value = value.real
+        params[keys[key].name] = value
     return AnalysisSpec(kind, params)
-
-
-def _parse_vector(v: Any, path: str) -> np.ndarray:
-    if not isinstance(v, list) or not v:
-        raise ParseError(path, "expected a non-empty array")
-    return np.array([parse_complex(x, f"{path}[{i}]") for i, x in enumerate(v)],
-                    dtype=np.complex128)
-
-
-def _parse_alphas(v: Any, path: str):
-    """Either {"random": k} (seeded unit-sphere sample) or an explicit list
-    of vectors."""
-    if isinstance(v, dict):
-        _require_keys(v, path, {"random"}, set())
-        k = v["random"]
-        if not isinstance(k, int) or k < 1:
-            raise ParseError(f"{path}.random", "expected a positive integer")
-        return {"random": k}
-    if isinstance(v, list):
-        return [_parse_vector(x, f"{path}[{i}]") for i, x in enumerate(v)]
-    raise ParseError(path, "expected a list of vectors or {\"random\": k}")
 
 
 @dataclass
@@ -258,13 +274,10 @@ def parse_config(text: str | bytes | dict) -> AnalysisConfig:
     analyses_obj = obj["analyses"]
     if not isinstance(analyses_obj, list) or not analyses_obj:
         raise ParseError("$.analyses", "expected a non-empty array")
-    analyses = [parse_analysis(a, f"$.analyses[{i}]") for i, a in enumerate(analyses_obj)]
-    horizon = obj.get("horizon", 10_000)
-    if not isinstance(horizon, int) or horizon < 2:
-        raise ParseError("$.horizon", "expected an integer >= 2")
-    seed = obj.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ParseError("$.seed", "expected an integer")
+    analyses = [parse_analysis(a, f"$.analyses[{i}]", fam.family.dim)
+                for i, a in enumerate(analyses_obj)]
+    horizon = _number(int, 2)(obj.get("horizon", 10_000), "$.horizon")
+    seed = _number(int, 0)(obj.get("seed", 0), "$.seed")
     out_dir = obj.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ParseError("$.out_dir", "expected a string")

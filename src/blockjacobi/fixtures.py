@@ -106,10 +106,3 @@ FIXTURE_NOTES = {
     "paper-logweight": "iterated-log growth envelope, slowly decaying b",
 }
 
-
-def get_fixture(name: str, **params) -> CoefficientFamily:
-    try:
-        factory = FIXTURES[name]
-    except KeyError:
-        raise KeyError(f"unknown fixture {name!r}; known: {sorted(FIXTURES)}") from None
-    return factory(**params)

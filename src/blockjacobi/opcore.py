@@ -213,25 +213,6 @@ def block2x2(tl, tr, bl, br) -> np.ndarray:
     return np.block([[mats[0], mats[1]], [mats[2], mats[3]]])
 
 
-def split2x2(m) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    a = as_operator(m)
-    if a.shape[0] % 2 != 0:
-        raise ValueError("block matrix must have even dimension")
-    d = a.shape[0] // 2
-    return a[:d, :d], a[:d, d:], a[d:, :d], a[d:, d:]
-
-
-def pair_diag(a, b) -> np.ndarray:
-    """diag(A, B) on H (+) H."""
-    return block2x2(a, 0.0, 0.0, b)
-
-
-def exchange_matrix(d: int) -> np.ndarray:
-    """E = [[0, -Id], [Id, 0]] of size 2d."""
-    eye = np.eye(d)
-    return np.block([[np.zeros((d, d)), -eye], [eye, np.zeros((d, d))]]).astype(np.complex128)
-
-
 def quad_form(m: np.ndarray, v: np.ndarray) -> float:
     """Re <M v, v>.  Equals <sym(M) v, v>, which is real."""
     return float(np.vdot(v, m @ v).real)

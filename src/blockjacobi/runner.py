@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,7 +28,6 @@ from .commutator import (
     check_log_weight_criterion,
     weight_conditions,
 )
-from .config import AnalysisConfig, AnalysisSpec, encode_matrix
 from .opcore import NotConvergentError, HypothesisViolatedError
 from .recurrence import propagate, trajectory_table
 from .turan import (
@@ -62,201 +62,221 @@ class AnalysisReport:
         return out
 
 
-def _unit_alphas(rng: np.random.Generator, count: int, dim2: int) -> list[np.ndarray]:
-    """Draw unit vectors uniformly from the sphere of H (+) H."""
-    out = []
-    for _ in range(count):
-        v = rng.normal(size=dim2) + 1j * rng.normal(size=dim2)
-        out.append(v / np.linalg.norm(v))
-    return out
+@dataclass
+class _Context:
+    """What a handler reads besides its own keys: the family, the horizon, the
+    seeded generator shared by all analyses, the report's trace tables, the
+    current analysis key and the limit data of each period."""
+
+    fam: object
+    horizon: int
+    rng: np.random.Generator
+    traces: dict
+    key: str = ""
+    lims: dict = field(default_factory=dict)
+
+    def limits(self, N: int):
+        if N not in self.lims:
+            self.lims[N] = extract_periodic_limits(self.fam, N, self.horizon)
+        return self.lims[N]
+
+    def alphas(self, spec=None) -> list[np.ndarray]:
+        """Initial data: the explicit vectors, or unit vectors drawn uniformly
+        from the sphere of H (+) H, one by default and k for {"random": k}."""
+        if isinstance(spec, list):
+            return spec
+        dim2 = 2 * self.fam.dim
+        vs = [self.rng.normal(size=dim2) + 1j * self.rng.normal(size=dim2)
+              for _ in range(1 if spec is None else spec["random"])]
+        return [v / np.linalg.norm(v) for v in vs]
 
 
-def _resolve_alphas(spec, rng: np.random.Generator, dim: int):
-    if spec is None:
-        return _unit_alphas(rng, 1, 2 * dim)
-    if isinstance(spec, dict):
-        return _unit_alphas(rng, spec["random"], 2 * dim)
-    return [np.asarray(a, dtype=np.complex128) for a in spec]
-
-
-def run(config: AnalysisConfig) -> AnalysisReport:
-    """Run every analysis in order.  A validation analysis with violations
-    poisons nothing else; each analysis failure is recorded under its own key
-    and the rest continue."""
+def run(config) -> AnalysisReport:
+    """Run every analysis of a parsed `config.AnalysisConfig` in order.  A
+    validation analysis with violations poisons nothing else; each analysis
+    failure is recorded under its own key and the rest continue."""
     fam = config.family.build()
-    rng = np.random.default_rng(config.seed)
     report = AnalysisReport(
         tool={"name": "blockjacobi", "version": __version__},
         config={"family": config.raw.get("family"),
-                "analyses": [dict(config.raw["analyses"][i])
-                             for i in range(len(config.analyses))],
+                "analyses": [dict(a) for a in config.raw["analyses"]],
                 "horizon": config.horizon, "seed": config.seed},
     )
-    lim_cache: dict[int, object] = {}
-
-    def limits(N: int):
-        if N not in lim_cache:
-            lim_cache[N] = extract_periodic_limits(fam, N, config.horizon)
-        return lim_cache[N]
-
+    ctx = _Context(fam, config.horizon, np.random.default_rng(config.seed), report.traces)
     for i, spec in enumerate(config.analyses):
-        key = f"{i:02d}_{spec.kind}"
+        ctx.key = key = f"{i:02d}_{spec.kind}"
         t0 = time.perf_counter()
         try:
-            report.results[key] = _run_one(fam, spec, config, rng, limits, report, key)
-        except (NotConvergentError, HypothesisViolatedError, ValueError) as exc:
+            report.results[key] = ANALYSES[spec.kind](ctx, **spec.params)
+        except (NotConvergentError, HypothesisViolatedError, ValueError, IndexError) as exc:
+            # IndexError: a tabulated family shorter than the horizon
             report.results[key] = {"error": type(exc).__name__, "message": str(exc)}
         report.wall_times[key] = time.perf_counter() - t0
     return report
 
 
-def _run_one(fam, spec: AnalysisSpec, config: AnalysisConfig, rng, limits,
-             report: AnalysisReport, key: str) -> dict:
-    p = spec.params
-    horizon = config.horizon
-    if spec.kind == "validate":
-        upto = p.get("upto", min(horizon, 1000))
-        violations = validate_family(fam, range(upto))
-        return {"checked_upto": upto,
-                "violations": [{"index": v.index, "kind": v.kind, "detail": v.detail}
-                               for v in violations],
-                "ok": not violations}
-    if spec.kind == "carleman":
-        rep = carleman_diagnostic(fam, horizon)
-        return {"partial_sum": rep.partial_sum, "verdict": rep.verdict,
-                "evidence": rep.evidence.to_dict()}
-    if spec.kind == "variation":
-        N = p["N"]
-        start, end = p.get("window", [1, horizon])
-        values = sequence_stack(fam, p["sequence"], start, end + N - start)
-        rep = total_variation(values, N, (start, end))
-        return {"sequence": p["sequence"], "N": rep.N, "window": list(rep.window),
-                "partial_sum": rep.partial_sum, "tail_estimate": rep.tail_estimate,
-                "converged": rep.converged}
-    if spec.kind == "lambda_scan":
-        N = p.get("N", 1)
-        lim = limits(N)
-        lset = lambda_scan(lim, p["range"], grid=p.get("grid", 201),
-                           eps=p.get("eps", 1e-9))
-        report.traces[f"{key}_intervals"] = Table(
-            ["lo", "hi", "sign"],
-            [[iv.lo, iv.hi, iv.sign.value] for iv in lset.intervals])
-        return {"limits_converged": lim.converged, **lset.to_dict()}
-    if spec.kind == "band":
-        N = p.get("N", 1)
-        alphas = _resolve_alphas(p.get("alphas"), rng, fam.dim)
-        rep = asymptotic_band(fam, N, p["z"], alphas, horizon,
-                              burn_in=p.get("burn_in", 10))
-        return {"c1": rep.c1, "c2": rep.c2, "ratio": rep.ratio,
-                "alphas": len(alphas), "burn_in": rep.burn_in,
-                "overflow": any(s.overflow for s in rep.per_alpha)}
-    if spec.kind == "turan_convergence":
-        N = p.get("N", 1)
-        alphas = _resolve_alphas(p.get("alphas"), rng, fam.dim)
-        rep = turan_convergence(fam, N, p["z"], alphas, horizon)
-        return {"g": rep.g_values,
-                "residuals": [s.residual for s in rep.per_alpha],
-                "converged": [s.converged for s in rep.per_alpha],
-                "rate_bound_ok": rep.rate_bound_ok,
-                "rate_constant": rep.rate_constant}
-    if spec.kind == "commutator":
-        strategy = _strategy(p)
-        cond = weight_conditions(fam, strategy, horizon)
-        out = {
-            "strategy": strategy.name,
-            "conditions": {
-                "neg_part": cond.neg_part_sum.to_dict(),
-                "drift": cond.drift_sum.to_dict(),
-                "commutator": cond.commutator_sum.to_dict(),
-                "inverse_weight": cond.inverse_weight_sum.to_dict(),
-            },
-            "all_hold": cond.all_hold,
+# ---- one handler per analysis kind ----
+# Its keyword parameters are the kind's config keys ("lambda" is `lambda_`); a
+# default is stated here only, and a parameter without one is a required key.
+# config.parse_analysis types every value; one annotated `float` must be real.
+
+
+def _validate(ctx: _Context, *, upto=None) -> dict:
+    if upto is None:
+        upto = min(ctx.horizon, 1000)
+    violations = validate_family(ctx.fam, range(upto))
+    return {"checked_upto": upto,
+            "violations": [{"index": v.index, "kind": v.kind, "detail": v.detail}
+                           for v in violations],
+            "ok": not violations}
+
+
+def _carleman(ctx: _Context) -> dict:
+    rep = carleman_diagnostic(ctx.fam, ctx.horizon)
+    return {"partial_sum": rep.partial_sum, "verdict": rep.verdict,
+            "evidence": rep.evidence.to_dict()}
+
+
+def _variation(ctx: _Context, *, sequence, N, window=None) -> dict:
+    start, end = window or (1, ctx.horizon)
+    values = sequence_stack(ctx.fam, sequence, start, end + N - start)
+    rep = total_variation(values, N, (start, end))
+    return {"sequence": sequence, "N": rep.N, "window": list(rep.window),
+            "partial_sum": rep.partial_sum, "tail_estimate": rep.tail_estimate,
+            "converged": rep.converged}
+
+
+def _lambda_scan(ctx: _Context, *, range, grid=201, eps=1e-9, N=1) -> dict:
+    lim = ctx.limits(N)
+    lset = lambda_scan(lim, range, grid=grid, eps=eps)
+    ctx.traces[f"{ctx.key}_intervals"] = Table(
+        ["lo", "hi", "sign"], [[iv.lo, iv.hi, iv.sign.value] for iv in lset.intervals])
+    return {"limits_converged": lim.converged, **lset.to_dict()}
+
+
+def _band(ctx: _Context, *, z, N=1, alphas=None, burn_in=10) -> dict:
+    alphas = ctx.alphas(alphas)
+    rep = asymptotic_band(ctx.fam, N, z, alphas, ctx.horizon, burn_in=burn_in)
+    return {"c1": rep.c1, "c2": rep.c2, "ratio": rep.ratio,
+            "alphas": len(alphas), "burn_in": rep.burn_in,
+            "overflow": any(s.overflow for s in rep.per_alpha)}
+
+
+def _turan_convergence(ctx: _Context, *, z, N=1, alphas=None) -> dict:
+    rep = turan_convergence(ctx.fam, N, z, ctx.alphas(alphas), ctx.horizon)
+    return {"g": rep.g_values,
+            "residuals": [s.residual for s in rep.per_alpha],
+            "converged": [s.converged for s in rep.per_alpha],
+            "rate_bound_ok": rep.rate_bound_ok,
+            "rate_constant": rep.rate_constant}
+
+
+def _commutator(ctx: _Context, *, strategy, lambda_, depth=1, n_start=20) -> dict:
+    weights = {"identity": IdentityWeights, "an": ANWeights,
+               "log": lambda: LogWeights(depth, n_start)}[strategy]()
+    cond = weight_conditions(ctx.fam, weights, ctx.horizon)
+    out = {
+        "strategy": weights.name,
+        "conditions": {name: getattr(cond, f"{name}_sum").to_dict()
+                       for name in ("neg_part", "drift", "commutator", "inverse_weight")},
+        "all_hold": cond.all_hold,
+    }
+    try:
+        cl = c_limit(ctx.fam, weights, lambda_, ctx.horizon)
+        out["limit_form"] = {
+            "matrix": cl.C_lambda,
+            "residual": cl.residual,
+            "converged": cl.converged,
+            "definiteness": cl.definiteness.value,
         }
-        try:
-            cl = c_limit(fam, strategy, p["lam"], horizon)
-            out["limit_form"] = {
-                "matrix": encode_matrix(cl.C_lambda),
-                "residual": cl.residual,
-                "converged": cl.converged,
-                "definiteness": cl.definiteness.value,
-            }
-        except NotConvergentError as exc:
-            out["limit_form"] = {"error": "NotConvergentError", "message": str(exc)}
-        return out
-    if spec.kind == "growth_criterion":
-        rep = check_growth_criterion(fam, horizon)
-        return _criterion_dict(rep)
-    if spec.kind == "log_weight_criterion":
-        rep = check_log_weight_criterion(fam, p["depth"], p.get("n_start", 20), horizon)
-        return _criterion_dict(rep)
-    if spec.kind == "indeterminacy":
-        rep = indeterminacy_probe(fam, p["z_samples"], horizon, N=p.get("N", 1),
-                                  scan_range=p.get("range", (-10.0, 10.0)),
-                                  scan_grid=p.get("grid", 101))
-        return rep.to_dict()
-    if spec.kind == "exact_asymptotics":
-        N = p.get("N", 1)
-        lim = limits(N)
-        alphas = _resolve_alphas(p.get("alphas"), rng, fam.dim)
-        rep = exact_asymptotics(fam, lim, p["z"].real, alphas, horizon)
-        return {"C": encode_matrix(rep.C),
-                "per_alpha": [{"g": d["g"],
-                               "weighted_trace_limit": d["weighted_trace_limit"],
-                               "gap": d["gap"]} for d in rep.per_alpha]}
-    if spec.kind == "christoffel":
-        lim = limits(1)
-        alpha = p.get("alpha")
-        if alpha is None:
-            alpha = _unit_alphas(rng, 1, 2 * fam.dim)[0]
-        rep_ea = exact_asymptotics(fam, lim, p["z"].real, [alpha], horizon)
-        rep = christoffel_limit(fam, rep_ea.C, rep_ea.trajectories[0])
-        return {"limit_estimate": rep.limit_estimate, "residual": rep.residual,
-                "g": rep_ea.per_alpha[0]["g"],
-                "half_g_gap": abs(rep.limit_estimate - rep_ea.per_alpha[0]["g"] / 2.0)}
-    if spec.kind == "trajectory":
-        traj = propagate(fam, p["z"], p["alpha"], horizon)
-        report.traces[f"{key}_trajectory"] = Table(*trajectory_table(traj, fam))
-        return {"points": traj.u.shape[0], "overflow": traj.overflow,
-                "truncated_at": traj.truncated_at,
-                "max_residual": float(traj.residuals.max(initial=0.0))}
-    raise ValueError(f"unhandled analysis kind {spec.kind!r}")
+    except NotConvergentError as exc:
+        out["limit_form"] = {"error": "NotConvergentError", "message": str(exc)}
+    return out
 
 
-def _strategy(p: dict):
-    name = p["strategy"]
-    if name == "identity":
-        return IdentityWeights()
-    if name == "an":
-        return ANWeights()
-    if name == "log":
-        return LogWeights(p.get("depth", 1), p.get("n_start", 20))
-    raise ValueError(f"unknown strategy {name!r}; known: identity, an, log")
+def _growth_criterion(ctx: _Context) -> dict:
+    return _criterion_dict(check_growth_criterion(ctx.fam, ctx.horizon))
+
+
+def _log_weight_criterion(ctx: _Context, *, depth, n_start=20) -> dict:
+    return _criterion_dict(check_log_weight_criterion(ctx.fam, depth, n_start, ctx.horizon))
+
+
+def _indeterminacy(ctx: _Context, *, z_samples, N=1, range=(-10.0, 10.0), grid=101) -> dict:
+    return indeterminacy_probe(ctx.fam, z_samples, ctx.horizon, N=N, scan_range=range,
+                               scan_grid=grid).to_dict()
+
+
+def _exact_asymptotics(ctx: _Context, *, z: float, N=1, alphas=None) -> dict:
+    rep = exact_asymptotics(ctx.fam, ctx.limits(N), z, ctx.alphas(alphas), ctx.horizon)
+    return {"C": rep.C,
+            "per_alpha": [{"g": d["g"],
+                           "weighted_trace_limit": d["weighted_trace_limit"],
+                           "gap": d["gap"]} for d in rep.per_alpha]}
+
+
+def _christoffel(ctx: _Context, *, z: float, alpha=None) -> dict:
+    if alpha is None:
+        alpha = ctx.alphas()[0]
+    rep_ea = exact_asymptotics(ctx.fam, ctx.limits(1), z, [alpha], ctx.horizon)
+    rep = christoffel_limit(ctx.fam, rep_ea.C, rep_ea.trajectories[0])
+    return {"limit_estimate": rep.limit_estimate, "residual": rep.residual,
+            "g": rep_ea.per_alpha[0]["g"],
+            "half_g_gap": abs(rep.limit_estimate - rep_ea.per_alpha[0]["g"] / 2.0)}
+
+
+def _trajectory(ctx: _Context, *, z, alpha) -> dict:
+    traj = propagate(ctx.fam, z, alpha, ctx.horizon)
+    ctx.traces[f"{ctx.key}_trajectory"] = Table(*trajectory_table(traj, ctx.fam))
+    return {"points": traj.u.shape[0], "overflow": traj.overflow,
+            "truncated_at": traj.truncated_at,
+            "max_residual": float(traj.residuals.max(initial=0.0))}
+
+
+ANALYSES = {
+    "validate": _validate,
+    "carleman": _carleman,
+    "variation": _variation,
+    "lambda_scan": _lambda_scan,
+    "band": _band,
+    "turan_convergence": _turan_convergence,
+    "commutator": _commutator,
+    "growth_criterion": _growth_criterion,
+    "log_weight_criterion": _log_weight_criterion,
+    "indeterminacy": _indeterminacy,
+    "exact_asymptotics": _exact_asymptotics,
+    "christoffel": _christoffel,
+    "trajectory": _trajectory,
+}
 
 
 def _criterion_dict(rep) -> dict:
     return {
         "name": rep.name,
         "passed": rep.passed,
-        "items": {it.name: {"ok": it.ok, **_jsonable(it.evidence)} for it in rep.items},
+        "items": {it.name: {"ok": it.ok, **it.evidence} for it in rep.items},
     }
 
 
 def _jsonable(obj):
-    """Plain JSON data: numpy scalars and arrays become Python numbers and
-    lists, complex numbers [re, im] pairs, and non-finite floats the strings
-    "inf", "-inf" and "nan"."""
+    """Plain JSON data, the one encoder of reports: numpy scalars and arrays
+    become Python numbers and lists, a complex number its real part when the
+    imaginary part is zero and an [re, im] pair otherwise, and non-finite
+    floats the strings "inf", "-inf" and "nan"."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        obj = obj.item()
-    if isinstance(obj, complex):
-        return [_jsonable(obj.real), _jsonable(obj.imag)]
-    if isinstance(obj, float) and (obj != obj or obj in (float("inf"), float("-inf"))):
-        return repr(obj)
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, complex):
+        if obj.imag == 0.0:
+            return _jsonable(obj.real)
+        return [_jsonable(obj.real), _jsonable(obj.imag)]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
     return obj
 
 

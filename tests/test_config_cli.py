@@ -8,8 +8,6 @@ import pytest
 from blockjacobi.cli import main
 from blockjacobi.config import (
     ParseError,
-    encode_complex,
-    encode_matrix,
     parse_complex,
     parse_config,
     parse_matrix,
@@ -82,10 +80,10 @@ def test_parse_complex_forms():
 def test_matrix_roundtrip():
     rng = np.random.default_rng(41)
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    back = parse_matrix(encode_matrix(m), "$")
+    back = parse_matrix(_jsonable(m), "$")
     assert np.abs(back - m).max() < 1e-15
-    assert encode_complex(3.0 + 0.0j) == 3.0  # reals stay scalars
-    assert encode_complex(1.0 - 2.0j) == [1.0, -2.0]
+    assert _jsonable(3.0 + 0.0j) == 3.0  # reals stay scalars
+    assert _jsonable(1.0 - 2.0j) == [1.0, -2.0]
 
 
 def test_parse_weight_kinds():
@@ -143,6 +141,51 @@ def test_parse_weight_kinds():
                  "x": {"kind": "cosine"}, "y": {"kind": "constant"},
                  "X": [X_JSON], "Y": [Y_JSON]},
       "analyses": [{"kind": "carleman"}]}, "$.family.x.kind"),
+    # every value is typed before an analysis runs
+    ({"family": "paper-constant", "analyses": [{"kind": "validate", "upto": "x"}]},
+     "$.analyses[0].upto"),
+    ({"family": "paper-constant", "analyses": [{"kind": "validate", "upto": -3}]},
+     "$.analyses[0].upto"),
+    ({"family": "paper-constant",
+      "analyses": [{"kind": "variation", "sequence": "a", "N": 1.5}]},
+     "$.analyses[0].N"),
+    ({"family": "paper-constant",
+      "analyses": [{"kind": "lambda_scan", "range": [-5, 5], "grid": "x"}]},
+     "$.analyses[0].grid"),
+    ({"family": "paper-constant",
+      "analyses": [{"kind": "lambda_scan", "range": [-5, 5], "eps": "x"}]},
+     "$.analyses[0].eps"),
+    ({"family": "paper-constant", "analyses": [{"kind": "band", "z": 1.0, "burn_in": "x"}]},
+     "$.analyses[0].burn_in"),
+    ({"family": "paper-constant", "analyses": [{"kind": "lambda_scan", "range": [True, 1]}]},
+     "$.analyses[0].range[0]"),
+    ({"family": "paper-constant",
+      "analyses": [{"kind": "band", "z": 1.0, "alphas": {"random": True}}]},
+     "$.analyses[0].alphas.random"),
+    ({"family": "paper-constant",
+      "analyses": [{"kind": "variation", "sequence": "a", "N": 1, "window": "x"}]},
+     "$.analyses[0].window"),
+    ({"family": "paper-constant", "analyses": [{"kind": "log_weight_criterion", "depth": "x"}]},
+     "$.analyses[0].depth"),
+    # fixture parameters are checked against the factory
+    ({"family": {"kind": "fixture", "name": "paper-constant", "params": {"bogus": 1}},
+      "analyses": [{"kind": "carleman"}]}, "$.family.params"),
+    ({"family": {"kind": "fixture", "name": "paper-unbounded", "params": {"q": "x"}},
+      "analyses": [{"kind": "carleman"}]}, "$.family.params"),
+    ({"family": {"kind": "fixture", "name": "paper-logweight", "params": {"offset": 1}},
+      "analyses": [{"kind": "carleman"}]}, "$.family.params"),
+    # checks that need more than a type: 2d-vectors, lo < hi
+    ({"family": "paper-constant",
+      "analyses": [{"kind": "band", "z": 1.0, "alphas": [[1, 0]]}]},
+     "$.analyses[0].alphas[0]"),
+    ({"family": "paper-constant",
+      "analyses": [{"kind": "trajectory", "z": 0.5, "alpha": [1, 0, 0]}]},
+     "$.analyses[0].alpha"),
+    ({"family": "paper-constant", "analyses": [{"kind": "lambda_scan", "range": [5, -5]}]},
+     "$.analyses[0].range"),
+    ({"family": "paper-constant",
+      "analyses": [{"kind": "variation", "sequence": "a", "N": 1, "window": [10, 5]}]},
+     "$.analyses[0].window"),
 ])
 def test_parse_errors_carry_paths(doc, fragment):
     with pytest.raises(ParseError) as err:
@@ -177,6 +220,16 @@ def test_run_records_analysis_errors_and_continues():
     rep = run(doc)
     assert rep.results["00_christoffel"]["error"] == "HypothesisViolatedError"
     assert "partial_sum" in rep.results["01_carleman"]
+
+
+def test_run_records_a_table_shorter_than_the_horizon():
+    doc = parse_config({"family": {"kind": "tabulated", "a": [X_JSON] * 3, "b": [Y_JSON] * 3},
+                        "analyses": [{"kind": "carleman"}, {"kind": "validate", "upto": 3}],
+                        "horizon": 50})
+    rep = run(doc)
+    assert rep.results["00_carleman"] == {"error": "IndexError",
+                                          "message": "index 3 is past the table of 3 entries"}
+    assert rep.results["01_validate"]["ok"]
 
 
 def test_run_trajectory_produces_trace_table():

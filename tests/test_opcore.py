@@ -1,5 +1,5 @@
 """Operator primitives: symmetrization, signed parts, definiteness, inversion
-and the 2x2 block helpers."""
+and the 2x2 block builder."""
 
 import numpy as np
 import pytest
@@ -14,16 +14,13 @@ from blockjacobi.opcore import (
     block2x2,
     classify_definiteness,
     condition_estimate,
-    exchange_matrix,
     herm_defect,
     hermitian_extremes,
     invert,
     neg_part,
     op_norm,
-    pair_diag,
     quad_form,
     require_hermitian,
-    split2x2,
     sym,
 )
 
@@ -160,7 +157,7 @@ def test_block_helpers_roundtrip():
     rng = np.random.default_rng(7)
     blocks = [rand_operator(rng, 3) for _ in range(4)]
     m = block2x2(*blocks)
-    back = split2x2(m)
+    back = m[:3, :3], m[:3, 3:], m[3:, :3], m[3:, 3:]
     for b, c in zip(blocks, back):
         assert np.abs(b - c).max() == 0.0
     # scalars broadcast against the matrix blocks
@@ -168,18 +165,6 @@ def test_block_helpers_roundtrip():
     assert np.abs(m - np.diag([1.0, 1.0, 2.0, 2.0])).max() == 0.0
     with pytest.raises(ValueError):
         block2x2(1.0, 0.0, 0.0, 2.0)
-
-
-def test_pair_diag_and_exchange():
-    e = exchange_matrix(2)
-    want = np.zeros((4, 4))
-    want[:2, 2:] = -np.eye(2)
-    want[2:, :2] = np.eye(2)
-    assert np.abs(e - want).max() == 0.0
-    pd = pair_diag(X, Y)
-    assert np.abs(pd[:2, :2] - X).max() == 0.0
-    assert np.abs(pd[2:, 2:] - Y).max() == 0.0
-    assert np.abs(pd[:2, 2:]).max() == 0.0
 
 
 def test_quad_form_matches_symmetrized_inner_product():
