@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ParseError, parse_config
+from .config import ParseError, parse_complex, parse_config, parse_value
 from .fixtures import FIXTURES, FIXTURE_NOTES
 from .runner import emit, report_json, run
 
@@ -62,20 +62,27 @@ def _family_config(arg: str):
         raise ParseError(arg, f"invalid JSON: {exc}") from exc
 
 
+def _numbers(text: str, flag: str, kind=float) -> list:
+    """The comma-separated numbers of a flag, entries re or re+imj for complex."""
+    try:
+        return [kind(part.replace(" ", "")) for part in text.split(",")]
+    except ValueError:
+        raise ParseError(flag, f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _parse_z(text: str) -> list[float]:
-    parts = text.split(",")
-    if len(parts) == 1:
-        return [float(parts[0]), 0.0]
-    if len(parts) == 2:
-        return [float(parts[0]), float(parts[1])]
-    raise ParseError("--z", "expected re or re,im")
+    z = _numbers(text, "--z")
+    if len(z) > 2:
+        raise ParseError("--z", "expected re or re,im")
+    z = parse_value("z", z if len(z) == 2 else z[0], "--z")
+    return [z.real, z.imag]
 
 
 def _parse_alpha(text: str) -> list:
     out = []
-    for part in text.split(","):
-        z = complex(part.replace(" ", ""))
-        out.append([z.real, z.imag] if z.imag else z.real)
+    for i, a in enumerate(_numbers(text, "--alpha", complex)):
+        a = parse_complex([a.real, a.imag], f"--alpha[{i}]")
+        out.append([a.real, a.imag] if a.imag else a.real)
     return out
 
 
@@ -98,6 +105,10 @@ def _dispatch(args) -> int:
             print(f"{name}: {FIXTURE_NOTES.get(name, '')}")
         return 0
 
+    # flags are typed like the config keys they set, before the config
+    for key in ("horizon", "seed"):
+        if getattr(args, key) is not None:
+            parse_value(key, getattr(args, key), f"--{key}")
     if args.command == "analyze":
         try:
             text = Path(args.config).read_text()
@@ -105,13 +116,10 @@ def _dispatch(args) -> int:
             raise OSError(f"cannot read {args.config}: {exc}") from exc
         doc = parse_config(text)
     elif args.command == "scan":
-        lo_hi = args.range.split(",")
-        if len(lo_hi) != 2:
-            raise ParseError("--range", "expected lo,hi")
+        lo_hi = parse_value("range", _numbers(args.range, "--range"), "--range")
         doc = parse_config({
             "family": _family_config(args.family),
-            "analyses": [{"kind": "lambda_scan",
-                          "range": [float(lo_hi[0]), float(lo_hi[1])],
+            "analyses": [{"kind": "lambda_scan", "range": list(lo_hi),
                           "grid": args.grid, "N": args.period}],
         })
     else:  # trajectory

@@ -9,6 +9,7 @@ nested arrays whose entries are reals or [re, im] pairs.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import json
 import math
@@ -80,14 +81,24 @@ def parse_matrix(v: Any, path: str) -> np.ndarray:
 
 
 def parse_weight(obj: Any, path: str) -> ScalarWeight:
+    """A scalar weight, each parameter typed by its field in the weight class."""
     kind = _kind(obj, path, WEIGHT_KINDS, "weight kind")
-    _require_keys(obj, path, {"kind"}, {"exponent", "offset", "value", "values", "depth"})
-    params = {k: v for k, v in obj.items() if k != "kind"}
+    fields = {f.name: f for f in dataclasses.fields(WEIGHT_KINDS[kind])}
+    _require_keys(obj, path, {"kind"} | {k for k, f in fields.items()
+                                         if f.default is dataclasses.MISSING}, set(fields))
+    params = {}
+    for key in [k for k in obj if k != "kind"]:
+        v, kpath, t = obj[key], f"{path}.{key}", fields[key].type
+        if t == "tuple[float, ...]":
+            if not isinstance(v, list):
+                raise ParseError(kpath, "expected an array of numbers")
+            params[key] = tuple(float(_number(float)(x, f"{kpath}[{i}]"))
+                                for i, x in enumerate(v))
+        else:
+            params[key] = _number(int if t == "int" else float)(v, kpath)
     try:
-        if kind == "tabulated" and "values" in params:
-            params["values"] = tuple(float(x) for x in params["values"])
         return WEIGHT_KINDS[kind](**params)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(path, str(exc)) from exc
 
 
@@ -206,6 +217,8 @@ def _alphas(v: Any, path: str, dim: int):
 
 
 _PARSERS = {
+    "horizon": _number(int, 2),
+    "seed": _number(int, 0),
     "alpha": _vector,
     "alphas": _alphas,
     "burn_in": _number(int, 1),
@@ -223,6 +236,12 @@ _PARSERS = {
     "z": lambda v, path, dim: parse_complex(v, path),
     "z_samples": _complex_list,
 }
+
+
+def parse_value(key: str, v: Any, path: str, dim: int = 0):
+    """One value of a config key typed as parse_config types it, an error
+    reported at `path`; for command line flags."""
+    return _PARSERS[key](v, path, dim)
 
 
 @dataclass
@@ -276,8 +295,8 @@ def parse_config(text: str | bytes | dict) -> AnalysisConfig:
         raise ParseError("$.analyses", "expected a non-empty array")
     analyses = [parse_analysis(a, f"$.analyses[{i}]", fam.family.dim)
                 for i, a in enumerate(analyses_obj)]
-    horizon = _number(int, 2)(obj.get("horizon", 10_000), "$.horizon")
-    seed = _number(int, 0)(obj.get("seed", 0), "$.seed")
+    horizon = parse_value("horizon", obj.get("horizon", 10_000), "$.horizon")
+    seed = parse_value("seed", obj.get("seed", 0), "$.seed")
     out_dir = obj.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ParseError("$.out_dir", "expected a string")

@@ -8,7 +8,6 @@ square-summability diagnostics of trajectories.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -17,6 +16,7 @@ import numpy as np
 
 from .coeffs import CoefficientFamily
 from .opcore import adj
+from .table import Table, write_csv
 
 # Trajectories are truncated once a norm passes this guard.
 OVERFLOW_LIMIT = 1e150
@@ -328,10 +328,11 @@ def l2_tail_diagnostic(traj: Trajectory) -> L2Report:
     return L2Report(total, UNDECIDED, ev)
 
 
-def trajectory_table(traj: Trajectory, fam: CoefficientFamily) -> tuple[list[str], list[list]]:
-    """Column names and per-index rows: n, Re/Im of each component, norm,
-    weighted trace value s_n and recurrence residual.  The last two are None
-    at n = 0 and at the last index, where they are undefined."""
+def trajectory_table(traj: Trajectory, fam: CoefficientFamily) -> Table:
+    """The trace of a trajectory, one row per index n: n (the row number),
+    Re/Im of each component, norm, weighted trace value s_n and recurrence
+    residual.  The last two are masked at n = 0 and at the last index, where
+    they are undefined."""
     d = traj.u.shape[1]
     L = traj.last_index
     cols = ["n"]
@@ -343,19 +344,14 @@ def trajectory_table(traj: Trajectory, fam: CoefficientFamily) -> tuple[list[str
     vals[:, 2 * d] = traj.norms()
     vals[1:L, 2 * d + 1] = weighted_norm_trace(fam, traj)
     vals[1:L, 2 * d + 2] = traj.residuals[1:]
-    rows = [[n] + row for n, row in enumerate(vals.tolist())]
-    for row in (rows[0], rows[L]):
-        row[-2:] = [None, None]
-    return cols, rows
+    mask = np.zeros(vals.shape, dtype=bool)
+    mask[[0, L], -2:] = True
+    return Table(cols, vals, mask, numbered=True)
 
 
 def trajectory_to_csv(traj: Trajectory, fam: CoefficientFamily, path) -> None:
     """Write trajectory_table(traj, fam) as CSV, undefined cells empty."""
-    cols, rows = trajectory_table(traj, fam)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        w.writerows(rows)
+    write_csv(trajectory_table(traj, fam), path)
 
 
 def basis_trajectories(fam: CoefficientFamily, z: complex, horizon: int) -> list[Trajectory]:

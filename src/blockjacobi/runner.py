@@ -8,7 +8,6 @@ comparisons can drop them.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
@@ -30,6 +29,7 @@ from .commutator import (
 )
 from .opcore import NotConvergentError, HypothesisViolatedError
 from .recurrence import propagate, trajectory_table
+from .table import Table, write_csv
 from .turan import (
     asymptotic_band,
     christoffel_limit,
@@ -39,12 +39,6 @@ from .turan import (
     lambda_scan,
     turan_convergence,
 )
-
-
-@dataclass
-class Table:
-    columns: list[str]
-    rows: list[list]
 
 
 @dataclass
@@ -149,8 +143,8 @@ def _variation(ctx: _Context, *, sequence, N, window=None) -> dict:
 def _lambda_scan(ctx: _Context, *, range, grid=201, eps=1e-9, N=1) -> dict:
     lim = ctx.limits(N)
     lset = lambda_scan(lim, range, grid=grid, eps=eps)
-    ctx.traces[f"{ctx.key}_intervals"] = Table(
-        ["lo", "hi", "sign"], [[iv.lo, iv.hi, iv.sign.value] for iv in lset.intervals])
+    ctx.traces[f"{ctx.key}_intervals"] = Table(["lo", "hi", "sign"], np.array(
+        [[iv.lo, iv.hi, iv.sign.value] for iv in lset.intervals], dtype=object).reshape(-1, 3))
     return {"limits_converged": lim.converged, **lset.to_dict()}
 
 
@@ -227,7 +221,7 @@ def _christoffel(ctx: _Context, *, z: float, alpha=None) -> dict:
 
 def _trajectory(ctx: _Context, *, z, alpha) -> dict:
     traj = propagate(ctx.fam, z, alpha, ctx.horizon)
-    ctx.traces[f"{ctx.key}_trajectory"] = Table(*trajectory_table(traj, ctx.fam))
+    ctx.traces[f"{ctx.key}_trajectory"] = trajectory_table(traj, ctx.fam)
     return {"points": traj.u.shape[0], "overflow": traj.overflow,
             "truncated_at": traj.truncated_at,
             "max_residual": float(traj.residuals.max(initial=0.0))}
@@ -298,10 +292,7 @@ def emit(report: AnalysisReport, out_dir: str | Path, fmt: str = "json") -> list
     if fmt == "csv-bundle":
         for name, table in report.traces.items():
             p = out / f"{name}.csv"
-            with open(p, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(table.columns)
-                w.writerows(table.rows)
+            write_csv(table, p)
             written.append(p)
     elif fmt != "json":
         raise ValueError(f"unknown format {fmt!r}; known: json, csv-bundle")

@@ -1,6 +1,8 @@
 """Tests for configuration parsing, the analysis runner, and the CLI."""
 
+import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from blockjacobi.config import (
 )
 from blockjacobi.fixtures import X_OP, Y_OP
 from blockjacobi.runner import _jsonable, run
+from blockjacobi.table import ROW_BLOCK, Table, write_csv
 
 X_JSON = [[1.0, 1.0], [1.0, 2.0]]
 Y_JSON = [[2.0, 1.0], [1.0, 1.0]]
@@ -93,6 +96,26 @@ def test_parse_weight_kinds():
         parse_weight({"kind": "cosine"}, "$")
     with pytest.raises(ParseError):
         parse_weight({"kind": "power", "value": 3.0}, "$")  # wrong parameter
+
+
+def test_inline_weight_parameters_are_typed(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "family": {"kind": "scaled_periodic", "period": 1,
+                   "x": {"kind": "power", "exponent": "x"},
+                   "y": {"kind": "constant", "value": 0.0},
+                   "X": [X_JSON], "Y": [Y_JSON]},
+        "analyses": [{"kind": "carleman"}], "horizon": 50}))
+    assert main(["analyze", str(cfg)]) == 2
+    assert "$.family.x.exponent" in capsys.readouterr().err
+    for bad, where in [({"kind": "power", "exponent": 1, "offset": 1.5}, "$.offset"),
+                       ({"kind": "constant", "value": True}, "$.value"),
+                       ({"kind": "tabulated", "values": [1.0, "2"]}, "$.values[1]"),
+                       ({"kind": "tabulated", "values": 3.0}, "$.values"),
+                       ({"kind": "log_product", "depth": 1}, "missing required keys")]:
+        with pytest.raises(ParseError, match=re.escape(where)):
+            parse_weight(bad, "$")
+    assert parse_weight({"kind": "tabulated", "values": [1, 2]}, "$").values == (1.0, 2.0)
 
 
 @pytest.mark.parametrize("doc,fragment", [
@@ -244,6 +267,61 @@ def test_run_trajectory_produces_trace_table():
     assert len(table.rows) == 51
 
 
+def _csv_writer_bytes(tmp_path, columns, rows) -> bytes:
+    path = tmp_path / "want.csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(columns)
+        w.writerows(rows)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("numbered", [False, True])
+def test_table_writer_gives_csv_writer_bytes(tmp_path, numbered):
+    cells = [0.0, -0.0, 5e-324, 1e-5, 1e16, 1e150, -1e150, np.inf, -np.inf, np.nan,
+             0.1, 1 / 3, 2.0 ** 70, 123456789.0]
+    n = 3 * ROW_BLOCK + 5  # blocks, and a last one that is partly filled
+    vals = np.array([cells[(i + j) % len(cells)] for i in range(n) for j in range(5)])
+    vals = vals.reshape(n, 5)
+    mask = np.zeros(vals.shape, dtype=bool)
+    for i in (0, 7, ROW_BLOCK - 1, ROW_BLOCK, n - 1):
+        mask[i, i % 5] = True
+    mask[9] = True  # a row with no defined cell
+    columns = ["n"] * numbered + [f"c{j}" for j in range(5)]
+    table = Table(columns, vals, mask, numbered=numbered)
+    rows = [[i] * numbered + [None if m else v for v, m in zip(r, mr)]
+            for i, (r, mr) in enumerate(zip(vals.tolist(), mask.tolist()))]
+    assert repr(table.rows) == repr(rows)  # nan != nan
+    write_csv(table, tmp_path / "got.csv")
+    assert (tmp_path / "got.csv").read_bytes() == _csv_writer_bytes(tmp_path, columns, rows)
+
+    ints = np.arange(-3, 9).reshape(4, 3) * 10 ** 15
+    write_csv(Table(["a", "b", "c"], ints), tmp_path / "ints.csv")
+    assert (tmp_path / "ints.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path, ["a", "b", "c"], ints.tolist())
+
+
+def test_table_writer_refuses_cells_whose_bytes_would_differ(tmp_path):
+    mixed = [[0.5, 2, "strictly_positive"], [-1.0, 3, ""]]
+    table = Table(["lo", "n", "sign"], np.array(mixed, dtype=object))
+    write_csv(table, tmp_path / "ok.csv")
+    assert (tmp_path / "ok.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path, table.columns, mixed)
+    write_csv(Table(["lo", "hi", "sign"], np.empty((0, 3), dtype=object)), tmp_path / "e.csv")
+    assert (tmp_path / "e.csv").read_bytes() == b"lo,hi,sign\r\n"
+    for cell in ("a,b", 'say "x"', "line\nbreak", "cr\r"):
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(Table(["a", "b"], np.array([[1.0, cell]], dtype=object)),
+                      tmp_path / "bad.csv")
+    with pytest.raises(ValueError, match="quoting"):
+        write_csv(Table(["a", "b,c"], np.zeros((1, 2))), tmp_path / "bad.csv")
+    with pytest.raises(TypeError, match="not a Python"):
+        write_csv(Table(["a", "b"], np.array([[np.float64(0.5), 1.0]], dtype=object)),
+                  tmp_path / "bad.csv")
+    with pytest.raises(ValueError, match="two columns"):
+        write_csv(Table(["a"], np.zeros((1, 1))), tmp_path / "bad.csv")
+
+
 # ---- CLI ----
 
 
@@ -295,6 +373,20 @@ def test_cli_trajectory_csv_bundle(tmp_path, capsys):
     lines = (out / "00_trajectory_trajectory.csv").read_text().splitlines()
     assert lines[0] == "n,re_u0,im_u0,re_u1,im_u1,norm,s_n,residual"
     assert len(lines) == 42  # header + u_0 .. u_40
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["trajectory", "--family", "paper-constant", "--z", "x", "--alpha", "1,0,0,0"], "--z"),
+    (["scan", "--family", "paper-constant", "--range=a,b"], "--range"),
+    (["trajectory", "--family", "paper-constant", "--z", "0.5", "--alpha", "1,q,0,0"],
+     "--alpha"),
+    (["scan", "--family", "paper-constant", "--range=0,1", "--seed", "-1"], "--seed"),
+    (["trajectory", "--family", "paper-constant", "--z", "0.5", "--alpha", "1,0,0,0",
+      "--horizon", "1"], "--horizon"),
+])
+def test_cli_flags_are_typed_like_config_keys(argv, flag, capsys):
+    assert main(argv) == 2
+    assert f"error: {flag}" in capsys.readouterr().err
 
 
 def test_cli_prints_json_without_out_dir(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Three-term recurrence propagation: transfer matrices, batched stacks,
 trajectory invariants and square-summability diagnostics."""
 
+import csv
+
 import numpy as np
 import pytest
 
+from blockjacobi import fixtures
 from blockjacobi.coeffs import constant_family, custom_family, tabulated_family
 from blockjacobi.fixtures import X_OP, Y_OP, indeterminate_doubling, paper_constant
 from blockjacobi.opcore import adj
@@ -19,6 +22,7 @@ from blockjacobi.recurrence import (
     propagate,
     propagate_block,
     solution_space_dimension,
+    trajectory_table,
     trajectory_to_csv,
     transfer,
     transfer_inv,
@@ -266,3 +270,37 @@ def test_trajectory_csv_roundtrip(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[1]) == 1.0
+
+
+def _rows_oracle(traj, fam):
+    """The trace rows as Python lists, built the way the CSV export built
+    them with csv.writer before traces became arrays."""
+    d = traj.u.shape[1]
+    L = traj.last_index
+    vals = np.zeros((L + 1, 2 * d + 3))
+    vals[:, :2 * d] = np.ascontiguousarray(traj.u).view(np.float64)
+    vals[:, 2 * d] = traj.norms()
+    vals[1:L, 2 * d + 1] = weighted_norm_trace(fam, traj)
+    vals[1:L, 2 * d + 2] = traj.residuals[1:]
+    rows = [[n] + row for n, row in enumerate(vals.tolist())]
+    for row in (rows[0], rows[L]):
+        row[-2:] = [None, None]
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES) + ["sqrt-growth"])
+@pytest.mark.parametrize("z", [0.75, 0.5 + 0.5j])
+@pytest.mark.parametrize("horizon", [2, 3, 500])
+def test_trajectory_csv_bytes_match_csv_writer_rows(tmp_path, name, z, horizon):
+    fam = fixtures.sqrt_growth() if name == "sqrt-growth" else fixtures.FIXTURES[name]()
+    traj = propagate(fam, z, np.array([0.6, 0.2j, -0.3, 0.5 + 0.1j]), horizon)
+    table = trajectory_table(traj, fam)
+    want = _rows_oracle(traj, fam)
+    assert table.rows == want
+    path = tmp_path / "want.csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(table.columns)
+        w.writerows(want)
+    trajectory_to_csv(traj, fam, tmp_path / "got.csv")
+    assert (tmp_path / "got.csv").read_bytes() == path.read_bytes()
