@@ -86,6 +86,19 @@ def _parse_alpha(text: str) -> list:
     return out
 
 
+def _flag_config(family: str, analysis: dict, flags: dict):
+    """The config of one analysis whose keys were set by command line flags
+    (`flags` maps key to flag); an error in a key names its flag."""
+    try:
+        return parse_config({"family": _family_config(family), "analyses": [analysis]})
+    except ParseError as exc:
+        for key, flag in flags.items():
+            at = f"$.analyses[0].{key}"
+            if exc.path == at or exc.path.startswith((at + "[", at + ".")):
+                raise ParseError(flag + exc.path[len(at):], exc.message) from None
+        raise
+
+
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
@@ -117,17 +130,13 @@ def _dispatch(args) -> int:
         doc = parse_config(text)
     elif args.command == "scan":
         lo_hi = parse_value("range", _numbers(args.range, "--range"), "--range")
-        doc = parse_config({
-            "family": _family_config(args.family),
-            "analyses": [{"kind": "lambda_scan", "range": list(lo_hi),
-                          "grid": args.grid, "N": args.period}],
-        })
+        doc = _flag_config(args.family, {"kind": "lambda_scan", "range": list(lo_hi),
+                                         "grid": args.grid, "N": args.period},
+                           {"range": "--range", "grid": "--grid", "N": "--period"})
     else:  # trajectory
-        doc = parse_config({
-            "family": _family_config(args.family),
-            "analyses": [{"kind": "trajectory", "z": _parse_z(args.z),
-                          "alpha": _parse_alpha(args.alpha)}],
-        })
+        doc = _flag_config(args.family, {"kind": "trajectory", "z": _parse_z(args.z),
+                                         "alpha": _parse_alpha(args.alpha)},
+                           {"z": "--z", "alpha": "--alpha"})
 
     if args.horizon is not None:
         doc.horizon = args.horizon

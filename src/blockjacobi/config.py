@@ -33,6 +33,7 @@ from .runner import ANALYSES
 class ParseError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
 
 
@@ -163,9 +164,12 @@ def parse_family(obj: Any, path: str) -> FamilySpec:
 # returns what the handler receives.
 
 
-def _number(kind: type, lo: float = -math.inf):
-    """Parser of a finite int (kind int) or real number (kind float) >= lo."""
+def _number(kind: type, lo: float = -math.inf, int64: bool = True):
+    """Parser of a finite int (kind int) or real number (kind float) >= lo.
+    With int64, an integer value must also fit in int64, as numpy reads it."""
     def parse(v: Any, path: str, dim: int = 0):
+        if int64 and _is_real(v) and isinstance(v, int) and not -2 ** 63 <= v < 2 ** 63:
+            raise ParseError(path, "integer out of the int64 range")
         if not (_is_real(v) and isinstance(v, (int, kind)) and math.isfinite(v) and v >= lo):
             what = "an integer" if kind is int else "a finite real number"
             raise ParseError(path, f"expected {what}" + (f" >= {lo}" if lo > -math.inf else ""))
@@ -218,7 +222,7 @@ def _alphas(v: Any, path: str, dim: int):
 
 _PARSERS = {
     "horizon": _number(int, 2),
-    "seed": _number(int, 0),
+    "seed": _number(int, 0, int64=False),  # numpy seeds take any size
     "alpha": _vector,
     "alphas": _alphas,
     "burn_in": _number(int, 1),

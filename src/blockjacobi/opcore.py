@@ -122,12 +122,11 @@ def classify_definiteness(x, eps: float = DEFINITENESS_EPS) -> Definiteness:
     Strictly positive: all eigenvalues > eps.  Strictly negative: all < -eps.
     Degenerate: some eigenvalue within eps of zero.  Indefinite otherwise.
     """
-    lo, hi = hermitian_extremes(x)
-    if lo > eps:
-        return Definiteness.STRICTLY_POSITIVE
-    if hi < -eps:
-        return Definiteness.STRICTLY_NEGATIVE
     w = np.linalg.eigvalsh(require_hermitian(x))
+    if w[0] > eps:
+        return Definiteness.STRICTLY_POSITIVE
+    if w[-1] < -eps:
+        return Definiteness.STRICTLY_NEGATIVE
     if np.any(np.abs(w) <= eps):
         return Definiteness.DEGENERATE
     return Definiteness.INDEFINITE

@@ -93,17 +93,19 @@ def norm_stack(fam: CoefficientFamily, start: int, count: int) -> np.ndarray:
 
 def transfer_stack(fam: CoefficientFamily, z: complex, start: int, count: int) -> np.ndarray:
     """Stacked transfer matrices B_start(z) .. B_{start+count-1}(z), built with
-    batched matrix products.  Needs start >= 1."""
+    batched matrix products.  Needs start >= 1, and a_n^{-1} for n >= start
+    only."""
     if start < 1:
         raise ValueError("transfer matrices start at n = 1")
     d = fam.dim
-    A, AINV, B, _ = coefficient_stacks(fam, start - 1, count + 1)
+    A, _, B, _ = fam.stacks(start - 1, count + 1, inverse=False)
+    AINV = fam.stacks(start, count)[1]
     AH = A.conj().transpose(0, 2, 1)
     out = np.zeros((count, 2 * d, 2 * d), dtype=np.complex128)
     eye = np.eye(d)
     out[:, :d, d:] = eye
-    out[:, d:, :d] = -(AINV[1:] @ AH[:-1])
-    out[:, d:, d:] = AINV[1:] @ (z * eye - B[1:])
+    out[:, d:, :d] = -(AINV @ AH[:-1])
+    out[:, d:, d:] = AINV @ (z * eye - B[1:])
     return out
 
 

@@ -29,14 +29,13 @@ from .coeffs import (
     total_variation,
 )
 from .opcore import (
-    CONDITION_LIMIT,
     Definiteness,
     HypothesisViolatedError,
     NotConvergentError,
+    SingularError,
     adj,
     as_operator,
     classify_definiteness,
-    condition_estimate,
     invert,
     op_norm,
     quad_form,
@@ -67,14 +66,18 @@ ENDPOINT_TOL = 1e-8
 # Acceptance threshold for extracted periodic limits.
 EXTRACTION_TOL = 1e-8
 
+# Deviation, in operator norm, up to which limit data count as having the
+# structure of the weighted-trace reduction (T = 0, forms diag(D, D), D
+# constant over the period, C self-adjoint).
+REDUCTION_TOL = 1e-8
 
-def _we_matrix(fam: CoefficientFamily, m: int) -> np.ndarray:
-    """diag(a_m, a_m^*) E = [[0, -a_m], [a_m^*, 0]]."""
-    d = fam.dim
-    a = fam.a(m)
-    out = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    out[:d, d:] = -a
-    out[d:, :d] = adj(a)
+
+def _weight_block(a: np.ndarray) -> np.ndarray:
+    """diag(a, a^*) E = [[0, -a], [a^*, 0]], for one matrix or a stack."""
+    d = a.shape[-1]
+    out = np.zeros(a.shape[:-2] + (2 * d, 2 * d), dtype=np.complex128)
+    out[..., :d, d:] = -a
+    out[..., d:, :d] = stack_adj(a)
     return out
 
 
@@ -84,8 +87,7 @@ def turan_form(fam: CoefficientFamily, N: int, n: int, z: complex) -> np.ndarray
         raise ValueError("window length N must be >= 1")
     if n < 1:
         raise ValueError("forms start at n = 1")
-    x = window_product(fam, z, n, N)
-    m = _we_matrix(fam, n + N - 1) @ x
+    m = _weight_block(fam.a(n + N - 1)) @ window_product(fam, z, n, N)
     return sym(m) / fam.norm_a(n + N - 1)
 
 
@@ -95,7 +97,7 @@ def turan_value(fam: CoefficientFamily, N: int, n: int, z: complex,
     alpha = (u_0, u_1)."""
     traj = propagate(fam, z, alpha, max(n + 1, 2))
     v = np.concatenate([traj.u[n - 1], traj.u[n]])
-    m = _we_matrix(fam, n + N - 1) @ window_product(fam, z, n, N)
+    m = _weight_block(fam.a(n + N - 1)) @ window_product(fam, z, n, N)
     return quad_form(m, v)
 
 
@@ -121,12 +123,7 @@ def _traces_from(fam: CoefficientFamily, N: int, z: complex,
     x = bst[:count]
     for k in range(1, N):
         x = bst[k:k + count] @ x
-    a_lead = coefficient_stacks(fam, N, count)[0]
-    d = fam.dim
-    m = np.zeros((count, 2 * d, 2 * d), dtype=np.complex128)
-    m[:, :d, d:] = -a_lead
-    m[:, d:, :d] = a_lead.conj().transpose(0, 2, 1)
-    m = m @ x
+    m = _weight_block(coefficient_stacks(fam, N, count)[0]) @ x
     out = []
     for traj in trajs:
         avail = min(count, traj.last_index)
@@ -179,38 +176,51 @@ class PeriodicLimitData:
 
 def make_periodic_limits(N: int, T: Sequence, Q: Sequence, R: Sequence,
                          C: Sequence) -> PeriodicLimitData:
-    """Build limit data directly from period lists; computes the norm-ratio
-    limits r_j = ||C_j^{-1} C_{j-1}^* R_j^{-1}||."""
-    T = [as_operator(m) for m in T]
-    Q = [as_operator(m) for m in Q]
-    R = [as_operator(m) for m in R]
-    C = [as_operator(m) for m in C]
+    """Build limit data directly from period lists; a singular C_j or R_j
+    raises SingularError."""
+    T, Q, R, C = ([as_operator(m) for m in seq] for seq in (T, Q, R, C))
     if not (len(T) == len(Q) == len(R) == len(C) == N):
         raise ValueError("all period lists must have length N")
+    return _limit_data(N, T, Q, R, C)
+
+
+def _limit_data(N: int, T: list, Q: list, R: list, C: list, singular_ok: bool = False,
+                **extra) -> PeriodicLimitData:
+    """Limit data with the quantities derived from T, Q, R and C: the
+    norm-ratio limits r_j = ||C_j^{-1} C_{j-1}^* R_j^{-1}|| and the
+    weighted-trace reduction D.  A C_j or R_j past CONDITION_LIMIT raises
+    SingularError, or with singular_ok gives r_j = nan, no D and a cleared
+    converged flag."""
     r = []
     for j in range(N):
-        r.append(float(op_norm(invert(C[j]) @ adj(C[j - 1]) @ invert(R[j]))))
-    lim = PeriodicLimitData(N, T, Q, R, C, r)
-    lim.D = _diagonal_reduction(lim)
+        try:
+            r.append(float(op_norm(invert(C[j]) @ adj(C[j - 1]) @ invert(R[j]))))
+        except SingularError:
+            if not singular_ok:
+                raise
+            r.append(float("nan"))
+    lim = PeriodicLimitData(N, T, Q, R, C, r, **extra)
+    if np.isnan(r).any():
+        lim.converged = False
+    else:
+        lim.D = _diagonal_reduction(lim)
     return lim
 
 
-def _diagonal_reduction(lim: PeriodicLimitData, tol: float = 1e-8) -> list[np.ndarray] | None:
+def _diagonal_reduction(lim: PeriodicLimitData) -> list[np.ndarray] | None:
     """Common diagonal block of each window form, when the forms are z-free
     (T = 0) and block-diagonal with equal Hermitian halves."""
-    if any(op_norm(t) > tol for t in lim.T):
+    if any(op_norm(t) > REDUCTION_TOL for t in lim.T):
         return None
     out = []
+    d = lim.dim
     for j in range(lim.N):
         f = limit_form(lim, 0.0, start=j)
-        d = lim.dim
         tl, tr, bl, br = f[:d, :d], f[:d, d:], f[d:, :d], f[d:, d:]
-        scale = max(1.0, op_norm(f))
-        if op_norm(tr) > tol * scale or op_norm(bl) > tol * scale:
+        tol = REDUCTION_TOL * max(1.0, op_norm(f))
+        if op_norm(tr) > tol or op_norm(bl) > tol or op_norm(tl - br) > tol:
             return None
-        if op_norm(tl - br) > tol * scale:
-            return None
-        out.append(tl)
+        out.append(br)  # for N = 1 this is sym C exactly
     return out
 
 
@@ -246,21 +256,8 @@ def extract_periodic_limits(fam: CoefficientFamily, N: int,
             data[name].append(lim.value)
             residuals[name].append(lim.residual)
             converged = converged and lim.converged
-    r = []
-    invertible = True
-    for j in range(N):
-        C, R = data["C"][j], data["R"][j]
-        if condition_estimate(C) > CONDITION_LIMIT or condition_estimate(R) > CONDITION_LIMIT:
-            invertible = False
-            r.append(float("nan"))
-            continue
-        r.append(float(op_norm(invert(C) @ adj(data["C"][j - 1]) @ invert(R))))
-    out = PeriodicLimitData(N, data["T"], data["Q"], data["R"], data["C"], r,
-                            residuals=residuals, converged=converged and invertible,
-                            horizon=horizon)
-    if invertible:
-        out.D = _diagonal_reduction(out)
-    return out
+    return _limit_data(N, data["T"], data["Q"], data["R"], data["C"], singular_ok=True,
+                       residuals=residuals, converged=converged, horizon=horizon)
 
 
 def limit_block(lim: PeriodicLimitData, z: complex, i: int) -> np.ndarray:
@@ -279,15 +276,10 @@ def limit_form(lim: PeriodicLimitData, lam: float, start: int = 0) -> np.ndarray
     the ordered product of limit factors over the window [start, start + N),
     highest index leftmost, where e = start + N - 1 (mod N).  Strict
     definiteness marks lambda as a point of the asymptotic band."""
-    d = lim.dim
-    prod = np.eye(2 * d, dtype=np.complex128)
+    prod = np.eye(2 * lim.dim, dtype=np.complex128)
     for k in range(start, start + lim.N):
         prod = limit_block(lim, lam, k) @ prod
-    ce = lim.C[(start + lim.N - 1) % lim.N]
-    pre = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    pre[:d, d:] = -ce
-    pre[d:, :d] = adj(ce)
-    return sym(pre @ prod)
+    return sym(_weight_block(lim.C[(start + lim.N - 1) % lim.N]) @ prod)
 
 
 def principal_minors(m, rtol: float = 1e-10) -> list[float]:
@@ -335,13 +327,12 @@ class LambdaSet:
 
 
 def definiteness_scan(fn: Callable[[float], np.ndarray], lo: float, hi: float,
-                      grid: int = 201, eps: float = 1e-9,
-                      endpoint_tol: float = ENDPOINT_TOL) -> LambdaSet:
+                      grid: int = 201, eps: float = 1e-9) -> LambdaSet:
     """Scan a Hermitian-matrix-valued function for strict definiteness.
 
     Classifies on a uniform grid, merges runs of equal strict sign, and
     bisects each run boundary between differing classifications down to
-    endpoint_tol.
+    ENDPOINT_TOL.
     """
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
@@ -358,20 +349,17 @@ def definiteness_scan(fn: Callable[[float], np.ndarray], lo: float, hi: float,
         j = i
         while j + 1 < grid and cls[j + 1] == sign:
             j += 1
-        left = xs[i] if i == 0 else _bisect_edge(fn, xs[i - 1], xs[i], sign, eps,
-                                                 endpoint_tol)
-        right = xs[j] if j == grid - 1 else _bisect_edge(fn, xs[j + 1], xs[j], sign, eps,
-                                                        endpoint_tol)
+        left = xs[i] if i == 0 else _bisect_edge(fn, xs[i - 1], xs[i], sign, eps)
+        right = xs[j] if j == grid - 1 else _bisect_edge(fn, xs[j + 1], xs[j], sign, eps)
         intervals.append(SignInterval(float(left), float(right), sign))
         i = j + 1
     return LambdaSet(intervals, grid, eps, (float(lo), float(hi)))
 
 
-def _bisect_edge(fn, outside: float, inside: float, sign: Definiteness, eps: float,
-                 tol: float) -> float:
+def _bisect_edge(fn, outside: float, inside: float, sign: Definiteness, eps: float) -> float:
     """Locate the sign boundary between a point outside the region and a
     point classified as `sign`."""
-    while abs(inside - outside) > tol:
+    while abs(inside - outside) > ENDPOINT_TOL:
         m = 0.5 * (inside + outside)
         if classify_definiteness(fn(m), eps) == sign:
             inside = m
@@ -381,11 +369,12 @@ def _bisect_edge(fn, outside: float, inside: float, sign: Definiteness, eps: flo
 
 
 def lambda_scan(lim: PeriodicLimitData, scan_range: tuple[float, float],
-                grid: int = 201, eps: float = 1e-9, start: int = 0) -> LambdaSet:
-    """Definiteness scan of the limit form over a real parameter range."""
+                grid: int = 201, eps: float = 1e-9) -> LambdaSet:
+    """Definiteness scan of the limit form over a real parameter range; the
+    region does not depend on the window start (the forms of consecutive
+    starts are congruent up to the positive factor r_j)."""
     lo, hi = scan_range
-    return definiteness_scan(lambda lam: limit_form(lim, lam, start), lo, hi,
-                             grid=grid, eps=eps)
+    return definiteness_scan(lambda lam: limit_form(lim, lam), lo, hi, grid=grid, eps=eps)
 
 
 # ---- band and convergence diagnostics ----
@@ -470,6 +459,15 @@ def _variation_tails(fam: CoefficientFamily, N: int, z: complex, m: int,
     return float(tail)
 
 
+def _tail(values: np.ndarray) -> tuple[float, float]:
+    """Mean of the last tenth of a trace's defined (non-NaN) values, and the
+    largest deviation from it there."""
+    vals = values[~np.isnan(values)]
+    tail = vals[-max(1, len(vals) // 10):]
+    mean = float(tail.mean())
+    return mean, float(np.abs(tail - mean).max())
+
+
 def turan_convergence(fam: CoefficientFamily, N: int, z: complex,
                       alphas: Sequence[np.ndarray], horizon: int) -> ConvergenceReport:
     """Limits g of the Turan sequences S_n with Cauchy residuals, plus a
@@ -482,11 +480,7 @@ def turan_convergence(fam: CoefficientFamily, N: int, z: complex,
     traces = turan_traces(fam, N, z, alphas, horizon)
     per = []
     for tr in traces:
-        vals = tr.values[~np.isnan(tr.values)]
-        cut = max(1, len(vals) // 10)
-        tail = vals[-cut:]
-        g = float(tail.mean())
-        residual = float(np.abs(tail - g).max())
+        g, residual = _tail(tr.values)
         if abs(g) <= residual:
             raise NotConvergentError(
                 f"Turan sequence oscillates by {residual:.3e} around {g:.3e}"
@@ -589,60 +583,49 @@ def indeterminacy_probe(fam: CoefficientFamily, z_samples: Sequence[complex],
 
 @dataclass
 class ExactAsymptoticsReport:
-    C: np.ndarray
+    C: np.ndarray  # D_0, the block of the weighted-trace reduction
     per_alpha: list[dict]
     horizon: int
     trajectories: list[Trajectory]  # one per alpha, as propagated for the limits
 
 
 def exact_asymptotics(fam: CoefficientFamily, lim: PeriodicLimitData, z: float,
-                      alphas: Sequence[np.ndarray], horizon: int,
-                      tol: float = 1e-8) -> ExactAsymptoticsReport:
-    """In the odd-window regime with T = 0, Q = 0, R = Id and constant C, the
-    limit form collapses to diag(sym C, sym C); C is then forced Hermitian and
-    the weighted trace ||a_n|| (<C u_{n-1}, u_{n-1}> + <C u_n, u_n>) shares
-    the Turan limit g.  Verifies the hypotheses on the supplied limit data,
-    then compares both limits per trajectory.
+                      alphas: Sequence[np.ndarray], horizon: int) -> ExactAsymptoticsReport:
+    """In the odd-window regime whose limit forms reduce to diag(D, D) with
+    one D over the period and C self-adjoint, the weighted trace
+    ||a_n|| (<D u_{n-1}, u_{n-1}> + <D u_n, u_n>) shares the Turan limit g.
+    With T = 0, Q = 0 and R = Id, D is sym C for N = 1 (mod 4) and -sym C
+    for N = 3 (mod 4).  Checks the hypotheses on the supplied limit data,
+    then compares both limits per trajectory; the report's C is D_0.
     """
-    N = lim.N
-    if N % 2 == 0:
+    if lim.N % 2 == 0:
         raise HypothesisViolatedError("window length N must be odd")
-    d = lim.dim
-    for name, seq, target in (("T", lim.T, np.zeros((d, d))),
-                              ("Q", lim.Q, np.zeros((d, d))),
-                              ("R", lim.R, np.eye(d))):
-        for j, m in enumerate(seq):
-            if op_norm(m - target) > tol:
-                raise HypothesisViolatedError(
-                    f"{name}[{j}] deviates from the required limit by "
-                    f"{op_norm(m - target):.3e}"
-                )
-    C = lim.C[0]
-    for j, m in enumerate(lim.C):
-        if op_norm(m - C) > tol:
-            raise HypothesisViolatedError(f"C[{j}] is not constant across the period")
-    if op_norm(C - adj(C)) > tol:
-        raise HypothesisViolatedError("C is not self-adjoint")
-    C = sym(C)
+    if lim.D is None:
+        raise HypothesisViolatedError(
+            "limit forms have no weighted-trace reduction diag(D, D) (needs T = 0 "
+            "and block-diagonal forms with equal halves)")
+    D = lim.D[0]
+    for j in range(lim.N):
+        if op_norm(lim.D[j] - D) > REDUCTION_TOL:
+            raise HypothesisViolatedError(f"D[{j}] is not constant across the period")
+        if op_norm(lim.C[j] - adj(lim.C[j])) > REDUCTION_TOL:
+            raise HypothesisViolatedError(f"C[{j}] is not self-adjoint")
     trajs = propagate_block(fam, z, alphas, horizon)
-    traces = _traces_from(fam, N, z, trajs, horizon)
+    traces = _traces_from(fam, lim.N, z, trajs, horizon)
     per = []
     for tr, traj in zip(traces, trajs):
-        q = np.einsum("nd,de,ne->n", traj.u.conj(), C, traj.u).real
+        q = np.einsum("nd,de,ne->n", traj.u.conj(), D, traj.u).real
         w = norm_stack(fam, 1, traj.last_index - 1)
-        wtrace = w * (q[:-2] + q[1:-1])
-        cut = max(1, len(wtrace) // 10)
-        vals = tr.values[~np.isnan(tr.values)]
-        g = float(vals[-max(1, len(vals) // 10):].mean())
-        west = float(wtrace[-cut:].mean())
+        g = _tail(tr.values)[0]
+        west, spread = _tail(w * (q[:-2] + q[1:-1]))
         per.append({
             "alpha": tr.alpha,
             "g": g,
             "weighted_trace_limit": west,
             "gap": abs(west - g),
-            "last_decade_spread": float(np.abs(wtrace[-cut:] - west).max()),
+            "last_decade_spread": spread,
         })
-    return ExactAsymptoticsReport(C, per, horizon, trajs)
+    return ExactAsymptoticsReport(D, per, horizon, trajs)
 
 
 @dataclass

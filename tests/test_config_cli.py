@@ -118,6 +118,32 @@ def test_inline_weight_parameters_are_typed(tmp_path, capsys):
     assert parse_weight({"kind": "tabulated", "values": [1, 2]}, "$").values == (1.0, 2.0)
 
 
+def test_integer_parameters_past_int64_are_config_errors(tmp_path, capsys):
+    # numpy reads integer parameters as int64; a larger one is a config
+    # error at its path, not an OverflowError.  Seeds take any size.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "family": {"kind": "scaled_periodic", "period": 1,
+                   "x": {"kind": "power", "exponent": 0.5, "offset": 10 ** 29},
+                   "y": {"kind": "constant", "value": 0.0},
+                   "X": [X_JSON], "Y": [Y_JSON]},
+        "analyses": [{"kind": "carleman"}], "horizon": 50}))
+    assert main(["analyze", str(cfg)]) == 2
+    assert "$.family.x.offset" in capsys.readouterr().err
+    for family, where in [
+            ({"kind": "fixture", "name": "paper-logweight", "params": {"offset": 2 ** 63}},
+             "$.family.params.offset"),
+            ({"kind": "scaled_periodic", "period": 1,
+              "x": {"kind": "power", "exponent": 10 ** 400},
+              "y": {"kind": "constant", "value": 0.0}, "X": [X_JSON], "Y": [Y_JSON]},
+             "$.family.x.exponent")]:
+        with pytest.raises(ParseError, match=re.escape(where)):
+            parse_config({"family": family, "analyses": [{"kind": "carleman"}]})
+    doc = parse_config({"family": "paper-constant", "analyses": [{"kind": "carleman"}],
+                        "seed": 10 ** 30})
+    assert doc.seed == 10 ** 30
+
+
 @pytest.mark.parametrize("doc,fragment", [
     ("{ not json", "$: invalid JSON"),
     ({"family": "paper-constant"}, "missing required keys ['analyses']"),
@@ -383,6 +409,10 @@ def test_cli_trajectory_csv_bundle(tmp_path, capsys):
     (["scan", "--family", "paper-constant", "--range=0,1", "--seed", "-1"], "--seed"),
     (["trajectory", "--family", "paper-constant", "--z", "0.5", "--alpha", "1,0,0,0",
       "--horizon", "1"], "--horizon"),
+    (["trajectory", "--family", "paper-constant", "--z", "0.5", "--alpha", "1,0,0"],
+     "--alpha"),
+    (["scan", "--family", "paper-constant", "--range=0,1", "--grid", "1"], "--grid"),
+    (["scan", "--family", "paper-constant", "--range=0,1", "--period", "0"], "--period"),
 ])
 def test_cli_flags_are_typed_like_config_keys(argv, flag, capsys):
     assert main(argv) == 2

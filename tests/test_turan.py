@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import rand_family, rand_invertible, rand_hermitian, rand_unit
-from blockjacobi.coeffs import constant_family, custom_family, tabulated_family
+from blockjacobi.coeffs import (
+    ConstantWeight,
+    PowerWeight,
+    constant_family,
+    custom_family,
+    scaled_periodic_family,
+    tabulated_family,
+)
 from blockjacobi.fixtures import (
     X_OP,
     Y_OP,
@@ -105,6 +112,20 @@ def test_form_value_and_traces_agree():
         scale = max(1.0, abs(via_value))
         assert abs(via_form - via_value) < 1e-9 * scale
         assert abs(trace.values[n - 1] - via_value) < 1e-9 * scale
+
+
+def test_traces_need_no_inverse_of_a0():
+    # S_n reads a_n^{-1} for n >= 1 only, like propagate and turan_value, so
+    # a singular a_0 must not stop the batched trace.
+    a0 = np.array([[1.0, 2.0], [2.0, 4.0]])
+    fam = tabulated_family([a0] + [X_OP] * 30, [Y_OP] * 31, "singular a_0")
+    alphas = [np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0),
+              np.array([0.3, -0.2j, 0.5, 1.0])]
+    traces = turan_traces(fam, 1, 0.75, alphas, 20)
+    for tr, alpha in zip(traces, alphas):
+        for n in (1, 2, 7, 15):
+            want = turan_value(fam, 1, n, 0.75, alpha)
+            assert abs(tr.values[n - 1] - want) < 1e-9 * max(1.0, abs(want))
 
 
 def test_periodic_families_have_constant_normalized_increments():
@@ -514,6 +535,22 @@ def test_exact_asymptotics_checks_hypotheses():
         even = make_periodic_limits(2, [zero] * 2, [zero] * 2, [np.eye(2)] * 2,
                                     [X_OP / XN] * 2)
         exact_asymptotics(fam, even, 0.0, alphas, 500)
+
+
+def test_exact_asymptotics_weights_by_d_for_n_3_mod_4():
+    # a_n = (n+1)^2 X, b_n = 0: T = Q = 0, R = Id, and for N = 3 the window
+    # forms are -diag(sym C, sym C), so the weighted trace must use D = -sym C
+    # (weighting by +sym C gives the wrong sign and a gap of 2|g|).
+    fam = scaled_periodic_family(1, PowerWeight(2.0), ConstantWeight(0.0),
+                                 [X_OP], [np.zeros((2, 2))])
+    lim = extract_periodic_limits(fam, 3, 2000)
+    assert lim.D is not None
+    alphas = [np.array([1.0, 0.0, 0.0, 0.0], dtype=complex),
+              np.array([0.3, -0.2, 0.5, 1.0], dtype=complex)]
+    rep = exact_asymptotics(fam, lim, 0.0, alphas, 2000)
+    assert op_norm(rep.C + X_OP / XN) < 1e-8
+    for entry in rep.per_alpha:
+        assert entry["gap"] < 1e-2 * abs(entry["g"])
 
 
 def test_christoffel_ratio_sqrt_growth():
