@@ -6,11 +6,10 @@ Exit codes: 0 success, 2 configuration or validation error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .config import ParseError, parse_complex, parse_config, parse_value
+from .config import ParseError, load_json, parse_complex, parse_config, parse_value
 from .fixtures import FIXTURES, FIXTURE_NOTES
 from .runner import emit, report_json, run
 
@@ -55,11 +54,10 @@ def _family_config(arg: str):
     if arg in FIXTURES:
         return arg
     try:
-        return json.loads(Path(arg).read_text())
+        data = Path(arg).read_bytes()
     except OSError as exc:
         raise OSError(f"cannot read family file {arg}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(arg, f"invalid JSON: {exc}") from exc
+    return load_json(data, arg)
 
 
 def _numbers(text: str, flag: str, kind=float) -> list:
@@ -124,7 +122,7 @@ def _dispatch(args) -> int:
             parse_value(key, getattr(args, key), f"--{key}")
     if args.command == "analyze":
         try:
-            text = Path(args.config).read_text()
+            text = Path(args.config).read_bytes()
         except OSError as exc:
             raise OSError(f"cannot read {args.config}: {exc}") from exc
         doc = parse_config(text)

@@ -283,15 +283,20 @@ class AnalysisConfig:
     raw: dict = field(default_factory=dict)
 
 
+def load_json(text: str | bytes, path: str = "$"):
+    """The value of a JSON document; a ParseError at `path` for any document
+    json.loads refuses.  Besides a JSONDecodeError that is a plain ValueError
+    (bytes that are not UTF-8, -16 or -32, an integer literal past Python's
+    digit limit) or a RecursionError (a document nested too deep)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(path, f"invalid JSON: {exc}") from exc
+
+
 def parse_config(text: str | bytes | dict) -> AnalysisConfig:
     """Parse and validate a configuration document (JSON text or dict)."""
-    if isinstance(text, (str, bytes)):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError("$", f"invalid JSON: {exc}") from exc
-    else:
-        obj = text
+    obj = load_json(text) if isinstance(text, (str, bytes)) else text
     _require_keys(obj, "$", {"family", "analyses"}, {"horizon", "seed", "out_dir"})
     fam = parse_family(obj["family"], "$.family")
     analyses_obj = obj["analyses"]

@@ -12,6 +12,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -274,10 +275,71 @@ def _jsonable(obj):
     return obj
 
 
+def _is_number(v) -> bool:
+    """True for a leaf whose JSON text is its `repr`: an int (not a bool) or
+    a finite float."""
+    return type(v) is int or type(v) is float and math.isfinite(v)
+
+
+def _number_block(obj: list | tuple, indent: str) -> str | None:
+    """The indented text of a rectangular nested block of numbers (see
+    `_is_number`), formatted through one "%r" template built from its shape;
+    None when numpy finds it ragged or holding any other leaf."""
+    try:
+        arr = np.array(obj, dtype=object)
+    except ValueError:  # ragged
+        return None
+    flat = arr.ravel().tolist()
+    if not all(map(_is_number, flat)):
+        return None
+    fmt = "%r"
+    for d in reversed(range(arr.ndim)):
+        inner = indent + "  " * (d + 1)
+        fmt = "[" + inner + ("," + inner).join([fmt] * arr.shape[d]) + inner[:-2] + "]"
+    return fmt % tuple(flat)
+
+
+def _text(obj, indent: str, bulk: bool = True) -> str:
+    """The JSON text of `obj`, `indent` being the line break and indentation
+    of its own level.  Dicts (with str keys), lists, tuples and arrays are
+    walked here and every other value is written as `_jsonable` makes it.
+    numpy looks at a nested list at most once, at its outermost level: a
+    number block there is formatted in bulk, otherwise (`bulk` False) its
+    sublists are written one by one."""
+    if _is_number(obj):
+        return repr(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        brackets = "{}"
+        items = [encode_basestring_ascii(k) + ": " + _text(v, inner)
+                 for k, v in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        if bulk:
+            first = obj
+            while isinstance(first, (list, tuple)) and first:
+                first = first[0]
+            if _is_number(first):  # the cheap refusal, before numpy looks
+                block = _number_block(obj, indent)
+                if block is not None:
+                    return block
+                bulk = False
+        brackets = "[]"
+        items = [_text(v, inner, bulk) for v in obj]
+    else:
+        leaf = _jsonable(obj)
+        return _text(leaf, indent) if isinstance(leaf, list) else json.dumps(leaf)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 def report_json(report: AnalysisReport, include_times: bool = True) -> str:
-    """The report as key-sorted, indented JSON text."""
-    return json.dumps(_jsonable(report.to_json_dict(include_times)), sort_keys=True,
-                      indent=2, allow_nan=False)
+    """The report as key-sorted, indented JSON text: the bytes of
+    json.dumps(_jsonable(d), sort_keys=True, indent=2, allow_nan=False),
+    written in one walk."""
+    return _text(report.to_json_dict(include_times), "\n")
 
 
 def emit(report: AnalysisReport, out_dir: str | Path, fmt: str = "json") -> list[Path]:

@@ -1,9 +1,13 @@
-"""Shared helpers: seeded random operators and families for property tests."""
+"""Shared helpers: seeded random operators and families for property tests,
+and the byte oracle of the report writer."""
+
+import json
 
 import numpy as np
 
 from blockjacobi.coeffs import tabulated_family
 from blockjacobi.opcore import adj, condition_estimate
+from blockjacobi.runner import _jsonable
 
 
 def rand_operator(rng, d):
@@ -33,3 +37,9 @@ def rand_family(rng, d, length):
     a = [rand_invertible(rng, d) for _ in range(length)]
     b = [rand_hermitian(rng, d) for _ in range(length)]
     return tabulated_family(a, b, "random tabulated")
+
+
+def report_oracle(obj) -> str:
+    """The JSON text of a report as the two-walk encoder that `report_json`
+    replaced wrote it."""
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)

@@ -371,6 +371,48 @@ def test_cli_analyze_invalid_json_is_config_error(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+# Files that json.loads refuses with a plain ValueError (an integer literal
+# past Python's 4300-digit conversion limit, bytes that are not UTF-8) or a
+# RecursionError
+UNDECODABLE = {
+    "long-integer": b'{"family": "paper-constant", "analyses": [{"kind": "carleman"}], '
+                    b'"seed": ' + b"9" * 5000 + b"}",
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+    "not-utf8": b'{"family": "paper-constant", "analyses": [{"kind": "carleman"}], '
+                b'"note": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("doc", sorted(UNDECODABLE))
+@pytest.mark.parametrize("command", ["analyze", "scan"])
+def test_cli_undecodable_json_is_config_error(tmp_path, capsys, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_bytes(UNDECODABLE[doc])
+    argv = ([command, str(path)] if command == "analyze"
+            else [command, "--family", str(path), "--range=0,1"])
+    assert main(argv) == 2
+    where = "$" if command == "analyze" else str(path)
+    assert f"error: {where}: invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
+@pytest.mark.parametrize("command", ["analyze", "scan"])
+def test_cli_reads_json_files_in_every_json_encoding(tmp_path, capsys, command, encoding):
+    """Config and family files are read as bytes, and json.loads detects
+    UTF-8 (a BOM included), UTF-16 and UTF-32."""
+    doc = ({"family": "paper-constant", "analyses": [{"kind": "carleman"}], "horizon": 50}
+           if command == "analyze" else "paper-constant")
+    reports = []
+    for enc in ("utf-8", encoding):
+        path = tmp_path / f"{enc}.json"
+        path.write_text(json.dumps(doc), encoding=enc)
+        argv = ([command, str(path)] if command == "analyze"
+                else [command, "--family", str(path), "--range=0,1", "--horizon", "50"])
+        assert main(argv) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
 def test_cli_scan_writes_report(tmp_path, capsys):
     out = tmp_path / "scanout"
     rc = main(["scan", "--family", "paper-constant", "--range=-5,10",
