@@ -18,6 +18,7 @@ import numpy as np
 
 from .opcore import (
     CONDITION_LIMIT,
+    HERMITICITY_RTOL,
     DomainError,
     SingularError,
     as_operator,
@@ -289,31 +290,6 @@ def _grown(arr: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _finite_rows(rows: np.ndarray):
-    """rows up to the first matrix with a non-finite entry, and the error
-    for that matrix (None when every row is finite)."""
-    ok = np.isfinite(rows).all(axis=(1, 2))
-    if ok.all():
-        return rows, None
-    return rows[:int(np.argmin(ok))], ValueError("matrix has non-finite entries")
-
-
-def _call_rows(fn: Callable[[int], np.ndarray], lo: int, hi: int, dim: int):
-    """fn(lo) .. fn(hi-1) as operators, each evaluated once; stops at the
-    first index that fails and returns its error with the rows before it."""
-    rows = np.empty((hi - lo, dim, dim), np.complex128)
-    for k in range(hi - lo):
-        try:
-            m = as_operator(fn(lo + k))
-            if m.shape != (dim, dim):
-                raise ValueError(f"expected a {dim}x{dim} matrix at index {lo + k}, "
-                                 f"got shape {m.shape}")
-        except Exception as exc:  # the caller stores the rows before it, then raises it
-            return rows[:k], exc
-        rows[k] = m
-    return rows, None
-
-
 def _norms_and_inverses(mats: np.ndarray):
     """Operator norms, inverses, condition estimates and the mask of
     matrices past CONDITION_LIMIT (whose inverse rows are left NaN)."""
@@ -327,10 +303,10 @@ def _norms_and_inverses(mats: np.ndarray):
 class CoefficientFamily:
     """Pair of operator sequences: a(n) invertible, b(n) self-adjoint.
 
-    Entries live in per-family arrays filled in index order, one for a, one
-    for b and one each for ||a_n|| and a_n^{-1}, whose capacity doubles as
-    they grow.  `stacks` returns read-only views of them for an index range
-    and the per-index accessors are lookups into the same arrays.  This class
+    Entries live in per-family arrays filled together and in index order, one
+    each for a_n, b_n, ||a_n|| and a_n^{-1}, whose capacity doubles as they
+    grow.  `stacks` returns read-only views of them for an index range and
+    the per-index accessors are lookups into the same arrays.  This class
     evaluates user callables once per index and never past the largest
     index requested; subclasses with vectorised entries fill ahead.
     Validation of invertibility and Hermiticity is a separate pass
@@ -349,7 +325,7 @@ class CoefficientFamily:
         self._B = np.empty((0, d, d), np.complex128)
         self._AINV = np.empty((0, d, d), np.complex128)
         self._NRM = np.empty(0)
-        self._na = self._nb = self._nd = 0  # rows filled: a, b, norms/inverses
+        self._n = 0  # rows filled
         self._singular: dict[int, float] = {}  # index -> condition of a_n
 
     # -- rows for subclasses to supply --
@@ -358,80 +334,59 @@ class CoefficientFamily:
         """Rows to hold when rows below stop are needed and `filled` exist."""
         return stop
 
-    def _a_rows(self, lo: int, hi: int):
-        return _call_rows(self._a_fn, lo, hi, self.dim)
+    def _entries(self, lo: int, hi: int):
+        """(A, B, error): rows of a and b for indices lo .. hi-1 up to the
+        first index where either fails, and that index's error (None when
+        none does).  Each callable is evaluated once per index."""
+        d = self.dim
+        A = np.empty((hi - lo, d, d), np.complex128)
+        B = np.empty_like(A)
+        for k in range(hi - lo):
+            try:
+                for fn, rows in ((self._a_fn, A), (self._b_fn, B)):
+                    m = as_operator(fn(lo + k))
+                    if m.shape != (d, d):
+                        raise ValueError(f"expected a {d}x{d} matrix at index {lo + k}, "
+                                         f"got shape {m.shape}")
+                    rows[k] = m
+            except Exception as exc:  # _fill stores the rows before it, then raises it
+                return A[:k], B[:k], exc
+        return A, B, None
 
-    def _b_rows(self, lo: int, hi: int):
-        return _call_rows(self._b_fn, lo, hi, self.dim)
-
-    def _derived_rows(self, lo: int, hi: int):
-        """||a_n||, a_n^{-1} and the condition estimates past the limit, by
-        index, for filled rows lo .. hi-1."""
-        nrm, inv, cond, bad = _norms_and_inverses(self._A[lo:hi])
-        return nrm, inv, {lo + int(k): float(cond[k]) for k in np.flatnonzero(bad)}
+    def _derived(self, lo: int, A: np.ndarray):
+        """||a_n||, a_n^{-1}, condition estimates and the mask of those past
+        CONDITION_LIMIT, for the rows A of indices lo, lo+1, ..."""
+        return _norms_and_inverses(A)
 
     # -- filling --
 
-    def _rows(self, rows_fn, filled: int, stop: int):
-        """rows_fn over [filled, target), or over [filled, stop) when the
-        rows ahead of stop cannot be computed."""
+    def _fill(self, stop: int) -> None:
+        """Rows of a, b, ||a||, a^{-1} and the singular map from the filled
+        ones to the target, or to the first index whose a or b fails; its
+        error is raised when that index is below stop."""
         if stop <= 0:
             raise ValueError("index must be >= 0")
-        hi = self._target(filled, stop)
-        if hi > stop:
-            try:
-                return rows_fn(filled, hi)
-            except (LookupError, ValueError, ArithmeticError):
-                pass  # e.g. a weight table shorter than the fill; stop at the request
-        return rows_fn(filled, stop)
-
-    def _fill_a(self, stop: int) -> None:
-        rows, err = self._rows(self._a_rows, self._na, stop)
-        self._A = _grown(self._A, self._na, rows)
-        self._na += len(rows)
-        if self._na < stop:
+        lo = self._n
+        hi = self._target(lo, stop)
+        try:
+            A, B, err = self._entries(lo, max(hi, stop))
+        except (LookupError, ValueError, ArithmeticError):
+            if hi <= stop:
+                raise
+            A, B, err = self._entries(lo, stop)  # e.g. a weight table shorter than the fill
+        nrm, inv, cond, bad = self._derived(lo, A)
+        self._A = _grown(self._A, lo, A)
+        self._B = _grown(self._B, lo, B)
+        self._NRM = _grown(self._NRM, lo, nrm)
+        self._AINV = _grown(self._AINV, lo, inv)
+        self._singular.update({lo + int(k): float(cond[k]) for k in np.flatnonzero(bad)})
+        self._n = lo + len(A)
+        if self._n < stop:
             raise err
-
-    def _fill_b(self, stop: int) -> None:
-        rows, err = self._rows(self._b_rows, self._nb, stop)
-        self._B = _grown(self._B, self._nb, rows)
-        self._nb += len(rows)
-        if self._nb < stop:
-            raise err
-
-    def _fill_derived(self, stop: int) -> None:
-        if stop <= 0:
-            raise ValueError("index must be >= 0")
-        if self._na < stop:
-            self._fill_a(stop)
-        hi = min(self._na, self._target(self._nd, stop))
-        nrm, inv, singular = self._derived_rows(self._nd, hi)
-        self._NRM = _grown(self._NRM, self._nd, nrm)
-        self._AINV = _grown(self._AINV, self._nd, inv)
-        self._singular.update(singular)
-        self._nd = hi
 
     def _singular_error(self, n: int) -> SingularError:
         return SingularError(f"a_{n}: condition estimate {self._singular[n]:.3e} "
                              f"exceeds {CONDITION_LIMIT:.1e}")
-
-    def _entry_prefix(self, stop: int):
-        """(A, a_error, B, b_error): rows of a below stop as far as they
-        evaluate, rows of b as far as those of a, and the message of the
-        error that cut each short (None when it was not)."""
-        a_err = b_err = None
-        try:
-            if self._na < stop:
-                self._fill_a(stop)
-        except ValueError as exc:
-            a_err = str(exc)
-        stop = min(stop, self._na)
-        try:
-            if self._nb < stop:
-                self._fill_b(stop)
-        except ValueError as exc:
-            b_err = str(exc)
-        return self._A[:stop], a_err, self._B[:min(stop, self._nb)], b_err
 
     # -- reads --
 
@@ -446,12 +401,8 @@ class CoefficientFamily:
         if start < 0:
             raise ValueError("index must be >= 0")
         stop = start + max(count, 0)
-        if self._na < stop:
-            self._fill_a(stop)
-        if self._nb < stop:
-            self._fill_b(stop)
-        if self._nd < stop:
-            self._fill_derived(stop)
+        if self._n < stop:
+            self._fill(stop)
         ainv = None
         if inverse:
             bad = next((k for k in self._singular if start <= k < stop), None)
@@ -461,18 +412,18 @@ class CoefficientFamily:
         return self._A[start:stop], ainv, self._B[start:stop], self._NRM[start:stop]
 
     def a(self, n: int) -> np.ndarray:
-        if not 0 <= n < self._na:
-            self._fill_a(n + 1)
+        if not 0 <= n < self._n:
+            self._fill(n + 1)
         return self._A[n]
 
     def b(self, n: int) -> np.ndarray:
-        if not 0 <= n < self._nb:
-            self._fill_b(n + 1)
+        if not 0 <= n < self._n:
+            self._fill(n + 1)
         return self._B[n]
 
     def a_inv(self, n: int) -> np.ndarray:
-        if not 0 <= n < self._nd:
-            self._fill_derived(n + 1)
+        if not 0 <= n < self._n:
+            self._fill(n + 1)
         if n in self._singular:
             raise self._singular_error(n)
         return self._AINV[n]
@@ -485,16 +436,16 @@ class CoefficientFamily:
         if ns.min(initial=0) < 0:
             raise ValueError("index must be >= 0")
         stop = int(ns.max(initial=-1)) + 1
-        if self._nd < stop:
-            self._fill_derived(stop)
+        if self._n < stop:
+            self._fill(stop)
         bad = next((n for n in ns.tolist() if n in self._singular), None)
         if bad is not None:
             raise self._singular_error(bad)
         return self._AINV[ns]
 
     def norm_a(self, n: int) -> float:
-        if not 0 <= n < self._nd:
-            self._fill_derived(n + 1)
+        if not 0 <= n < self._n:
+            self._fill(n + 1)
         return float(self._NRM[n])
 
     def __repr__(self):
@@ -503,7 +454,7 @@ class CoefficientFamily:
 
 class ScaledPeriodicFamily(CoefficientFamily):
     """a_n = x_n * X_(n mod N), b_n = y_n * Y_(n mod N) with scalar weights
-    x, y > 0 and a fixed period of operators.
+    x, y > 0 and a fixed period of operators of one size.
 
     Rows come from the weights' arrays, and inverses and norms factor
     through the scalars: a_n^-1 = X_j^-1 / x_n and ||a_n|| = x_n ||X_j||.
@@ -515,6 +466,9 @@ class ScaledPeriodicFamily(CoefficientFamily):
         Y = [as_operator(m) for m in Y]
         if len(X) != period or len(Y) != period:
             raise ValueError("need exactly `period` operators for X and Y")
+        shapes = sorted({m.shape for m in X + Y})
+        if len(shapes) > 1:
+            raise ValueError(f"X and Y operators must share one size, got shapes {shapes}")
         super().__init__(X[0].shape[0], None, None, description)
         self.period = period
         self.x = x
@@ -528,27 +482,26 @@ class ScaledPeriodicFamily(CoefficientFamily):
     def _target(self, filled: int, stop: int) -> int:
         return _fill_ahead(filled, stop)
 
-    def _scaled_rows(self, w: ScalarWeight, mats: np.ndarray, lo: int, hi: int):
+    def _entries(self, lo: int, hi: int):
         ns = np.arange(lo, hi)
+        js = ns % self.period
         with np.errstate(over="ignore", invalid="ignore"):
-            return _finite_rows(w.array(ns)[:, None, None] * mats[ns % self.period])
+            A = self.x.array(ns)[:, None, None] * self._Xs[js]
+            B = self.y.array(ns)[:, None, None] * self._Ys[js]
+        ok = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(B).all(axis=(1, 2))
+        if ok.all():
+            return A, B, None
+        k = int(np.argmin(ok))
+        return A[:k], B[:k], ValueError("matrix has non-finite entries")
 
-    def _a_rows(self, lo: int, hi: int):
-        return self._scaled_rows(self.x, self._Xs, lo, hi)
-
-    def _b_rows(self, lo: int, hi: int):
-        return self._scaled_rows(self.y, self._Ys, lo, hi)
-
-    def _derived_rows(self, lo: int, hi: int):
-        ns = np.arange(lo, hi)
+    def _derived(self, lo: int, A: np.ndarray):
+        ns = np.arange(lo, lo + len(A))
         js = ns % self.period
         xs = self.x.array(ns)
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = self._X_inv[js] / xs[:, None, None]
-        cond = np.where(xs == 0.0, np.inf, self._X_cond[js])
-        bad = self._X_bad[js] | (xs == 0.0)
-        return (xs * self._X_norm[js], inv,
-                {lo + int(k): float(cond[k]) for k in np.flatnonzero(bad)})
+        return (xs * self._X_norm[js], inv, np.where(xs == 0.0, np.inf, self._X_cond[js]),
+                self._X_bad[js] | (xs == 0.0))
 
     def scalar_arrays(self, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         ns = np.arange(start, start + count)
@@ -557,21 +510,22 @@ class ScaledPeriodicFamily(CoefficientFamily):
 
 class TabulatedFamily(CoefficientFamily):
     """Finite tables of a_n and b_n; reading past the end raises IndexError.
-    Norms and inverses are computed on first use, never at construction."""
+    Rows, norms and inverses enter the store on first read, never at
+    construction."""
 
     def __init__(self, A: np.ndarray, B: np.ndarray, description: str = ""):
         super().__init__(A.shape[1], None, None, description)
-        A.flags.writeable = B.flags.writeable = False
-        self._A, self._B = A, B
-        self._na = self._nb = self.length = len(A)
+        self._table_A, self._table_B = A, B
+        self.length = len(A)
 
     def _target(self, filled: int, stop: int) -> int:
         return min(self.length, _fill_ahead(filled, stop))
 
-    def _a_rows(self, lo: int, hi: int):
-        return self._A[:0], IndexError(f"index {lo} is past the table of {self.length} entries")
-
-    _b_rows = _a_rows
+    def _entries(self, lo: int, hi: int):
+        err = None
+        if hi > self.length:
+            err = IndexError(f"index {self.length} is past the table of {self.length} entries")
+        return self._table_A[lo:hi], self._table_B[lo:hi], err
 
 
 def _operator_table(mats: Sequence) -> np.ndarray:
@@ -601,8 +555,9 @@ def tabulated_family(a_list: Sequence, b_list: Sequence,
                      description: str = "tabulated") -> CoefficientFamily:
     A = _operator_table(a_list)
     B = _operator_table(b_list)
-    if len(A) != len(B):
-        raise ValueError("a and b tables must have equal length")
+    if A.shape != B.shape:
+        raise ValueError(f"a and b tables must hold as many matrices of one size, "
+                         f"got shapes {A.shape} and {B.shape}")
     return TabulatedFamily(A, B, description)
 
 
@@ -619,43 +574,42 @@ class Violation:
     detail: str = ""
 
 
-def validate_family(fam: CoefficientFamily, indices: Sequence[int],
-                    herm_rtol: float = 1e-10) -> list[Violation]:
+def validate_family(fam: CoefficientFamily, indices: Sequence[int]) -> list[Violation]:
     """Check invertibility of a_n and self-adjointness of b_n on the indices.
 
-    Reads a and b only, one batch each.  Families evaluate in index order, so
-    an entry that cannot be evaluated is reported as non_finite at its index
-    and at every later one; b is checked only where a evaluated.
+    Reads the family's store: a_n is singular where the store marks it, and
+    b_n is self-adjoint up to HERMITICITY_RTOL.  Families evaluate in index
+    order, so an index whose a_n or b_n cannot be evaluated is reported as
+    non_finite there and at every later one.
     """
     idx = np.fromiter(indices, dtype=np.int64)
     if not len(idx):
         return []
     if idx.min() < 0:
         raise ValueError("index must be >= 0")
-    A, a_err, B, b_err = fam._entry_prefix(int(idx.max()) + 1)
-    has_a = idx < len(A)
-    has_b = idx < len(B)
-    cond = np.zeros(len(idx))
-    singular = np.zeros(len(idx), dtype=bool)
-    cond[has_a], singular[has_a] = condition_limit_mask(
-        np.linalg.svd(A[idx[has_a]], compute_uv=False))
-    Bs = B[idx[has_b]]
+    err = ""
+    try:
+        fam.stacks(0, int(idx.max()) + 1, inverse=False)
+    except ValueError as exc:
+        err = str(exc)
+    have = idx < fam._n
+    Bs = fam._B[idx[have]]
     defect = np.zeros(len(idx))
-    defect[has_b] = stack_norms(Bs - stack_adj(Bs))
+    defect[have] = stack_norms(Bs - stack_adj(Bs))
     scale = np.ones(len(idx))
-    scale[has_b] = np.maximum(1.0, stack_norms(Bs))
-    non_herm = has_b & (defect > herm_rtol * scale)
+    scale[have] = np.maximum(1.0, stack_norms(Bs))
+    singular = np.isin(idx, np.fromiter(fam._singular, np.int64, len(fam._singular)))
+    non_herm = have & (defect > HERMITICITY_RTOL * scale)
     out: list[Violation] = []
-    for k in np.flatnonzero(~has_b | singular | non_herm):
+    for k in np.flatnonzero(~have | singular | non_herm):
         n = int(idx[k])
-        if not has_a[k]:
-            out.append(Violation(n, "non_finite", a_err))
+        if not have[k]:
+            out.append(Violation(n, "non_finite", err))
             continue
         if singular[k]:
-            out.append(Violation(n, "singular_a", f"condition estimate {cond[k]:.3e}"))
-        if not has_b[k]:
-            out.append(Violation(n, "non_finite", b_err))
-        elif non_herm[k]:
+            out.append(Violation(n, "singular_a",
+                                 f"condition estimate {fam._singular[n]:.3e}"))
+        if non_herm[k]:
             out.append(Violation(n, "non_hermitian_b", f"defect {defect[k]:.3e}"))
     return out
 

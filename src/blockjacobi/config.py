@@ -9,6 +9,7 @@ nested arrays whose entries are reals or [re, im] pairs.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import inspect
 import json
@@ -66,9 +67,13 @@ def _is_real(v: Any) -> bool:
 
 def parse_complex(v: Any, path: str) -> complex:
     parts = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
-    if not all(_is_real(x) and math.isfinite(x) for x in parts):
+    try:  # an integer too large for a float overflows
+        z = complex(*parts) if all(_is_real(x) for x in parts) else None
+    except OverflowError:
+        z = None
+    if z is None or not cmath.isfinite(z):
         raise ParseError(path, "expected a finite real number or an [re, im] pair")
-    return complex(*parts)
+    return z
 
 
 def parse_matrix(v: Any, path: str) -> np.ndarray:
@@ -170,7 +175,8 @@ def _number(kind: type, lo: float = -math.inf, int64: bool = True):
     def parse(v: Any, path: str, dim: int = 0):
         if int64 and _is_real(v) and isinstance(v, int) and not -2 ** 63 <= v < 2 ** 63:
             raise ParseError(path, "integer out of the int64 range")
-        if not (_is_real(v) and isinstance(v, (int, kind)) and math.isfinite(v) and v >= lo):
+        if not (_is_real(v) and isinstance(v, (int, kind))
+                and (isinstance(v, int) or math.isfinite(v)) and v >= lo):
             what = "an integer" if kind is int else "a finite real number"
             raise ParseError(path, f"expected {what}" + (f" >= {lo}" if lo > -math.inf else ""))
         return v

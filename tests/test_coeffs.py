@@ -34,6 +34,7 @@ from blockjacobi.coeffs import (
     validate_family,
     vanishing_verdict,
 )
+from blockjacobi import fixtures
 from blockjacobi.opcore import DomainError, op_norm
 
 from conftest import rand_hermitian, rand_invertible
@@ -168,6 +169,33 @@ def test_validate_family_reports_violations():
 
 def test_validate_family_clean_window_is_empty():
     assert validate_family(constant_family(X, Y), range(100)) == []
+
+
+def test_validate_family_reports_overflowing_entries_as_non_finite():
+    # a_n = 2^n X leaves the floating range at n = 1023, where 2 * 2^1023 = inf
+    viols = validate_family(fixtures.indeterminate_doubling(), range(1030))
+    assert [(v.index, v.kind) for v in viols] == [(n, "non_finite") for n in range(1023, 1030)]
+    assert all("non-finite" in v.detail for v in viols)
+
+
+def test_validate_family_reports_a_failing_b_from_its_index_on():
+    calls = {"a": [], "b": []}
+
+    def a_fn(n):
+        calls["a"].append(n)
+        return (n + 1.0) * X
+
+    def b_fn(n):
+        calls["b"].append(n)
+        if n >= 7:
+            raise ValueError(f"no b at {n}")
+        return Y
+
+    viols = validate_family(custom_family(2, a_fn, b_fn), range(12))
+    assert [(v.index, v.kind, v.detail) for v in viols] == [
+        (n, "non_finite", "no b at 7") for n in range(7, 12)]
+    for seen in calls.values():
+        assert len(seen) == len(set(seen)) and max(seen) == 7
 
 
 def test_family_evaluation_is_memoized_and_immutable_by_contract():

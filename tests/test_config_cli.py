@@ -144,6 +144,44 @@ def test_integer_parameters_past_int64_are_config_errors(tmp_path, capsys):
     assert doc.seed == 10 ** 30
 
 
+def test_integers_too_large_for_a_float_are_config_errors(tmp_path, capsys):
+    # a complex slot holds floats; an integer past their range is a config
+    # error at its path, not an OverflowError
+    big = 10 ** 400
+    cfg = tmp_path / "cfg.json"
+    for doc, where in [
+            ({"family": {"kind": "constant", "a": [[big, 0], [0, 1]], "b": Y_JSON},
+              "analyses": [{"kind": "carleman"}]}, "$.family.a[0][0]"),
+            ({"family": "paper-constant", "analyses": [{"kind": "band", "z": big}]},
+             "$.analyses[0].z")]:
+        cfg.write_text(json.dumps(doc))
+        assert main(["analyze", str(cfg)]) == 2
+        assert where in capsys.readouterr().err
+    for analysis, where in [
+            ({"kind": "band", "z": [0.5, -big]}, "$.analyses[0].z"),
+            ({"kind": "indeterminacy", "z_samples": [0.5, big]}, "$.analyses[0].z_samples[1]"),
+            ({"kind": "trajectory", "z": 0.5, "alpha": [1, 0, big, 0]},
+             "$.analyses[0].alpha[2]")]:
+        with pytest.raises(ParseError, match=re.escape(where)):
+            parse_config({"family": "paper-constant", "analyses": [analysis]})
+    assert parse_config({"family": "paper-constant", "analyses": [{"kind": "carleman"}],
+                         "seed": big}).seed == big
+
+
+@pytest.mark.parametrize("family", [
+    {"kind": "constant", "a": [[1, 0], [0, 1]], "b": [[1]]},
+    {"kind": "scaled_periodic", "period": 1, "x": {"kind": "constant"},
+     "y": {"kind": "constant"}, "X": [X_JSON], "Y": [[[1]]]},
+    {"kind": "tabulated", "a": [X_JSON, X_JSON],
+     "b": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]] * 2},
+], ids=["constant", "scaled_periodic", "tabulated"])
+def test_a_and_b_of_different_sizes_are_config_errors(tmp_path, capsys, family):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": family, "analyses": [{"kind": "validate"}]}))
+    assert main(["analyze", str(cfg)]) == 2
+    assert "error: $.family: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("doc,fragment", [
     ("{ not json", "$: invalid JSON"),
     ({"family": "paper-constant"}, "missing required keys ['analyses']"),
