@@ -11,20 +11,20 @@ accessors read the same arrays.  Instances are treated as immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .opcore import (
     CONDITION_LIMIT,
-    HERMITICITY_RTOL,
     DomainError,
     SingularError,
+    adj,
     as_operator,
-    condition_limit_mask,
-    stack_adj,
-    stack_norms,
+    conditioning,
+    hermiticity,
+    op_norm,
 )
 
 # Default index horizon for whole-family diagnostics.
@@ -293,11 +293,10 @@ def _grown(arr: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
 def _norms_and_inverses(mats: np.ndarray):
     """Operator norms, inverses, condition estimates and the mask of
     matrices past CONDITION_LIMIT (whose inverse rows are left NaN)."""
-    s = np.linalg.svd(mats, compute_uv=False)
-    cond, bad = condition_limit_mask(s)
+    nrm, cond, bad = conditioning(mats)
     inv = np.full_like(mats, np.nan)
     inv[~bad] = np.linalg.inv(mats[~bad])
-    return s[:, 0], inv, cond, bad
+    return nrm, inv, cond, bad
 
 
 class CoefficientFamily:
@@ -326,6 +325,7 @@ class CoefficientFamily:
         self._AINV = np.empty((0, d, d), np.complex128)
         self._NRM = np.empty(0)
         self._n = 0  # rows filled
+        self._error: Exception | None = None  # of the index _n, which failed
         self._singular: dict[int, float] = {}  # index -> condition of a_n
 
     # -- rows for subclasses to supply --
@@ -335,12 +335,14 @@ class CoefficientFamily:
         return stop
 
     def _entries(self, lo: int, hi: int):
-        """(A, B, error): rows of a and b for indices lo .. hi-1 up to the
-        first index where either fails, and that index's error (None when
-        none does).  Each callable is evaluated once per index."""
+        """(A, B, derived, error): rows of a and b for indices lo .. hi-1 up
+        to the first index where either fails, their _norms_and_inverses,
+        and that index's error (None when none does).  Each callable is
+        evaluated once per index."""
         d = self.dim
         A = np.empty((hi - lo, d, d), np.complex128)
         B = np.empty_like(A)
+        err = None
         for k in range(hi - lo):
             try:
                 for fn, rows in ((self._a_fn, A), (self._b_fn, B)):
@@ -350,37 +352,37 @@ class CoefficientFamily:
                                          f"got shape {m.shape}")
                     rows[k] = m
             except Exception as exc:  # _fill stores the rows before it, then raises it
-                return A[:k], B[:k], exc
-        return A, B, None
-
-    def _derived(self, lo: int, A: np.ndarray):
-        """||a_n||, a_n^{-1}, condition estimates and the mask of those past
-        CONDITION_LIMIT, for the rows A of indices lo, lo+1, ..."""
-        return _norms_and_inverses(A)
+                A, B, err = A[:k], B[:k], exc
+                break
+        return A, B, _norms_and_inverses(A), err
 
     # -- filling --
 
     def _fill(self, stop: int) -> None:
         """Rows of a, b, ||a||, a^{-1} and the singular map from the filled
         ones to the target, or to the first index whose a or b fails; its
-        error is raised when that index is below stop."""
+        error is raised when that index is below stop, and by every later
+        fill without evaluating anything."""
         if stop <= 0:
             raise ValueError("index must be >= 0")
+        if self._error is not None:
+            raise self._error.with_traceback(None)  # not a traceback that grows per read
         lo = self._n
         hi = self._target(lo, stop)
         try:
-            A, B, err = self._entries(lo, max(hi, stop))
+            A, B, (nrm, inv, cond, bad), err = self._entries(lo, max(hi, stop))
         except (LookupError, ValueError, ArithmeticError):
             if hi <= stop:
                 raise
-            A, B, err = self._entries(lo, stop)  # e.g. a weight table shorter than the fill
-        nrm, inv, cond, bad = self._derived(lo, A)
+            # e.g. a weight table shorter than the fill
+            A, B, (nrm, inv, cond, bad), err = self._entries(lo, stop)
         self._A = _grown(self._A, lo, A)
         self._B = _grown(self._B, lo, B)
         self._NRM = _grown(self._NRM, lo, nrm)
         self._AINV = _grown(self._AINV, lo, inv)
         self._singular.update({lo + int(k): float(cond[k]) for k in np.flatnonzero(bad)})
         self._n = lo + len(A)
+        self._error = err
         if self._n < stop:
             raise err
 
@@ -486,22 +488,18 @@ class ScaledPeriodicFamily(CoefficientFamily):
         ns = np.arange(lo, hi)
         js = ns % self.period
         with np.errstate(over="ignore", invalid="ignore"):
-            A = self.x.array(ns)[:, None, None] * self._Xs[js]
+            xs = self.x.array(ns)
+            A = xs[:, None, None] * self._Xs[js]
             B = self.y.array(ns)[:, None, None] * self._Ys[js]
         ok = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(B).all(axis=(1, 2))
-        if ok.all():
-            return A, B, None
-        k = int(np.argmin(ok))
-        return A[:k], B[:k], ValueError("matrix has non-finite entries")
-
-    def _derived(self, lo: int, A: np.ndarray):
-        ns = np.arange(lo, lo + len(A))
-        js = ns % self.period
-        xs = self.x.array(ns)
+        k = len(ns) if ok.all() else int(np.argmin(ok))
+        xs, js = xs[:k], js[:k]
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = self._X_inv[js] / xs[:, None, None]
-        return (xs * self._X_norm[js], inv, np.where(xs == 0.0, np.inf, self._X_cond[js]),
-                self._X_bad[js] | (xs == 0.0))
+        derived = (xs * self._X_norm[js], inv, np.where(xs == 0.0, np.inf, self._X_cond[js]),
+                   self._X_bad[js] | (xs == 0.0))
+        err = None if k == len(ns) else ValueError("matrix has non-finite entries")
+        return A[:k], B[:k], derived, err
 
     def scalar_arrays(self, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         ns = np.arange(start, start + count)
@@ -525,7 +523,8 @@ class TabulatedFamily(CoefficientFamily):
         err = None
         if hi > self.length:
             err = IndexError(f"index {self.length} is past the table of {self.length} entries")
-        return self._table_A[lo:hi], self._table_B[lo:hi], err
+        A = self._table_A[lo:hi]
+        return A, self._table_B[lo:hi], _norms_and_inverses(A), err
 
 
 def _operator_table(mats: Sequence) -> np.ndarray:
@@ -593,13 +592,10 @@ def validate_family(fam: CoefficientFamily, indices: Sequence[int]) -> list[Viol
     except ValueError as exc:
         err = str(exc)
     have = idx < fam._n
-    Bs = fam._B[idx[have]]
     defect = np.zeros(len(idx))
-    defect[have] = stack_norms(Bs - stack_adj(Bs))
-    scale = np.ones(len(idx))
-    scale[have] = np.maximum(1.0, stack_norms(Bs))
+    non_herm = np.zeros(len(idx), dtype=bool)
+    defect[have], _, non_herm[have] = hermiticity(fam._B[idx[have]])
     singular = np.isin(idx, np.fromiter(fam._singular, np.int64, len(fam._singular)))
-    non_herm = have & (defect > HERMITICITY_RTOL * scale)
     out: list[Violation] = []
     for k in np.flatnonzero(~have | singular | non_herm):
         n = int(idx[k])
@@ -646,7 +642,7 @@ def total_variation(seq, N: int, window: tuple[int, int]) -> VariationReport:
     if vals.ndim != 3 or vals.shape[1] != vals.shape[2] or len(vals) != end + N - start:
         raise ValueError(f"expected {end + N - start} square matrices for the window, "
                          f"got shape {vals.shape}")
-    incs = stack_norms(vals[N:] - vals[:-N])
+    incs = op_norm(vals[N:] - vals[:-N])
     total = float(incs.sum())
     cut = max(1, len(incs) // 10)
     last = float(incs[-cut:].sum())
@@ -683,7 +679,7 @@ def sequence_stack(fam: CoefficientFamily, name: str, start: int, count: int) ->
     if name == "a_inv_b":
         return AINV @ B
     if name == "a_inv_a_prev":
-        return AINV @ stack_adj(fam.stacks(start - 1, count, inverse=False)[0])
+        return AINV @ adj(fam.stacks(start - 1, count, inverse=False)[0])
     raise ValueError(f"unknown sequence {name!r}; known: a, b, a_inv, a_inv_b, a_inv_a_prev")
 
 
@@ -708,16 +704,7 @@ class SumEvidence:
     tail_estimate: float | None = None  # geometric extrapolation of remainder
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "partial_sum": self.partial_sum,
-            "count": self.count,
-            "slope": self.slope,
-            "log_exponent": self.log_exponent,
-            "log_exponent_shifted": self.log_exponent_shifted,
-            "window_ratio": self.window_ratio,
-            "tail_estimate": self.tail_estimate,
-        }
+        return asdict(self)
 
 
 def _fit_slope(xs: np.ndarray, ys: np.ndarray) -> float | None:
@@ -916,8 +903,8 @@ def stack_limit(take: Callable[[np.ndarray], np.ndarray], indices: Sequence[int]
     vals = np.asarray(take(idx[-cut:]), dtype=np.complex128)
     # drift across the whole last decade, not between neighbours: slow
     # monotone tails have tiny consecutive steps but large remaining drift
-    raw_res = float(stack_norms(vals - vals[-1]).max())
-    scale = max(1.0, float(np.linalg.norm(vals[-1], 2)))
+    raw_res = float(op_norm(vals - vals[-1]).max())
+    scale = max(1.0, op_norm(vals[-1]))
     if raw_res < tol * scale:
         return SequenceLimit(vals[-1], raw_res, True, "cauchy")
 
@@ -926,24 +913,24 @@ def stack_limit(take: Callable[[np.ndarray], np.ndarray], indices: Sequence[int]
     if len(picks) == 6 and picks[0] >= 1:
         s = list(np.asarray(take(idx[picks]), dtype=np.complex128))
         a = [_aitken(s[i], s[i + 1], s[i + 2]) for i in range(4)]
-        ext_scale = max(1.0, float(np.linalg.norm(a[3], 2)))
-        first_res = float(np.linalg.norm(a[3] - a[2], 2))
+        ext_scale = max(1.0, op_norm(a[3]))
+        first_res = op_norm(a[3] - a[2])
         if first_res < tol * ext_scale:
             return SequenceLimit(a[3], first_res, True, "extrapolated")
         # iterate once more on the extrapolants themselves and accept when
         # the two staggered second-stage values agree
         b1 = _aitken(a[0], a[1], a[2])
         b2 = _aitken(a[1], a[2], a[3])
-        second_res = float(np.linalg.norm(b2 - b1, 2))
-        if second_res < tol * max(1.0, float(np.linalg.norm(b2, 2))):
+        second_res = op_norm(b2 - b1)
+        if second_res < tol * max(1.0, op_norm(b2)):
             return SequenceLimit(b2, second_res, True, "extrapolated")
         # Richardson in 1/n with the exact sample indices; staggered
         # agreement (with and without the farthest node) gates acceptance
         ts = [1.0 / idx[j] for j in picks]
         v_full = _neville_at_zero(ts, s)
         v_part = _neville_at_zero(ts[1:], s[1:])
-        rich_res = float(np.linalg.norm(v_full - v_part, 2))
-        if rich_res < tol * max(1.0, float(np.linalg.norm(v_full, 2))):
+        rich_res = op_norm(v_full - v_part)
+        if rich_res < tol * max(1.0, op_norm(v_full)):
             return SequenceLimit(v_full, rich_res, True, "extrapolated")
     return SequenceLimit(vals[-1], raw_res, False, "none")
 

@@ -33,7 +33,6 @@ from .coeffs import (
     vanishing_verdict,
 )
 from .opcore import (
-    CONDITION_LIMIT,
     Definiteness,
     DomainError,
     NotConvergentError,
@@ -41,13 +40,10 @@ from .opcore import (
     as_operator,
     block2x2,
     classify_definiteness,
-    condition_estimate,
+    conditioning,
     op_norm,
     quad_form,
-    stack_adj,
     stack_neg_part_norms,
-    stack_norms,
-    stack_sym,
     sym,
 )
 from .recurrence import Trajectory, propagate
@@ -116,7 +112,7 @@ class LogWeights(AlphaStrategy):
         if lo < stop:
             ns = np.arange(lo, stop)
             scale = ns * iter_log_arrays(self.depth, ns)[1]
-            out[lo - start:] = scale[:, None, None] * stack_adj(fam.stacks(lo, stop - lo)[1])
+            out[lo - start:] = scale[:, None, None] * adj(fam.stacks(lo, stop - lo)[1])
         return out
 
 
@@ -212,14 +208,14 @@ def _normalized_forms(fam: CoefficientFamily, strategy: AlphaStrategy, lam: floa
     AINV = fam.stacks(lo, count - 1)[1]
     AL = strategy.stack(fam, lo, count)
     k = ns - lo
-    AH = stack_adj(A[k])
+    AH = adj(A[k])
     g = AINV[k - 1] @ AL[k - 1] @ A[k]
     d = fam.dim
     m = np.zeros((len(k), 2 * d, 2 * d), dtype=np.complex128)
     m[:, :d, :d] = AL[k] @ AH
     m[:, :d, d:] = -(lam * np.eye(d) - B[k]) @ g
     m[:, d:, d:] = AH @ g
-    return stack_sym(m) / stack_norms(m[:, :d, :d])[:, None, None]
+    return sym(m) / op_norm(m[:, :d, :d])[:, None, None]
 
 
 def c_limit(fam: CoefficientFamily, strategy: AlphaStrategy, lam: float,
@@ -233,7 +229,7 @@ def c_limit(fam: CoefficientFamily, strategy: AlphaStrategy, lam: float,
     def window_residual(lo: int, hi: int, step: int) -> tuple[np.ndarray, float]:
         forms = _normalized_forms(fam, strategy, lam, np.arange(lo, hi, step))
         mean = forms.sum(axis=0) / len(forms)
-        return mean, float(stack_norms(forms - mean).max())
+        return mean, float(op_norm(forms - mean).max())
 
     step = max(1, horizon // 400)
     mid, mid_res = window_residual(max(1, int(0.45 * horizon)), int(0.55 * horizon), step)
@@ -288,13 +284,13 @@ def weight_conditions(fam: CoefficientFamily, strategy: AlphaStrategy,
     A, _, B, _ = fam.stacks(0, horizon + 1, inverse=False)
     AINV = fam.stacks(0, horizon - 1)[1]
     AL = strategy.stack(fam, 0, horizon + 1)
-    AH = stack_adj(A)
-    scales = stack_norms(AL @ AH)
+    AH = adj(A)
+    scales = op_norm(AL @ AH)
     g = AINV @ AL[:-2] @ A[1:-1]
     s = scales[1:-1]
     t_neg = stack_neg_part_norms(AL[2:] @ AH[2:] - AH[1:-1] @ g) / s
-    t_drift = stack_norms(g - AL[1:-1]) / s
-    t_comm = stack_norms(AL[1:-1] @ B[2:] - B[1:-1] @ g) / s
+    t_drift = op_norm(g - AL[1:-1]) / s
+    t_comm = op_norm(AL[1:-1] @ B[2:] - B[1:-1] @ g) / s
     t_inv = 1.0 / scales[:horizon]
     return ConditionReport(
         strategy=strategy.name,
@@ -345,23 +341,23 @@ def check_growth_criterion(fam: CoefficientFamily,
     invertible direction."""
     A, _, B, NRM = fam.stacks(0, horizon + 1, inverse=False)
     AINV = fam.stacks(0, horizon)[1]
-    inv_norms = stack_norms(AINV)
-    invb_norms = stack_norms(AINV @ B[:-1])
+    inv_norms = op_norm(AINV)
+    invb_norms = op_norm(AINV @ B[:-1])
     ok_inv, ev_inv = vanishing_verdict(inv_norms)
     ok_invb, ev_invb = vanishing_verdict(invb_norms)
 
     # terms for n = 1 .. horizon-1
-    AH = stack_adj(A)
+    AH = adj(A)
     sq = NRM[:-1] ** 2
     t_neg = stack_neg_part_norms(A[2:] @ AH[2:] - AH[1:-1] @ A[1:-1]) / sq[1:]
-    t_comm = stack_norms(A[1:-1] @ B[2:] - B[1:-1] @ A[1:-1]) / sq[1:]
+    t_comm = op_norm(A[1:-1] @ B[2:] - B[1:-1] @ A[1:-1]) / sq[1:]
     ev_neg = series_verdict(t_neg, first_index=1)
     ev_comm = series_verdict(t_comm, first_index=1)
     ev_sq = series_verdict(1.0 / sq, first_index=0)
 
     lim = stack_limit(lambda ns: A[ns] / NRM[ns, None, None], range(horizon))
-    cond = condition_estimate(lim.value) if lim.converged else float("inf")
-    ok_dir = lim.converged and np.isfinite(cond) and cond <= CONDITION_LIMIT
+    cond, past = conditioning(lim.value)[1:] if lim.converged else (float("inf"), True)
+    ok_dir = lim.converged and not past
 
     items = [
         CheckItem("inverse_vanishes", ok_inv, ev_inv),
@@ -391,13 +387,13 @@ def check_log_weight_criterion(fam: CoefficientFamily, depth: int,
         raise DomainError(f"n_start {n_start} too small for {depth} nested logs")
     A, _, B, _ = fam.stacks(0, horizon + 1, inverse=False)
     AINV = fam.stacks(0, horizon)[1]
-    inv_norms = stack_norms(AINV)
+    inv_norms = op_norm(AINV)
     ok_inv, ev_inv = vanishing_verdict(inv_norms)
 
     # |W| has the singular values of W as its spectrum, so the envelope
     # compares the extreme singular values of W = (a_{n-1}^*)^{-1} a_n
     ns = np.arange(n_start + 1, horizon)
-    sv = np.linalg.svd(stack_adj(AINV[n_start:horizon - 1]) @ A[n_start + 1:horizon],
+    sv = np.linalg.svd(adj(AINV[n_start:horizon - 1]) @ A[n_start + 1:horizon],
                        compute_uv=False)
     env_sum = np.zeros(len(ns))
     for j in range(1, depth + 1):
@@ -406,9 +402,9 @@ def check_log_weight_criterion(fam: CoefficientFamily, depth: int,
     slack = np.maximum(np.maximum(0.0, 1.0 - sv[:, -1]), sv[:, 0] - env)
     ev_slack = series_verdict(slack, first_index=n_start + 1)
 
-    b_norms = stack_norms(B[:-1])
+    b_norms = op_norm(B[:-1])
     ok_b, ev_b = bounded_verdict(b_norms)
-    t_tw = stack_norms(AINV @ B[:-1] - B[1:] @ AINV)
+    t_tw = op_norm(AINV @ B[:-1] - B[1:] @ AINV)
     ev_tw = series_verdict(t_tw, first_index=0)
 
     ev_wsum = series_verdict(inv_norms[1:] / np.arange(1, horizon), first_index=1)

@@ -1,10 +1,11 @@
 """Finite dimensional operator calculus on H = C^d and on H (+) H.
 
-Operators are plain complex numpy arrays of shape (d, d).  Block operators
-acting on H (+) H are (2d, 2d) arrays assembled from four d x d blocks; the
-helpers at the bottom of this module do the assembly and splitting.  All
-decompositions go through numpy.linalg (eigh for Hermitian spectral calculus,
-svd for polar data and conditioning).
+Every helper acts on the last two axes, so one (d, d) matrix and a stack
+(..., d, d) take the same code; a float for one matrix is an array for a
+stack.  One matrix is checked by as_operator.  A stack is taken as computed
+(an overflowed product keeps a non-finite norm), except by require_hermitian,
+its readers and conditioning, which refuse non-finite entries.  Block
+operators on H (+) H are (2d, 2d) (block2x2); decompositions use numpy.linalg.
 """
 
 from __future__ import annotations
@@ -51,141 +52,147 @@ class Definiteness(Enum):
     DEGENERATE = "degenerate"
 
 
-def as_operator(x) -> np.ndarray:
-    """Coerce to a square complex128 matrix, rejecting non-finite entries."""
+def _as_operators(x) -> np.ndarray:
+    """Coerce to complex128 square matrices on the last two axes (one matrix
+    or a stack), rejecting non-finite entries."""
     a = np.asarray(x, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     return a
 
 
-def adj(x: np.ndarray) -> np.ndarray:
+def as_operator(x) -> np.ndarray:
+    """Coerce to a square complex128 matrix, rejecting non-finite entries."""
+    a = np.asarray(x, dtype=np.complex128)
+    if a.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return _as_operators(a)
+
+
+def _operand(x) -> np.ndarray:
+    """A stack as it is; anything else through as_operator."""
+    a = np.asarray(x)
+    return a if a.ndim > 2 else as_operator(a)
+
+
+def _per_matrix(v: np.ndarray):
+    """A Python float for one matrix's value, the array for a stack's."""
+    return float(v) if v.ndim == 0 else v
+
+
+def _largest_singular(a: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
+
+
+def adj(x) -> np.ndarray:
     """Adjoint (conjugate transpose)."""
-    return x.conj().T
+    return np.swapaxes(np.conj(x), -1, -2)
 
 
 def sym(x) -> np.ndarray:
     """Self-adjoint part (X + X^*) / 2."""
-    a = as_operator(x)
-    return (a + a.conj().T) / 2.0
+    a = _operand(x)
+    return (a + adj(a)) / 2.0
 
 
-def herm_defect(x: np.ndarray) -> float:
-    """Operator-norm distance from x to its adjoint."""
-    return float(np.linalg.norm(x - x.conj().T, 2))
-
-
-def require_hermitian(x, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    a = as_operator(x)
-    defect = herm_defect(a)
-    scale = max(1.0, float(np.linalg.norm(a, 2)))
-    if defect > rtol * scale:
-        raise NotHermitianError(
-            f"matrix deviates from self-adjointness by {defect:.3e} "
-            f"(allowed {rtol * scale:.3e})"
-        )
-    return (a + a.conj().T) / 2.0
-
-
-def op_norm(x) -> float:
+def op_norm(x):
     """Operator norm (largest singular value)."""
-    return float(np.linalg.norm(as_operator(x), 2))
+    return _per_matrix(_largest_singular(_operand(x)))
 
 
-def neg_part(x, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def herm_defect(x):
+    """Operator-norm distance from x to its adjoint."""
+    return _per_matrix(_largest_singular(x - adj(x)))
+
+
+def hermiticity(x):
+    """(defect, allowance, offends): herm_defect, the HERMITICITY_RTOL
+    * max(1, ||x||) it may reach, and whether it goes past that."""
+    defect = herm_defect(x)
+    allowance = HERMITICITY_RTOL * np.maximum(1.0, op_norm(x))
+    return defect, allowance, defect > allowance
+
+
+def require_hermitian(x) -> np.ndarray:
+    """sym(x) for self-adjoint x; NotHermitianError names the defect of the
+    first matrix that fails hermiticity."""
+    a = _as_operators(x)
+    defect, allowance, offends = hermiticity(a)
+    if np.any(offends):
+        k = np.argmax(offends)
+        raise NotHermitianError("matrix deviates from self-adjointness by %.3e (allowed %.3e)"
+                                % (np.ravel(defect)[k], np.ravel(allowance)[k]))
+    return sym(a)
+
+
+def neg_part(x) -> np.ndarray:
     """Negative part X^- of a self-adjoint X, so that X = X^+ - X^- with
     X^+, X^- >= 0 commuting.  Spectral mapping t -> max(0, -t)."""
-    h = require_hermitian(x, rtol)
-    w, v = np.linalg.eigh(h)
-    return (v * np.maximum(0.0, -w)) @ v.conj().T
+    w, v = np.linalg.eigh(require_hermitian(x))
+    return (v * np.maximum(0.0, -w)[..., None, :]) @ adj(v)
+
+
+def stack_neg_part_norms(x: np.ndarray) -> np.ndarray:
+    """||sym(X)^-|| for every X in a stack: the negative part's norm is
+    max(0, -smallest eigenvalue of sym(X))."""
+    return np.maximum(0.0, -np.linalg.eigvalsh(sym(x))[..., 0])
 
 
 def abs_val(x) -> np.ndarray:
     """Operator absolute value |X| = (X^* X)^(1/2), via singular values."""
-    a = as_operator(x)
-    _, s, vh = np.linalg.svd(a)
-    return (vh.conj().T * s) @ vh
+    _, s, vh = np.linalg.svd(_operand(x))
+    return (adj(vh) * s[..., None, :]) @ vh
 
 
-def hermitian_extremes(x, rtol: float = HERMITICITY_RTOL) -> tuple[float, float]:
+def hermitian_extremes(x):
     """(smallest, largest) eigenvalue of a self-adjoint matrix."""
-    h = require_hermitian(x, rtol)
-    w = np.linalg.eigvalsh(h)
-    return float(w[0]), float(w[-1])
+    w = np.linalg.eigvalsh(require_hermitian(x))
+    return _per_matrix(w[..., 0]), _per_matrix(w[..., -1])
 
 
-def classify_definiteness(x, eps: float = DEFINITENESS_EPS) -> Definiteness:
-    """Classify a self-adjoint matrix by its spectrum against the margin eps.
+def classify_definiteness(x, eps: float = DEFINITENESS_EPS):
+    """Classify a self-adjoint matrix by its spectrum against the margin eps;
+    a stack gives the list of its matrices' classes.
 
     Strictly positive: all eigenvalues > eps.  Strictly negative: all < -eps.
     Degenerate: some eigenvalue within eps of zero.  Indefinite otherwise.
     """
     w = np.linalg.eigvalsh(require_hermitian(x))
-    if w[0] > eps:
-        return Definiteness.STRICTLY_POSITIVE
-    if w[-1] < -eps:
-        return Definiteness.STRICTLY_NEGATIVE
-    if np.any(np.abs(w) <= eps):
-        return Definiteness.DEGENERATE
-    return Definiteness.INDEFINITE
+    degenerate = np.any(np.abs(w) <= eps, axis=-1)
+    return np.where(w[..., 0] > eps, Definiteness.STRICTLY_POSITIVE,
+                    np.where(w[..., -1] < -eps, Definiteness.STRICTLY_NEGATIVE,
+                             np.where(degenerate, Definiteness.DEGENERATE,
+                                      Definiteness.INDEFINITE))).tolist()
 
 
-def condition_estimate(x) -> float:
-    """2-norm condition number from singular values (inf if rank deficient)."""
-    s = np.linalg.svd(as_operator(x), compute_uv=False)
-    if s[-1] == 0.0:
-        return float("inf")
-    return float(s[0] / s[-1])
-
-
-def condition_limit_mask(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Condition estimates from rows of descending singular values, and the
-    mask of rows past CONDITION_LIMIT (rank deficient rows count as inf)."""
+def conditioning(x):
+    """(norm, condition estimate, past CONDITION_LIMIT) from one SVD; a rank
+    deficient matrix has condition inf."""
+    s = np.linalg.svd(_as_operators(x), compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(s[..., -1] == 0.0, np.inf, s[..., 0] / s[..., -1])
-    return cond, ~(cond <= CONDITION_LIMIT)
+    return _per_matrix(s[..., 0]), _per_matrix(cond), ~(cond <= CONDITION_LIMIT)
+
+
+def condition_estimate(x):
+    """2-norm condition number from singular values (inf if rank deficient)."""
+    return conditioning(x)[1]
 
 
 def invert(x) -> np.ndarray:
     """Inverse of a well-conditioned matrix.
 
     Raises SingularError when the condition estimate exceeds CONDITION_LIMIT;
-    the estimate is reported in the message.
+    the estimate (of the first such matrix of a stack) is in the message.
     """
-    a = as_operator(x)
-    cond = condition_estimate(a)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularError(f"condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.1e}")
+    a = _as_operators(x)
+    _, cond, past = conditioning(a)
+    if np.any(past):
+        raise SingularError(f"condition estimate {np.ravel(cond)[np.argmax(past)]:.3e} "
+                            f"exceeds {CONDITION_LIMIT:.1e}")
     return np.linalg.inv(a)
-
-
-# ---- stacks of operators ----
-#
-# Batched counterparts of the helpers above for arrays of shape (k, d, d):
-# one numpy.linalg call per stack instead of one per matrix.
-
-
-def stack_adj(x: np.ndarray) -> np.ndarray:
-    """Adjoint of every matrix in a stack."""
-    return np.swapaxes(np.conj(x), -1, -2)
-
-
-def stack_sym(x: np.ndarray) -> np.ndarray:
-    """Self-adjoint part of every matrix in a stack."""
-    return (x + stack_adj(x)) / 2.0
-
-
-def stack_norms(x: np.ndarray) -> np.ndarray:
-    """Operator norm of every matrix in a stack."""
-    return np.linalg.svd(x, compute_uv=False)[..., 0]
-
-
-def stack_neg_part_norms(x: np.ndarray) -> np.ndarray:
-    """||sym(X)^-|| for every X in a stack: the negative part's norm is
-    max(0, -smallest eigenvalue of sym(X))."""
-    return np.maximum(0.0, -np.linalg.eigvalsh(stack_sym(x))[..., 0])
 
 
 # ---- block operators on H (+) H ----

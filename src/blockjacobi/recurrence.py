@@ -100,7 +100,7 @@ def transfer_stack(fam: CoefficientFamily, z: complex, start: int, count: int) -
     d = fam.dim
     A, _, B, _ = fam.stacks(start - 1, count + 1, inverse=False)
     AINV = fam.stacks(start, count)[1]
-    AH = A.conj().transpose(0, 2, 1)
+    AH = adj(A)
     out = np.zeros((count, 2 * d, 2 * d), dtype=np.complex128)
     eye = np.eye(d)
     out[:, :d, d:] = eye
@@ -207,7 +207,7 @@ def _propagate(fam: CoefficientFamily, z: complex, alphas: Sequence[np.ndarray],
     k = al.shape[0]
     A, _, B, NRM = fam.stacks(0, horizon, inverse=False)
     AINV = fam.stacks(1, horizon - 1)[1]  # AINV[n - 1] = a_n^{-1}
-    AH = A.conj().transpose(0, 2, 1)
+    AH = adj(A)
     # column-major storage, so each trajectory is a view of its own rows;
     # the arithmetic reads it through ut[n] = (u_n of every column)
     u = np.zeros((k, horizon + 1, d), dtype=np.complex128)
@@ -362,11 +362,11 @@ def basis_trajectories(fam: CoefficientFamily, z: complex, horizon: int) -> list
     return propagate_block(fam, z, np.eye(2 * fam.dim, dtype=np.complex128), horizon)
 
 
-def solution_space_dimension(fam: CoefficientFamily, z: complex, horizon: int,
-                             rank_tol: float = 1e-8) -> int:
+def solution_space_dimension(fam: CoefficientFamily, z: complex, horizon: int) -> int:
     """Numerical dimension of the span of trajectories seeded through
-    formal_eigenvector_start from a basis of H (singular value rank of the
-    stacked, normalized trajectories, propagated as one batch)."""
+    formal_eigenvector_start from a basis of H: how many singular values of
+    the stacked, normalized trajectories (propagated as one batch) exceed
+    1e-8 times the largest."""
     d = fam.dim
     starts = [formal_eigenvector_start(fam, z, u0) for u0 in np.eye(d, dtype=np.complex128)]
     cols = []
@@ -376,4 +376,4 @@ def solution_space_dimension(fam: CoefficientFamily, z: complex, horizon: int,
         cols.append(v / nrm if nrm > 0 else v)
     m = np.stack(cols, axis=1)
     svals = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(svals > rank_tol * svals[0]))
+    return int(np.sum(svals > 1e-8 * svals[0]))

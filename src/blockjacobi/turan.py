@@ -36,12 +36,11 @@ from .opcore import (
     adj,
     as_operator,
     classify_definiteness,
+    herm_defect,
     invert,
     op_norm,
     quad_form,
     require_hermitian,
-    stack_adj,
-    stack_norms,
     sym,
 )
 from .recurrence import (
@@ -77,7 +76,7 @@ def _weight_block(a: np.ndarray) -> np.ndarray:
     d = a.shape[-1]
     out = np.zeros(a.shape[:-2] + (2 * d, 2 * d), dtype=np.complex128)
     out[..., :d, d:] = -a
-    out[..., d:, :d] = stack_adj(a)
+    out[..., d:, :d] = adj(a)
     return out
 
 
@@ -194,7 +193,7 @@ def _limit_data(N: int, T: list, Q: list, R: list, C: list, singular_ok: bool = 
     r = []
     for j in range(N):
         try:
-            r.append(float(op_norm(invert(C[j]) @ adj(C[j - 1]) @ invert(R[j]))))
+            r.append(op_norm(invert(C[j]) @ adj(C[j - 1]) @ invert(R[j])))
         except SingularError:
             if not singular_ok:
                 raise
@@ -239,7 +238,7 @@ def extract_periodic_limits(fam: CoefficientFamily, N: int,
     takes: dict[str, Callable[[np.ndarray], np.ndarray]] = {
         "T": fam.a_inv_rows,
         "Q": lambda ns: fam.a_inv_rows(ns) @ B[ns],
-        "R": lambda ns: fam.a_inv_rows(ns) @ stack_adj(A[ns - 1]),
+        "R": lambda ns: fam.a_inv_rows(ns) @ adj(A[ns - 1]),
         "C": lambda ns: A[ns] / NRM[ns, None, None],
     }
     data: dict[str, list[np.ndarray]] = {k: [] for k in takes}
@@ -282,9 +281,9 @@ def limit_form(lim: PeriodicLimitData, lam: float, start: int = 0) -> np.ndarray
     return sym(_weight_block(lim.C[(start + lim.N - 1) % lim.N]) @ prod)
 
 
-def principal_minors(m, rtol: float = 1e-10) -> list[float]:
+def principal_minors(m) -> list[float]:
     """Leading principal minors of a Hermitian matrix, as reals."""
-    h = require_hermitian(m, rtol)
+    h = require_hermitian(m)
     return [float(np.linalg.det(h[:k, :k]).real) for k in range(1, h.shape[0] + 1)]
 
 
@@ -330,14 +329,14 @@ def definiteness_scan(fn: Callable[[float], np.ndarray], lo: float, hi: float,
                       grid: int = 201, eps: float = 1e-9) -> LambdaSet:
     """Scan a Hermitian-matrix-valued function for strict definiteness.
 
-    Classifies on a uniform grid, merges runs of equal strict sign, and
-    bisects each run boundary between differing classifications down to
-    ENDPOINT_TOL.
+    Classifies the grid's values as one stack, merges runs of equal strict
+    sign, and bisects each run boundary between differing classifications
+    down to ENDPOINT_TOL.
     """
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
     xs = np.linspace(lo, hi, grid)
-    cls = [classify_definiteness(fn(float(x)), eps) for x in xs]
+    cls = classify_definiteness(np.stack([fn(float(x)) for x in xs]), eps)
     strict = (Definiteness.STRICTLY_POSITIVE, Definiteness.STRICTLY_NEGATIVE)
     intervals: list[SignInterval] = []
     i = 0
@@ -455,7 +454,7 @@ def _variation_tails(fam: CoefficientFamily, N: int, z: complex, m: int,
     tail = variation("a_inv_a_prev") + abs(z) * variation("a_inv") + variation("a_inv_b")
     imag = abs(z - np.conj(z))
     if imag > 0:
-        tail += imag * float(stack_norms(fam.stacks(m, horizon - m)[1]).sum())
+        tail += imag * float(op_norm(fam.stacks(m, horizon - m)[1]).sum())
     return float(tail)
 
 
@@ -529,10 +528,7 @@ class IndeterminacyReport:
                 "verdict": self.carleman.verdict,
             },
             "lambda_set": self.lambda_set.to_dict() if self.lambda_set else None,
-            "per_z": [
-                {**d, "z": [d["z"].real, d["z"].imag]} for d in
-                [dict(entry) for entry in self.per_z]
-            ],
+            "per_z": [{**d, "z": [d["z"].real, d["z"].imag]} for d in self.per_z],
         }
 
 
@@ -608,7 +604,7 @@ def exact_asymptotics(fam: CoefficientFamily, lim: PeriodicLimitData, z: float,
     for j in range(lim.N):
         if op_norm(lim.D[j] - D) > REDUCTION_TOL:
             raise HypothesisViolatedError(f"D[{j}] is not constant across the period")
-        if op_norm(lim.C[j] - adj(lim.C[j])) > REDUCTION_TOL:
+        if herm_defect(lim.C[j]) > REDUCTION_TOL:
             raise HypothesisViolatedError(f"C[{j}] is not self-adjoint")
     trajs = propagate_block(fam, z, alphas, horizon)
     traces = _traces_from(fam, lim.N, z, trajs, horizon)

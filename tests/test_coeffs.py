@@ -198,6 +198,42 @@ def test_validate_family_reports_a_failing_b_from_its_index_on():
         assert len(seen) == len(set(seen)) and max(seen) == 7
 
 
+def test_a_failing_index_is_evaluated_once():
+    calls = []
+
+    def b_fn(n):
+        calls.append(n)
+        if n >= 3:
+            raise ValueError(f"no b at {n}")
+        return Y
+
+    fam = custom_family(2, lambda n: np.eye(2), b_fn)
+    for _ in range(2):
+        assert [v.index for v in validate_family(fam, range(5))] == [3, 4]
+    with pytest.raises(ValueError, match="no b at 3"):
+        fam.a(4)
+    assert calls.count(3) == 1
+
+
+def test_a_scaled_periodic_fill_evaluates_its_weight_once(monkeypatch):
+    calls = []
+    array = PowerWeight.array
+
+    def counted(self, ns):
+        calls.append(len(ns))
+        return array(self, ns)
+
+    monkeypatch.setattr(PowerWeight, "array", counted)
+    fam = fixtures.sqrt_growth()
+    A, AINV, _, NRM = fam.stacks(0, 1000)
+    assert len(calls) == 1
+    xs = array(fam.x, np.arange(1000))
+    X0 = fam.X[0]
+    np.testing.assert_array_equal(A, xs[:, None, None] * X0)
+    np.testing.assert_array_equal(NRM, xs * op_norm(X0))
+    np.testing.assert_array_equal(AINV, np.linalg.inv(X0) / xs[:, None, None])
+
+
 def test_family_evaluation_is_memoized_and_immutable_by_contract():
     calls = []
 

@@ -176,3 +176,31 @@ def test_quad_form_matches_symmetrized_inner_product():
         q = quad_form(m, v)
         assert isinstance(q, float)
         assert q == pytest.approx(float(np.vdot(v, sym(m) @ v).real), abs=1e-12)
+
+
+def test_one_matrix_and_a_stack_agree():
+    rng = np.random.default_rng(9)
+    mats = [rand_operator(rng, 3) for _ in range(4)] + [rand_hermitian(rng, 3) for _ in range(4)]
+    mats += [np.outer([1.0, 2.0, 0.5], [1.0, -1.0, 3.0]), np.zeros((3, 3))]  # singular
+    stack = np.stack(mats)
+    for f in (adj, sym, op_norm, herm_defect, condition_estimate):
+        one = [f(m) for m in stack]
+        np.testing.assert_array_equal(f(stack), np.array(one))
+    for f in (op_norm, herm_defect, condition_estimate):
+        assert all(type(f(m)) is float for m in stack)
+
+    forms = np.stack([np.diag([1.0, 2.0]), np.diag([-1.0, -2.0]), np.diag([1.0, -1.0]),
+                      np.diag([1.0, 1e-12])] + [rand_hermitian(rng, 2) for _ in range(8)])
+    one = [classify_definiteness(f) for f in forms]
+    assert classify_definiteness(forms) == one
+    assert set(one[:4]) == set(Definiteness)
+    assert all(isinstance(c, Definiteness) for c in one)
+
+    bad = np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]], [[0.0, 5.0], [0.0, 0.0]]])
+    with pytest.raises(NotHermitianError) as from_stack:
+        require_hermitian(bad)
+    with pytest.raises(NotHermitianError) as from_one:
+        require_hermitian(bad[1])
+    assert str(from_stack.value) == str(from_one.value)
+    with pytest.raises(ValueError, match="non-finite"):
+        classify_definiteness(np.stack([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]]))
