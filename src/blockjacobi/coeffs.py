@@ -65,6 +65,12 @@ def iter_log(depth: int, x: float) -> float:
     return v
 
 
+def require_nested_logs(depth: int, x: int, name: str) -> None:
+    """Raise DomainError unless all depth nested logs of x are positive."""
+    if iter_log(depth, float(x)) <= 0.0:
+        raise DomainError(f"{name} {x} too small for {depth} nested logs")
+
+
 def g_product(depth: int, x: float) -> float:
     """Product log(x) * loglog(x) * ... down to depth nested logs; g_0 = 1."""
     out = 1.0
@@ -165,10 +171,7 @@ class LogProductWeight(ScalarWeight):
     kind = "log_product"
 
     def __post_init__(self):
-        if iter_log(self.depth, float(self.offset)) <= 0.0:
-            raise DomainError(
-                f"offset {self.offset} too small for {self.depth} nested logs"
-            )
+        require_nested_logs(self.depth, self.offset, "offset")
 
     def __call__(self, n: int) -> float:
         return (n + self.offset) * g_product(self.depth, float(n + self.offset))
@@ -187,10 +190,7 @@ class RecipIterLogWeight(ScalarWeight):
     kind = "recip_iter_log"
 
     def __post_init__(self):
-        if iter_log(self.depth, float(self.offset)) <= 0.0:
-            raise DomainError(
-                f"offset {self.offset} too small for {self.depth} nested logs"
-            )
+        require_nested_logs(self.depth, self.offset, "offset")
 
     def __call__(self, n: int) -> float:
         return 1.0 / iter_log(self.depth, float(n + self.offset))
@@ -644,26 +644,11 @@ def total_variation(seq, N: int, window: tuple[int, int]) -> VariationReport:
                          f"got shape {vals.shape}")
     incs = op_norm(vals[N:] - vals[:-N])
     total = float(incs.sum())
-    cut = max(1, len(incs) // 10)
-    last = float(incs[-cut:].sum())
-    converged = (total == 0.0) or (last < VARIATION_CONVERGED_FRACTION * total)
-    tail = _geometric_tail(incs)
+    prev, last = tail_window(incs)
+    b = float(last.sum())
+    converged = (total == 0.0) or (b < VARIATION_CONVERGED_FRACTION * total)
+    tail = geometric_remainder(float(prev.sum()), b)
     return VariationReport(N, (start, end), total, tail, converged)
-
-
-def _geometric_tail(incs: np.ndarray) -> float:
-    """Extrapolated remainder after the window, from the last two tenths."""
-    cut = max(1, len(incs) // 10)
-    if len(incs) < 2 * cut:
-        return float("inf") if incs[-cut:].sum() > 0 else 0.0
-    a = float(incs[-2 * cut:-cut].sum())
-    b = float(incs[-cut:].sum())
-    if b == 0.0:
-        return 0.0
-    if a <= b:
-        return float("inf")
-    q = b / a
-    return b * q / (1.0 - q)
 
 
 def sequence_stack(fam: CoefficientFamily, name: str, start: int, count: int) -> np.ndarray:
@@ -688,6 +673,25 @@ def sequence_stack(fam: CoefficientFamily, name: str, start: int, count: int) ->
 DIVERGES = "diverges"
 CONVERGES = "converges"
 UNDECIDED = "undecided"
+
+
+def tail_window(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The next-to-last and the last tenth of a sequence, each tenth at least
+    one entry; the next-to-last is empty for a sequence of one entry."""
+    cut = max(1, len(values) // 10)
+    return values[-2 * cut:-cut], values[-cut:]
+
+
+def geometric_remainder(a: float, b: float) -> float:
+    """Remainder past a series extrapolated geometrically from the sums a and
+    b of the two tenths of its tail_window: b q / (1 - q) with q = b / a; 0
+    when b is 0, inf when the tenths do not shrink, NaN when b is NaN."""
+    if b == 0.0 or math.isnan(b):
+        return b
+    if a <= b:
+        return math.inf
+    q = b / a
+    return b * q / (1.0 - q)
 
 
 @dataclass
@@ -744,9 +748,7 @@ def series_verdict(terms: np.ndarray, first_index: int = 0) -> SumEvidence:
             ev.tail_estimate = 0.0
         return ev
 
-    cut = max(1, count // 10)
-    last = t[-cut:]
-    prev = t[-2 * cut:-cut]
+    prev, last = tail_window(t)
     a, b = float(prev.sum()), float(last.sum())
     ev.window_ratio = b / a if a > 0 else None
     if b == 0.0:
@@ -754,9 +756,8 @@ def series_verdict(terms: np.ndarray, first_index: int = 0) -> SumEvidence:
         ev.tail_estimate = 0.0
         return ev
     if a > b:
-        q = b / a
-        ev.tail_estimate = b * q / (1.0 - q)
-        if q < 0.5 and ev.tail_estimate < 1e-10 * max(total, 1e-300):
+        ev.tail_estimate = geometric_remainder(a, b)
+        if ev.window_ratio < 0.5 and ev.tail_estimate < 1e-10 * max(total, 1e-300):
             ev.verdict = CONVERGES
             return ev
 

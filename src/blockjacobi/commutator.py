@@ -26,15 +26,14 @@ from .coeffs import (
     SumEvidence,
     bounded_verdict,
     g_product,
-    iter_log,
     iter_log_arrays,
+    require_nested_logs,
     series_verdict,
     stack_limit,
     vanishing_verdict,
 )
 from .opcore import (
     Definiteness,
-    DomainError,
     NotConvergentError,
     adj,
     as_operator,
@@ -95,8 +94,7 @@ class LogWeights(AlphaStrategy):
     n_start on, identity before; n_start must support the nested logs."""
 
     def __init__(self, depth: int, n_start: int = 20):
-        if iter_log(depth, float(n_start)) <= 0.0:
-            raise DomainError(f"n_start {n_start} too small for {depth} nested logs")
+        require_nested_logs(depth, n_start, "n_start")
         self.depth = depth
         self.n_start = n_start
         self.name = f"log(depth={depth},start={n_start})"
@@ -346,16 +344,19 @@ def check_growth_criterion(fam: CoefficientFamily,
     ok_inv, ev_inv = vanishing_verdict(inv_norms)
     ok_invb, ev_invb = vanishing_verdict(invb_norms)
 
-    # terms for n = 1 .. horizon-1
-    AH = adj(A)
-    sq = NRM[:-1] ** 2
-    t_neg = stack_neg_part_norms(A[2:] @ AH[2:] - AH[1:-1] @ A[1:-1]) / sq[1:]
-    t_comm = op_norm(A[1:-1] @ B[2:] - B[1:-1] @ A[1:-1]) / sq[1:]
+    # terms for n = 1 .. horizon-1 from C_n = a_n/||a_n|| and a_{n+1}/||a_n||:
+    # no product of two large a_n is formed, and no division by ||a_horizon||
+    C = A[:-1] / NRM[:-1, None, None]
+    R = A[2:] / NRM[1:-1, None, None]
+    t_neg = stack_neg_part_norms(R @ adj(R) - adj(C[1:]) @ C[1:])
+    t_comm = op_norm(C[1:] @ B[2:] - B[1:-1] @ C[1:]) / NRM[1:-1]
+    with np.errstate(over="ignore"):  # 1/inf is 0 in the norm-square sum
+        sq = NRM[:-1] ** 2
     ev_neg = series_verdict(t_neg, first_index=1)
     ev_comm = series_verdict(t_comm, first_index=1)
     ev_sq = series_verdict(1.0 / sq, first_index=0)
 
-    lim = stack_limit(lambda ns: A[ns] / NRM[ns, None, None], range(horizon))
+    lim = stack_limit(lambda ns: C[ns], range(horizon))
     cond, past = conditioning(lim.value)[1:] if lim.converged else (float("inf"), True)
     ok_dir = lim.converged and not past
 
@@ -383,8 +384,7 @@ def check_log_weight_criterion(fam: CoefficientFamily, depth: int,
 
     with summable slack c_n, bounded b_n with summable inverse-twisted
     commutators, and summable ||a_n^{-1}||/n."""
-    if iter_log(depth, float(n_start)) <= 0.0:
-        raise DomainError(f"n_start {n_start} too small for {depth} nested logs")
+    require_nested_logs(depth, n_start, "n_start")
     A, _, B, _ = fam.stacks(0, horizon + 1, inverse=False)
     AINV = fam.stacks(0, horizon)[1]
     inv_norms = op_norm(AINV)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coeffs import CoefficientFamily
+from .coeffs import UNDECIDED, CoefficientFamily, geometric_remainder, tail_window
 from .opcore import adj
 from .table import Table, write_csv
 
@@ -35,7 +35,6 @@ CHUNK_GROUP = 32
 
 SQUARE_SUMMABLE = "square_summable"
 NOT_SQUARE_SUMMABLE = "not_square_summable"
-UNDECIDED = "undecided"
 
 
 def transfer(fam: CoefficientFamily, n: int, z: complex) -> np.ndarray:
@@ -310,9 +309,8 @@ def l2_tail_diagnostic(traj: Trajectory) -> L2Report:
     if traj.overflow:
         ev["overflow"] = True
         return L2Report(total, NOT_SQUARE_SUMMABLE, ev)
-    cut = max(1, len(t) // 10)
-    b = float(t[-cut:].sum())
-    a = float(t[-2 * cut:-cut].sum())
+    prev, last = tail_window(t)
+    a, b = float(prev.sum()), float(last.sum())
     ev["window_ratio"] = b / a if a > 0 else None
     if b == 0.0:
         return L2Report(total, SQUARE_SUMMABLE, ev)
@@ -320,8 +318,7 @@ def l2_tail_diagnostic(traj: Trajectory) -> L2Report:
         return L2Report(total, UNDECIDED, ev)
     q = b / a
     if q <= 0.5:
-        tail = b * q / (1.0 - q)
-        ev["tail_estimate"] = tail
+        ev["tail_estimate"] = tail = geometric_remainder(a, b)
         if tail <= 1e-6 * max(total, 1e-300):
             return L2Report(total, SQUARE_SUMMABLE, ev)
         return L2Report(total, UNDECIDED, ev)

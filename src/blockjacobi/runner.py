@@ -28,7 +28,7 @@ from .commutator import (
     check_log_weight_criterion,
     weight_conditions,
 )
-from .opcore import NotConvergentError, HypothesisViolatedError
+from .opcore import DEFINITENESS_EPS, NotConvergentError, HypothesisViolatedError
 from .recurrence import propagate, trajectory_table
 from .table import Table, write_csv
 from .turan import (
@@ -141,7 +141,7 @@ def _variation(ctx: _Context, *, sequence, N, window=None) -> dict:
             "converged": rep.converged}
 
 
-def _lambda_scan(ctx: _Context, *, range, grid=201, eps=1e-9, N=1) -> dict:
+def _lambda_scan(ctx: _Context, *, range, grid=201, eps=DEFINITENESS_EPS, N=1) -> dict:
     lim = ctx.limits(N)
     lset = lambda_scan(lim, range, grid=grid, eps=eps)
     ctx.traces[f"{ctx.key}_intervals"] = Table(["lo", "hi", "sign"], np.array(

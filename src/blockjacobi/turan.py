@@ -21,14 +21,17 @@ import numpy as np
 
 from . import coeffs as _coeffs
 from .coeffs import (
+    UNDECIDED,
     CoefficientFamily,
     carleman_diagnostic,
     sequence_stack,
     series_verdict,
     stack_limit,
+    tail_window,
     total_variation,
 )
 from .opcore import (
+    DEFINITENESS_EPS,
     Definiteness,
     HypothesisViolatedError,
     NotConvergentError,
@@ -45,7 +48,6 @@ from .opcore import (
 )
 from .recurrence import (
     SQUARE_SUMMABLE,
-    UNDECIDED,
     Trajectory,
     basis_trajectories,
     coefficient_stacks,
@@ -326,7 +328,7 @@ class LambdaSet:
 
 
 def definiteness_scan(fn: Callable[[float], np.ndarray], lo: float, hi: float,
-                      grid: int = 201, eps: float = 1e-9) -> LambdaSet:
+                      grid: int = 201, eps: float = DEFINITENESS_EPS) -> LambdaSet:
     """Scan a Hermitian-matrix-valued function for strict definiteness.
 
     Classifies the grid's values as one stack, merges runs of equal strict
@@ -368,7 +370,7 @@ def _bisect_edge(fn, outside: float, inside: float, sign: Definiteness, eps: flo
 
 
 def lambda_scan(lim: PeriodicLimitData, scan_range: tuple[float, float],
-                grid: int = 201, eps: float = 1e-9) -> LambdaSet:
+                grid: int = 201, eps: float = DEFINITENESS_EPS) -> LambdaSet:
     """Definiteness scan of the limit form over a real parameter range; the
     region does not depend on the window start (the forms of consecutive
     starts are congruent up to the positive factor r_j)."""
@@ -461,8 +463,7 @@ def _variation_tails(fam: CoefficientFamily, N: int, z: complex, m: int,
 def _tail(values: np.ndarray) -> tuple[float, float]:
     """Mean of the last tenth of a trace's defined (non-NaN) values, and the
     largest deviation from it there."""
-    vals = values[~np.isnan(values)]
-    tail = vals[-max(1, len(vals) // 10):]
+    tail = tail_window(values[~np.isnan(values)])[1]
     mean = float(tail.mean())
     return mean, float(np.abs(tail - mean).max())
 
@@ -509,7 +510,7 @@ def turan_convergence(fam: CoefficientFamily, N: int, z: complex,
 
 COMPLETE_INDETERMINATE = "complete_indeterminate"
 SELF_ADJOINT_REGIME = "self_adjoint_regime"
-PROBE_UNDECIDED = "undecided"
+PROBE_UNDECIDED = UNDECIDED
 
 
 @dataclass
@@ -645,7 +646,6 @@ def christoffel_limit(fam: CoefficientFamily, C: np.ndarray,
         raise HypothesisViolatedError("Carleman sum converges; the Cesaro ratio needs divergence")
     q = np.einsum("nd,de,ne->n", traj.u.conj(), C, traj.u).real
     ratios = np.cumsum(q) / np.cumsum(inv_norms)
-    cut = max(1, len(ratios) // 10)
     est = float(ratios[-1])
-    residual = float(np.abs(ratios[-cut:] - est).max())
+    residual = float(np.abs(tail_window(ratios)[1] - est).max())
     return ChristoffelReport(ratios, est, residual)

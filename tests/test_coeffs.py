@@ -282,6 +282,21 @@ def test_total_variation_rejects_bad_windows():
         total_variation(lambda n: X, 1, (5, 5))
 
 
+def test_total_variation_tail_estimate_at_the_window_edges():
+    eye = np.eye(2)
+    # a one-entry window has no previous tenth: a positive increment may go
+    # on forever, a zero one leaves nothing
+    rep = total_variation(np.stack([eye, 2 * eye]), 1, (0, 1))
+    assert (rep.partial_sum, rep.tail_estimate, rep.converged) == (1.0, math.inf, False)
+    rep = total_variation(np.stack([eye, eye]), 1, (0, 1))
+    assert (rep.partial_sum, rep.tail_estimate, rep.converged) == (0.0, 0.0, True)
+    # a NaN in the last tenth after a zero previous tenth: the remainder is
+    # NaN, not a division by zero
+    rep = total_variation(np.stack([eye] * 20 + [np.full((2, 2), np.inf)]), 1, (0, 20))
+    assert math.isnan(rep.partial_sum) and math.isnan(rep.tail_estimate)
+    assert not rep.converged
+
+
 # ---- series verdicts ----
 
 
@@ -327,6 +342,21 @@ def test_series_verdict_short_input_undecided():
 def test_series_verdict_rejects_negative_terms():
     with pytest.raises(ValueError):
         series_verdict(np.array([1.0, -1.0]))
+
+
+def test_series_verdict_geometric_rule_at_ratio_one_half():
+    # 20 terms: the last two tenths are two entries each; the tail is too
+    # short for a slope fit, so only the geometric rule can decide
+    def terms(q):
+        return np.array([1.0] * 16 + [1e-11, 1e-11, q * 1e-11, q * 1e-11])
+
+    ev = series_verdict(terms(0.4999999))
+    assert ev.verdict == CONVERGES
+    assert ev.window_ratio == 0.4999999
+    assert ev.tail_estimate == 9.999994000001599e-12
+    ev = series_verdict(terms(0.5))
+    assert ev.verdict == UNDECIDED
+    assert (ev.window_ratio, ev.tail_estimate, ev.slope) == (0.5, 1e-11, None)
 
 
 def test_vanishing_and_bounded_verdicts():

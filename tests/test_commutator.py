@@ -1,11 +1,19 @@
 """Tests for weighted commutator functionals, their limits, and the packaged
 summability criteria."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import rand_family, rand_invertible, rand_unit
-from blockjacobi.coeffs import LogProductWeight, constant_family, custom_family, g_product
+from blockjacobi.coeffs import (
+    LogProductWeight,
+    RecipIterLogWeight,
+    constant_family,
+    custom_family,
+    g_product,
+)
 from blockjacobi.commutator import (
     ANWeights,
     CustomWeights,
@@ -20,7 +28,13 @@ from blockjacobi.commutator import (
     weight_conditions,
     weight_scale,
 )
-from blockjacobi.fixtures import X_OP, Y_OP, paper_blockrepeat, paper_logweight
+from blockjacobi.fixtures import (
+    X_OP,
+    Y_OP,
+    indeterminate_doubling,
+    paper_blockrepeat,
+    paper_logweight,
+)
 from blockjacobi.opcore import (
     DomainError,
     NotConvergentError,
@@ -208,6 +222,35 @@ def test_growth_criterion_rejects_bounded_weights():
     rep = check_growth_criterion(paper_constant(), 4000)
     assert not rep.passed
     assert not rep.item("inverse_vanishes").ok
+
+
+def test_growth_criterion_terms_do_not_overflow():
+    # ||a_n|| = 2^n: products of two a_n overflow from n of about 510, while
+    # the directions a_n/||a_n|| and the ratios ||a_{n+1}||/||a_n|| = 2 do not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_growth_criterion(indeterminate_doubling(), 1000)
+    for it in rep.items:
+        for key, v in it.evidence.items():
+            if isinstance(v, float):
+                assert np.isfinite(v), (it.name, key, v)
+    for name in ("neg_part_summable", "commutator_summable"):
+        ev = rep.item(name).evidence
+        assert (ev["verdict"], ev["partial_sum"]) == ("converges", 0.0)
+        assert rep.item(name).ok
+    assert np.isfinite(rep.traces["neg_part"]).all()
+    assert np.isfinite(rep.traces["commutator"]).all()
+
+
+def test_nested_log_domain_errors_name_their_argument():
+    for make, msg in ((lambda: LogProductWeight(2, 2), "offset 2 too small for 2 nested logs"),
+                      (lambda: RecipIterLogWeight(1, 1), "offset 1 too small for 1 nested logs"),
+                      (lambda: LogWeights(2, n_start=2), "n_start 2 too small for 2 nested logs"),
+                      (lambda: check_log_weight_criterion(paper_logweight(), 3, n_start=10,
+                                                          horizon=500),
+                       "n_start 10 too small for 3 nested logs")):
+        with pytest.raises(DomainError, match=f"^{msg}$"):
+            make()
 
 
 def test_growth_criterion_rejects_unbounded_b_over_a():

@@ -14,6 +14,8 @@ from blockjacobi.recurrence import (
     NOT_SQUARE_SUMMABLE,
     OVERFLOW_LIMIT,
     SQUARE_SUMMABLE,
+    UNDECIDED,
+    Trajectory,
     basis_trajectories,
     coefficient_stacks,
     formal_eigenvector_start,
@@ -243,6 +245,27 @@ def test_l2_diagnostic_decaying_and_flat_tails():
     # constant self-adjoint entries at a non-real z: solutions grow
     for traj in basis_trajectories(paper_constant(), 1j, 800):
         assert l2_tail_diagnostic(traj).verdict == NOT_SQUARE_SUMMABLE
+
+
+def test_l2_diagnostic_at_window_ratios_one_half_and_nine_tenths():
+    def traj(norms):
+        u = np.zeros((len(norms), 2))
+        u[:, 0] = norms
+        return Trajectory(0.0, u[0], u, np.zeros(len(norms) - 1))
+
+    # squared norms 1 (16 times), then previous tenth 4 + 4, last tenth 4 + 0
+    rep = l2_tail_diagnostic(traj([1.0] * 16 + [2.0, 2.0, 2.0, 0.0]))
+    assert rep.verdict == UNDECIDED
+    assert rep.evidence == {"count": 20, "window_ratio": 0.5, "tail_estimate": 4.0}
+    small = 2.0 ** -15
+    rep = l2_tail_diagnostic(traj([1.0] * 16 + [small] * 3 + [0.0]))
+    assert rep.verdict == SQUARE_SUMMABLE
+    assert rep.evidence == {"count": 20, "window_ratio": 0.5, "tail_estimate": 2.0 ** -30}
+    # previous tenth 9 + 1, last tenth 9 + 0
+    rep = l2_tail_diagnostic(traj([1.0] * 16 + [3.0, 1.0, 3.0, 0.0]))
+    assert rep.verdict == NOT_SQUARE_SUMMABLE
+    assert rep.evidence == {"count": 20, "window_ratio": 0.9}
+    assert rep.partial_sum == 35.0
 
 
 def test_basis_trajectories_seed_the_canonical_vectors():
