@@ -67,7 +67,11 @@ def iter_log(depth: int, x: float) -> float:
 
 def require_nested_logs(depth: int, x: int, name: str) -> None:
     """Raise DomainError unless all depth nested logs of x are positive."""
-    if iter_log(depth, float(x)) <= 0.0:
+    try:
+        positive = iter_log(depth, float(x)) > 0.0
+    except DomainError:  # an intermediate log is not positive
+        positive = False
+    if not positive:
         raise DomainError(f"{name} {x} too small for {depth} nested logs")
 
 
@@ -529,7 +533,7 @@ class TabulatedFamily(CoefficientFamily):
 
 def _operator_table(mats: Sequence) -> np.ndarray:
     """Stack of square, finite complex matrices."""
-    t = np.array([np.asarray(m) for m in mats], dtype=np.complex128)
+    t = np.array(mats, dtype=np.complex128)
     if t.ndim != 3 or t.shape[1] != t.shape[2] or not len(t):
         raise ValueError(f"expected a non-empty list of square matrices, got shape {t.shape}")
     if not np.all(np.isfinite(t)):

@@ -15,6 +15,7 @@ import inspect
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -136,10 +137,47 @@ def _fixture(name: Any, params: Any, name_path: str, params_path: str) -> Family
     return _built(factory, params_path, **params)
 
 
-def _matrices(v: Any, path: str) -> list[np.ndarray]:
+def _matrices(v: Any, path: str) -> np.ndarray:
+    """A table of matrices of one shape as one (n, rows, cols) stack."""
     if not isinstance(v, list) or not v:
         raise ParseError(path, "expected a non-empty array of matrices")
-    return [parse_matrix(m, f"{path}[{i}]") for i, m in enumerate(v)]
+    table = _typed_table(v)
+    return _typed_entries(v, path) if table is None else table
+
+
+def _typed_table(v: list) -> np.ndarray | None:
+    """The table typed in one pass when every entry is a matrix of one shape
+    and every number is a finite int or float, written all as reals or all
+    as [re, im] pairs; None otherwise.  Only lists count as arrays."""
+    shape, level = [], [v]
+    while (kinds := set(map(type, level))) == {list}:
+        lens = set(map(len, level))
+        if len(lens) != 1 or 0 in lens:
+            return None
+        shape += lens
+        level = list(chain.from_iterable(level))
+    if not kinds <= {int, float} or not (len(shape) == 3 or shape[3:] == [2]):
+        return None
+    try:  # an integer too large for a float overflows
+        t = np.array(level, dtype=np.float64).reshape(shape)
+    except OverflowError:
+        return None
+    if not np.isfinite(t).all():
+        return None
+    # the pair axis read as complex keeps the sign of a zero part
+    return t.view(np.complex128)[..., 0] if len(shape) == 4 else t.astype(np.complex128)
+
+
+def _typed_entries(v: list, path: str) -> np.ndarray:
+    """The table typed entry by entry: it names the first malformed entry,
+    and it types a table that mixes real and [re, im] entries."""
+    mats = []
+    for i, m in enumerate(v):
+        mats.append(parse_matrix(m, f"{path}[{i}]"))
+        if mats[i].shape != mats[0].shape:
+            rows, cols = mats[0].shape
+            raise ParseError(f"{path}[{i}]", f"expected a {rows}x{cols} matrix, as {path}[0]")
+    return np.stack(mats)
 
 
 def parse_family(obj: Any, path: str) -> FamilySpec:

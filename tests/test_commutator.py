@@ -244,6 +244,9 @@ def test_growth_criterion_terms_do_not_overflow():
 
 def test_nested_log_domain_errors_name_their_argument():
     for make, msg in ((lambda: LogProductWeight(2, 2), "offset 2 too small for 2 nested logs"),
+                      # an intermediate log of 0 is named the same way
+                      (lambda: LogProductWeight(2, 1), "offset 1 too small for 2 nested logs"),
+                      (lambda: LogWeights(2, n_start=1), "n_start 1 too small for 2 nested logs"),
                       (lambda: RecipIterLogWeight(1, 1), "offset 1 too small for 1 nested logs"),
                       (lambda: LogWeights(2, n_start=2), "n_start 2 too small for 2 nested logs"),
                       (lambda: check_log_weight_criterion(paper_logweight(), 3, n_start=10,

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from blockjacobi import config
 from blockjacobi.cli import main
 from blockjacobi.config import (
     ParseError,
@@ -180,6 +181,42 @@ def test_a_and_b_of_different_sizes_are_config_errors(tmp_path, capsys, family):
     cfg.write_text(json.dumps({"family": family, "analyses": [{"kind": "validate"}]}))
     assert main(["analyze", str(cfg)]) == 2
     assert "error: $.family: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family,message", [
+    ({"kind": "tabulated", "a": [[[1, 0], [0, 1]], [[1]]], "b": [[[1]]] * 2},
+     "$.family.a[1]: expected a 2x2 matrix, as $.family.a[0]"),
+    ({"kind": "tabulated", "a": [X_JSON] * 3, "b": [Y_JSON, Y_JSON, [[1, 0, 0]] * 3]},
+     "$.family.b[2]: expected a 2x2 matrix, as $.family.b[0]"),
+    ({"kind": "scaled_periodic", "period": 2, "x": {"kind": "constant"},
+      "y": {"kind": "constant"}, "X": [X_JSON, [[[1, 0], [0, 0]]]], "Y": [Y_JSON] * 2},
+     "$.family.X[1]: expected a 2x2 matrix, as $.family.X[0]"),
+], ids=["tabulated-a", "tabulated-b", "scaled_periodic-X"])
+def test_a_table_of_differing_sizes_names_its_entry(tmp_path, capsys, family, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": family, "analyses": [{"kind": "validate"}]}))
+    assert main(["analyze", str(cfg)]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+
+
+def test_well_formed_tables_are_typed_in_one_pass(monkeypatch):
+    def per_entry(v, path):
+        raise AssertionError(f"{path} was typed entry by entry")
+
+    pairs = [[[[1.0, 0.1 * (n % 7)], [1, -0.0]], [[1, 0.0], [2.0, 0]]] for n in range(1000)]
+    family = {"kind": "tabulated", "a": pairs, "b": [Y_JSON] * 1000}
+    monkeypatch.setattr(config, "parse_complex", per_entry)
+    fam = parse_config({"family": family, "analyses": [{"kind": "validate"}]}).family.build()
+    assert fam.a(999).tobytes() == np.array([[1 + 0.5j, complex(1, -0.0)], [1, 2]]).tobytes()
+    assert fam.b(999).tobytes() == Y_OP.astype(complex).tobytes()
+
+    # a table that mixes real and [re, im] entries is typed entry by entry
+    calls = []
+    monkeypatch.setattr(config, "parse_complex",
+                        lambda v, path: calls.append(path) or parse_complex(v, path))
+    mixed = {"kind": "tabulated", "a": [pairs[0], X_JSON], "b": [Y_JSON] * 2}
+    fam = parse_config({"family": mixed, "analyses": [{"kind": "validate"}]}).family.build()
+    assert len(calls) == 8 and fam.a(1).tobytes() == X_OP.astype(complex).tobytes()
 
 
 @pytest.mark.parametrize("doc,fragment", [
