@@ -531,9 +531,22 @@ class TabulatedFamily(CoefficientFamily):
         return A, self._table_B[lo:hi], _norms_and_inverses(A), err
 
 
-def _operator_table(mats: Sequence) -> np.ndarray:
-    """Stack of square, finite complex matrices."""
-    t = np.array(mats, dtype=np.complex128)
+def _operator_table(mats: Sequence, name: str) -> np.ndarray:
+    """Stack of square, finite complex matrices; when numpy refuses the list,
+    the error names its first entry that is not a matrix of entry 0's shape."""
+    try:
+        t = np.array(mats, dtype=np.complex128)
+    except ValueError:
+        shapes = []
+        for k, m in enumerate(mats):
+            try:
+                shapes.append(np.asarray(m, dtype=np.complex128).shape)
+            except ValueError as exc:
+                raise ValueError(f"{name}[{k}]: {exc}") from None
+            if shapes[k] != shapes[0]:
+                raise ValueError(f"{name}[{k}]: expected a {'x'.join(map(str, shapes[0]))} "
+                                 f"matrix, as {name}[0]") from None
+        raise
     if t.ndim != 3 or t.shape[1] != t.shape[2] or not len(t):
         raise ValueError(f"expected a non-empty list of square matrices, got shape {t.shape}")
     if not np.all(np.isfinite(t)):
@@ -556,8 +569,8 @@ def scaled_periodic_family(period: int, x: ScalarWeight, y: ScalarWeight,
 
 def tabulated_family(a_list: Sequence, b_list: Sequence,
                      description: str = "tabulated") -> CoefficientFamily:
-    A = _operator_table(a_list)
-    B = _operator_table(b_list)
+    A = _operator_table(a_list, "a")
+    B = _operator_table(b_list, "b")
     if A.shape != B.shape:
         raise ValueError(f"a and b tables must hold as many matrices of one size, "
                          f"got shapes {A.shape} and {B.shape}")

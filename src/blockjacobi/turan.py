@@ -261,22 +261,25 @@ def extract_periodic_limits(fam: CoefficientFamily, N: int,
                        residuals=residuals, converged=converged, horizon=horizon)
 
 
-def limit_block(lim: PeriodicLimitData, z: complex, i: int) -> np.ndarray:
-    """Limit transfer factor [[0, Id], [-R_i, z T_i - Q_i]] (indices mod N)."""
+def limit_block(lim: PeriodicLimitData, z: complex | np.ndarray, i: int) -> np.ndarray:
+    """Limit transfer factor [[0, Id], [-R_i, z T_i - Q_i]] (indices mod N);
+    an array of z gives the stack of factors."""
     d = lim.dim
     i = i % lim.N
-    out = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    out[:d, d:] = np.eye(d)
-    out[d:, :d] = -lim.R[i]
-    out[d:, d:] = z * lim.T[i] - lim.Q[i]
+    z = np.asarray(z)
+    out = np.zeros(z.shape + (2 * d, 2 * d), dtype=np.complex128)
+    out[..., :d, d:] = np.eye(d)
+    out[..., d:, :d] = -lim.R[i]
+    out[..., d:, d:] = z[..., None, None] * lim.T[i] - lim.Q[i]
     return out
 
 
-def limit_form(lim: PeriodicLimitData, lam: float, start: int = 0) -> np.ndarray:
+def limit_form(lim: PeriodicLimitData, lam: float | np.ndarray, start: int = 0) -> np.ndarray:
     """Hermitian limit form F(lambda) = sym of [[0, -C_e], [C_e^*, 0]] times
     the ordered product of limit factors over the window [start, start + N),
-    highest index leftmost, where e = start + N - 1 (mod N).  Strict
-    definiteness marks lambda as a point of the asymptotic band."""
+    highest index leftmost, where e = start + N - 1 (mod N); an array of
+    lambda gives the stack of forms.  Strict definiteness marks lambda as a
+    point of the asymptotic band."""
     prod = np.eye(2 * lim.dim, dtype=np.complex128)
     for k in range(start, start + lim.N):
         prod = limit_block(lim, lam, k) @ prod
@@ -329,44 +332,52 @@ class LambdaSet:
 
 def definiteness_scan(fn: Callable[[float], np.ndarray], lo: float, hi: float,
                       grid: int = 201, eps: float = DEFINITENESS_EPS) -> LambdaSet:
-    """Scan a Hermitian-matrix-valued function for strict definiteness.
+    """Scan a Hermitian-matrix-valued function of one float for strict
+    definiteness (see _scan); fn is called once per point."""
+    return _scan(lambda xs: np.stack([fn(float(x)) for x in xs]), lo, hi, grid, eps)
 
-    Classifies the grid's values as one stack, merges runs of equal strict
-    sign, and bisects each run boundary between differing classifications
-    down to ENDPOINT_TOL.
+
+def _scan(forms: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, grid: int,
+          eps: float) -> LambdaSet:
+    """Definiteness scan of forms, which maps an array of parameters to the
+    stack of their Hermitian matrices.
+
+    Classifies the grid as one stack and merges runs of equal strict sign.
+    Each run boundary is an edge from the last point outside the run to the
+    first inside it; all edges are bisected in lockstep, one stack of
+    midpoints per level, each down to ENDPOINT_TOL.
     """
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
     xs = np.linspace(lo, hi, grid)
-    cls = classify_definiteness(np.stack([fn(float(x)) for x in xs]), eps)
+    cls = classify_definiteness(forms(xs), eps)
     strict = (Definiteness.STRICTLY_POSITIVE, Definiteness.STRICTLY_NEGATIVE)
-    intervals: list[SignInterval] = []
+    runs, edges = [], []  # runs (first, last, sign); edges (outside, inside)
     i = 0
     while i < grid:
         if cls[i] not in strict:
             i += 1
             continue
-        sign = cls[i]
         j = i
-        while j + 1 < grid and cls[j + 1] == sign:
+        while j + 1 < grid and cls[j + 1] == cls[i]:
             j += 1
-        left = xs[i] if i == 0 else _bisect_edge(fn, xs[i - 1], xs[i], sign, eps)
-        right = xs[j] if j == grid - 1 else _bisect_edge(fn, xs[j + 1], xs[j], sign, eps)
-        intervals.append(SignInterval(float(left), float(right), sign))
+        runs.append((i, j, cls[i]))
+        edges += [(i - 1, i)] * (i > 0) + [(j + 1, j)] * (j < grid - 1)
         i = j + 1
+    outside, inside = xs[np.array(edges, dtype=int).reshape(-1, 2).T]
+    todo = np.flatnonzero(np.abs(inside - outside) > ENDPOINT_TOL)
+    while len(todo):
+        mid = 0.5 * (inside[todo] + outside[todo])
+        got = classify_definiteness(forms(mid), eps)
+        hit = np.array([c == cls[edges[k][1]] for c, k in zip(got, todo)])
+        inside[todo[hit]] = mid[hit]
+        outside[todo[~hit]] = mid[~hit]
+        todo = todo[np.abs(inside[todo] - outside[todo]) > ENDPOINT_TOL]
+    ends = iter((0.5 * (inside + outside)).tolist())
+    intervals = [SignInterval(float(xs[i]) if i == 0 else next(ends),
+                              float(xs[j]) if j == grid - 1 else next(ends), sign)
+                 for i, j, sign in runs]
     return LambdaSet(intervals, grid, eps, (float(lo), float(hi)))
-
-
-def _bisect_edge(fn, outside: float, inside: float, sign: Definiteness, eps: float) -> float:
-    """Locate the sign boundary between a point outside the region and a
-    point classified as `sign`."""
-    while abs(inside - outside) > ENDPOINT_TOL:
-        m = 0.5 * (inside + outside)
-        if classify_definiteness(fn(m), eps) == sign:
-            inside = m
-        else:
-            outside = m
-    return 0.5 * (inside + outside)
 
 
 def lambda_scan(lim: PeriodicLimitData, scan_range: tuple[float, float],
@@ -375,7 +386,7 @@ def lambda_scan(lim: PeriodicLimitData, scan_range: tuple[float, float],
     region does not depend on the window start (the forms of consecutive
     starts are congruent up to the positive factor r_j)."""
     lo, hi = scan_range
-    return definiteness_scan(lambda lam: limit_form(lim, lam), lo, hi, grid=grid, eps=eps)
+    return _scan(lambda lams: limit_form(lim, lams), lo, hi, grid, eps)
 
 
 # ---- band and convergence diagnostics ----

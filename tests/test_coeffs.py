@@ -157,6 +157,15 @@ def test_tabulated_family():
         tabulated_family([X], [Y, Y])
 
 
+def test_tabulated_family_names_its_odd_entry():
+    with pytest.raises(ValueError, match=r"^a\[1\]: expected a 2x2 matrix, as a\[0\]$"):
+        tabulated_family([np.eye(2), np.eye(1)], [np.eye(2)] * 2)
+    with pytest.raises(ValueError, match=r"^b\[2\]: expected a 2x2 matrix, as b\[0\]$"):
+        tabulated_family([np.eye(2)] * 3, [np.eye(2), np.eye(2), np.ones((2, 3))])
+    with pytest.raises(ValueError, match=r"^a\[1\]: "):
+        tabulated_family([np.eye(2), [[1.0, 2.0], [3.0]]], [np.eye(2)] * 2)
+
+
 def test_validate_family_reports_violations():
     a_list = [X] * 8
     b_list = [Y] * 8
