@@ -111,29 +111,31 @@ class TuranTrace:
     values: np.ndarray  # values[k] is S_{n_start + k}
 
 
-def _traces_from(fam: CoefficientFamily, N: int, z: complex,
-                 trajs: Sequence[Trajectory], horizon: int) -> list[TuranTrace]:
-    """S_n, n = 1 .. horizon-1, for already-propagated trajectories.
+def _traces_from(fam: CoefficientFamily, N: int, z: complex, trajs: Sequence[Trajectory],
+                 horizon: int, start: int = 1) -> list[TuranTrace]:
+    """S_n, n = start .. horizon-1, for already-propagated trajectories.
 
     The stacked form matrices sym-free products are shared across
     trajectories: window products come from batched matrix multiplication of
-    shifted transfer stacks, values from batched quadratic forms.
+    shifted transfer stacks, values from batched quadratic forms.  Each row
+    is computed on its own, so a later start leaves the bits of every row.
     """
-    count = horizon - 1
-    bst = transfer_stack(fam, z, 1, count + N - 1)
+    count = horizon - start
+    bst = transfer_stack(fam, z, start, count + N - 1)
     x = bst[:count]
     for k in range(1, N):
         x = bst[k:k + count] @ x
-    m = _weight_block(coefficient_stacks(fam, N, count)[0]) @ x
+    m = _weight_block(coefficient_stacks(fam, start + N - 1, count)[0]) @ x
     out = []
     for traj in trajs:
-        avail = min(count, traj.last_index)
+        avail = min(horizon - 1, traj.last_index) - start + 1
         vals = np.full(count, np.nan)
         if avail >= 1:
-            v = np.concatenate([traj.u[0:avail], traj.u[1:avail + 1]], axis=1)
+            u = traj.u[start - 1:]
+            v = np.concatenate([u[0:avail], u[1:avail + 1]], axis=1)
             mv = np.einsum("nij,nj->ni", m[:avail], v)
             vals[:avail] = np.einsum("ni,ni->n", v.conj(), mv).real
-        out.append(TuranTrace(N, z, traj.alpha, 1, vals))
+        out.append(TuranTrace(N, z, traj.alpha, start, vals))
     return out
 
 
@@ -368,8 +370,10 @@ def _scan(forms: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, grid:
     todo = np.flatnonzero(np.abs(inside - outside) > ENDPOINT_TOL)
     while len(todo):
         mid = 0.5 * (inside[todo] + outside[todo])
-        got = classify_definiteness(forms(mid), eps)
-        hit = np.array([c == cls[edges[k][1]] for c, k in zip(got, todo)])
+        # edges that share a cell share midpoints: classify each once
+        points, which = np.unique(mid, return_inverse=True)
+        got = classify_definiteness(forms(points), eps)
+        hit = np.array([got[w] == cls[edges[k][1]] for w, k in zip(which, todo)])
         inside[todo[hit]] = mid[hit]
         outside[todo[~hit]] = mid[~hit]
         todo = todo[np.abs(inside[todo] - outside[todo]) > ENDPOINT_TOL]
@@ -471,10 +475,15 @@ def _variation_tails(fam: CoefficientFamily, N: int, z: complex, m: int,
     return float(tail)
 
 
-def _tail(values: np.ndarray) -> tuple[float, float]:
+def _tail(values: np.ndarray, before: int = 0) -> tuple[float, float] | None:
     """Mean of the last tenth of a trace's defined (non-NaN) values, and the
-    largest deviation from it there."""
-    tail = tail_window(values[~np.isnan(values)])[1]
+    largest deviation from it there; `before` counts the defined values that
+    precede `values`; with before > 0, None when the tenth reaches past them."""
+    vals = values[~np.isnan(values)]
+    cut = max(1, (before + len(vals)) // 10)
+    if before and len(vals) < cut:
+        return None
+    tail = vals[-cut:]
     mean = float(tail.mean())
     return mean, float(np.abs(tail - mean).max())
 
@@ -606,6 +615,8 @@ def exact_asymptotics(fam: CoefficientFamily, lim: PeriodicLimitData, z: float,
     for N = 3 (mod 4).  Checks the hypotheses on the supplied limit data,
     then compares both limits per trajectory; the report's C is D_0.
     """
+    if horizon < 2:
+        raise ValueError("horizon must be >= 2")
     if lim.N % 2 == 0:
         raise HypothesisViolatedError("window length N must be odd")
     if lim.D is None:
@@ -619,21 +630,45 @@ def exact_asymptotics(fam: CoefficientFamily, lim: PeriodicLimitData, z: float,
         if herm_defect(lim.C[j]) > REDUCTION_TOL:
             raise HypothesisViolatedError(f"C[{j}] is not self-adjoint")
     trajs = propagate_block(fam, z, alphas, horizon)
-    traces = _traces_from(fam, lim.N, z, trajs, horizon)
-    per = []
-    for tr, traj in zip(traces, trajs):
-        q = np.einsum("nd,de,ne->n", traj.u.conj(), D, traj.u).real
-        w = norm_stack(fam, 1, traj.last_index - 1)
-        g = _tail(tr.values)[0]
-        west, spread = _tail(w * (q[:-2] + q[1:-1]))
-        per.append({
-            "alpha": tr.alpha,
-            "g": g,
-            "weighted_trace_limit": west,
-            "gap": abs(west - g),
-            "last_decade_spread": spread,
-        })
+    for start in (_tail_start(fam, lim.N, z, D, trajs), 1):
+        per = []
+        for tr, traj in zip(_traces_from(fam, lim.N, z, trajs, horizon, start), trajs):
+            u = traj.u[start - 1:]
+            q = np.einsum("nd,de,ne->n", u.conj(), D, u).real
+            w = norm_stack(fam, start, traj.last_index - start)
+            g = _tail(tr.values, start - 1)
+            west = _tail(w * (q[:-2] + q[1:-1]), start - 1)
+            if g is None or west is None:
+                break
+            per.append({"alpha": tr.alpha, "g": g[0], "weighted_trace_limit": west[0],
+                        "gap": abs(west[0] - g[0]), "last_decade_spread": west[1]})
+        else:
+            break
     return ExactAsymptoticsReport(D, per, horizon, trajs)
+
+
+def _tail_start(fam: CoefficientFamily, N: int, z: float, D: np.ndarray,
+                trajs: Sequence[Trajectory]) -> int:
+    """First row of the last tenth of the shortest column's weighted trace,
+    if no S_n or weighted-trace value ahead of it can be NaN; else 1.
+
+    With d the dimension, alpha, iota, beta the largest entry moduli of a_n,
+    a_n^{-1}, b_n for n < start + N, nu the largest ||a_n|| there, delta that
+    of D's entries and mu that of u_n's for n < start: no transfer matrix
+    entry there exceeds t = 1 + d iota (alpha + |z| + beta), no partial sum
+    of S_n ahead of start exceeds alpha (2d)^(N+2) t^N mu^2, and none of the
+    weighted trace 2 d^2 nu delta mu^2.  While their sum is below 1e300,
+    nothing there overflows."""
+    K = min(tr.last_index for tr in trajs) - 1
+    start = K - max(1, K // 10) + 1
+    d = fam.dim
+    A, _, B, NRM = fam.stacks(0, start + N - 1, inverse=False)
+    al, io, be = (np.abs(s).max() for s in (A, fam.stacks(1, start + N - 1)[1], B))
+    mu = np.max([np.abs(tr.u[:start]).max() for tr in trajs])
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = (al * (2 * d) ** (N + 2) * (1 + d * io * (al + abs(z) + be)) ** N
+                 + 2 * d * d * NRM.max() * np.abs(D).max()) * mu ** 2
+    return start if bound < 1e300 else 1
 
 
 @dataclass

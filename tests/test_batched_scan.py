@@ -178,3 +178,19 @@ def test_non_hermitian_midpoint_raises_as_one_matrix_classification():
     with pytest.raises(NotHermitianError) as scan:
         definiteness_scan(fn, 0.0, 4.0, grid=5)
     assert str(scan.value) == str(one.value)
+
+
+def test_scan_classifies_each_midpoint_once():
+    # a positive run meets a negative one in the cell (6, 7): both of its
+    # edges bisect the same midpoints, which are classified once per level
+    def sign_change(args):
+        def fn(x):
+            args.append(x)
+            return np.eye(2) if x < 6.6 else -np.eye(2)
+        return fn
+
+    args = []
+    lset = definiteness_scan(sign_change(args), 0.0, 10.0, grid=11)
+    assert len(args) == len(set(args)) == 38
+    assert _intervals(lset) == _sequential_scan(sign_change([]), 0.0, 10.0, 11)
+    assert lset.intervals[0].hi == lset.intervals[1].lo
