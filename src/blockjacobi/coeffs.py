@@ -108,8 +108,6 @@ def iter_log_arrays(depth: int, xs) -> tuple[np.ndarray, np.ndarray]:
 class ScalarWeight:
     """Positive scalar sequence n -> w(n), n >= 0."""
 
-    kind = "abstract"
-
     def __call__(self, n: int) -> float:
         raise NotImplementedError
 
@@ -122,7 +120,6 @@ class ScalarWeight:
 @dataclass(frozen=True)
 class ConstantWeight(ScalarWeight):
     value: float = 1.0
-    kind = "constant"
 
     def __call__(self, n: int) -> float:
         return self.value
@@ -137,7 +134,6 @@ class PowerWeight(ScalarWeight):
 
     exponent: float
     offset: int = 1
-    kind = "power"
 
     def __post_init__(self):
         if self.offset < 1:
@@ -153,7 +149,6 @@ class PowerWeight(ScalarWeight):
 @dataclass(frozen=True)
 class TabulatedWeight(ScalarWeight):
     values: tuple[float, ...]
-    kind = "tabulated"
 
     def __call__(self, n: int) -> float:
         return self.values[n]
@@ -172,7 +167,6 @@ class LogProductWeight(ScalarWeight):
 
     depth: int
     offset: int
-    kind = "log_product"
 
     def __post_init__(self):
         require_nested_logs(self.depth, self.offset, "offset")
@@ -191,7 +185,6 @@ class RecipIterLogWeight(ScalarWeight):
 
     depth: int
     offset: int
-    kind = "recip_iter_log"
 
     def __post_init__(self):
         require_nested_logs(self.depth, self.offset, "offset")
@@ -230,8 +223,6 @@ def block_indices(ns) -> np.ndarray:
 class BlockSqrtLogWeight(ScalarWeight):
     """k * sqrt(log(k+1)) held constant across block k (repeated k times)."""
 
-    kind = "block_sqrt_log"
-
     def __call__(self, n: int) -> float:
         k = block_index(n)
         return k * math.sqrt(math.log(k + 1.0))
@@ -245,8 +236,6 @@ class BlockSqrtLogWeight(ScalarWeight):
 class BlockRecipLogWeight(ScalarWeight):
     """1 / (k * log(k+1)) held constant across block k, aligned with the same
     block tiling as BlockSqrtLogWeight."""
-
-    kind = "block_recip_log"
 
     def __call__(self, n: int) -> float:
         k = block_index(n)
@@ -309,7 +298,7 @@ class CoefficientFamily:
     Entries live in per-family arrays filled together and in index order, one
     each for a_n, b_n, ||a_n|| and a_n^{-1}, whose capacity doubles as they
     grow.  `stacks` returns read-only views of them for an index range and
-    the per-index accessors are lookups into the same arrays.  This class
+    the per-index accessors are its one-row views.  This class
     evaluates user callables once per index and never past the largest
     index requested; subclasses with vectorised entries fill ahead.
     Validation of invertibility and Hermiticity is a separate pass
@@ -367,8 +356,6 @@ class CoefficientFamily:
         ones to the target, or to the first index whose a or b fails; its
         error is raised when that index is below stop, and by every later
         fill without evaluating anything."""
-        if stop <= 0:
-            raise ValueError("index must be >= 0")
         if self._error is not None:
             raise self._error.with_traceback(None)  # not a traceback that grows per read
         lo = self._n
@@ -418,21 +405,13 @@ class CoefficientFamily:
         return self._A[start:stop], ainv, self._B[start:stop], self._NRM[start:stop]
 
     def a(self, n: int) -> np.ndarray:
-        if not 0 <= n < self._n:
-            self._fill(n + 1)
-        return self._A[n]
+        return self.stacks(n, 1, inverse=False)[0][0]
 
     def b(self, n: int) -> np.ndarray:
-        if not 0 <= n < self._n:
-            self._fill(n + 1)
-        return self._B[n]
+        return self.stacks(n, 1, inverse=False)[2][0]
 
     def a_inv(self, n: int) -> np.ndarray:
-        if not 0 <= n < self._n:
-            self._fill(n + 1)
-        if n in self._singular:
-            raise self._singular_error(n)
-        return self._AINV[n]
+        return self.stacks(n, 1)[1][0]
 
     def a_inv_rows(self, ns) -> np.ndarray:
         """a_n^{-1} for the indices in the array ns, as one stack; a
@@ -450,9 +429,7 @@ class CoefficientFamily:
         return self._AINV[ns]
 
     def norm_a(self, n: int) -> float:
-        if not 0 <= n < self._n:
-            self._fill(n + 1)
-        return float(self._NRM[n])
+        return float(self.stacks(n, 1, inverse=False)[3][0])
 
     def __repr__(self):
         return f"<CoefficientFamily dim={self.dim} {self.description!r}>"
@@ -668,10 +645,14 @@ def total_variation(seq, N: int, window: tuple[int, int]) -> VariationReport:
     return VariationReport(N, (start, end), total, tail, converged)
 
 
+# The derived sequences of a family that sequence_stack builds.
+SEQUENCE_NAMES = ("a", "b", "a_inv", "a_inv_b", "a_inv_a_prev")
+
+
 def sequence_stack(fam: CoefficientFamily, name: str, start: int, count: int) -> np.ndarray:
-    """Stack of a derived sequence of the family for n = start .. start+count-1:
-    "a", "b", "a_inv", "a_inv_b" (a_n^{-1} b_n) or "a_inv_a_prev"
-    (a_n^{-1} a_{n-1}^*)."""
+    """Stack of the derived sequence `name`, one of SEQUENCE_NAMES, for
+    n = start .. start+count-1; "a_inv_b" is a_n^{-1} b_n and "a_inv_a_prev"
+    is a_n^{-1} a_{n-1}^*."""
     if name in ("a", "b"):
         A, _, B, _ = fam.stacks(start, count, inverse=False)
         return A if name == "a" else B
@@ -682,7 +663,7 @@ def sequence_stack(fam: CoefficientFamily, name: str, start: int, count: int) ->
         return AINV @ B
     if name == "a_inv_a_prev":
         return AINV @ adj(fam.stacks(start - 1, count, inverse=False)[0])
-    raise ValueError(f"unknown sequence {name!r}; known: a, b, a_inv, a_inv_b, a_inv_a_prev")
+    raise ValueError(f"unknown sequence {name!r}; known: {', '.join(SEQUENCE_NAMES)}")
 
 
 # ---- series verdicts ----
@@ -729,8 +710,6 @@ class SumEvidence:
 
 
 def _fit_slope(xs: np.ndarray, ys: np.ndarray) -> float | None:
-    if len(xs) < 5:
-        return None
     x = xs - xs.mean()
     denom = float(np.dot(x, x))
     if denom == 0.0:
@@ -797,7 +776,7 @@ def series_verdict(terms: np.ndarray, first_index: int = 0) -> SumEvidence:
     # is biased low when the data's effective logarithm carries a shift, the
     # shifted fit is biased high when the polynomial factor carries an offset,
     # so the two straddle the truth for the scales handled here.
-    wide = sel & (ns >= max(10.0, ns[-1] / 100.0)) & (ns >= 3.0)
+    wide = sel & (ns >= max(10.0, ns[-1] / 100.0))
     if wide.sum() >= 10:
         ln = np.log(ns[wide])
         y = np.log(t[wide]) + ln
@@ -805,8 +784,6 @@ def series_verdict(terms: np.ndarray, first_index: int = 0) -> SumEvidence:
         p_shift = None
         best_ssr = None
         for sft in np.linspace(0.0, 3.0, 31):
-            if sft + ln[0] < 0.5:
-                continue
             x = np.log(sft + ln)
             p = _fit_slope(x, y)
             if p is None:

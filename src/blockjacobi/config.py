@@ -21,6 +21,7 @@ from typing import Any
 import numpy as np
 
 from .coeffs import (
+    SEQUENCE_NAMES,
     WEIGHT_KINDS,
     CoefficientFamily,
     ScalarWeight,
@@ -277,7 +278,7 @@ _PARSERS = {
     "N": _number(int, 1),
     "n_start": _number(int, 0),
     "range": _interval(_number(float)),
-    "sequence": _choice("a", "b", "a_inv", "a_inv_b", "a_inv_a_prev"),
+    "sequence": _choice(*SEQUENCE_NAMES),
     "strategy": _choice("identity", "an", "log"),
     "upto": _number(int, 1),
     "window": _interval(_number(int, 0)),

@@ -41,8 +41,6 @@ def paper_unbounded(exponent: float = 1.0, q: float = 0.5) -> CoefficientFamily:
 
 
 class _ScaledPower(ScalarWeight):
-    kind = "scaled_power"
-
     def __init__(self, exponent: float, scale: float):
         self._w = PowerWeight(exponent)
         self.scale = scale
@@ -77,8 +75,6 @@ def indeterminate_doubling() -> CoefficientFamily:
 
 
 class _Doubling(ScalarWeight):
-    kind = "doubling"
-
     def __call__(self, n: int) -> float:
         return float(2.0 ** n)
 

@@ -25,7 +25,6 @@ from .coeffs import (
     CoefficientFamily,
     carleman_diagnostic,
     sequence_stack,
-    series_verdict,
     stack_limit,
     tail_window,
     total_variation,
@@ -115,10 +114,11 @@ def _traces_from(fam: CoefficientFamily, N: int, z: complex, trajs: Sequence[Tra
                  horizon: int, start: int = 1) -> list[TuranTrace]:
     """S_n, n = start .. horizon-1, for already-propagated trajectories.
 
-    The stacked form matrices sym-free products are shared across
-    trajectories: window products come from batched matrix multiplication of
-    shifted transfer stacks, values from batched quadratic forms.  Each row
-    is computed on its own, so a later start leaves the bits of every row.
+    One stack of form matrices serves every trajectory.  It is left without
+    sym, which does not change the real part of a quadratic form.  Window
+    products come from batched matrix multiplication of shifted transfer
+    stacks, values from batched quadratic forms.  Each row is computed on
+    its own, so a later start leaves the bits of every row.
     """
     count = horizon - start
     bst = transfer_stack(fam, z, start, count + N - 1)
@@ -686,10 +686,9 @@ def christoffel_limit(fam: CoefficientFamily, C: np.ndarray,
     """
     C = require_hermitian(C)
     L = traj.last_index
-    inv_norms = 1.0 / norm_stack(fam, 0, L + 1)
-    ev = series_verdict(inv_norms)
-    if ev.verdict == _coeffs.CONVERGES:
+    if carleman_diagnostic(fam, L + 1).verdict == _coeffs.CONVERGES:
         raise HypothesisViolatedError("Carleman sum converges; the Cesaro ratio needs divergence")
+    inv_norms = 1.0 / norm_stack(fam, 0, L + 1)
     q = np.einsum("nd,de,ne->n", traj.u.conj(), C, traj.u).real
     ratios = np.cumsum(q) / np.cumsum(inv_norms)
     est = float(ratios[-1])

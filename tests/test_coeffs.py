@@ -35,7 +35,7 @@ from blockjacobi.coeffs import (
     vanishing_verdict,
 )
 from blockjacobi import fixtures
-from blockjacobi.opcore import DomainError, op_norm
+from blockjacobi.opcore import DomainError, SingularError, op_norm
 
 from conftest import rand_hermitian, rand_invertible
 
@@ -241,6 +241,51 @@ def test_a_scaled_periodic_fill_evaluates_its_weight_once(monkeypatch):
     np.testing.assert_array_equal(A, xs[:, None, None] * X0)
     np.testing.assert_array_equal(NRM, xs * op_norm(X0))
     np.testing.assert_array_equal(AINV, np.linalg.inv(X0) / xs[:, None, None])
+
+
+def test_per_index_reads_stop_at_the_end_of_a_tabulated_weight():
+    # x has 10 entries: the fill ahead to MIN_FILL rows raises IndexError and
+    # is retried up to the index read
+    values = tuple(float(k + 1) for k in range(10))
+    fam = scaled_periodic_family(1, TabulatedWeight(values), ConstantWeight(0.5), [X], [Y])
+    np.testing.assert_array_equal(fam.a(3), 4.0 * X)
+    A, AINV, B, NRM = fam.stacks(0, 10)
+    np.testing.assert_array_equal(A[3], fam.a(3))
+    np.testing.assert_array_equal(B, np.broadcast_to(0.5 * Y, (10, 2, 2)))
+    with pytest.raises(IndexError):
+        fam.a(10)
+    norm = fam.norm_a(9)
+    assert type(norm) is float and norm == NRM[9] == 10.0 * op_norm(X)
+    for read in (fam.a, fam.b, fam.a_inv, fam.norm_a):
+        with pytest.raises(ValueError, match=r"^index must be >= 0$"):
+            read(-1)
+
+
+def test_per_index_reads_are_read_only_views_and_name_a_singular_a_n():
+    a_list = [X] * 4
+    a_list[2] = np.array([[1.0, 2.0], [2.0, 4.0]])
+    fam = tabulated_family(a_list, [Y] * 4)
+    for read in (fam.a, fam.b, fam.a_inv):
+        assert not read(1).flags.writeable
+    with pytest.raises(SingularError, match=r"^a_2: condition estimate"):
+        fam.a_inv(2)
+    np.testing.assert_array_equal(fam.a(2), a_list[2])
+
+
+def test_per_index_reads_raise_a_stored_error_without_evaluating_again():
+    calls = []
+
+    def a_fn(n):
+        calls.append(n)
+        if n >= 2:
+            raise ValueError(f"no a at {n}")
+        return X
+
+    fam = custom_family(2, a_fn, lambda n: Y)
+    for read in (fam.a, fam.b, fam.a_inv, fam.norm_a):
+        with pytest.raises(ValueError, match="no a at 2"):
+            read(2)
+    assert calls == [0, 1, 2]
 
 
 def test_family_evaluation_is_memoized_and_immutable_by_contract():

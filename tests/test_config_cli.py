@@ -9,6 +9,7 @@ import pytest
 
 from blockjacobi import config
 from blockjacobi.cli import main
+from blockjacobi.coeffs import ConstantWeight, PowerWeight, scaled_periodic_family
 from blockjacobi.config import (
     ParseError,
     parse_complex,
@@ -19,6 +20,7 @@ from blockjacobi.config import (
 from blockjacobi.fixtures import X_OP, Y_OP
 from blockjacobi.runner import _jsonable, run
 from blockjacobi.table import ROW_BLOCK, Table, write_csv
+from blockjacobi.turan import christoffel_limit, exact_asymptotics, extract_periodic_limits
 
 X_JSON = [[1.0, 1.0], [1.0, 2.0]]
 Y_JSON = [[2.0, 1.0], [1.0, 1.0]]
@@ -366,6 +368,31 @@ def test_run_trajectory_produces_trace_table():
     assert table.columns[:3] == ["n", "re_u0", "im_u0"]
     assert table.columns[-3:] == ["norm", "s_n", "residual"]
     assert len(table.rows) == 51
+
+
+def test_run_reports_exact_asymptotics_and_christoffel_as_computed():
+    alphas = [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]]
+    doc = parse_config({"family": {"kind": "scaled_periodic", "period": 1,
+                                   "x": {"kind": "power", "exponent": 0.5},
+                                   "y": {"kind": "constant", "value": 0.0},
+                                   "X": [X_JSON], "Y": [[[0.0, 0.0], [0.0, 0.0]]]},
+                        "analyses": [{"kind": "exact_asymptotics", "z": 0.0, "alphas": alphas},
+                                     {"kind": "christoffel", "z": 0.0, "alpha": alphas[0]}],
+                        "horizon": 2000})
+    rep = run(doc)
+    fam = scaled_periodic_family(1, PowerWeight(0.5), ConstantWeight(0.0),
+                                 [X_OP], [np.zeros((2, 2))])
+    lim = extract_periodic_limits(fam, 1, 2000)
+    want = exact_asymptotics(fam, lim, 0.0, [np.array(a, dtype=complex) for a in alphas], 2000)
+    got = rep.results["00_exact_asymptotics"]
+    np.testing.assert_array_equal(got["C"], want.C)
+    assert got["per_alpha"] == [{k: d[k] for k in ("g", "weighted_trace_limit", "gap")}
+                                for d in want.per_alpha]
+    chris = christoffel_limit(fam, want.C, want.trajectories[0])
+    g = want.per_alpha[0]["g"]
+    assert rep.results["01_christoffel"] == {
+        "limit_estimate": chris.limit_estimate, "residual": chris.residual, "g": g,
+        "half_g_gap": abs(chris.limit_estimate - g / 2.0)}
 
 
 def _csv_writer_bytes(tmp_path, columns, rows) -> bytes:

@@ -268,6 +268,26 @@ def test_l2_diagnostic_at_window_ratios_one_half_and_nine_tenths():
     assert rep.partial_sum == 35.0
 
 
+def test_l2_diagnostic_zero_tenths_and_the_band_between_the_ratios():
+    def traj(norms):
+        u = np.zeros((len(norms), 2))
+        u[:, 0] = norms
+        return Trajectory(0.0, u[0], u, np.zeros(len(norms) - 1))
+
+    # last tenth 0 + 0 after a previous tenth 1 + 1
+    rep = l2_tail_diagnostic(traj([1.0] * 18 + [0.0, 0.0]))
+    assert rep.verdict == SQUARE_SUMMABLE
+    assert rep.evidence == {"count": 20, "window_ratio": 0.0}
+    # previous tenth 0 + 0, last tenth 1 + 1
+    rep = l2_tail_diagnostic(traj([1.0] * 16 + [0.0, 0.0, 1.0, 1.0]))
+    assert rep.verdict == UNDECIDED
+    assert rep.evidence == {"count": 20, "window_ratio": None}
+    # previous tenth 4 + 4, last tenth 4 + 1: ratio 0.625
+    rep = l2_tail_diagnostic(traj([1.0] * 16 + [2.0, 2.0, 2.0, 1.0]))
+    assert rep.verdict == UNDECIDED
+    assert rep.evidence == {"count": 20, "window_ratio": 0.625}
+
+
 def test_basis_trajectories_seed_the_canonical_vectors():
     fam = paper_constant()
     basis = basis_trajectories(fam, 0.0, 5)

@@ -13,12 +13,14 @@ from blockjacobi.coeffs import (
     custom_family,
     scaled_periodic_family,
     tabulated_family,
+    total_variation,
 )
 from blockjacobi.fixtures import (
     X_OP,
     Y_OP,
     indeterminate_doubling,
     paper_constant,
+    paper_logweight,
     paper_unbounded,
     sqrt_growth,
 )
@@ -419,6 +421,24 @@ def test_turan_convergence_constant_example():
     assert min(abs(g) for g in rep.g_values) > 0.1
 
 
+def test_turan_convergence_tails_add_the_non_real_shift_term():
+    fam = paper_logweight()
+    z, N, H = 0.75 + 0.05j, 1, 2000
+    rep = turan_convergence(fam, N, z, [np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)], H)
+    for d in rep.rate_details:
+        m = d["m"]
+
+        def variation(seq):
+            return total_variation(seq, N, (m, H)).partial_sum
+
+        shift = 2.0 * abs(z.imag) * sum(op_norm(fam.a_inv(n)) for n in range(m, H))
+        assert shift > 0.0
+        want = (variation(lambda n: fam.a_inv(n) @ adj(fam.a(n - 1)))
+                + abs(z) * variation(fam.a_inv)
+                + variation(lambda n: fam.a_inv(n) @ fam.b(n)) + shift)
+        assert d["tail"] == pytest.approx(want, rel=1e-12)
+
+
 def test_turan_convergence_rejects_oscillating_data():
     alt = custom_family(1, lambda n: np.eye(1), lambda n: (-1.0) ** n * np.eye(1))
     with pytest.raises(NotConvergentError):
@@ -497,6 +517,15 @@ def test_extraction_keeps_raw_values_where_aitken_overflows():
     assert not lim.converged
     assert all(np.isfinite(m).all() for m in lim.T + lim.Q + lim.R + lim.C)
     assert lim.Q[0][0, 0] == pytest.approx(4.0 ** 299, rel=1e-12)
+
+
+def test_extraction_with_a_singular_direction_limit_clears_converged():
+    # C_n = a_n / ||a_n|| = diag(1, 1/(n+1)) tends to the singular diag(1, 0)
+    fam = custom_family(2, lambda n: np.diag([n + 1.0, 1.0]), lambda n: np.zeros((2, 2)))
+    lim = extract_periodic_limits(fam, 1, 400)
+    assert np.isnan(lim.r).all() and len(lim.r) == 1
+    assert not lim.converged
+    assert lim.D is None
 
 
 # ---- exact asymptotics and the Christoffel ratio ----
