@@ -42,9 +42,6 @@ VARIATION_CONVERGED_FRACTION = 1e-8
 # values this small are rounding residue of cancellations, not data.
 SERIES_NOISE_FLOOR = 1e-12
 
-# Families with vectorised entries compute at least this many rows at once.
-MIN_FILL = 256
-
 
 # ---- iterated logarithms ----
 
@@ -260,14 +257,6 @@ WEIGHT_KINDS: dict[str, type] = {
 # ---- coefficient families ----
 
 
-def _fill_ahead(filled: int, stop: int) -> int:
-    """Rows a vectorised family fills when rows below stop are needed and
-    `filled` exist: half as many again, so that per-index reads stay
-    amortised while a read just past a large range (||a_L|| after a
-    trajectory to L) leaves at most a third of the rows unused."""
-    return max(stop, filled + filled // 2, MIN_FILL)
-
-
 def _grown(arr: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
     """arr[:n] followed by rows.  Writes into arr while it has room and
     otherwise moves to an array of at least twice the capacity; the result
@@ -298,9 +287,9 @@ class CoefficientFamily:
     Entries live in per-family arrays filled together and in index order, one
     each for a_n, b_n, ||a_n|| and a_n^{-1}, whose capacity doubles as they
     grow.  `stacks` returns read-only views of them for an index range and
-    the per-index accessors are its one-row views.  This class
-    evaluates user callables once per index and never past the largest
-    index requested; subclasses with vectorised entries fill ahead.
+    the per-index accessors are its one-row views.  Every family fills
+    exactly the rows up to the largest index read, so user callables run
+    once per index and never past it; `_entries` supplies a kind's rows.
     Validation of invertibility and Hermiticity is a separate pass
     (validate_family), so that defective families can still be probed and
     reported on.  Not safe for concurrent use.
@@ -322,10 +311,6 @@ class CoefficientFamily:
         self._singular: dict[int, float] = {}  # index -> condition of a_n
 
     # -- rows for subclasses to supply --
-
-    def _target(self, filled: int, stop: int) -> int:
-        """Rows to hold when rows below stop are needed and `filled` exist."""
-        return stop
 
     def _entries(self, lo: int, hi: int):
         """(A, B, derived, error): rows of a and b for indices lo .. hi-1 up
@@ -353,20 +338,13 @@ class CoefficientFamily:
 
     def _fill(self, stop: int) -> None:
         """Rows of a, b, ||a||, a^{-1} and the singular map from the filled
-        ones to the target, or to the first index whose a or b fails; its
-        error is raised when that index is below stop, and by every later
-        fill without evaluating anything."""
+        ones up to stop, or to the first index whose a or b fails; that
+        index's error is raised then, and by every later fill without
+        evaluating anything."""
         if self._error is not None:
             raise self._error.with_traceback(None)  # not a traceback that grows per read
         lo = self._n
-        hi = self._target(lo, stop)
-        try:
-            A, B, (nrm, inv, cond, bad), err = self._entries(lo, max(hi, stop))
-        except (LookupError, ValueError, ArithmeticError):
-            if hi <= stop:
-                raise
-            # e.g. a weight table shorter than the fill
-            A, B, (nrm, inv, cond, bad), err = self._entries(lo, stop)
+        A, B, (nrm, inv, cond, bad), err = self._entries(lo, stop)
         self._A = _grown(self._A, lo, A)
         self._B = _grown(self._B, lo, B)
         self._NRM = _grown(self._NRM, lo, nrm)
@@ -462,9 +440,6 @@ class ScaledPeriodicFamily(CoefficientFamily):
         self._Ys = np.stack(Y)
         self._X_norm, self._X_inv, self._X_cond, self._X_bad = _norms_and_inverses(self._Xs)
 
-    def _target(self, filled: int, stop: int) -> int:
-        return _fill_ahead(filled, stop)
-
     def _entries(self, lo: int, hi: int):
         ns = np.arange(lo, hi)
         js = ns % self.period
@@ -496,9 +471,6 @@ class TabulatedFamily(CoefficientFamily):
         super().__init__(A.shape[1], None, None, description)
         self._table_A, self._table_B = A, B
         self.length = len(A)
-
-    def _target(self, filled: int, stop: int) -> int:
-        return min(self.length, _fill_ahead(filled, stop))
 
     def _entries(self, lo: int, hi: int):
         err = None

@@ -430,6 +430,9 @@ def asymptotic_band(fam: CoefficientFamily, N: int, z: complex,
         s = weighted_norm_trace(fam, traj)
         nrm2 = float(np.linalg.norm(traj.alpha) ** 2)
         seg = s[burn_in - 1:] / nrm2
+        if not len(seg):
+            raise ValueError(f"burn_in {burn_in} leaves no samples: the trajectory "
+                             f"ends at index {traj.last_index}")
         lo, hi = float(seg.min()), float(seg.max())
         stats.append(BandAlphaStats(traj.alpha, lo, hi, traj.overflow))
         c1, c2 = min(c1, lo), max(c2, hi)
@@ -497,6 +500,9 @@ def turan_convergence(fam: CoefficientFamily, N: int, z: complex,
     Raises NotConvergentError when an S_n sequence oscillates as widely as its
     putative limit.
     """
+    first_m = 20  # the smallest m of the rate check, whose window is (m, horizon)
+    if horizon <= first_m:
+        raise ValueError(f"horizon {horizon} leaves no variation window past m = {first_m}")
     traces = turan_traces(fam, N, z, alphas, horizon)
     per = []
     for tr in traces:
@@ -507,7 +513,7 @@ def turan_convergence(fam: CoefficientFamily, N: int, z: complex,
             )
         per.append(ConvergenceAlphaStats(tr.alpha, g, residual,
                                          residual < 1e-6 * abs(g)))
-    ms = sorted({max(20, horizon // (2 ** k)) for k in range(2, 7)})
+    ms = sorted({max(first_m, horizon // (2 ** k)) for k in range(2, 7)})
     details = []
     worst = 0.0
     for m in ms:

@@ -34,7 +34,7 @@ from blockjacobi.coeffs import (
     validate_family,
     vanishing_verdict,
 )
-from blockjacobi import fixtures
+from blockjacobi import coeffs, fixtures
 from blockjacobi.opcore import DomainError, SingularError, op_norm
 
 from conftest import rand_hermitian, rand_invertible
@@ -244,8 +244,8 @@ def test_a_scaled_periodic_fill_evaluates_its_weight_once(monkeypatch):
 
 
 def test_per_index_reads_stop_at_the_end_of_a_tabulated_weight():
-    # x has 10 entries: the fill ahead to MIN_FILL rows raises IndexError and
-    # is retried up to the index read
+    # x has 10 entries: a read fills only up to the index read, so reads
+    # below 10 work and a read past the table raises the weight's IndexError
     values = tuple(float(k + 1) for k in range(10))
     fam = scaled_periodic_family(1, TabulatedWeight(values), ConstantWeight(0.5), [X], [Y])
     np.testing.assert_array_equal(fam.a(3), 4.0 * X)
@@ -259,6 +259,50 @@ def test_per_index_reads_stop_at_the_end_of_a_tabulated_weight():
     for read in (fam.a, fam.b, fam.a_inv, fam.norm_a):
         with pytest.raises(ValueError, match=r"^index must be >= 0$"):
             read(-1)
+
+
+def test_a_fill_stops_at_the_largest_index_read(monkeypatch):
+    calls = []
+    array = PowerWeight.array
+
+    def counted(self, ns):
+        calls.append(len(ns))
+        return array(self, ns)
+
+    monkeypatch.setattr(PowerWeight, "array", counted)
+    fam = fixtures.sqrt_growth()
+    fam.stacks(0, 1000)
+    fam.stacks(0, 1001)
+    assert calls == [1000, 1]
+
+
+def test_a_tabulated_read_computes_only_the_rows_up_to_it(monkeypatch):
+    rows = []
+    norms_and_inverses = coeffs._norms_and_inverses
+
+    def counted(mats):
+        rows.append(len(mats))
+        return norms_and_inverses(mats)
+
+    monkeypatch.setattr(coeffs, "_norms_and_inverses", counted)
+    fam = tabulated_family([X * (k + 1) for k in range(10)], [Y] * 10)
+    np.testing.assert_array_equal(fam.a(3), 4.0 * X)
+    assert rows == [4]
+
+
+def test_one_index_reads_are_amortised_by_capacity_doubling():
+    fam = custom_family(2, lambda n: X * (n + 1), lambda n: Y)
+    names = ("_A", "_B", "_NRM", "_AINV")
+    buffers = {name: [] for name in names}
+    for n in range(1000):
+        fam.a(n)
+        for name in names:
+            ptr = getattr(fam, name).__array_interface__["data"][0]
+            if not buffers[name] or buffers[name][-1] != ptr:
+                buffers[name].append(ptr)
+    assert fam._n == 1000
+    for name in names:
+        assert len(buffers[name]) <= math.log2(1000) + 2, name
 
 
 def test_per_index_reads_are_read_only_views_and_name_a_singular_a_n():

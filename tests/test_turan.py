@@ -37,6 +37,7 @@ from blockjacobi.opcore import (
 from blockjacobi.recurrence import (
     basis_trajectories,
     propagate,
+    propagate_block,
     solution_space_dimension,
     transfer,
     transfer_inv,
@@ -410,6 +411,20 @@ def test_asymptotic_band_outside_window():
     assert rep.ratio > 1e100
 
 
+def test_asymptotic_band_refuses_a_burn_in_that_leaves_no_samples():
+    alpha = [np.array([1.0, 0.0, 0.0, 0.0])]
+    with pytest.raises(ValueError, match=r"^burn_in 10 leaves no samples: "
+                                         r"the trajectory ends at index 10$"):
+        asymptotic_band(paper_constant(), 1, 0.5, alpha, 10)
+    rep = asymptotic_band(paper_constant(), 1, 0.5, alpha, 11)
+    assert rep.c1 == rep.c2 == rep.per_alpha[0].c1 > 0.0
+    # a column cut by the overflow guard before burn_in is refused the same way
+    alphas = _seed_alphas(np.random.default_rng(12), 3, 2)
+    last = min(t.last_index for t in propagate_block(paper_constant(), 10.0, alphas, 600))
+    with pytest.raises(ValueError, match=f"burn_in 500 .* ends at index {last}$"):
+        asymptotic_band(paper_constant(), 1, 10.0, alphas, 600, burn_in=500)
+
+
 def test_turan_convergence_constant_example():
     rng = np.random.default_rng(13)
     rep = turan_convergence(paper_constant(), 1, 1.0, _seed_alphas(rng, 5, 2), 2000)
@@ -437,6 +452,14 @@ def test_turan_convergence_tails_add_the_non_real_shift_term():
                 + abs(z) * variation(fam.a_inv)
                 + variation(lambda n: fam.a_inv(n) @ fam.b(n)) + shift)
         assert d["tail"] == pytest.approx(want, rel=1e-12)
+
+
+def test_turan_convergence_needs_a_horizon_past_the_first_rate_sample():
+    alpha = [np.array([1.0, 0.0, 0.0, 0.0])]
+    with pytest.raises(ValueError, match=r"^horizon 20 .* past m = 20$"):
+        turan_convergence(paper_constant(), 1, 0.5, alpha, 20)
+    rep = turan_convergence(paper_constant(), 1, 0.5, alpha, 21)
+    assert [d["m"] for d in rep.rate_details] == [20]
 
 
 def test_turan_convergence_rejects_oscillating_data():
