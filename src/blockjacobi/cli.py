@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration or validation error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -14,7 +15,10 @@ from .fixtures import FIXTURES, FIXTURE_NOTES
 from .runner import emit, report_json, run
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing a command
+    line leaves it as it was."""
     ap = argparse.ArgumentParser(prog="blockjacobi",
                                  description="block Jacobi matrix analysis")
     sub = ap.add_subparsers(dest="command", required=True)

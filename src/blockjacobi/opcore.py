@@ -23,6 +23,8 @@ CONDITION_LIMIT = 1e12
 # Default margin separating "strictly" definite from degenerate eigenvalues.
 DEFINITENESS_EPS = 1e-9
 
+_TINY = np.finfo(np.float64).tiny
+
 
 class NotHermitianError(ValueError):
     """Input had to be self-adjoint and is not, beyond tolerance."""
@@ -82,8 +84,51 @@ def _per_matrix(v: np.ndarray):
     return float(v) if v.ndim == 0 else v
 
 
-def _largest_singular(a: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(a, compute_uv=False)[..., 0]
+def singular_extremes(x):
+    """(largest, smallest) singular value of every matrix of a stack.
+
+    A 2x2 stack with finite entries takes a closed form.  Each matrix M is
+    scaled by 2^-e, e the exponent of its largest entry component, so no
+    product overflows or underflows.  With p, r the squared column norms and
+    q the off-diagonal entry of M^*M,
+
+        s_max = 2^e sqrt((p + r)/2 + sqrt(((p - r)/2)^2 + |q|^2)),
+        s_min = 2^e |det M| / s_max  (0 for the zero matrix),
+
+    sums of non-negative terms that do not cancel near s_max = s_min.  Only
+    real products and sums in a fixed order are taken, so one matrix and its
+    row of a stack give the same bits.  Other sizes, and a stack with a
+    non-finite entry, take LAPACK's values and outcomes."""
+    a = np.asarray(x)
+    if a.shape[-2:] == (2, 2):
+        # u[i, j, c, k]: component c (re, im) of entry (i, j) of matrix k
+        u = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+        u = np.ascontiguousarray(u.reshape(-1, 8).T)
+        big = np.abs(u).max(axis=0)
+        if np.isfinite(big).all():
+            e = np.frexp(big)[1]
+            u = np.ldexp(u, -e).reshape(2, 2, 2, -1)
+            sq = u * u
+            sq = sq[0] + sq[1]
+            p, r = sq[:, 0] + sq[:, 1]
+            # t[c, c']: sum over rows i of component c of m_i1 times c' of m_i2
+            t = u[:, 0, :, None] * u[:, 1, None, :]
+            t = t[0] + t[1]
+            q_re, q_im = t[0, 0] + t[1, 1], t[0, 1] - t[1, 0]
+            # t[c, c']: component c of m_11 times c' of m_22, less that of m_12 and m_21
+            t = u[0, :, :, None] * u[1, ::-1, None, :]
+            t = t[0] - t[1]
+            det_re, det_im = t[0, 0] - t[1, 1], t[0, 1] + t[1, 0]
+            half_gap = (p - r) * 0.5
+            s_max = np.sqrt((p + r) * 0.5
+                            + np.sqrt(half_gap * half_gap + (q_re * q_re + q_im * q_im)))
+            # after scaling, s_max >= 1/2 unless M = 0, where det M = 0 too
+            s_min = (np.sqrt(det_re * det_re + det_im * det_im)
+                     / np.maximum(s_max, _TINY))
+            shape = a.shape[:-2]
+            return np.ldexp(s_max, e).reshape(shape), np.ldexp(s_min, e).reshape(shape)
+    s = np.linalg.svd(a, compute_uv=False)
+    return s[..., 0], s[..., -1]
 
 
 def adj(x) -> np.ndarray:
@@ -99,12 +144,12 @@ def sym(x) -> np.ndarray:
 
 def op_norm(x):
     """Operator norm (largest singular value)."""
-    return _per_matrix(_largest_singular(_operand(x)))
+    return _per_matrix(singular_extremes(_operand(x))[0])
 
 
 def herm_defect(x):
     """Operator-norm distance from x to its adjoint."""
-    return _per_matrix(_largest_singular(x - adj(x)))
+    return _per_matrix(singular_extremes(x - adj(x))[0])
 
 
 def hermiticity(x):
@@ -168,12 +213,12 @@ def classify_definiteness(x, eps: float = DEFINITENESS_EPS):
 
 
 def conditioning(x):
-    """(norm, condition estimate, past CONDITION_LIMIT) from one SVD; a rank
-    deficient matrix has condition inf."""
-    s = np.linalg.svd(_as_operators(x), compute_uv=False)
+    """(norm, condition estimate, past CONDITION_LIMIT) from the extreme
+    singular values; a rank deficient matrix has condition inf."""
+    s_max, s_min = singular_extremes(_as_operators(x))
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(s[..., -1] == 0.0, np.inf, s[..., 0] / s[..., -1])
-    return _per_matrix(s[..., 0]), _per_matrix(cond), ~(cond <= CONDITION_LIMIT)
+        cond = np.where(s_min == 0.0, np.inf, s_max / s_min)
+    return _per_matrix(s_max), _per_matrix(cond), ~(cond <= CONDITION_LIMIT)
 
 
 def condition_estimate(x):

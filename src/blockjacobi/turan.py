@@ -424,6 +424,8 @@ def asymptotic_band(fam: CoefficientFamily, N: int, z: complex,
                     burn_in: int = 10) -> BandReport:
     """Empirical two-sided bounds on ||a_n|| (||u_{n-1}||^2 + ||u_n||^2),
     normalized by ||alpha||^2, over n in [burn_in, horizon)."""
+    if burn_in < 1:
+        raise ValueError(f"burn_in must be >= 1, got {burn_in}")
     stats = []
     c1, c2 = float("inf"), 0.0
     for traj in propagate_block(fam, z, alphas, horizon):

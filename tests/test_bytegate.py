@@ -1,0 +1,54 @@
+"""The byte gate's value comparison: floats that moved are measured, every
+other difference is listed."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bytegate", Path(__file__).resolve().parent.parent / "tools" / "bytegate.py")
+bytegate = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bytegate)
+
+
+def _walk(old, new):
+    diff = bytegate.ValueDiff()
+    diff.walk(old, new)
+    return diff
+
+
+def test_moved_floats_give_the_worst_relative_difference_and_nothing_else():
+    diff = _walk({"a": [1.0, 2.0, float("nan")], "b": {"c": 0.5, "d": "x"}},
+                 {"a": [1.0, 2.0 * (1 + 1e-12), float("nan")], "b": {"c": 0.5 + 1e-15, "d": "x"}})
+    assert diff.other == []
+    assert diff.worst == pytest.approx(1e-12, rel=1e-3)
+    assert diff.worst_at.startswith(".a[1] (parent 2.0, change 2.0000000000")
+    assert _walk([1, "s", None, True], [1, "s", None, True]).worst == 0.0
+
+
+@pytest.mark.parametrize("old, new, where", [
+    ({"v": "converges"}, {"v": "diverges"}, ".v"),
+    ({"n": 3}, {"n": 4}, ".n"),
+    ({"n": 3}, {"n": 3.0}, ".n"),
+    ({"ok": True}, {"ok": False}, ".ok"),
+    ({"x": 1.0}, {"x": float("inf")}, ".x"),
+    ({"x": float("nan")}, {"x": 1.0}, ".x"),
+    ({"x": 1.0}, {"x": 1.0, "y": 2.0}, ""),
+    ([[1.0, 2.0]], [[1.0]], "[0]"),
+])
+def test_every_non_float_difference_is_listed(old, new, where):
+    diff = _walk(old, new)
+    assert len(diff.other) == 1 and diff.other[0].startswith(where + ":")
+
+
+def test_outputs_are_parsed_by_kind(tmp_path):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"wall_times": {"run": 1.5}, "results": {"r": 0.25}}))
+    assert bytegate._values(report) == {"results": {"r": 0.25}}
+    table = tmp_path / "trace.csv"
+    table.write_bytes(b"n,x,flag\r\n0,0.5,True\r\n1,,nan\r\n")
+    rows = bytegate._values(table)
+    assert rows[:2] == [["n", "x", "flag"], [0, 0.5, "True"]]
+    assert rows[2][:2] == [1, ""] and rows[2][2] != rows[2][2]

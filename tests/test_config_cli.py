@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from blockjacobi import config
-from blockjacobi.cli import main
+from blockjacobi.cli import _build_parser, main
 from blockjacobi.coeffs import ConstantWeight, PowerWeight, scaled_periodic_family
 from blockjacobi.config import (
     ParseError,
@@ -459,6 +459,42 @@ def test_cli_lists_fixtures(capsys):
     for name in ("paper-constant", "paper-unbounded", "paper-blockrepeat",
                  "paper-logweight"):
         assert name in out
+
+
+def test_cli_calls_in_one_process_write_what_a_fresh_parser_writes(tmp_path, capsys):
+    # the parser is built once per process, so parsing must leave it as it was,
+    # also after argparse exits on a bad command line or on --help
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "paper-constant",
+                               "analyses": [{"kind": "carleman"}], "horizon": 300}))
+    calls = [
+        ["scan", "--family", "paper-constant", "--range=-5,10", "--grid", "11",
+         "--horizon", "300"],
+        ["scan", "--range=0,1"],
+        ["trajectory", "--family", "paper-unbounded", "--z", "0.5", "--alpha", "1,0,0,1j",
+         "--horizon", "300", "--seed", "4"],
+        ["fixtures", "list"],
+        ["analyze", str(cfg), "--format", "xml"],
+        ["analyze", str(cfg)],
+        ["trajectory", "--help"],
+        ["analyze", str(cfg), "--horizon", "200"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 2, 0, 0, 0]
+    for order in (calls, calls[::-1], calls):
+        assert [call(argv) for argv in order] == [fresh[calls.index(a)] for a in order]
 
 
 def test_cli_analyze_missing_file_is_io_error(capsys):

@@ -1,5 +1,5 @@
-"""Operator primitives: symmetrization, signed parts, definiteness, inversion
-and the 2x2 block builder."""
+"""Operator primitives: symmetrization, signed parts, definiteness, inversion,
+the 2x2 singular-value kernel and the 2x2 block builder."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from blockjacobi.opcore import (
     block2x2,
     classify_definiteness,
     condition_estimate,
+    conditioning,
     herm_defect,
     hermitian_extremes,
     invert,
@@ -21,6 +22,7 @@ from blockjacobi.opcore import (
     op_norm,
     quad_form,
     require_hermitian,
+    singular_extremes,
     sym,
 )
 
@@ -204,3 +206,82 @@ def test_one_matrix_and_a_stack_agree():
     assert str(from_stack.value) == str(from_one.value)
     with pytest.raises(ValueError, match="non-finite"):
         classify_definiteness(np.stack([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]]))
+
+
+# ---- the 2x2 singular-value kernel ----
+
+EPS = np.finfo(np.float64).eps
+
+
+def _kernel_cases():
+    """Seeded 2x2 matrices: random ones at scales 1 and 1e+-150, 1e+-200, and
+    near-unitary, rank-one, zero, diagonal and anti-Hermitian ones."""
+    rng = np.random.default_rng(21)
+    cases = [s * rand_operator(rng, 2) for s in (1.0, 1e150, 1e-150, 1e200, 1e-200)
+             for _ in range(30)]
+    for _ in range(20):
+        q = np.linalg.qr(rand_operator(rng, 2))[0]
+        cases += [q, q + 1e-9 * rand_operator(rng, 2), 1e-200 * q]
+        u, v = rand_operator(rng, 2)
+        cases += [np.outer(u, v), 1e200 * np.outer(u, v)]
+        cases.append(np.diag(rand_operator(rng, 2)[0]))
+        h = rand_operator(rng, 2)
+        cases.append(h - adj(h))
+    cases += [np.zeros((2, 2)), np.diag([3.0, 0.0]), np.diag([0.0, -2.0j]),
+              np.array([[1.0, 2.0], [2.0, 4.0]])]
+    return np.stack(cases).astype(np.complex128)
+
+
+def test_singular_extremes_agree_with_mpmath_at_stated_tolerances():
+    # sigma_max within 4 eps relative, sigma_min within 4 eps sigma_max absolute
+    mpmath = pytest.importorskip("mpmath")
+    cases = _kernel_cases()
+    s_max, s_min = singular_extremes(cases)
+    with mpmath.workdps(50):
+        for m, hi, lo in zip(cases, s_max.tolist(), s_min.tolist()):
+            exact = mpmath.svd_c(mpmath.matrix([[mpmath.mpc(complex(x)) for x in row]
+                                                for row in m]), compute_uv=False)
+            top, bottom = max(exact), min(exact)
+            assert abs(mpmath.mpf(hi) - top) <= 4 * EPS * top, m
+            assert abs(mpmath.mpf(lo) - bottom) <= 4 * EPS * top, m
+
+
+def test_singular_extremes_of_one_matrix_equal_its_stack_row_bit_for_bit():
+    cases = _kernel_cases()
+    s_max, s_min = singular_extremes(cases)
+    grid = singular_extremes(cases[:280].reshape(20, 14, 2, 2))
+    np.testing.assert_array_equal(grid[0], s_max[:280].reshape(20, 14))
+    np.testing.assert_array_equal(grid[1], s_min[:280].reshape(20, 14))
+    cond = condition_estimate(cases)
+    for k, m in enumerate(cases):
+        one = singular_extremes(m)
+        assert one[0].shape == one[1].shape == ()
+        assert (one[0], one[1]) == (s_max[k], s_min[k])
+        assert op_norm(m) == s_max[k] and type(op_norm(m)) is float
+        assert condition_estimate(m) == cond[k]
+    assert singular_extremes(np.zeros((0, 2, 2)))[0].shape == (0,)
+
+
+def test_rank_one_matrices_have_condition_inf_and_do_not_invert():
+    for m in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.outer([1.0, 2.0j], [3.0, -1.0]),
+              np.outer([0.5, -3.0], [1e-170j, 2e-170])):
+        assert singular_extremes(m)[1] == 0.0
+        assert condition_estimate(m) == np.inf
+        with pytest.raises(SingularError):
+            invert(m)
+    assert singular_extremes(np.zeros((2, 2))) == (0.0, 0.0)
+
+
+def test_non_finite_stacks_keep_lapack_outcomes():
+    # inf in a stack gives its norm nan, NaN makes LAPACK raise; conditioning
+    # refuses both before any decomposition
+    for d in (2, 3):
+        inf, nan = np.stack([np.eye(d), np.eye(d)]), np.stack([np.eye(d), np.eye(d)])
+        inf[1, 0, 0], nan[1, 0, 0] = np.inf, np.nan
+        norms = op_norm(inf.astype(np.complex128))
+        assert norms[0] == 1.0 and np.isnan(norms[1])
+        with pytest.raises(np.linalg.LinAlgError):
+            op_norm(nan)
+        for bad in (inf, nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                conditioning(bad)

@@ -425,6 +425,16 @@ def test_asymptotic_band_refuses_a_burn_in_that_leaves_no_samples():
         asymptotic_band(paper_constant(), 1, 10.0, alphas, 600, burn_in=500)
 
 
+def test_asymptotic_band_refuses_a_burn_in_below_one():
+    # burn_in 0 would slice the trace from its end and keep the last sample alone
+    alpha = [np.array([1.0, 0.0, 0.0, 0.0])]
+    for burn_in in (0, -1):
+        with pytest.raises(ValueError, match=rf"^burn_in must be >= 1, got {burn_in}$"):
+            asymptotic_band(paper_constant(), 1, 1.0, alpha, 200, burn_in=burn_in)
+    rep = asymptotic_band(paper_constant(), 1, 1.0, alpha, 200, burn_in=1)
+    assert rep.c2 > 1.5 * rep.c1 > 0.0
+
+
 def test_turan_convergence_constant_example():
     rng = np.random.default_rng(13)
     rep = turan_convergence(paper_constant(), 1, 1.0, _seed_alphas(rng, 5, 2), 2000)

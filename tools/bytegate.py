@@ -16,15 +16,27 @@ output whose digest differs between the trees, or that only one of them
 wrote, and exits 1 when there is any, 0 when all agree and 2 when a tree's
 process fails.  Inputs and outputs go to a temporary directory (TMPDIR) that
 is removed afterwards.
+
+With --values, each output that differs is also compared by value: a
+report.json as parsed JSON (without `wall_times`), a CSV cell by cell (a
+cell is an int, else a float, else a string), and stdout or a raised
+exception as text.  For every such output the gate prints the largest
+relative difference |x - y| / max(|x|, |y|) between two finite floats at one
+place, and each other difference: a string, int, bool, key, length or
+non-finite float that changed, or an output only one tree has.  It then
+exits 1 only when there is such a non-float difference, 0 when floats alone
+moved.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -51,9 +63,10 @@ def _file_digests(out_dir: Path, key: str) -> dict[str, str]:
     return digests
 
 
-def _run_jobs(src: Path, work: Path) -> dict[str, str]:
+def _run_jobs(src: Path, work: Path) -> tuple[dict[str, str], dict[str, str]]:
     """Run the jobs of every workload directory under work against the
-    package in src; each directory holds the inputs and `jobs.json`."""
+    package in src; each directory holds the inputs and `jobs.json`.  Returns
+    the digests, and the text each CLI job's stdout digest was taken of."""
     sys.path.insert(0, str(src))
     import blockjacobi
     from blockjacobi import cli, config, runner
@@ -61,6 +74,7 @@ def _run_jobs(src: Path, work: Path) -> dict[str, str]:
     if not Path(blockjacobi.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"imported {blockjacobi.__file__}, not the package under {src}")
     digests: dict[str, str] = {}
+    texts: dict[str, str] = {}
     for wl_dir in sorted(p for p in work.iterdir() if p.is_dir()):
         os.chdir(wl_dir)
         for job in json.loads(Path("jobs.json").read_text()):
@@ -77,13 +91,67 @@ def _run_jobs(src: Path, work: Path) -> dict[str, str]:
                             code = cli.main(job["argv"])
                         except SystemExit as exc:  # argparse exits on a bad command line
                             code = exc.code
-                    digests[f"{key}/stdout"] = _sha(f"exit {code}\n{sink.getvalue()}".encode())
+                    texts[f"{key}/stdout"] = f"exit {code}\n{sink.getvalue()}"
+                    digests[f"{key}/stdout"] = _sha(texts[f"{key}/stdout"].encode())
             except Exception as exc:  # the job boundary: record and go on
                 digests[f"{key}/raised"] = f"{type(exc).__name__}: {exc}"
                 continue
             if Path(job["out_dir"]).is_dir():
                 digests.update(_file_digests(Path(job["out_dir"]), key))
-    return digests
+    return digests, texts
+
+
+def _cell(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _values(path: Path):
+    """The values of an output file: report.json parsed without
+    `wall_times`, a CSV as rows of cells, anything else as text."""
+    if path.name == "report.json":
+        doc = json.loads(path.read_bytes())
+        doc.pop("wall_times", None)
+        return doc
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            return [[_cell(c) for c in row] for row in csv.reader(fh)]
+    return path.read_text()
+
+
+class ValueDiff:
+    """The differences between two parsed outputs: the largest relative
+    difference of two finite floats at one place, and every other one."""
+
+    def __init__(self):
+        self.worst = 0.0
+        self.worst_at = ""
+        self.other: list[str] = []
+
+    def walk(self, old, new, at: str = "") -> None:
+        if type(old) is float and type(new) is float and math.isfinite(old) \
+                and math.isfinite(new):
+            if old != new:
+                rel = abs(old - new) / max(abs(old), abs(new))
+                if rel > self.worst:
+                    self.worst, self.worst_at = rel, f"{at} (parent {old!r}, change {new!r})"
+        elif type(old) is dict and type(new) is dict:
+            if old.keys() != new.keys():
+                self.other.append(f"{at}: keys {sorted(old.keys() ^ new.keys())} in one tree only")
+            for k in sorted(old.keys() & new.keys()):
+                self.walk(old[k], new[k], f"{at}.{k}")
+        elif type(old) is list and type(new) is list:
+            if len(old) != len(new):
+                self.other.append(f"{at}: length {len(old)} -> {len(new)}")
+            for i, (o, n) in enumerate(zip(old, new)):
+                self.walk(o, n, f"{at}[{i}]")
+        elif type(old) is not type(new) or (old != new and not (
+                type(old) is float and math.isnan(old) and math.isnan(new))):
+            self.other.append(f"{at}: parent {old!r}, change {new!r}")
 
 
 def _seeds(specs: list[str]) -> list[int]:
@@ -109,6 +177,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("change_src", type=Path)
     ap.add_argument("--seeds", nargs="+", default=["0"],
                     help="seeds, or ranges such as 0-9 (default: 0)")
+    ap.add_argument("--values", action="store_true",
+                    help="compare the values of every output that differs; "
+                         "exit 1 only on a non-float difference")
     args = ap.parse_args(argv)
     sys.dont_write_bytecode = True  # leave perfbench/ as it is
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -119,7 +190,8 @@ def main(argv: list[str] | None = None) -> int:
     env.pop("PYTHONPATH", None)
     trees = {"parent": args.parent_src.resolve(), "change": args.change_src.resolve()}
     seeds = _seeds(args.seeds)
-    compared = differ = 0
+    compared = differ = other = 0
+    worst, worst_at = 0.0, ""
     for seed in seeds:
         with tempfile.TemporaryDirectory(prefix=f"bytegate-s{seed}-") as tmp:
             inputs = {name: generate(name, seed) for name in WORKLOADS}
@@ -135,21 +207,44 @@ def main(argv: list[str] | None = None) -> int:
                     [sys.executable, __file__, "--child", str(src), str(Path(tmp, tree))],
                     env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
             outs = {tree: proc.communicate() for tree, proc in procs.items()}
-        for tree, proc in procs.items():
-            if proc.returncode != 0:
-                print(f"seed {seed}: the {tree} tree's process exited {proc.returncode}:\n"
-                      f"{outs[tree][1]}", file=sys.stderr)
-                return 2
-        old, new = (json.loads(outs[tree][0].splitlines()[-1]) for tree in trees)
-        for key in sorted(old.keys() | new.keys()):
-            compared += 1
-            if old.get(key) != new.get(key):
+            for tree, proc in procs.items():
+                if proc.returncode != 0:
+                    print(f"seed {seed}: the {tree} tree's process exited {proc.returncode}:\n"
+                          f"{outs[tree][1]}", file=sys.stderr)
+                    return 2
+            (old, old_texts), (new, new_texts) = (
+                json.loads(outs[tree][0].splitlines()[-1]) for tree in trees)
+            for key in sorted(old.keys() | new.keys()):
+                compared += 1
+                if old.get(key) == new.get(key):
+                    continue
                 differ += 1
                 print(f"seed {seed}: {key} differs: "
                       f"parent {_short(old.get(key))}, change {_short(new.get(key))}")
+                if not args.values:
+                    continue
+                diff = ValueDiff()
+                if key not in old or key not in new:
+                    diff.other.append(f": written by the {'change' if key in new else 'parent'} only")
+                elif key.endswith(("/stdout", "/raised")):
+                    diff.walk(old_texts.get(key, old[key]), new_texts.get(key, new[key]))
+                else:
+                    diff.walk(_values(Path(tmp, "parent", key)), _values(Path(tmp, "change", key)))
+                if diff.worst:
+                    print(f"    worst relative float difference {diff.worst:.3g} at {diff.worst_at}")
+                    if diff.worst > worst:
+                        worst, worst_at = diff.worst, f"seed {seed}: {key}{diff.worst_at}"
+                for line in diff.other:
+                    print(f"    non-float difference at {key}{line}")
+                other += len(diff.other)
     print(f"{compared} outputs compared at seeds {', '.join(map(str, seeds))}: "
           f"{differ} differ")
-    return 1 if differ else 0
+    if not args.values:
+        return 1 if differ else 0
+    print(f"values: worst relative float difference {worst:.3g}"
+          + (f" at {worst_at}" if worst else "")
+          + f"; {other} non-float differences")
+    return 1 if other else 0
 
 
 if __name__ == "__main__":
