@@ -624,7 +624,10 @@ SEQUENCE_NAMES = ("a", "b", "a_inv", "a_inv_b", "a_inv_a_prev")
 def sequence_stack(fam: CoefficientFamily, name: str, start: int, count: int) -> np.ndarray:
     """Stack of the derived sequence `name`, one of SEQUENCE_NAMES, for
     n = start .. start+count-1; "a_inv_b" is a_n^{-1} b_n and "a_inv_a_prev"
-    is a_n^{-1} a_{n-1}^*."""
+    is a_n^{-1} a_{n-1}^*, defined from n = 1 on."""
+    if name == "a_inv_a_prev" and start < 1:
+        raise ValueError(f"sequence 'a_inv_a_prev' (a_n^-1 a_(n-1)^*) starts at n = 1, "
+                         f"not {start}")
     if name in ("a", "b"):
         A, _, B, _ = fam.stacks(start, count, inverse=False)
         return A if name == "a" else B

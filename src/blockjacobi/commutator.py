@@ -25,7 +25,6 @@ from .coeffs import (
     CoefficientFamily,
     SumEvidence,
     bounded_verdict,
-    g_product,
     iter_log_arrays,
     require_nested_logs,
     series_verdict,
@@ -58,20 +57,16 @@ class AlphaStrategy:
     name = "abstract"
 
     def alpha(self, fam: CoefficientFamily, n: int) -> np.ndarray:
-        raise NotImplementedError
+        """alpha_n, a one-row view of stack."""
+        return self.stack(fam, n, 1)[0]
 
     def stack(self, fam: CoefficientFamily, start: int, count: int) -> np.ndarray:
-        """alpha_n for n = start .. start+count-1 as one (count, d, d) array;
-        this default evaluates alpha once per index."""
-        rows = [self.alpha(fam, n) for n in range(start, start + count)]
-        return np.array(rows, dtype=np.complex128).reshape(len(rows), fam.dim, fam.dim)
+        """alpha_n for n = start .. start+count-1 as one (count, d, d) array."""
+        raise NotImplementedError
 
 
 class IdentityWeights(AlphaStrategy):
     name = "identity"
-
-    def alpha(self, fam: CoefficientFamily, n: int) -> np.ndarray:
-        return np.eye(fam.dim, dtype=np.complex128)
 
     def stack(self, fam: CoefficientFamily, start: int, count: int) -> np.ndarray:
         return np.broadcast_to(np.eye(fam.dim, dtype=np.complex128),
@@ -82,9 +77,6 @@ class ANWeights(AlphaStrategy):
     """alpha_n = a_n; the natural choice when ||a_n^{-1}|| -> 0."""
 
     name = "an"
-
-    def alpha(self, fam: CoefficientFamily, n: int) -> np.ndarray:
-        return fam.a(n)
 
     def stack(self, fam: CoefficientFamily, start: int, count: int) -> np.ndarray:
         return fam.stacks(start, count, inverse=False)[0]
@@ -100,11 +92,6 @@ class LogWeights(AlphaStrategy):
         self.n_start = n_start
         self.name = f"log(depth={depth},start={n_start})"
 
-    def alpha(self, fam: CoefficientFamily, n: int) -> np.ndarray:
-        if n < self.n_start:
-            return np.eye(fam.dim, dtype=np.complex128)
-        return n * g_product(self.depth, float(n)) * adj(fam.a_inv(n))
-
     def stack(self, fam: CoefficientFamily, start: int, count: int) -> np.ndarray:
         out = np.array(IdentityWeights().stack(fam, start, count))
         lo, stop = max(start, self.n_start), start + count
@@ -116,12 +103,15 @@ class LogWeights(AlphaStrategy):
 
 
 class CustomWeights(AlphaStrategy):
+    """alpha_n = fn(n), the one strategy evaluated once per index."""
+
     def __init__(self, fn, name: str = "custom"):
         self._fn = fn
         self.name = name
 
-    def alpha(self, fam: CoefficientFamily, n: int) -> np.ndarray:
-        return as_operator(self._fn(n))
+    def stack(self, fam: CoefficientFamily, start: int, count: int) -> np.ndarray:
+        rows = [as_operator(self._fn(n)) for n in range(start, start + count)]
+        return np.array(rows, dtype=np.complex128).reshape(len(rows), fam.dim, fam.dim)
 
 
 # ---- forms and values ----
@@ -223,15 +213,21 @@ def c_limit(fam: CoefficientFamily, strategy: AlphaStrategy, lam: float,
 
     The last-decade Cauchy residual under 1e-8 marks clean convergence; a
     residual that refuses to contract (no better than half the mid-trace
-    residual, and larger than 1e-3) raises NotConvergentError.
+    residual, and larger than 1e-3) raises NotConvergentError.  A horizon
+    whose mid-trace window [0.45 horizon, 0.55 horizon) holds no index
+    (2, 3, 5, 7 and 9) raises ValueError.
     """
     def window_residual(lo: int, hi: int, step: int) -> tuple[np.ndarray, float]:
         forms = _normalized_forms(fam, strategy, lam, np.arange(lo, hi, step))
         mean = forms.sum(axis=0) / len(forms)
         return mean, float(op_norm(forms - mean).max())
 
+    mid_lo, mid_hi = max(1, int(0.45 * horizon)), int(0.55 * horizon)
+    if mid_hi <= mid_lo:
+        raise ValueError(f"horizon {horizon} leaves the mid-trace window "
+                         f"[{mid_lo}, {mid_hi}) empty")
     step = max(1, horizon // 400)
-    mid, mid_res = window_residual(max(1, int(0.45 * horizon)), int(0.55 * horizon), step)
+    mid, mid_res = window_residual(mid_lo, mid_hi, step)
     last, last_res = window_residual(max(1, int(0.9 * horizon)), horizon, step)
     scale = max(1.0, op_norm(last))
     if last_res > 1e-3 * scale and last_res > 0.5 * mid_res:

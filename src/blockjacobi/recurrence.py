@@ -39,16 +39,8 @@ NOT_SQUARE_SUMMABLE = "not_square_summable"
 
 def transfer(fam: CoefficientFamily, n: int, z: complex) -> np.ndarray:
     """One-step transfer matrix B_n(z) mapping (u_{n-1}, u_n) to (u_n, u_{n+1});
-    defined for n >= 1."""
-    if n < 1:
-        raise ValueError("transfer matrices start at n = 1")
-    d = fam.dim
-    ainv = fam.a_inv(n)
-    out = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    out[:d, d:] = np.eye(d)
-    out[d:, :d] = -ainv @ adj(fam.a(n - 1))
-    out[d:, d:] = ainv @ (z * np.eye(d) - fam.b(n))
-    return out
+    defined for n >= 1.  A one-row view of transfer_stack."""
+    return transfer_stack(fam, z, n, 1)[0]
 
 
 def transfer_inv(fam: CoefficientFamily, n: int, z: complex) -> np.ndarray:
@@ -65,16 +57,17 @@ def transfer_inv(fam: CoefficientFamily, n: int, z: complex) -> np.ndarray:
 
 
 def window_product(fam: CoefficientFamily, z: complex, n: int, N: int) -> np.ndarray:
-    """Ordered product B_{n+N-1}(z) ... B_n(z), highest index leftmost.
+    """Ordered product B_{n+N-1}(z) ... B_n(z), highest index leftmost, of
+    one transfer_stack.
 
     An empty window (N = 0) gives the identity on H (+) H.
     """
     if N < 0:
         raise ValueError("window length must be >= 0")
-    d = fam.dim
-    out = np.eye(2 * d, dtype=np.complex128)
-    for j in range(n, n + N):
-        out = transfer(fam, j, z) @ out
+    out = np.eye(2 * fam.dim, dtype=np.complex128)
+    if N:
+        for b in transfer_stack(fam, z, n, N):
+            out = b @ out
     return out
 
 

@@ -81,24 +81,28 @@ def _weight_block(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def turan_form(fam: CoefficientFamily, N: int, n: int, z: complex) -> np.ndarray:
-    """Normalized Hermitian form matrix of Q_n^z on H (+) H."""
+def _row_form(fam: CoefficientFamily, N: int, n: int, z: complex) -> np.ndarray:
+    """The form matrix diag(a, a^*) E X_n(z) of one row, a = a_{n+N-1},
+    without sym or normalization; n >= 1 and N >= 1."""
     if N < 1:
         raise ValueError("window length N must be >= 1")
     if n < 1:
         raise ValueError("forms start at n = 1")
-    m = _weight_block(fam.a(n + N - 1)) @ window_product(fam, z, n, N)
-    return sym(m) / fam.norm_a(n + N - 1)
+    return _weight_block(fam.a(n + N - 1)) @ window_product(fam, z, n, N)
+
+
+def turan_form(fam: CoefficientFamily, N: int, n: int, z: complex) -> np.ndarray:
+    """Normalized Hermitian form matrix of Q_n^z on H (+) H."""
+    return sym(_row_form(fam, N, n, z)) / fam.norm_a(n + N - 1)
 
 
 def turan_value(fam: CoefficientFamily, N: int, n: int, z: complex,
                 alpha: np.ndarray) -> float:
     """S_n = ||a_{n+N-1}|| Q_n^z((u_{n-1}, u_n)) for the trajectory seeded by
-    alpha = (u_0, u_1)."""
+    alpha = (u_0, u_1); the per-row oracle of turan_traces."""
+    m = _row_form(fam, N, n, z)
     traj = propagate(fam, z, alpha, max(n + 1, 2))
-    v = np.concatenate([traj.u[n - 1], traj.u[n]])
-    m = _weight_block(fam.a(n + N - 1)) @ window_product(fam, z, n, N)
-    return quad_form(m, v)
+    return quad_form(m, np.concatenate([traj.u[n - 1], traj.u[n]]))
 
 
 @dataclass

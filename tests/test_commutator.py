@@ -66,6 +66,24 @@ def test_strategy_alpha_values():
     assert np.abs(custom.alpha(fam, 3) - 4.0 * np.eye(2)).max() == 0.0
 
 
+@pytest.mark.parametrize("depth", [1, 2])
+def test_strategy_alpha_rows_match_their_formulas(depth):
+    # alpha_n is a one-row view of stack; each row is checked against the
+    # formula written out per index, on both sides of n_start and far out
+    fam = paper_logweight()
+    n_start = 20
+    logw = LogWeights(depth, n_start)
+    for n in (n_start - 1, n_start, n_start + 1, 5000):
+        got = logw.alpha(fam, n)
+        if n < n_start:
+            assert np.abs(got - np.eye(2)).max() == 0.0
+        else:
+            want = n * g_product(depth, float(n)) * adj(fam.a_inv(n))
+            assert op_norm(got - want) < 1e-12 * op_norm(want)
+        assert np.array_equal(IdentityWeights().alpha(fam, n), np.eye(2))
+        assert np.array_equal(ANWeights().alpha(fam, n), fam.a(n))
+
+
 def test_log_weights_validate_start_index():
     with pytest.raises(DomainError):
         LogWeights(1, n_start=1)
@@ -173,6 +191,28 @@ def test_c_limit_rejects_oscillating_forms():
     alt = custom_family(1, lambda n: np.eye(1), lambda n: (-1.0) ** n * np.eye(1))
     with pytest.raises(NotConvergentError):
         c_limit(alt, IdentityWeights(), 0.0, 2000)
+
+
+@pytest.mark.parametrize("horizon", [2, 3, 5, 7, 9])
+def test_c_limit_refuses_an_empty_mid_trace_window(horizon):
+    # [int(0.45 H), int(0.55 H)) holds no index at these horizons
+    fam = constant_family(X_OP, ZERO2)
+    with pytest.raises(ValueError, match=rf"horizon {horizon} leaves the mid-trace window"):
+        c_limit(fam, ANWeights(), 0.0, horizon)
+
+
+@pytest.mark.parametrize("horizon", [4, 6, 8, 10])
+def test_c_limit_short_horizons_read_the_last_form(horizon):
+    # each window holds one index, so the limit is the normalized form at
+    # horizon - 1 and its residual is exactly 0
+    rng = np.random.default_rng(horizon)
+    fam = rand_family(rng, 2, horizon + 1)
+    strat = ANWeights()
+    rep = c_limit(fam, strat, 0.3, horizon)
+    n = horizon - 1
+    want = sym(commutator_form(fam, strat, n, 0.3)) / weight_scale(fam, strat, n)
+    assert rep.residual == 0.0 and rep.converged and rep.horizon == horizon
+    assert op_norm(rep.C_lambda - want) < 1e-12 * op_norm(want)
 
 
 # ---- weight conditions ----

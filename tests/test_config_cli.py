@@ -358,6 +358,31 @@ def test_run_records_a_table_shorter_than_the_horizon():
     assert rep.results["01_validate"]["ok"]
 
 
+def test_run_names_the_domain_of_a_inv_a_prev():
+    # a_n^{-1} a_{n-1}^* starts at n = 1; a window from 0 is refused by name
+    doc = parse_config({"family": "paper-constant",
+                        "analyses": [{"kind": "variation", "sequence": "a_inv_a_prev",
+                                      "N": 1, "window": [0, 10]},
+                                     {"kind": "variation", "sequence": "a_inv_a_prev",
+                                      "N": 1, "window": [1, 10]}],
+                        "horizon": 50})
+    rep = run(doc)
+    assert rep.results["00_variation"] == {
+        "error": "ValueError",
+        "message": "sequence 'a_inv_a_prev' (a_n^-1 a_(n-1)^*) starts at n = 1, not 0"}
+    assert rep.results["01_variation"]["window"] == [1, 10]
+
+
+def test_run_names_a_horizon_without_a_mid_trace_window():
+    doc = parse_config({"family": "paper-constant",
+                        "analyses": [{"kind": "commutator", "strategy": "an", "lambda": 1.0}],
+                        "horizon": 5})
+    rep = run(doc)
+    assert rep.results["00_commutator"] == {
+        "error": "ValueError",
+        "message": "horizon 5 leaves the mid-trace window [2, 2) empty"}
+
+
 def test_run_trajectory_produces_trace_table():
     doc = parse_config({"family": "paper-constant",
                         "analyses": [{"kind": "trajectory", "z": [0, 1],

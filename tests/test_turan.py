@@ -117,6 +117,19 @@ def test_form_value_and_traces_agree():
         assert abs(trace.values[n - 1] - via_value) < 1e-9 * scale
 
 
+def test_turan_value_refuses_what_turan_form_refuses():
+    # an empty window (N = 0) and a row before the first transfer matrix
+    # (n = 0) have no form: turan_value says so as turan_form does
+    fam = paper_constant()
+    alpha = np.array([1.0, 0.0, 0.0, 1.0])
+    for fn in (lambda N, n: turan_form(fam, N, n, 0.75),
+               lambda N, n: turan_value(fam, N, n, 0.75, alpha)):
+        with pytest.raises(ValueError, match="window length N must be >= 1"):
+            fn(0, 1)
+        with pytest.raises(ValueError, match="forms start at n = 1"):
+            fn(1, 0)
+
+
 def test_traces_need_no_inverse_of_a0():
     # S_n reads a_n^{-1} for n >= 1 only, like propagate and turan_value, so
     # a singular a_0 must not stop the batched trace.
