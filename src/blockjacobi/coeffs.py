@@ -4,8 +4,10 @@ total N-variation, Carleman sums, and the heuristic series verdicts shared by
 every summability check in the package.
 
 Families return arrays for index ranges (`CoefficientFamily.stacks`) and
-weights evaluate on index arrays (`ScalarWeight.array`); the per-index
-accessors read the same arrays.  Instances are treated as immutable.
+weights evaluate on index arrays (`ScalarWeight.array`, the one hook a
+weight kind supplies).  Each scalar sequence has that one formula: the
+per-index accessors, w(n), block_index and iter_log are one-element views of
+the arrays.  Instances are treated as immutable.
 """
 
 from __future__ import annotations
@@ -47,19 +49,9 @@ SERIES_NOISE_FLOOR = 1e-12
 
 
 def iter_log(depth: int, x: float) -> float:
-    """log applied depth times; depth 0 is the identity.
-
-    Raises DomainError when an intermediate value is not positive, since the
-    next log would be undefined.
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    v = float(x)
-    for _ in range(depth):
-        if v <= 0.0:
-            raise DomainError(f"iterated log hit non-positive value {v!r}")
-        v = math.log(v)
-    return v
+    """log applied depth times; depth 0 is the identity.  The one-element
+    view of iter_log_arrays."""
+    return float(iter_log_arrays(depth, x)[0])
 
 
 def require_nested_logs(depth: int, x: int, name: str) -> None:
@@ -73,7 +65,8 @@ def require_nested_logs(depth: int, x: int, name: str) -> None:
 
 
 def g_product(depth: int, x: float) -> float:
-    """Product log(x) * loglog(x) * ... down to depth nested logs; g_0 = 1."""
+    """Product log(x) * loglog(x) * ... down to depth nested logs; g_0 = 1.
+    A loop on one value, kept as the reference for iter_log_arrays' product."""
     out = 1.0
     v = float(x)
     for _ in range(depth):
@@ -85,7 +78,9 @@ def g_product(depth: int, x: float) -> float:
 
 
 def iter_log_arrays(depth: int, xs) -> tuple[np.ndarray, np.ndarray]:
-    """iter_log(depth, x) and g_product(depth, x) for every x of an array."""
+    """log applied depth times to every x of an array (depth 0 is the
+    identity) and the product of those logs, g_product.  Raises DomainError
+    when an intermediate value is not positive: its log is undefined."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     v = np.asarray(xs, dtype=float)
@@ -103,23 +98,19 @@ def iter_log_arrays(depth: int, xs) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ScalarWeight:
-    """Positive scalar sequence n -> w(n), n >= 0."""
+    """Positive scalar sequence n -> w(n), n >= 0.  A kind supplies `array`,
+    w(n) for every n of an integer array; w(n) is its one-element view."""
 
     def __call__(self, n: int) -> float:
-        raise NotImplementedError
+        return float(self.array(n))
 
     def array(self, ns) -> np.ndarray:
-        """w(n) for every n of an integer array; this default calls the
-        weight once per index."""
-        return np.array([self(int(n)) for n in np.asarray(ns).ravel()], dtype=float)
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class ConstantWeight(ScalarWeight):
     value: float = 1.0
-
-    def __call__(self, n: int) -> float:
-        return self.value
 
     def array(self, ns) -> np.ndarray:
         return np.full(np.shape(ns), float(self.value))
@@ -136,21 +127,26 @@ class PowerWeight(ScalarWeight):
         if self.offset < 1:
             raise ValueError("offset must be >= 1")
 
-    def __call__(self, n: int) -> float:
-        return float(n + self.offset) ** self.exponent
-
     def array(self, ns) -> np.ndarray:
         return (np.asarray(ns) + self.offset).astype(float) ** self.exponent
 
 
 @dataclass(frozen=True)
 class TabulatedWeight(ScalarWeight):
+    """values[n]; reading past the end raises IndexError."""
+
     values: tuple[float, ...]
 
-    def __call__(self, n: int) -> float:
-        return self.values[n]
+    def __post_init__(self):
+        if not self.values:
+            raise ValueError("values must hold at least one entry")
 
     def array(self, ns) -> np.ndarray:
+        ns = np.asarray(ns)
+        past = ns >= len(self.values)
+        if past.any():
+            raise IndexError(f"index {ns[past].flat[0]} is past the table of "
+                             f"{len(self.values)} entries")
         return np.asarray(self.values, dtype=float)[ns]
 
 
@@ -168,9 +164,6 @@ class LogProductWeight(ScalarWeight):
     def __post_init__(self):
         require_nested_logs(self.depth, self.offset, "offset")
 
-    def __call__(self, n: int) -> float:
-        return (n + self.offset) * g_product(self.depth, float(n + self.offset))
-
     def array(self, ns) -> np.ndarray:
         m = np.asarray(ns) + self.offset
         return m * iter_log_arrays(self.depth, m)[1]
@@ -186,29 +179,26 @@ class RecipIterLogWeight(ScalarWeight):
     def __post_init__(self):
         require_nested_logs(self.depth, self.offset, "offset")
 
-    def __call__(self, n: int) -> float:
-        return 1.0 / iter_log(self.depth, float(n + self.offset))
-
     def array(self, ns) -> np.ndarray:
         return 1.0 / iter_log_arrays(self.depth, np.asarray(ns) + self.offset)[0]
 
 
 def block_index(n: int) -> int:
-    """Block number k >= 1 of position n >= 0 when block k is repeated k times.
+    """The one-element view of block_indices."""
+    return int(block_indices(n))
+
+
+def block_indices(ns) -> np.ndarray:
+    """Block number k >= 1 of every position n >= 0 of an integer array when
+    block k is repeated k times.
 
     Blocks tile the index line as [0], [1,2], [3,4,5], ...; block k starts at
     k(k-1)/2.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return (1 + math.isqrt(8 * n + 1)) // 2
-
-
-def block_indices(ns) -> np.ndarray:
-    """block_index(n) for every n of an integer array."""
-    m = 8 * np.asarray(ns, dtype=np.int64) + 1
-    if np.any(m < 1):
-        raise ValueError("n must be >= 0")
+    ns = np.asarray(ns, dtype=np.int64)
+    if np.any((ns < 0) | (ns >= 2 ** 59)):  # so that 8n + 1 and (r + 1)^2 fit in int64
+        raise ValueError("n must be in [0, 2^59)")
+    m = 8 * ns + 1
     r = np.sqrt(m).astype(np.int64)
     # exact integer square root: correct the float estimate by one either way
     r -= r * r > m
@@ -220,10 +210,6 @@ def block_indices(ns) -> np.ndarray:
 class BlockSqrtLogWeight(ScalarWeight):
     """k * sqrt(log(k+1)) held constant across block k (repeated k times)."""
 
-    def __call__(self, n: int) -> float:
-        k = block_index(n)
-        return k * math.sqrt(math.log(k + 1.0))
-
     def array(self, ns) -> np.ndarray:
         k = block_indices(ns)
         return k * np.sqrt(np.log(k + 1.0))
@@ -233,10 +219,6 @@ class BlockSqrtLogWeight(ScalarWeight):
 class BlockRecipLogWeight(ScalarWeight):
     """1 / (k * log(k+1)) held constant across block k, aligned with the same
     block tiling as BlockSqrtLogWeight."""
-
-    def __call__(self, n: int) -> float:
-        k = block_index(n)
-        return 1.0 / (k * math.log(k + 1.0))
 
     def array(self, ns) -> np.ndarray:
         k = block_indices(ns)
@@ -450,7 +432,7 @@ class ScaledPeriodicFamily(CoefficientFamily):
         ok = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(B).all(axis=(1, 2))
         k = len(ns) if ok.all() else int(np.argmin(ok))
         xs, js = xs[:k], js[:k]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             inv = self._X_inv[js] / xs[:, None, None]
         derived = (xs * self._X_norm[js], inv, np.where(xs == 0.0, np.inf, self._X_cond[js]),
                    self._X_bad[js] | (xs == 0.0))
@@ -696,7 +678,7 @@ def series_verdict(terms: np.ndarray, first_index: int = 0) -> SumEvidence:
     """Heuristic classification of sum(terms) as a truncated infinite series.
 
     Term k of the array is understood as index n = first_index + k.  The
-    ladder: series at the noise floor converge; geometric tails converge; a last-decade
+    ladder: a series with a term of +inf diverges; series at the noise floor converge; geometric tails converge; a last-decade
     log-log slope >= -0.95 diverges (terms decaying no faster than c/n) and
     <= -1.3 converges; slopes in between are refined by fitting the exponent p
     in t_n ~ 1/(n log^p n), since that family straddles the boundary.  The
@@ -709,6 +691,9 @@ def series_verdict(terms: np.ndarray, first_index: int = 0) -> SumEvidence:
     total = float(t.sum())
     count = len(t)
     ev = SumEvidence(UNDECIDED, total, count)
+    if np.isposinf(t).any():
+        ev.verdict = DIVERGES
+        return ev
     if count > 0 and float(t.max()) <= SERIES_NOISE_FLOOR:
         ev.verdict = CONVERGES
         ev.tail_estimate = 0.0
@@ -926,6 +911,7 @@ def carleman_diagnostic(fam: CoefficientFamily, horizon: int = DEFAULT_HORIZON) 
     matrix to be essentially self-adjoint; its failure opens the door to
     complete indeterminacy.
     """
-    terms = 1.0 / fam.stacks(0, horizon, inverse=False)[3]
+    with np.errstate(divide="ignore", over="ignore"):  # a vanishing ||a_n|| gives +inf
+        terms = 1.0 / fam.stacks(0, horizon, inverse=False)[3]
     ev = series_verdict(terms, first_index=0)
     return CarlemanReport(horizon, float(terms.sum()), ev)

@@ -45,9 +45,6 @@ class _ScaledPower(ScalarWeight):
         self._w = PowerWeight(exponent)
         self.scale = scale
 
-    def __call__(self, n: int) -> float:
-        return self.scale * self._w(n)
-
     def array(self, ns) -> np.ndarray:
         return self.scale * self._w.array(ns)
 
@@ -75,9 +72,6 @@ def indeterminate_doubling() -> CoefficientFamily:
 
 
 class _Doubling(ScalarWeight):
-    def __call__(self, n: int) -> float:
-        return float(2.0 ** n)
-
     def array(self, ns) -> np.ndarray:
         return 2.0 ** np.asarray(ns, dtype=float)
 

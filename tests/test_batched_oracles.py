@@ -353,6 +353,65 @@ def test_block_indices_match_block_index_near_block_edges():
     assert block_indices(ns).tolist() == [block_index(int(n)) for n in ns]
 
 
+def _mp_weight(mpmath, w, n: int, block_of: np.ndarray):
+    """w(n) in mpmath's working precision, from the weight's parameters;
+    block_of[n] is the block number of position n."""
+    mpf, log = mpmath.mpf, mpmath.log
+    if isinstance(w, ConstantWeight):
+        return mpf(w.value)
+    if isinstance(w, PowerWeight):
+        return mpf(n + w.offset) ** mpf(w.exponent)
+    if isinstance(w, TabulatedWeight):
+        return mpf(w.values[n])
+    if isinstance(w, (LogProductWeight, RecipIterLogWeight)):
+        v = g = mpf(n + w.offset)
+        for _ in range(w.depth):
+            v = log(v)
+            g *= v
+        return g if isinstance(w, LogProductWeight) else 1 / v
+    k = int(block_of[n])
+    if isinstance(w, BlockSqrtLogWeight):
+        return k * mpmath.sqrt(log(k + 1))
+    if isinstance(w, BlockRecipLogWeight):
+        return 1 / (k * log(k + 1))
+    if isinstance(w, fixtures._ScaledPower):
+        return mpf(w.scale) * mpf(n + w._w.offset) ** mpf(w._w.exponent)
+    if isinstance(w, fixtures._Doubling):
+        return mpf(2) ** n
+    raise TypeError(f"no reference for {type(w).__name__}")
+
+
+@pytest.mark.parametrize("w", WEIGHTS + [LogProductWeight(3, 20)], ids=lambda w: type(w).__name__)
+def test_weight_array_matches_mpmath(w):
+    mpmath = pytest.importorskip("mpmath")
+    ns = np.unique(np.concatenate([np.arange(200),
+                                   np.geomspace(200, 1e6, 200).round().astype(np.int64)]))
+    if isinstance(w, TabulatedWeight):
+        ns = ns[ns < len(w.values)]
+    if isinstance(w, fixtures._Doubling):  # 2^n leaves the floating range past n = 1023
+        ns = ns[ns < 1000]
+    # blocks [0], [1,2], [3,4,5], ...: block k is k repeated k times
+    ks = np.arange(1, 1500)
+    block_of = np.repeat(ks, ks)
+    got = w.array(ns)
+    with mpmath.workdps(50):
+        errs = [float(abs(mpmath.mpf(float(g)) / _mp_weight(mpmath, w, int(n), block_of) - 1))
+                for g, n in zip(got, ns)]
+    worst = int(np.argmax(errs))
+    assert errs[worst] <= 8 * np.finfo(float).eps, f"n = {ns[worst]}: {errs[worst]:.3g}"
+
+
+def test_block_indices_at_block_edges():
+    # block k runs from k(k-1)/2 to k(k-1)/2 + k - 1; the position before it ends block k - 1.
+    # From k near 2^27 on, 8n + 1 at a block's end rounds up to the next odd square as a float.
+    for k in (1, 2, 3, 10, 1000, 94906265, 10 ** 8, 2 ** 28):
+        start = k * (k - 1) // 2
+        ns, want = [start, start + k - 1], [k, k]
+        if k > 1:
+            ns, want = [start - 1] + ns, [k - 1] + want
+        assert block_indices(np.array(ns)).tolist() == want, k
+
+
 # ---- evaluation discipline of the families ----
 
 

@@ -12,10 +12,11 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from blockjacobi.cli import main  # noqa: E402
+from blockjacobi.coeffs import WEIGHT_KINDS  # noqa: E402
 
 X_JSON = [[1.0, 1.0], [1.0, 2.0]]
 Y_JSON = [[2.0, 1.0], [1.0, 1.0]]
@@ -124,3 +125,38 @@ def test_cli_exits_cleanly_on_any_analysis_values(family, entry, horizon, seed):
         json.loads(out.getvalue())
     else:
         assert err.getvalue().startswith("error: $"), err.getvalue()
+
+
+# parameters each inline weight kind accepts; offsets 16 and up give every
+# depth up to 3 positive nested logs
+WEIGHT_PARAMS = {
+    "constant": {"value": st.floats(0.0, 5.0)},
+    "power": {"exponent": st.floats(-3.0, 3.0), "offset": st.integers(1, 5)},
+    "tabulated": {"values": st.lists(st.floats(0.1, 5.0), min_size=1, max_size=40)},
+    "log_product": {"depth": st.integers(0, 3), "offset": st.integers(16, 100)},
+    "recip_iter_log": {"depth": st.integers(0, 3), "offset": st.integers(16, 100)},
+    "block_sqrt_log": {},
+    "block_recip_log": {},
+}
+
+WEIGHT = st.sampled_from(sorted(WEIGHT_KINDS)).flatmap(
+    lambda kind: st.fixed_dictionaries({"kind": st.just(kind), **WEIGHT_PARAMS[kind]}))
+
+
+def _weighted(x: dict, y: dict) -> dict:
+    return {"kind": "scaled_periodic", "period": 1, "x": x, "y": y,
+            "X": [X_JSON], "Y": [Y_JSON]}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(family=st.builds(_weighted, WEIGHT, WEIGHT), entry=analysis(),
+       horizon=st.integers(2, 300), seed=st.integers(0, 2**31))
+# a_n that vanish or underflow to 0: the Carleman sum is +inf
+@example(family=_weighted({"kind": "constant", "value": 0.0}, {"kind": "constant"}),
+         entry=({"kind": "carleman"}, True), horizon=50, seed=0)
+@example(family=_weighted({"kind": "power", "exponent": -400}, {"kind": "constant"}),
+         entry=({"kind": "carleman"}, True), horizon=50, seed=0)
+def test_cli_exits_cleanly_on_inline_weight_families(family, entry, horizon, seed):
+    test_cli_exits_cleanly_on_any_analysis_values.hypothesis.inner_test(
+        family, entry, horizon, seed)

@@ -91,6 +91,14 @@ def test_block_index_tiling():
         block_index(-1)
 
 
+def test_block_index_refuses_positions_past_its_int64_range():
+    # block_index(n) = (1 + isqrt(8n + 1)) // 2 in int64; from 2^60 on, 8n + 1 wraps
+    assert block_index(2 ** 59 - 1) == (1 + math.isqrt(2 ** 62 - 7)) // 2
+    for n in (-1, 2 ** 59, 2 ** 60, 2 ** 61):
+        with pytest.raises(ValueError, match=r"^n must be in \[0, 2\^59\)$"):
+            block_index(n)
+
+
 def test_block_weights_follow_the_tiling():
     x = BlockSqrtLogWeight()
     y = BlockRecipLogWeight()

@@ -358,6 +358,46 @@ def test_run_records_a_table_shorter_than_the_horizon():
     assert rep.results["01_validate"]["ok"]
 
 
+def _weighted(x: dict) -> dict:
+    return {"kind": "scaled_periodic", "period": 1, "x": x,
+            "y": {"kind": "constant", "value": 1.0}, "X": [X_JSON], "Y": [Y_JSON]}
+
+
+def test_run_records_a_weight_table_shorter_than_the_horizon():
+    doc = parse_config({"family": _weighted({"kind": "tabulated", "values": [1, 2, 3]}),
+                        "analyses": [{"kind": "carleman"}, {"kind": "validate", "upto": 3}],
+                        "horizon": 50})
+    rep = run(doc)
+    assert rep.results["00_carleman"] == {"error": "IndexError",
+                                          "message": "index 3 is past the table of 3 entries"}
+    assert rep.results["01_validate"]["ok"]
+
+
+def test_an_empty_weight_table_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": _weighted({"kind": "tabulated", "values": []}),
+                               "analyses": [{"kind": "carleman"}], "horizon": 50}))
+    assert main(["analyze", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: $.family.x: ")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family", [
+    {"kind": "constant", "a": [[0, 0], [0, 0]], "b": Y_JSON},
+    _weighted({"kind": "constant", "value": 0.0}),
+    _weighted({"kind": "power", "exponent": -400}),  # x_n underflows to 0 from n = 6
+], ids=["zero-a", "zero-x", "underflowing-x"])
+def test_vanishing_a_satisfies_carleman(family):
+    doc = parse_config({"family": family,
+                        "analyses": [{"kind": "carleman"},
+                                     {"kind": "indeterminacy", "z_samples": [0.0]}],
+                        "horizon": 200})
+    rep = _jsonable(run(doc).results)
+    assert rep["00_carleman"]["verdict"] == "diverges"
+    assert rep["00_carleman"]["partial_sum"] == "inf"
+    assert rep["01_indeterminacy"]["verdict"] == "self_adjoint_regime"
+
+
 def test_run_names_the_domain_of_a_inv_a_prev():
     # a_n^{-1} a_{n-1}^* starts at n = 1; a window from 0 is refused by name
     doc = parse_config({"family": "paper-constant",
