@@ -133,21 +133,25 @@ class PowerWeight(ScalarWeight):
 
 @dataclass(frozen=True)
 class TabulatedWeight(ScalarWeight):
-    """values[n]; reading past the end raises IndexError."""
+    """values[n]; reading past the end raises IndexError.  The table is
+    converted to one read-only float array once, at construction."""
 
     values: tuple[float, ...]
 
     def __post_init__(self):
         if not self.values:
             raise ValueError("values must hold at least one entry")
+        table = np.array(self.values, dtype=float)
+        table.flags.writeable = False
+        object.__setattr__(self, "_table", table)
 
     def array(self, ns) -> np.ndarray:
         ns = np.asarray(ns)
-        past = ns >= len(self.values)
+        past = ns >= len(self._table)
         if past.any():
             raise IndexError(f"index {ns[past].flat[0]} is past the table of "
-                             f"{len(self.values)} entries")
-        return np.asarray(self.values, dtype=float)[ns]
+                             f"{len(self._table)} entries")
+        return self._table[ns]
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from .opcore import (
     op_norm,
     quad_form,
     singular_extremes,
+    stack_mul,
     stack_neg_part_norms,
     sym,
 )
@@ -198,12 +199,12 @@ def _normalized_forms(fam: CoefficientFamily, strategy: AlphaStrategy, lam: floa
     AL = strategy.stack(fam, lo, count)
     k = ns - lo
     AH = adj(A[k])
-    g = AINV[k - 1] @ AL[k - 1] @ A[k]
+    g = stack_mul(stack_mul(AINV[k - 1], AL[k - 1]), A[k])
     d = fam.dim
     m = np.zeros((len(k), 2 * d, 2 * d), dtype=np.complex128)
-    m[:, :d, :d] = AL[k] @ AH
-    m[:, :d, d:] = -(lam * np.eye(d) - B[k]) @ g
-    m[:, d:, d:] = AH @ g
+    m[:, :d, :d] = stack_mul(AL[k], AH)
+    m[:, :d, d:] = stack_mul(-(lam * np.eye(d) - B[k]), g)
+    m[:, d:, d:] = stack_mul(AH, g)
     return sym(m) / op_norm(m[:, :d, :d])[:, None, None]
 
 
@@ -280,12 +281,13 @@ def weight_conditions(fam: CoefficientFamily, strategy: AlphaStrategy,
     AINV = fam.stacks(0, horizon - 1)[1]
     AL = strategy.stack(fam, 0, horizon + 1)
     AH = adj(A)
-    scales = op_norm(AL @ AH)
-    g = AINV @ AL[:-2] @ A[1:-1]
+    W = stack_mul(AL, AH)  # alpha_n a_n^*
+    scales = op_norm(W)
+    g = stack_mul(stack_mul(AINV, AL[:-2]), A[1:-1])
     s = scales[1:-1]
-    t_neg = stack_neg_part_norms(AL[2:] @ AH[2:] - AH[1:-1] @ g) / s
+    t_neg = stack_neg_part_norms(W[2:] - stack_mul(AH[1:-1], g)) / s
     t_drift = op_norm(g - AL[1:-1]) / s
-    t_comm = op_norm(AL[1:-1] @ B[2:] - B[1:-1] @ g) / s
+    t_comm = op_norm(stack_mul(AL[1:-1], B[2:]) - stack_mul(B[1:-1], g)) / s
     t_inv = 1.0 / scales[:horizon]
     return ConditionReport(
         strategy=strategy.name,
@@ -337,7 +339,7 @@ def check_growth_criterion(fam: CoefficientFamily,
     A, _, B, NRM = fam.stacks(0, horizon + 1, inverse=False)
     AINV = fam.stacks(0, horizon)[1]
     inv_norms = op_norm(AINV)
-    invb_norms = op_norm(AINV @ B[:-1])
+    invb_norms = op_norm(stack_mul(AINV, B[:-1]))
     ok_inv, ev_inv = vanishing_verdict(inv_norms)
     ok_invb, ev_invb = vanishing_verdict(invb_norms)
 
@@ -345,8 +347,8 @@ def check_growth_criterion(fam: CoefficientFamily,
     # no product of two large a_n is formed, and no division by ||a_horizon||
     C = A[:-1] / NRM[:-1, None, None]
     R = A[2:] / NRM[1:-1, None, None]
-    t_neg = stack_neg_part_norms(R @ adj(R) - adj(C[1:]) @ C[1:])
-    t_comm = op_norm(C[1:] @ B[2:] - B[1:-1] @ C[1:]) / NRM[1:-1]
+    t_neg = stack_neg_part_norms(stack_mul(R, adj(R)) - stack_mul(adj(C[1:]), C[1:]))
+    t_comm = op_norm(stack_mul(C[1:], B[2:]) - stack_mul(B[1:-1], C[1:])) / NRM[1:-1]
     with np.errstate(over="ignore"):  # 1/inf is 0 in the norm-square sum
         sq = NRM[:-1] ** 2
     ev_neg = series_verdict(t_neg, first_index=1)
@@ -380,8 +382,12 @@ def check_log_weight_criterion(fam: CoefficientFamily, depth: int,
         (1 - c_n) Id <= |(a_{n-1}^*)^{-1} a_n| <= (1 + 1/n + sum_j 1/(n g_j(n)) + c_n) Id
 
     with summable slack c_n, bounded b_n with summable inverse-twisted
-    commutators, and summable ||a_n^{-1}||/n."""
+    commutators, and summable ||a_n^{-1}||/n.  The envelope runs over
+    n = n_start+1 .. horizon-1; a horizon that leaves it empty raises
+    ValueError."""
     require_nested_logs(depth, n_start, "n_start")
+    if horizon <= n_start + 1:
+        raise ValueError(f"horizon {horizon} leaves no envelope term past n_start = {n_start}")
     A, _, B, _ = fam.stacks(0, horizon + 1, inverse=False)
     AINV = fam.stacks(0, horizon)[1]
     inv_norms = op_norm(AINV)
@@ -390,7 +396,8 @@ def check_log_weight_criterion(fam: CoefficientFamily, depth: int,
     # |W| has the singular values of W as its spectrum, so the envelope
     # compares the extreme singular values of W = (a_{n-1}^*)^{-1} a_n
     ns = np.arange(n_start + 1, horizon)
-    sv_max, sv_min = singular_extremes(adj(AINV[n_start:horizon - 1]) @ A[n_start + 1:horizon])
+    sv_max, sv_min = singular_extremes(
+        stack_mul(adj(AINV[n_start:horizon - 1]), A[n_start + 1:horizon]))
     env_sum = np.zeros(len(ns))
     for j in range(1, depth + 1):
         env_sum = env_sum + 1.0 / (ns * iter_log_arrays(j, ns)[1])
@@ -400,7 +407,7 @@ def check_log_weight_criterion(fam: CoefficientFamily, depth: int,
 
     b_norms = op_norm(B[:-1])
     ok_b, ev_b = bounded_verdict(b_norms)
-    t_tw = op_norm(AINV @ B[:-1] - B[1:] @ AINV)
+    t_tw = op_norm(stack_mul(AINV, B[:-1]) - stack_mul(B[1:], AINV))
     ev_tw = series_verdict(t_tw, first_index=0)
 
     ev_wsum = series_verdict(inv_norms[1:] / np.arange(1, horizon), first_index=1)

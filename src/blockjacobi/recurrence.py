@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .coeffs import UNDECIDED, CoefficientFamily, geometric_remainder, tail_window
-from .opcore import adj
+from .opcore import adj, stack_mul
 from .table import Table, write_csv
 
 # Trajectories are truncated once a norm passes this guard.
@@ -134,16 +134,6 @@ class Trajectory:
         return np.linalg.norm(self.u, axis=1)
 
 
-def _apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M[n] @ v[n] over a stack of small matrices, as d broadcast products:
-    for a few columns this is several times faster than a batched matmul,
-    which pays a fixed cost per matrix."""
-    out = M[:, :, :1] * v[:, None, 0]
-    for j in range(1, M.shape[2]):
-        out += M[:, :, j:j + 1] * v[:, None, j]
-    return out
-
-
 def _chunk_products(AINV: np.ndarray, AH: np.ndarray, B: np.ndarray, z: complex,
                     lo: int, hi: int, c: int) -> np.ndarray:
     """Local prefix products of the transfer matrices of steps lo .. hi-1,
@@ -160,8 +150,8 @@ def _chunk_products(AINV: np.ndarray, AH: np.ndarray, B: np.ndarray, z: complex,
     eye = np.eye(d)
     ainv = AINV[lo - 1:hi - 1]
     L = np.zeros((-(-cnt // c) * c, d, 2 * d), dtype=np.complex128)
-    L[:cnt, :, :d] = -_apply(ainv, AH[lo - 1:hi - 1])
-    L[:cnt, :, d:] = _apply(ainv, z * eye - B[lo:hi])
+    L[:cnt, :, :d] = -stack_mul(ainv, AH[lo - 1:hi - 1])
+    L[:cnt, :, d:] = stack_mul(ainv, z * eye - B[lo:hi])
     L[cnt:, :, d:] = eye
     L = L.reshape(-1, c, d, 2 * d)
     Q = np.empty((len(L), c + 2, d, 2 * d), dtype=np.complex128)
@@ -238,8 +228,8 @@ def _propagate(fam: CoefficientFamily, z: complex, alphas: Sequence[np.ndarray],
             new = (Q[2:].reshape(-1, 2 * d) @ s).reshape(-1, d, k)[:hi - lo]
             ut[lo + 1:hi + 1] = new
             prev, cur, nxt = ut[lo - 1:hi - 1], ut[lo:hi], ut[lo + 1:hi + 1]
-            rhs = z * cur - _apply(B[lo:hi], cur) - _apply(AH[lo - 1:hi - 1], prev)
-            r = _apply(A[lo:hi], nxt) - rhs
+            rhs = z * cur - stack_mul(B[lo:hi], cur) - stack_mul(AH[lo - 1:hi - 1], prev)
+            r = stack_mul(A[lo:hi], nxt) - rhs
             rt[lo:hi] = np.sqrt(np.add.reduce((r.conj() * r).real, axis=1))
             gate = DEFECT_GATE * (NRM[lo:hi, None] * np.linalg.norm(nxt, axis=1)
                                   + np.linalg.norm(rhs, axis=1))

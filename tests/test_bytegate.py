@@ -52,3 +52,31 @@ def test_outputs_are_parsed_by_kind(tmp_path):
     rows = bytegate._values(table)
     assert rows[:2] == [["n", "x", "flag"], [0, 0.5, "True"]]
     assert rows[2][:2] == [1, ""] and rows[2][2] != rows[2][2]
+
+
+def test_each_moved_float_is_measured_against_its_field():
+    # noise on an entry that is 0 reads as relative difference 1; against
+    # the largest finite magnitude under its key (here "matrix", in either
+    # tree) it is tiny.  Values under other keys do not count.
+    old = {"limit_form": {"matrix": [[1.5, 0.0], [-3.0, float("inf")]], "scale": 1e9}}
+    new = {"limit_form": {"matrix": [[1.5, -2.87e-18], [-2.5, float("inf")]], "scale": 1e9}}
+    diff = _walk(old, new)
+    assert diff.other == []
+    assert [f[0] for f in diff.floats] == [".limit_form.matrix[0][1]", ".limit_form.matrix[1][0]"]
+    at, o, n, rel, of_field = diff.floats[0]
+    assert (o, n, rel) == (0.0, -2.87e-18, 1.0)
+    assert of_field == 2.87e-18 / 3.0
+    assert diff.floats[1][3:] == (0.5 / 3.0, 0.5 / 3.0)
+
+
+def test_a_moved_csv_cell_is_measured_against_its_column():
+    old = [["n", "x", "y"], [0, 0.0, 5.0], [1, 4.0, 1e9], [2, float("nan"), ""]]
+    new = [["n", "x", "y"], [0, 1e-16, 5.0], [1, -8.0, 1e9], [2, float("nan"), ""]]
+    diff = bytegate.ValueDiff()
+    diff.walk_table(old, new)
+    assert diff.other == []
+    assert [f[0] for f in diff.floats] == ["[1][1]", "[2][1]"]
+    assert diff.floats[0][3:] == (1.0, 1e-16 / 8.0)
+    assert diff.floats[1][3:] == (1.5, 12.0 / 8.0)
+    diff.walk_table(old, old[:2] + [[1, 4.0]] + old[3:])
+    assert diff.other == ["[2]: length 3 -> 2"]

@@ -269,6 +269,28 @@ def test_per_index_reads_stop_at_the_end_of_a_tabulated_weight():
             read(-1)
 
 
+def test_a_tabulated_weight_converts_its_table_once():
+    # one-index reads fill one row each; every fill reads the weight, which
+    # must not convert its whole table again
+    conversions = []
+
+    class Table(tuple):
+        def __array__(self, dtype=None, copy=None):
+            conversions.append(1)
+            return np.array(tuple(self), dtype=dtype)
+
+    values = Table(float(k + 1) for k in range(2000))
+    w = TabulatedWeight(values)
+    fam = scaled_periodic_family(1, w, ConstantWeight(0.5), [X], [Y])
+    for n in range(1000):
+        np.testing.assert_array_equal(fam.a(n), (n + 1.0) * X)
+    assert len(conversions) <= 1
+    assert w(1999) == 2000.0 and type(w(3)) is float
+    same = TabulatedWeight(tuple(values))
+    assert w == same and hash(w) == hash(same)
+    assert repr(TabulatedWeight((1.0, 2.0))) == "TabulatedWeight(values=(1.0, 2.0))"
+
+
 def test_a_fill_stops_at_the_largest_index_read(monkeypatch):
     calls = []
     array = PowerWeight.array

@@ -330,6 +330,16 @@ def test_log_weight_criterion_rejects_unbounded_b():
     assert not rep.item("b_bounded").ok
 
 
+@pytest.mark.parametrize("horizon", [2, 20, 21])
+def test_log_weight_criterion_refuses_a_horizon_without_envelope_terms(horizon):
+    # the envelope runs over n_start + 1 .. horizon - 1: no term, no verdict
+    with pytest.raises(ValueError, match=f"^horizon {horizon} leaves no envelope term "
+                                         f"past n_start = 20$"):
+        check_log_weight_criterion(paper_logweight(), 1, horizon=horizon)
+    rep = check_log_weight_criterion(paper_logweight(), 1, horizon=22)
+    assert len(rep.traces["envelope_slack"]) == 1
+
+
 def test_log_weight_criterion_validates_start_index():
     with pytest.raises(DomainError):
         check_log_weight_criterion(paper_logweight(), 2, n_start=2, horizon=500)

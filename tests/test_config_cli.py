@@ -423,6 +423,18 @@ def test_run_names_a_horizon_without_a_mid_trace_window():
         "message": "horizon 5 leaves the mid-trace window [2, 2) empty"}
 
 
+def test_run_records_a_log_weight_horizon_without_envelope_terms():
+    doc = parse_config({"family": "paper-logweight",
+                        "analyses": [{"kind": "log_weight_criterion", "depth": 1},
+                                     {"kind": "carleman"}],
+                        "horizon": 21})
+    rep = run(doc)
+    assert rep.results["00_log_weight_criterion"] == {
+        "error": "ValueError",
+        "message": "horizon 21 leaves no envelope term past n_start = 20"}
+    assert "partial_sum" in rep.results["01_carleman"]
+
+
 def test_run_trajectory_produces_trace_table():
     doc = parse_config({"family": "paper-constant",
                         "analyses": [{"kind": "trajectory", "z": [0, 1],

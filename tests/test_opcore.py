@@ -1,5 +1,6 @@
 """Operator primitives: symmetrization, signed parts, definiteness, inversion,
-the 2x2 singular-value kernel and the 2x2 block builder."""
+the 2x2 singular-value kernel, the stacked product and the 2x2 block
+builder."""
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from blockjacobi.opcore import (
     quad_form,
     require_hermitian,
     singular_extremes,
+    stack_mul,
     sym,
 )
 
@@ -285,3 +287,51 @@ def test_non_finite_stacks_keep_lapack_outcomes():
         for bad in (inf, nan):
             with pytest.raises(ValueError, match="non-finite"):
                 conditioning(bad)
+
+
+EPS_F64 = np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", ["square", 1, 3])
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_stack_mul_matches_matmul_within_the_dot_product_bound(d, k, n, scale, kind):
+    # |fl(AB) - AB| <= gamma_d |A||B| entrywise for either way of forming the
+    # product, so the two lie within twice that of each other
+    rng = np.random.default_rng([d, n, int(np.log10(scale)) + 200])
+    cols = d if k == "square" else k
+
+    def draw(shape):
+        x = rng.uniform(-1.0, 1.0, shape)
+        if kind is complex:
+            x = x + 1j * rng.uniform(-1.0, 1.0, shape)
+        return scale * x
+
+    a, b = draw((n, d, d)), draw((n, d, cols))
+    out = stack_mul(a, b)
+    assert out.shape == (n, d, cols) and out.dtype == (a @ b).dtype
+    bound = 4 * d * EPS_F64 * (np.abs(a) @ np.abs(b))
+    assert np.all(np.abs(out - a @ b) <= bound)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_stack_mul_is_exact_on_integer_valued_stacks(d):
+    rng = np.random.default_rng(d)
+    a = rng.integers(-1000, 1000, (500, d, d)) + 1j * rng.integers(-1000, 1000, (500, d, d))
+    b = rng.integers(-1000, 1000, (500, d, 3)).astype(float)
+    np.testing.assert_array_equal(stack_mul(a, b), a @ b)
+    np.testing.assert_array_equal(stack_mul(a.real, b), a.real @ b)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stack_mul_of_one_matrix_equals_its_stack_row_bit_for_bit(d):
+    rng = np.random.default_rng(10 + d)
+    a = rng.normal(size=(257, d, d)) + 1j * rng.normal(size=(257, d, d))
+    b = rng.normal(size=(257, d, d)) + 1j * rng.normal(size=(257, d, d))
+    out = stack_mul(a, b)
+    for i in range(len(a)):
+        np.testing.assert_array_equal(stack_mul(a[i:i + 1], b[i:i + 1])[0], out[i])
+    # rows of a strided view (every third row, a transposed operand) too
+    np.testing.assert_array_equal(stack_mul(a[::3], adj(b)[::3]), stack_mul(a, adj(b))[::3])

@@ -22,10 +22,13 @@ report.json as parsed JSON (without `wall_times`), a CSV cell by cell (a
 cell is an int, else a float, else a string), and stdout or a raised
 exception as text.  For every such output the gate prints the largest
 relative difference |x - y| / max(|x|, |y|) between two finite floats at one
-place, and each other difference: a string, int, bool, key, length or
-non-finite float that changed, or an output only one tree has.  It then
-exits 1 only when there is such a non-float difference, 0 when floats alone
-moved.
+place; each moved float (the first FLOATS_SHOWN of them) with that relative
+difference and with |x - y| divided by the largest finite magnitude in its
+field, the value under the nearest JSON key or the CSV column, so that noise
+on an entry that is 0 in exact arithmetic is not read as a change of 100%;
+and each other difference: a string, int, bool, key, length or non-finite
+float that changed, or an output only one tree has.  It then exits 1 only
+when there is such a non-float difference, 0 when floats alone moved.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Moved floats printed one per line for each differing output.
+FLOATS_SHOWN = 20
 
 
 def _sha(data: bytes) -> str:
@@ -123,35 +129,72 @@ def _values(path: Path):
     return path.read_text()
 
 
+def _magnitude(value) -> float:
+    """The largest finite |x| over the numbers (not bools) nested in value;
+    0 when it holds none."""
+    if type(value) in (int, float):
+        return abs(value) if math.isfinite(value) else 0.0
+    if type(value) in (list, tuple):
+        return max(map(_magnitude, value), default=0.0)
+    if type(value) is dict:
+        return max(map(_magnitude, value.values()), default=0.0)
+    return 0.0
+
+
 class ValueDiff:
-    """The differences between two parsed outputs: the largest relative
-    difference of two finite floats at one place, and every other one."""
+    """The differences between two parsed outputs: every pair of finite
+    floats that moved, with the largest relative difference among them, and
+    every other difference.
+
+    Each moved float is also measured against its field, the largest finite
+    magnitude in either tree under the nearest JSON key (or in its CSV
+    column): rounding noise on an entry that is exactly 0 reads as relative
+    difference 1, but as a tiny fraction of the field it sits in."""
 
     def __init__(self):
         self.worst = 0.0
         self.worst_at = ""
+        self.floats: list[tuple[str, float, float, float, float]] = []
         self.other: list[str] = []
 
-    def walk(self, old, new, at: str = "") -> None:
+    def walk(self, old, new, at: str = "", scale: float | None = None) -> None:
+        """Compare old and new; scale is the largest finite magnitude of
+        their field (by default, of old and new themselves)."""
+        scale = _magnitude((old, new)) if scale is None else scale
         if type(old) is float and type(new) is float and math.isfinite(old) \
                 and math.isfinite(new):
             if old != new:
                 rel = abs(old - new) / max(abs(old), abs(new))
+                self.floats.append((at, old, new, rel, abs(old - new) / scale))
                 if rel > self.worst:
                     self.worst, self.worst_at = rel, f"{at} (parent {old!r}, change {new!r})"
         elif type(old) is dict and type(new) is dict:
             if old.keys() != new.keys():
                 self.other.append(f"{at}: keys {sorted(old.keys() ^ new.keys())} in one tree only")
             for k in sorted(old.keys() & new.keys()):
-                self.walk(old[k], new[k], f"{at}.{k}")
+                self.walk(old[k], new[k], f"{at}.{k}", _magnitude((old[k], new[k])))
         elif type(old) is list and type(new) is list:
             if len(old) != len(new):
                 self.other.append(f"{at}: length {len(old)} -> {len(new)}")
             for i, (o, n) in enumerate(zip(old, new)):
-                self.walk(o, n, f"{at}[{i}]")
+                self.walk(o, n, f"{at}[{i}]", scale)
         elif type(old) is not type(new) or (old != new and not (
                 type(old) is float and math.isnan(old) and math.isnan(new))):
             self.other.append(f"{at}: parent {old!r}, change {new!r}")
+
+    def walk_table(self, old: list, new: list) -> None:
+        """Compare two CSVs parsed into rows of cells; a cell's field is its
+        column in both tables."""
+        if len(old) != len(new):
+            self.other.append(f": length {len(old)} -> {len(new)}")
+        rows = old + new
+        scales = [_magnitude([row[j] for row in rows if j < len(row)])
+                  for j in range(max(map(len, rows), default=0))]
+        for i, (o, n) in enumerate(zip(old, new)):
+            if len(o) != len(n):
+                self.other.append(f"[{i}]: length {len(o)} -> {len(n)}")
+            for j, (x, y) in enumerate(zip(o, n)):
+                self.walk(x, y, f"[{i}][{j}]", scales[j])
 
 
 def _seeds(specs: list[str]) -> list[int]:
@@ -191,6 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     trees = {"parent": args.parent_src.resolve(), "change": args.change_src.resolve()}
     seeds = _seeds(args.seeds)
     compared = differ = other = 0
+    worst_of_field = 0.0
     worst, worst_at = 0.0, ""
     for seed in seeds:
         with tempfile.TemporaryDirectory(prefix=f"bytegate-s{seed}-") as tmp:
@@ -229,11 +273,18 @@ def main(argv: list[str] | None = None) -> int:
                 elif key.endswith(("/stdout", "/raised")):
                     diff.walk(old_texts.get(key, old[key]), new_texts.get(key, new[key]))
                 else:
-                    diff.walk(_values(Path(tmp, "parent", key)), _values(Path(tmp, "change", key)))
+                    walk = diff.walk_table if key.endswith(".csv") else diff.walk
+                    walk(_values(Path(tmp, "parent", key)), _values(Path(tmp, "change", key)))
                 if diff.worst:
                     print(f"    worst relative float difference {diff.worst:.3g} at {diff.worst_at}")
                     if diff.worst > worst:
                         worst, worst_at = diff.worst, f"seed {seed}: {key}{diff.worst_at}"
+                for at, o, n, rel, of_field in diff.floats[:FLOATS_SHOWN]:
+                    print(f"    float at {key}{at}: parent {o!r}, change {n!r}; "
+                          f"relative {rel:.3g}, of the field's largest magnitude {of_field:.3g}")
+                if len(diff.floats) > FLOATS_SHOWN:
+                    print(f"    ... and {len(diff.floats) - FLOATS_SHOWN} more moved floats")
+                worst_of_field = max([worst_of_field] + [f[-1] for f in diff.floats])
                 for line in diff.other:
                     print(f"    non-float difference at {key}{line}")
                 other += len(diff.other)
@@ -243,6 +294,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if differ else 0
     print(f"values: worst relative float difference {worst:.3g}"
           + (f" at {worst_at}" if worst else "")
+          + f", and {worst_of_field:.3g} relative to a field's largest magnitude"
           + f"; {other} non-float differences")
     return 1 if other else 0
 
