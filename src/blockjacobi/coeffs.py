@@ -133,8 +133,9 @@ class PowerWeight(ScalarWeight):
 
 @dataclass(frozen=True)
 class TabulatedWeight(ScalarWeight):
-    """values[n]; reading past the end raises IndexError.  The table is
-    converted to one read-only float array once, at construction."""
+    """values[n]; a negative n raises ValueError and reading past the end
+    IndexError.  The table is converted to one read-only float array once, at
+    construction."""
 
     values: tuple[float, ...]
 
@@ -147,6 +148,8 @@ class TabulatedWeight(ScalarWeight):
 
     def array(self, ns) -> np.ndarray:
         ns = np.asarray(ns)
+        if ns.min(initial=0) < 0:
+            raise ValueError("index must be >= 0")
         past = ns >= len(self._table)
         if past.any():
             raise IndexError(f"index {ns[past].flat[0]} is past the table of "

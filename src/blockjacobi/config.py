@@ -21,6 +21,7 @@ from typing import Any
 import numpy as np
 
 from .coeffs import (
+    DEFAULT_HORIZON,
     SEQUENCE_NAMES,
     WEIGHT_KINDS,
     CoefficientFamily,
@@ -30,7 +31,7 @@ from .coeffs import (
     tabulated_family,
 )
 from .fixtures import FIXTURES
-from .runner import ANALYSES
+from .runner import ANALYSES, STRATEGIES
 
 
 class ParseError(ValueError):
@@ -279,7 +280,7 @@ _PARSERS = {
     "n_start": _number(int, 0),
     "range": _interval(_number(float)),
     "sequence": _choice(*SEQUENCE_NAMES),
-    "strategy": _choice("identity", "an", "log"),
+    "strategy": _choice(*STRATEGIES),
     "upto": _number(int, 1),
     "window": _interval(_number(int, 0)),
     "z": lambda v, path, dim: parse_complex(v, path),
@@ -322,7 +323,7 @@ def parse_analysis(obj: Any, path: str, dim: int) -> AnalysisSpec:
 class AnalysisConfig:
     family: FamilySpec
     analyses: list[AnalysisSpec]
-    horizon: int = 10_000
+    horizon: int = DEFAULT_HORIZON
     seed: int = 0
     out_dir: str | None = None
     raw: dict = field(default_factory=dict)
@@ -349,7 +350,7 @@ def parse_config(text: str | bytes | dict) -> AnalysisConfig:
         raise ParseError("$.analyses", "expected a non-empty array")
     analyses = [parse_analysis(a, f"$.analyses[{i}]", fam.family.dim)
                 for i, a in enumerate(analyses_obj)]
-    horizon = parse_value("horizon", obj.get("horizon", 10_000), "$.horizon")
+    horizon = parse_value("horizon", obj.get("horizon", DEFAULT_HORIZON), "$.horizon")
     seed = parse_value("seed", obj.get("seed", 0), "$.seed")
     out_dir = obj.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):

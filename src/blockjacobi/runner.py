@@ -166,9 +166,13 @@ def _turan_convergence(ctx: _Context, *, z, N=1, alphas=None) -> dict:
             "rate_constant": rep.rate_constant}
 
 
+# The weights of each commutator `strategy` name, built from depth and n_start.
+STRATEGIES = {"identity": lambda depth, n_start: IdentityWeights(),
+              "an": lambda depth, n_start: ANWeights(), "log": LogWeights}
+
+
 def _commutator(ctx: _Context, *, strategy, lambda_, depth=1, n_start=20) -> dict:
-    weights = {"identity": IdentityWeights, "an": ANWeights,
-               "log": lambda: LogWeights(depth, n_start)}[strategy]()
+    weights = STRATEGIES[strategy](depth, n_start)
     cond = weight_conditions(ctx.fam, weights, ctx.horizon)
     out = {
         "strategy": weights.name,

@@ -124,6 +124,8 @@ def _traces_from(fam: CoefficientFamily, N: int, z: complex, trajs: Sequence[Tra
     stacks, values from batched quadratic forms.  Each row is computed on
     its own, so a later start leaves the bits of every row.
     """
+    if N < 1:
+        raise ValueError("window length N must be >= 1")
     count = horizon - start
     bst = transfer_stack(fam, z, start, count + N - 1)
     x = bst[:count]
@@ -146,10 +148,7 @@ def _traces_from(fam: CoefficientFamily, N: int, z: complex, trajs: Sequence[Tra
 def turan_traces(fam: CoefficientFamily, N: int, z: complex,
                  alphas: Sequence[np.ndarray], horizon: int) -> list[TuranTrace]:
     """S_n for n = 1 .. horizon-1 along each seeded trajectory."""
-    if N < 1:
-        raise ValueError("window length N must be >= 1")
-    trajs = propagate_block(fam, z, alphas, horizon)
-    return _traces_from(fam, N, z, trajs, horizon)
+    return _traces_from(fam, N, z, propagate_block(fam, z, alphas, horizon), horizon)
 
 
 # ---- periodic limit data ----
@@ -484,15 +483,15 @@ def _variation_tails(fam: CoefficientFamily, N: int, z: complex, m: int,
     return float(tail)
 
 
-def _tail(values: np.ndarray, before: int = 0) -> tuple[float, float] | None:
-    """Mean of the last tenth of a trace's defined (non-NaN) values, and the
-    largest deviation from it there; `before` counts the defined values that
-    precede `values`; with before > 0, None when the tenth reaches past them."""
-    vals = values[~np.isnan(values)]
-    cut = max(1, (before + len(vals)) // 10)
-    if before and len(vals) < cut:
-        return None
-    tail = vals[-cut:]
+def _tail(values: np.ndarray, rows: int, name: str) -> tuple[float, float]:
+    """Mean of the last tenth (at least one row) of a trace of `rows` rows,
+    and the largest deviation from it there; `values` holds the trace's
+    final rows.  A NaN in that tenth raises NotConvergentError naming the
+    trace."""
+    tail = values[-max(1, rows // 10):]
+    if np.isnan(tail).any():
+        raise NotConvergentError(f"{name} is NaN in its last tenth, rows "
+                                 f"{rows - len(tail) + 1} .. {rows}")
     mean = float(tail.mean())
     return mean, float(np.abs(tail - mean).max())
 
@@ -504,15 +503,18 @@ def turan_convergence(fam: CoefficientFamily, N: int, z: complex,
     single fitted constant.
 
     Raises NotConvergentError when an S_n sequence oscillates as widely as its
-    putative limit.
+    putative limit, or is NaN in the last tenth of its rows up to its
+    trajectory's end.
     """
     first_m = 20  # the smallest m of the rate check, whose window is (m, horizon)
     if horizon <= first_m:
         raise ValueError(f"horizon {horizon} leaves no variation window past m = {first_m}")
-    traces = turan_traces(fam, N, z, alphas, horizon)
+    trajs = propagate_block(fam, z, alphas, horizon)
+    traces = _traces_from(fam, N, z, trajs, horizon)
     per = []
-    for tr in traces:
-        g, residual = _tail(tr.values)
+    for tr, traj in zip(traces, trajs):
+        rows = min(horizon - 1, traj.last_index)  # past the end, NaN padding
+        g, residual = _tail(tr.values[:rows], rows, "Turan sequence S_n")
         if abs(g) <= residual:
             raise NotConvergentError(
                 f"Turan sequence oscillates by {residual:.3e} around {g:.3e}"
@@ -626,6 +628,9 @@ def exact_asymptotics(fam: CoefficientFamily, lim: PeriodicLimitData, z: float,
     With T = 0, Q = 0 and R = Id, D is sym C for N = 1 (mod 4) and -sym C
     for N = 3 (mod 4).  Checks the hypotheses on the supplied limit data,
     then compares both limits per trajectory; the report's C is D_0.
+
+    Each limit is read from the last tenth of its trace's rows, and only
+    those rows are evaluated; a NaN there raises NotConvergentError.
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
@@ -642,45 +647,20 @@ def exact_asymptotics(fam: CoefficientFamily, lim: PeriodicLimitData, z: float,
         if herm_defect(lim.C[j]) > REDUCTION_TOL:
             raise HypothesisViolatedError(f"C[{j}] is not self-adjoint")
     trajs = propagate_block(fam, z, alphas, horizon)
-    for start in (_tail_start(fam, lim.N, z, D, trajs), 1):
-        per = []
-        for tr, traj in zip(_traces_from(fam, lim.N, z, trajs, horizon, start), trajs):
-            u = traj.u[start - 1:]
-            q = np.einsum("nd,de,ne->n", u.conj(), D, u).real
-            w = norm_stack(fam, start, traj.last_index - start)
-            g = _tail(tr.values, start - 1)
-            west = _tail(w * (q[:-2] + q[1:-1]), start - 1)
-            if g is None or west is None:
-                break
-            per.append({"alpha": tr.alpha, "g": g[0], "weighted_trace_limit": west[0],
-                        "gap": abs(west[0] - g[0]), "last_decade_spread": west[1]})
-        else:
-            break
-    return ExactAsymptoticsReport(D, per, horizon, trajs)
-
-
-def _tail_start(fam: CoefficientFamily, N: int, z: float, D: np.ndarray,
-                trajs: Sequence[Trajectory]) -> int:
-    """First row of the last tenth of the shortest column's weighted trace,
-    if no S_n or weighted-trace value ahead of it can be NaN; else 1.
-
-    With d the dimension, alpha, iota, beta the largest entry moduli of a_n,
-    a_n^{-1}, b_n for n < start + N, nu the largest ||a_n|| there, delta that
-    of D's entries and mu that of u_n's for n < start: no transfer matrix
-    entry there exceeds t = 1 + d iota (alpha + |z| + beta), no partial sum
-    of S_n ahead of start exceeds alpha (2d)^(N+2) t^N mu^2, and none of the
-    weighted trace 2 d^2 nu delta mu^2.  While their sum is below 1e300,
-    nothing there overflows."""
-    K = min(tr.last_index for tr in trajs) - 1
+    # every tenth starts at or after that of the shortest column's weighted trace
+    K = min(traj.last_index for traj in trajs) - 1
     start = K - max(1, K // 10) + 1
-    d = fam.dim
-    A, _, B, NRM = fam.stacks(0, start + N - 1, inverse=False)
-    al, io, be = (np.abs(s).max() for s in (A, fam.stacks(1, start + N - 1)[1], B))
-    mu = np.max([np.abs(tr.u[:start]).max() for tr in trajs])
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = (al * (2 * d) ** (N + 2) * (1 + d * io * (al + abs(z) + be)) ** N
-                 + 2 * d * d * NRM.max() * np.abs(D).max()) * mu ** 2
-    return start if bound < 1e300 else 1
+    per = []
+    for tr, traj in zip(_traces_from(fam, lim.N, z, trajs, horizon, start), trajs):
+        u = traj.u[start - 1:]
+        q = np.einsum("nd,de,ne->n", u.conj(), D, u).real
+        w = norm_stack(fam, start, traj.last_index - start)
+        rows = min(horizon - 1, traj.last_index)
+        g = _tail(tr.values[:rows - start + 1], rows, "Turan sequence S_n")
+        west = _tail(w * (q[:-2] + q[1:-1]), traj.last_index - 1, "weighted trace")
+        per.append({"alpha": tr.alpha, "g": g[0], "weighted_trace_limit": west[0],
+                    "gap": abs(west[0] - g[0]), "last_decade_spread": west[1]})
+    return ExactAsymptoticsReport(D, per, horizon, trajs)
 
 
 @dataclass

@@ -69,6 +69,25 @@ def test_each_moved_float_is_measured_against_its_field():
     assert diff.floats[1][3:] == (0.5 / 3.0, 0.5 / 3.0)
 
 
+def test_a_moved_scalar_is_measured_against_the_floats_of_its_object():
+    # a float directly under a key: its field is every float beside it, in
+    # either tree; ints, strings, bools and nested values do not count
+    old = {"drift": {"partial_sum": 3.2e-15, "tail_estimate": 0.02, "converged": True,
+                     "N": 400, "window": [1, 1e9]},
+           "alone": {"x": 2.0, "n": 7}}
+    new = {"drift": {"partial_sum": 4.8e-16, "tail_estimate": 0.025, "converged": True,
+                     "N": 400, "window": [1, 1e9]},
+           "alone": {"x": 3.0, "n": 7}}
+    diff = _walk(old, new)
+    assert diff.other == []
+    got = {f[0]: f[3:] for f in diff.floats}
+    assert got[".drift.partial_sum"] == ((3.2e-15 - 4.8e-16) / 3.2e-15,
+                                         (3.2e-15 - 4.8e-16) / 0.025)
+    moved = 0.025 - 0.02
+    assert got[".drift.tail_estimate"] == (moved / 0.025, moved / 0.025)
+    assert got[".alone.x"] == (1.0 / 3.0, 1.0 / 3.0)
+
+
 def test_a_moved_csv_cell_is_measured_against_its_column():
     old = [["n", "x", "y"], [0, 0.0, 5.0], [1, 4.0, 1e9], [2, float("nan"), ""]]
     new = [["n", "x", "y"], [0, 1e-16, 5.0], [1, -8.0, 1e9], [2, float("nan"), ""]]

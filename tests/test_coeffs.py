@@ -291,6 +291,16 @@ def test_a_tabulated_weight_converts_its_table_once():
     assert repr(TabulatedWeight((1.0, 2.0))) == "TabulatedWeight(values=(1.0, 2.0))"
 
 
+def test_a_tabulated_weight_refuses_negative_indices():
+    # numpy would wrap a negative index from the end of the table
+    w = TabulatedWeight((1.0, 2.0, 3.0))
+    for read in (lambda: w(-1), lambda: w.array([0, -2]), lambda: w.array(np.array([[-3]]))):
+        with pytest.raises(ValueError, match=r"^index must be >= 0$"):
+            read()
+    np.testing.assert_array_equal(w.array([2, 0]), [3.0, 1.0])
+    assert w.array(np.arange(0)).shape == (0,)
+
+
 def test_a_fill_stops_at_the_largest_index_read(monkeypatch):
     calls = []
     array = PowerWeight.array

@@ -1,9 +1,12 @@
-"""exact_asymptotics reads only the last tenth of S_n and of the weighted
-trace, and evaluates both from the row where that tenth can start.  Every
-reported number is compared bit for bit with the last tenth of the full
-traces from row 1, on ordinary families, on batches whose columns end at
-different indices or in undefined values, and where the no-overflow guard
-refuses the skip: huge coefficients, and a prefix that makes S_n NaN.
+"""exact_asymptotics reads each limit from the last tenth of its trace's
+rows: S_n has rows 1 .. min(horizon - 1, L) and the weighted trace rows
+1 .. L - 1, L a column's last index.  It evaluates both traces once, from
+the row where the shortest column's tenth starts.  Every reported number is
+compared bit for bit with the last tenth of the full traces from row 1, on
+ordinary families, on batches whose columns end at different indices, on
+huge coefficients, and with a NaN in the skipped rows.  A NaN inside a tenth
+refuses with NotConvergentError, here and in turan_convergence, and the
+runner records that refusal as an error entry.
 """
 
 import numpy as np
@@ -17,16 +20,17 @@ from blockjacobi.coeffs import (
     custom_family,
     scaled_periodic_family,
 )
-from blockjacobi.fixtures import X_OP, sqrt_growth
-from blockjacobi.opcore import op_norm
+from blockjacobi.config import parse_config
+from blockjacobi.fixtures import X_OP, paper_constant, sqrt_growth
+from blockjacobi.opcore import NotConvergentError, op_norm
 from blockjacobi.recurrence import Trajectory, norm_stack, propagate, propagate_block
+from blockjacobi.runner import run
 from blockjacobi.turan import (
-    _tail,
-    _tail_start,
     _traces_from,
     exact_asymptotics,
     extract_periodic_limits,
     make_periodic_limits,
+    turan_convergence,
 )
 
 XN = op_norm(X_OP)
@@ -45,15 +49,24 @@ def _alphas(seed, count):
     return [rand_unit(rng, 4) for _ in range(count)]
 
 
+def _last_tenth(values):
+    """Mean of the last tenth (at least one) of all the rows of a trace, and
+    the largest deviation from it there."""
+    tail = values[-max(1, len(values) // 10):]
+    mean = float(tail.mean())
+    return mean, float(np.abs(tail - mean).max())
+
+
 def _oracle(fam, lim, z, trajs, horizon):
-    """The reported numbers from the full traces, n = 1 .. horizon-1."""
+    """The reported numbers from the full traces: S_n for n = 1 ..
+    min(horizon - 1, L), the weighted trace for n = 1 .. L - 1."""
     D = lim.D[0]
     out = []
     for tr, traj in zip(_traces_from(fam, lim.N, z, trajs, horizon, start=1), trajs):
         q = np.einsum("nd,de,ne->n", traj.u.conj(), D, traj.u).real
         w = norm_stack(fam, 1, traj.last_index - 1)
-        g = _tail(tr.values)[0]
-        west, spread = _tail(w * (q[:-2] + q[1:-1]))
+        g = _last_tenth(tr.values[:min(horizon - 1, traj.last_index)])[0]
+        west, spread = _last_tenth(w * (q[:-2] + q[1:-1]))
         out.append({"g": g, "weighted_trace_limit": west, "gap": abs(west - g),
                     "last_decade_spread": spread})
     return out
@@ -61,6 +74,11 @@ def _oracle(fam, lim, z, trajs, horizon):
 
 def _bits(entries):
     return [[np.float64(e[k]).tobytes() for k in KEYS] for e in entries]
+
+
+def _on(trajs, monkeypatch):
+    """Make turan propagate to the given trajectories."""
+    monkeypatch.setattr(turan, "propagate_block", lambda *args: trajs)
 
 
 def _check(fam, lim, z, trajs, horizon, monkeypatch):
@@ -72,17 +90,22 @@ def _check(fam, lim, z, trajs, horizon, monkeypatch):
         starts.append(args[-1])
         return _traces_from(*args)
 
-    monkeypatch.setattr(turan, "propagate_block", lambda *args: trajs)
+    _on(trajs, monkeypatch)
     monkeypatch.setattr(turan, "_traces_from", traces_from)
     rep = exact_asymptotics(fam, lim, z, [t.alpha for t in trajs], horizon)
     assert rep.trajectories == trajs
     assert _bits(rep.per_alpha) == _bits(_oracle(fam, lim, z, trajs, horizon))
-    assert starts[0] == _tail_start(fam, lim.N, z, lim.D[0], trajs)
     return starts
 
 
 def _with_u(traj, u):
     return Trajectory(traj.z, traj.alpha, u, traj.residuals[:len(u) - 1])
+
+
+def _with_nan(traj, index):
+    u = traj.u.copy()
+    u[index] = np.nan
+    return _with_u(traj, u)
 
 
 @pytest.mark.parametrize("horizon", [2, 3, 5, 11, 12, 13, 21, 101, 3000])
@@ -129,45 +152,101 @@ def test_columns_that_end_at_different_indices(monkeypatch):
     assert _check(fam, _free_limits(), 0.2, trajs, 2000, monkeypatch) == [1499 - 149 + 1]
 
 
-@pytest.mark.parametrize("undefined, short, starts",
-                         [(3, True, [721]), (3, False, [901, 1]), (50, True, [721])])
-def test_undefined_values_at_the_end(undefined, short, starts, monkeypatch):
-    # NaN samples at the end of column 0 pull its last tenth ahead of the
-    # evaluated rows, and the traces are evaluated again from row 1, unless
-    # a shorter column 1 moved the shared start back far enough
-    fam = sqrt_growth()
-    trajs = propagate_block(fam, 0.2, _alphas(5, 2), 1000)
-    u = trajs[0].u.copy()
-    u[-undefined:] = np.nan
-    trajs[0] = _with_u(trajs[0], u)
-    if short:
-        trajs[1] = _with_u(trajs[1], trajs[1].u[:801])
-    assert _check(fam, _free_limits(), 0.2, trajs, 1000, monkeypatch) == starts
-
-
-def test_huge_coefficients_take_the_row_1_path(monkeypatch):
-    fam = custom_family(2, lambda n: 1e299 * X_OP, lambda n: ZERO)
+@pytest.mark.parametrize("scale", [1e299, 1e297])
+def test_huge_coefficients_read_the_same_rows(scale, monkeypatch):
+    # with 1e299 X, a bound on the skipped rows cannot rule out an overflow
+    # there, but those rows are not read, so both start at the last tenth
+    fam = custom_family(2, lambda n: scale * X_OP, lambda n: ZERO)
     trajs = propagate_block(fam, 0.5, _alphas(6, 2), 400)
     assert not any(t.overflow for t in trajs)
-    assert _check(fam, _free_limits(), 0.5, trajs, 400, monkeypatch) == [1]
-    # a hundred times smaller, the bound holds and the prefix is skipped
-    fam = custom_family(2, lambda n: 1e297 * X_OP, lambda n: ZERO)
-    trajs = propagate_block(fam, 0.5, _alphas(6, 2), 400)
     assert _check(fam, _free_limits(), 0.5, trajs, 400, monkeypatch) == [361]
 
 
-def test_nan_in_the_prefix_refuses_the_skip(monkeypatch):
+def test_nan_in_the_skipped_rows_is_not_read(monkeypatch):
     fam = sqrt_growth()
     lim = _free_limits()
-    trajs = propagate_block(fam, 0.0, _alphas(7, 2), 1001)
-    u = trajs[0].u.copy()
-    u[5] = np.nan  # S_5, S_6 and the weighted trace at n = 5, 6 are NaN
-    trajs[0] = _with_u(trajs[0], u)
-    assert _check(fam, lim, 0.0, trajs, 1001, monkeypatch) == [1]
-    # skipping the prefix would have miscounted the defined values
-    full = _traces_from(fam, 1, 0.0, trajs, 1001)[0].values
-    assert np.isnan(full).sum() == 2
-    assert _tail(full[900:], 900) != _tail(full)
+    clean = propagate_block(fam, 0.0, _alphas(7, 2), 1001)
+    trajs = [_with_nan(clean[0], 5), clean[1]]  # S_5, S_6 and the weighted trace there
+    assert np.isnan(_traces_from(fam, 1, 0.0, trajs, 1001)[0].values).sum() == 2
+    assert _check(fam, lim, 0.0, trajs, 1001, monkeypatch) == [901]
+    got = exact_asymptotics(fam, lim, 0.0, [t.alpha for t in trajs], 1001)
+    _on(clean, monkeypatch)
+    want = exact_asymptotics(fam, lim, 0.0, [t.alpha for t in clean], 1001)
+    assert _bits(got.per_alpha) == _bits(want.per_alpha)
+
+
+@pytest.mark.parametrize("index, refused", [(899, False), (900, True), (998, True)])
+def test_nan_in_the_last_tenth_of_s_n_refuses(index, refused, monkeypatch):
+    # S_n and the weighted trace have rows 1 .. 999 and read u_{n-1}, u_n:
+    # their last tenth is rows 901 .. 999, which first reads u_900
+    fam = sqrt_growth()
+    trajs = propagate_block(fam, 0.2, _alphas(5, 2), 1000)
+    trajs[1] = _with_nan(trajs[1], index)
+    if not refused:
+        assert _check(fam, _free_limits(), 0.2, trajs, 1000, monkeypatch) == [901]
+        return
+    _on(trajs, monkeypatch)
+    with pytest.raises(NotConvergentError,
+                       match=r"Turan sequence S_n is NaN in its last tenth, rows 901 \.\. 999"):
+        exact_asymptotics(fam, _free_limits(), 0.2, [t.alpha for t in trajs], 1000)
+
+
+def test_nan_in_the_last_tenth_of_the_weighted_trace_refuses(monkeypatch):
+    # the weighted trace of a column cut at L = 800 has rows 1 .. 799
+    fam = sqrt_growth()
+    trajs = propagate_block(fam, 0.2, _alphas(5, 2), 1000)
+    trajs[0] = _with_u(trajs[0], trajs[0].u[:801])
+    _on(trajs, monkeypatch)
+
+    def nan_last(fam, start, count):
+        w = norm_stack(fam, start, count).copy()
+        w[-1] = np.nan
+        return w
+
+    monkeypatch.setattr(turan, "norm_stack", nan_last)
+    with pytest.raises(NotConvergentError,
+                       match=r"weighted trace is NaN in its last tenth, rows 721 \.\. 799"):
+        exact_asymptotics(fam, _free_limits(), 0.2, [t.alpha for t in trajs], 1000)
+
+
+def test_runner_records_the_refusal(monkeypatch):
+    engine = turan.propagate_block
+    monkeypatch.setattr(turan, "propagate_block",
+                        lambda *args: [_with_nan(t, -2) for t in engine(*args)])
+    doc = parse_config({"family": {"kind": "scaled_periodic", "period": 1,
+                                   "x": {"kind": "power", "exponent": 0.5},
+                                   "y": {"kind": "constant", "value": 0.0},
+                                   "X": [[[1.0, 1.0], [1.0, 2.0]]], "Y": [[[0.0, 0.0], [0.0, 0.0]]]},
+                        "analyses": [{"kind": "exact_asymptotics", "z": 0.0},
+                                     {"kind": "christoffel", "z": 0.0}],
+                        "horizon": 2000})
+    results = run(doc).results
+    for key in ("00_exact_asymptotics", "01_christoffel"):
+        assert results[key] == {
+            "error": "NotConvergentError",
+            "message": "Turan sequence S_n is NaN in its last tenth, rows 1801 .. 1999"}
+
+
+def test_turan_convergence_refuses_a_nan_in_its_last_tenth(monkeypatch):
+    fam = paper_constant()
+    trajs = propagate_block(fam, 1.0, _alphas(9, 2), 400)
+    _on([trajs[0], _with_nan(trajs[1], 380)], monkeypatch)
+    with pytest.raises(NotConvergentError,
+                       match=r"Turan sequence S_n is NaN in its last tenth, rows 361 \.\. 399"):
+        turan_convergence(fam, 1, 1.0, [t.alpha for t in trajs], 400)
+
+
+def test_turan_convergence_reads_each_column_up_to_its_end(monkeypatch):
+    # _traces_from pads a column past its end with NaN: those rows are not
+    # counted, so each column's tenth ends at its own last row
+    fam = paper_constant()
+    trajs = [propagate(fam, 1.0, a, h) for a, h in zip(_alphas(10, 3), (400, 250, 333))]
+    _on(trajs, monkeypatch)
+    rep = turan_convergence(fam, 1, 1.0, [t.alpha for t in trajs], 400)
+    for s, tr, traj in zip(rep.per_alpha, _traces_from(fam, 1, 1.0, trajs, 400), trajs):
+        rows = min(399, traj.last_index)
+        assert np.isnan(tr.values[rows:]).all()
+        assert (s.g, s.residual) == _last_tenth(tr.values[:rows])
 
 
 def test_horizon_below_2_is_refused():

@@ -20,15 +20,20 @@ is removed afterwards.
 With --values, each output that differs is also compared by value: a
 report.json as parsed JSON (without `wall_times`), a CSV cell by cell (a
 cell is an int, else a float, else a string), and stdout or a raised
-exception as text.  For every such output the gate prints the largest
-relative difference |x - y| / max(|x|, |y|) between two finite floats at one
-place; each moved float (the first FLOATS_SHOWN of them) with that relative
-difference and with |x - y| divided by the largest finite magnitude in its
-field, the value under the nearest JSON key or the CSV column, so that noise
-on an entry that is 0 in exact arithmetic is not read as a change of 100%;
-and each other difference: a string, int, bool, key, length or non-finite
-float that changed, or an output only one tree has.  It then exits 1 only
-when there is such a non-float difference, 0 when floats alone moved.
+exception as text.  For every such output the gate prints
+  - the largest relative difference |x - y| / max(|x|, |y|) between two
+    finite floats at one place;
+  - each moved float (the first FLOATS_SHOWN of them) with that relative
+    difference and with |x - y| divided by the largest finite magnitude in
+    its field, so that noise on an entry that is 0 in exact arithmetic is
+    not read as a change of 100%.  The field of a float in an array is the
+    value under the nearest JSON key, of a CSV cell its column, and of a
+    float directly under a JSON key the floats directly under the keys of
+    its object, in either tree;
+  - each other difference: a string, int, bool, key, length or non-finite
+    float that changed, or an output only one tree has.
+It then exits 1 only when there is such a non-float difference, 0 when
+floats alone moved.
 """
 
 from __future__ import annotations
@@ -147,8 +152,9 @@ class ValueDiff:
     every other difference.
 
     Each moved float is also measured against its field, the largest finite
-    magnitude in either tree under the nearest JSON key (or in its CSV
-    column): rounding noise on an entry that is exactly 0 reads as relative
+    magnitude in either tree under the nearest JSON key (in its CSV column;
+    among the floats of its object, for a float directly under a key):
+    rounding noise on an entry that is exactly 0 reads as relative
     difference 1, but as a tiny fraction of the field it sits in."""
 
     def __init__(self):
@@ -171,8 +177,12 @@ class ValueDiff:
         elif type(old) is dict and type(new) is dict:
             if old.keys() != new.keys():
                 self.other.append(f"{at}: keys {sorted(old.keys() ^ new.keys())} in one tree only")
+            # a float's own field is the floats beside it (itself included)
+            scalars = _magnitude([v for v in [*old.values(), *new.values()]
+                                  if type(v) is float])
             for k in sorted(old.keys() & new.keys()):
-                self.walk(old[k], new[k], f"{at}.{k}", _magnitude((old[k], new[k])))
+                self.walk(old[k], new[k], f"{at}.{k}",
+                          scalars if type(old[k]) is float else _magnitude((old[k], new[k])))
         elif type(old) is list and type(new) is list:
             if len(old) != len(new):
                 self.other.append(f"{at}: length {len(old)} -> {len(new)}")
