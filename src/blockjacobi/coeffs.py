@@ -148,7 +148,9 @@ class TabulatedWeight(ScalarWeight):
 
     def array(self, ns) -> np.ndarray:
         ns = np.asarray(ns)
-        if ns.min(initial=0) < 0:
+        if not ns.size:  # [] reads as a float array, which numpy refuses as an index
+            return np.empty(ns.shape)
+        if ns.min() < 0:
             raise ValueError("index must be >= 0")
         past = ns >= len(self._table)
         if past.any():

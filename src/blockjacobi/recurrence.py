@@ -30,7 +30,9 @@ DEFECT_GATE = 64 * np.finfo(np.float64).eps
 
 # Chunks whose local transfer products are formed together: bounds the extra
 # memory to CHUNK_GROUP * c * 2d^2 entries, and an early overflow leaves the
-# products of later groups unformed.
+# products of later groups unformed.  It also bounds the chunk-columns checked
+# together: a span of max(1, CHUNK_GROUP // k) chunks of a k-column batch, so
+# that the check's temporaries stay small where a batch is wide.
 CHUNK_GROUP = 32
 
 SQUARE_SUMMABLE = "square_summable"
@@ -170,16 +172,21 @@ def _propagate(fam: CoefficientFamily, z: complex, alphas: Sequence[np.ndarray],
     steps.  The transfer products local to each chunk are formed batched
     across CHUNK_GROUP chunks at a time; then each chunk's samples come from
     one product of its stacked prefix products with the boundary state
-    (u_{m-1}, u_m) its predecessor left, and the recurrence defects of the
-    stored samples are evaluated over the whole chunk.  A chunk whose samples
-    are non-finite or near OVERFLOW_LIMIT, or whose defect anywhere exceeds
+    (u_{m-1}, u_m) its predecessor left.  A group's chunks are expanded so in
+    order, a span of max(1, CHUNK_GROUP // k) chunks at a time for k columns,
+    and the recurrence defects of the stored samples are evaluated once over
+    the whole span.  The first chunk of the span whose samples are
+    non-finite or near OVERFLOW_LIMIT, or whose defect anywhere exceeds
     DEFECT_GATE, is stepped again from its boundary state by the sequential
-    step, which solves for u_{n+1} through a_n^{-1}.  So the batch is cut
-    exactly where the sequential step cuts it: at the first step where any
-    column passes OVERFLOW_LIMIT.  Columns actually past the limit carry the
-    overflow flag, the rest are merely shortened (truncated_at is set for all
-    of them).
+    step, which solves for u_{n+1} through a_n^{-1}; the next span starts
+    after it, from its new boundary.  So every sample and defect is the one a
+    check chunk by chunk leaves, and the batch is cut exactly where the
+    sequential step cuts it: at the first step where any column passes
+    OVERFLOW_LIMIT.  Columns actually past the limit carry the overflow flag,
+    the rest are merely shortened (truncated_at is set for all of them).
     """
+    if not len(alphas):
+        raise ValueError("empty batch: propagation needs at least one initial datum")
     d = fam.dim
     al = np.stack([np.asarray(a, dtype=np.complex128).reshape(2 * d) for a in alphas])
     if np.any(np.linalg.norm(al, axis=1) == 0.0):
@@ -213,32 +220,47 @@ def _propagate(fam: CoefficientFamily, z: complex, alphas: Sequence[np.ndarray],
                 return n + 1
         return None
 
-    def chunks():
-        """(lo, hi, prefix products) per chunk, formed a group at a time."""
-        c = math.isqrt(horizon - 1)
-        for lo in range(1, horizon, max(CHUNK_GROUP * c, 1)):
-            hi = min(lo + CHUNK_GROUP * c, horizon)
-            for j, Q in enumerate(_chunk_products(AINV, AH, B, z, lo, hi, c)):
-                yield lo + j * c, min(lo + (j + 1) * c, hi), Q
+    def failing_row(lo: int, hi: int) -> int | None:
+        """Store the recurrence defects of steps lo .. hi-1; the first step
+        whose sample is non-finite or near OVERFLOW_LIMIT, or whose defect
+        exceeds DEFECT_GATE, else None."""
+        prev, cur, nxt = ut[lo - 1:hi - 1], ut[lo:hi], ut[lo + 1:hi + 1]
+        rhs = z * cur - stack_mul(B[lo:hi], cur) - stack_mul(AH[lo - 1:hi - 1], prev)
+        r = stack_mul(A[lo:hi], nxt) - rhs
+        rt[lo:hi] = np.sqrt(np.add.reduce((r.conj() * r).real, axis=1))
+        gate = DEFECT_GATE * (NRM[lo:hi, None] * np.linalg.norm(nxt, axis=1)
+                              + np.linalg.norm(rhs, axis=1))
+        # half the limit, so that a step accepted here cannot hold a value
+        # the sequential step would have found past it
+        big = np.abs(nxt)
+        if big.max() <= OVERFLOW_LIMIT / 2 and np.all(rt[lo:hi] <= gate):
+            return None
+        ok = (big.max(axis=(1, 2)) <= OVERFLOW_LIMIT / 2) & np.all(rt[lo:hi] <= gate, axis=1)
+        return lo + int(np.argmin(ok))
 
+    c = math.isqrt(horizon - 1)
+    span = max(1, CHUNK_GROUP // k)
     cut = None
     with np.errstate(all="ignore"):  # overflow is detected and stepped again
-        for lo, hi, Q in chunks():
-            s = ut[lo - 1:lo + 1].reshape(2 * d, k)
-            new = (Q[2:].reshape(-1, 2 * d) @ s).reshape(-1, d, k)[:hi - lo]
-            ut[lo + 1:hi + 1] = new
-            prev, cur, nxt = ut[lo - 1:hi - 1], ut[lo:hi], ut[lo + 1:hi + 1]
-            rhs = z * cur - stack_mul(B[lo:hi], cur) - stack_mul(AH[lo - 1:hi - 1], prev)
-            r = stack_mul(A[lo:hi], nxt) - rhs
-            rt[lo:hi] = np.sqrt(np.add.reduce((r.conj() * r).real, axis=1))
-            gate = DEFECT_GATE * (NRM[lo:hi, None] * np.linalg.norm(nxt, axis=1)
-                                  + np.linalg.norm(rhs, axis=1))
-            # half the limit, so that a chunk accepted here cannot hold a value
-            # the sequential step would have found past it
-            if not (np.abs(new).max() <= OVERFLOW_LIMIT / 2 and np.all(rt[lo:hi] <= gate)):
-                cut = steps(lo, hi)
-                if cut is not None:
-                    break
+        for lo in range(1, horizon, max(CHUNK_GROUP * c, 1)):
+            hi = min(lo + CHUNK_GROUP * c, horizon)
+            Q = _chunk_products(AINV, AH, B, z, lo, hi, c)
+            j = 0
+            while cut is None and j < len(Q):
+                top = min(j + span, len(Q))
+                for i in range(j, top):  # each chunk from its predecessor's boundary
+                    m, mh = lo + i * c, min(lo + (i + 1) * c, hi)
+                    s = ut[m - 1:m + 1].reshape(2 * d, k)
+                    ut[m + 1:mh + 1] = (Q[i, 2:].reshape(-1, 2 * d) @ s).reshape(-1, d, k)[:mh - m]
+                f = failing_row(lo + j * c, min(lo + top * c, hi))
+                if f is None:
+                    j = top
+                else:  # step the first failing chunk again; the next span starts after it
+                    j = (f - lo) // c
+                    cut = steps(lo + j * c, min(lo + (j + 1) * c, hi))
+                    j += 1
+            if cut is not None:
+                break
     last = horizon if cut is None else cut
     return [Trajectory(z, al[j], u[j, :last + 1], res[j, :last],
                        cut is not None and bool(np.abs(u[j, last]).max() > OVERFLOW_LIMIT), cut)
@@ -284,7 +306,8 @@ def l2_tail_diagnostic(traj: Trajectory) -> L2Report:
     Compares the last tenth of the squared norms against the preceding tenth:
     a clearly decaying ratio with a negligible extrapolated remainder reads as
     square-summable, a flat or growing ratio (or an overflow truncation) as
-    not square-summable.
+    not square-summable.  Below 20 samples each tenth is one entry, and the
+    verdict is undecided unless the trajectory overflowed.
     """
     t = np.linalg.norm(traj.u, axis=1) ** 2
     total = float(t.sum())
@@ -292,6 +315,8 @@ def l2_tail_diagnostic(traj: Trajectory) -> L2Report:
     if traj.overflow:
         ev["overflow"] = True
         return L2Report(total, NOT_SQUARE_SUMMABLE, ev)
+    if len(t) < 20:  # tenths of one entry each: a ratio of two samples decides nothing
+        return L2Report(total, UNDECIDED, ev)
     prev, last = tail_window(t)
     a, b = float(prev.sum()), float(last.sum())
     ev["window_ratio"] = b / a if a > 0 else None

@@ -345,6 +345,13 @@ def test_weight_array_matches_call(w):
     np.testing.assert_allclose(w.array(ns), want, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("ns", [[], range(0)], ids=["list", "range"])
+@pytest.mark.parametrize("w", WEIGHTS, ids=lambda w: type(w).__name__)
+def test_an_empty_read_gives_an_empty_float_array(w, ns):
+    got = w.array(ns)
+    assert got.shape == (0,) and got.dtype == np.float64
+
+
 def test_block_indices_match_block_index_near_block_edges():
     ks = np.array([1, 2, 3, 10, 1000, 94906265, 10 ** 8])
     starts = ks * (ks - 1) // 2
@@ -591,6 +598,56 @@ def test_chunked_path_raises_no_runtime_warning():
             trajs = basis_trajectories(fam, z, horizon)
             assert all(np.isfinite(t.u).all() and np.isfinite(t.residuals).all() for t in trajs)
         assert any(t.overflow for t in basis_trajectories(doubling, 0.5, 300))
+
+
+def _decay_window_start(start, z, beta):
+    """(u_0, u_1) of the solution of _decay_window_family(start, ., beta)
+    that enters the window on its decaying mode."""
+    lam = ((z - beta) - math.sqrt((z - beta) ** 2 - 4.0)) / 2.0
+    u = np.zeros(start + 1)
+    u[start - 1], u[start] = 1.0, lam
+    for n in range(start - 1, 0, -1):  # a = 1, b = 0 below the window
+        u[n - 1] = z * u[n] - u[n + 1]
+    return np.array([u[0], u[1]])
+
+
+SPAN_CASES = {
+    **{name: (FAMILIES[name], 0.75) for name in
+       ["paper-constant", "paper-unbounded", "paper-blockrepeat", "paper-logweight"]},
+    # re-steps a chunk in the middle of a span: at H = 2000 and k = 1, chunk
+    # 22 of a span of 32
+    "decay-window": (lambda: _decay_window_family(1000, 100, -2.6), 0.5),
+    # every column overflows within the first group
+    "scalar-z10": (lambda: custom_family(1, lambda n: np.eye(1), lambda n: np.zeros((1, 1))), 10.0),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 20, 33])
+@pytest.mark.parametrize("case", sorted(SPAN_CASES))
+def test_span_checks_match_chunk_by_chunk_checks_bit_for_bit(monkeypatch, case, k):
+    # CHUNK_GROUP = 1 gives spans of one chunk: each chunk checked on its own
+    make, z = SPAN_CASES[case]
+    fam = make()
+    rng = np.random.default_rng(k)
+    alphas = [rng.normal(size=2 * fam.dim) + 1j * rng.normal(size=2 * fam.dim) for _ in range(k)]
+    if case == "decay-window":
+        alphas[0] = _decay_window_start(1000, z, -2.6)
+    for horizon in [2, 3, 5, 400, 2000, H_CHUNKED]:
+        spans = propagate_block(fam, z, alphas, horizon)
+        with monkeypatch.context() as m:
+            m.setattr(recurrence, "CHUNK_GROUP", 1)
+            chunks = propagate_block(fam, z, alphas, horizon)
+        for a, b in zip(spans, chunks, strict=True):
+            np.testing.assert_array_equal(a.u, b.u, strict=True)
+            np.testing.assert_array_equal(a.residuals, b.residuals, strict=True)
+            assert (a.overflow, a.truncated_at) == (b.overflow, b.truncated_at)
+        if case == "scalar-z10" and horizon >= 400:
+            assert spans[0].truncated_at < horizon
+        if case == "decay-window" and horizon == 2000:
+            with monkeypatch.context() as m:  # the gate steps a chunk again
+                m.setattr(recurrence, "DEFECT_GATE", np.inf)
+                raw = propagate_block(fam, z, alphas, horizon)
+            assert not np.array_equal(raw[0].u, spans[0].u)
 
 
 def _mp_trajectory(mpmath, fam, z, alpha, horizon):

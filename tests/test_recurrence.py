@@ -288,6 +288,38 @@ def test_l2_diagnostic_zero_tenths_and_the_band_between_the_ratios():
     assert rep.evidence == {"count": 20, "window_ratio": 0.625}
 
 
+def _flat_then_zero(count):
+    """A trajectory of `count` samples, norms 1 up to a last one of 0: at 20
+    samples the two tenths are [1, 1] and [1, 0], ratio 0.5."""
+    u = np.zeros((count, 2))
+    u[:-1, 0] = 1.0
+    return Trajectory(0.0, u[0], u, np.zeros(count - 1))
+
+
+def test_l2_diagnostic_is_undecided_below_20_samples():
+    # at 19 samples each tenth is one entry: last 0 after 1 would read as
+    # square-summable, from two samples
+    rep = l2_tail_diagnostic(_flat_then_zero(19))
+    assert rep.verdict == UNDECIDED
+    assert rep.evidence == {"count": 19}
+    rep = l2_tail_diagnostic(_flat_then_zero(20))
+    assert rep.verdict == UNDECIDED
+    assert rep.evidence == {"count": 20, "window_ratio": 0.5, "tail_estimate": 1.0}
+
+
+def test_l2_diagnostic_reports_overflow_below_20_samples():
+    # u_n grows like (3e30)^(n-1): u_6 passes the guard, and its square is finite
+    traj = propagate(scalar_family(), 3e30, np.array([1.0, 1.0]), 10)
+    assert traj.overflow and traj.last_index == 6
+    assert l2_tail_diagnostic(traj).verdict == NOT_SQUARE_SUMMABLE
+
+
+@pytest.mark.parametrize("alphas", [[], np.zeros((0, 4))], ids=["list", "array"])
+def test_an_empty_batch_is_refused(alphas):
+    with pytest.raises(ValueError, match="empty batch"):
+        propagate_block(paper_constant(), 0.5, alphas, 50)
+
+
 def test_basis_trajectories_seed_the_canonical_vectors():
     fam = paper_constant()
     basis = basis_trajectories(fam, 0.0, 5)

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import rand_family, rand_invertible, rand_hermitian, rand_unit
 from blockjacobi.coeffs import (
+    UNDECIDED,
     ConstantWeight,
     PowerWeight,
     constant_family,
@@ -505,6 +506,15 @@ def test_probe_flags_doubling_family():
         assert entry["solution_dim"] == 2
     d = rep.to_dict()
     assert d["verdict"] == COMPLETE_INDETERMINATE
+
+
+@pytest.mark.parametrize("horizon", [3, 6, 12])
+def test_probe_reads_no_l2_verdict_from_a_short_horizon(horizon):
+    # the doubling family's solutions are square-summable; fewer than 20
+    # samples per trajectory decide nothing either way
+    rep = indeterminacy_probe(indeterminate_doubling(), [1j], horizon)
+    assert rep.per_z[0]["basis_verdicts"] == [UNDECIDED] * 4
+    assert rep.verdict == PROBE_UNDECIDED
 
 
 def test_probe_constant_family_is_self_adjoint_regime():
