@@ -133,7 +133,17 @@ class Trajectory:
         return self.u.shape[0] - 1
 
     def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.u, axis=1)
+        """||u_n|| for every stored n.  A row whose plain norm overflows (the
+        sample stored past an overflow cut) is scaled by its largest entry
+        first, so that a representable norm stays finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(self.u, axis=1)
+        big = np.flatnonzero(np.isinf(norms))
+        big = big[np.isfinite(self.u[big]).all(axis=1)]
+        if len(big):
+            s = np.abs(self.u[big]).max(axis=1)
+            norms[big] = s * np.linalg.norm(self.u[big] / s[:, None], axis=1)
+        return norms
 
 
 def _chunk_products(AINV: np.ndarray, AH: np.ndarray, B: np.ndarray, z: complex,
@@ -287,10 +297,10 @@ def weighted_norm_trace(fam: CoefficientFamily, traj: Trajectory) -> np.ndarray:
     Bounded above and below along a trajectory exactly when the two-sided
     asymptotic band estimate holds; returned with s[0] corresponding to n = 1.
     """
-    norms2 = np.linalg.norm(traj.u, axis=1) ** 2
     L = traj.last_index
+    norms2 = np.linalg.norm(traj.u[:L], axis=1) ** 2
     w = norm_stack(fam, 1, L - 1)
-    return w * (norms2[:-2] + norms2[1:-1])
+    return w * (norms2[:-1] + norms2[1:])
 
 
 @dataclass
@@ -309,7 +319,8 @@ def l2_tail_diagnostic(traj: Trajectory) -> L2Report:
     not square-summable.  Below 20 samples each tenth is one entry, and the
     verdict is undecided unless the trajectory overflowed.
     """
-    t = np.linalg.norm(traj.u, axis=1) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # past an overflow cut: the total is inf
+        t = np.linalg.norm(traj.u, axis=1) ** 2
     total = float(t.sum())
     ev: dict = {"count": len(t)}
     if traj.overflow:

@@ -349,6 +349,8 @@ def report_json(report: AnalysisReport, include_times: bool = True) -> str:
 def emit(report: AnalysisReport, out_dir: str | Path, fmt: str = "json") -> list[Path]:
     """Write the report; "json" produces report.json, "csv-bundle" adds one
     CSV per trace."""
+    if fmt not in ("json", "csv-bundle"):
+        raise ValueError(f"unknown format {fmt!r}; known: json, csv-bundle")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -360,6 +362,4 @@ def emit(report: AnalysisReport, out_dir: str | Path, fmt: str = "json") -> list
             p = out / f"{name}.csv"
             write_csv(table, p)
             written.append(p)
-    elif fmt != "json":
-        raise ValueError(f"unknown format {fmt!r}; known: json, csv-bundle")
     return written

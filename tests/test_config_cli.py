@@ -740,3 +740,33 @@ def test_cli_turan_convergence_report_serialises(tmp_path, capsys, out_dir):
     assert "error" not in result
     assert isinstance(result["rate_bound_ok"], bool)
     assert len(result["g"]) == 2
+
+
+def test_cli_trajectory_past_an_overflow_cut_has_a_finite_norm(tmp_path):
+    """The sample stored past the overflow cut is (-1e300, 1e300): its norm
+    is finite although its squared entries overflow, and no step warns;
+    nor do the band and the l2 diagnostic on the same trajectory."""
+    import math
+    import warnings
+
+    from blockjacobi.fixtures import paper_constant
+    from blockjacobi.recurrence import l2_tail_diagnostic, propagate
+    from blockjacobi.turan import asymptotic_band
+
+    out = tmp_path / "o"
+    alpha = np.array([1, 0, 0, 1], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["trajectory", "--family", "paper-constant", "--z", "1e300",
+                   "--alpha", "1,0,0,1", "--horizon", "50", "--out-dir", str(out),
+                   "--format", "csv-bundle"])
+        band = asymptotic_band(paper_constant(), 1, 1e300, [alpha], 50, burn_in=1)
+        l2 = l2_tail_diagnostic(propagate(paper_constant(), 1e300, alpha, 50))
+    assert rc == 0
+    rows = list(csv.reader((out / "00_trajectory_trajectory.csv").read_text().splitlines()))
+    assert len(rows) == 4
+    assert rows[3][:5] == ["2", "-1e+300", "0.0", "1e+300", "0.0"]
+    assert float(rows[3][5]) == pytest.approx(math.sqrt(2) * 1e300, rel=1e-15)
+    assert rows[3][6:] == ["", ""]
+    assert band.per_alpha[0].overflow and math.isfinite(band.c1)
+    assert l2.evidence["overflow"] and l2.partial_sum == math.inf

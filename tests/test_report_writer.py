@@ -96,3 +96,11 @@ def test_numpy_looks_at_a_ragged_table_once(monkeypatch):
     report = AnalysisReport(tool={}, config={}, results={"block": block, "ragged": ragged})
     assert report_json(report) == oracle(report.to_json_dict())
     assert looked == [block, ragged]
+
+
+def test_emit_refuses_an_unknown_format_before_writing_anything(tmp_path):
+    rep = run(parse_config({"family": "paper-constant", "horizon": 50,
+                            "analyses": [{"kind": "validate"}]}))
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        runner.emit(rep, tmp_path / "out", "xml")
+    assert not (tmp_path / "out").exists()
