@@ -1,5 +1,6 @@
 """Shared helpers: seeded random operators and families for property tests,
-and the byte oracle of the report writer."""
+the byte oracle of the report writer, and the CSV number kernels' cells
+against repr."""
 
 import json
 
@@ -8,6 +9,7 @@ import numpy as np
 from blockjacobi.coeffs import tabulated_family
 from blockjacobi.opcore import adj, condition_estimate
 from blockjacobi.runner import _jsonable
+from blockjacobi.table import FIELD, float_fields
 
 
 def rand_operator(rng, d):
@@ -43,3 +45,20 @@ def report_oracle(obj) -> str:
     """The JSON text of a report as the two-walk encoder that `report_json`
     replaced wrote it."""
     return json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+
+
+def kernel_text(fields, values, dtype) -> tuple[list[bytes], np.ndarray | None]:
+    """Each cell's bytes as a CSV number kernel lays them out, and what the
+    kernel returns."""
+    values = np.asarray(values, dtype=dtype)
+    buf = np.empty((len(values), FIELD), dtype=np.uint8)
+    keep = np.zeros(buf.shape, dtype=bool)
+    out = fields(values, buf, keep)
+    return [bytes(b[k]) for b, k in zip(buf, keep)], out
+
+
+def repr_mismatches(values) -> list[tuple[float, bytes]]:
+    """The floats whose bytes from `float_fields` differ from repr."""
+    got, _ = kernel_text(float_fields, values, np.float64)
+    return [(v, g) for v, g in zip(np.asarray(values, dtype=np.float64).tolist(), got)
+            if g != repr(v).encode()]

@@ -1,8 +1,8 @@
 """The CSV writer's number kernels against their oracles: `float_fields`
 against Python's repr and `int_fields` against str, cell for cell, on the
-edge sets of tools/reprsweep.py, seeded random bit patterns and a
-hypothesis property; and the share of cells the float kernel leaves to
-repr."""
+edge sets of tools/reprsweep.py and seeded random bit patterns (a
+hypothesis property: test_csv_kernel_properties.py); and the share of
+cells the float kernel leaves to repr."""
 
 import importlib.util
 from pathlib import Path
@@ -11,31 +11,12 @@ import numpy as np
 import pytest
 
 from blockjacobi.table import FIELD, Table, float_fields, int_fields, write_csv
-
-pytest.importorskip("hypothesis")
-
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
+from conftest import kernel_text, repr_mismatches
 
 _SPEC = importlib.util.spec_from_file_location(
     "reprsweep", Path(__file__).resolve().parent.parent / "tools" / "reprsweep.py")
 reprsweep = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(reprsweep)
-
-
-def _text(fields, values, dtype) -> tuple[list[bytes], np.ndarray | None]:
-    """Each cell's bytes as the kernel lays them out, and what it returns."""
-    values = np.asarray(values, dtype=dtype)
-    buf = np.empty((len(values), FIELD), dtype=np.uint8)
-    keep = np.zeros(buf.shape, dtype=bool)
-    out = fields(values, buf, keep)
-    return [bytes(b[k]) for b, k in zip(buf, keep)], out
-
-
-def _mismatches(values) -> list[tuple[float, bytes]]:
-    got, _ = _text(float_fields, values, np.float64)
-    return [(v, g) for v, g in zip(np.asarray(values, dtype=np.float64).tolist(), got)
-            if g != repr(v).encode()]
 
 
 def _neighbours(values) -> list[float]:
@@ -45,22 +26,23 @@ def _neighbours(values) -> list[float]:
 
 def test_signed_zeros_infinities_and_nan():
     values = [0.0, -0.0, np.inf, -np.inf, np.nan]
-    assert _text(float_fields, values, np.float64)[0] == [b"0.0", b"-0.0", b"inf", b"-inf", b"nan"]
+    got, _ = kernel_text(float_fields, values, np.float64)
+    assert got == [b"0.0", b"-0.0", b"inf", b"-inf", b"nan"]
 
 
 def test_extreme_floats():
     values = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
-    assert _mismatches(values + [-v for v in values]) == []
+    assert repr_mismatches(values + [-v for v in values]) == []
 
 
 def test_every_power_of_two_and_its_neighbours():
     x = _neighbours([2.0 ** k for k in range(-1074, 1024)])
-    assert _mismatches(x + [-v for v in x]) == []
+    assert repr_mismatches(x + [-v for v in x]) == []
 
 
 def test_every_power_of_ten_and_its_neighbours():
     x = _neighbours([float(f"1e{k}") for k in range(-323, 309)])
-    assert _mismatches(x + [-v for v in x]) == []
+    assert repr_mismatches(x + [-v for v in x]) == []
 
 
 def test_integers_around_2_to_the_53_and_from_1e15_to_1e17():
@@ -68,7 +50,7 @@ def test_integers_around_2_to_the_53_and_from_1e15_to_1e17():
     for k in (15, 16, 17):
         x += [float(10 ** k + j) for j in range(-3000, 3001)]
     x += np.random.default_rng(1).integers(10 ** 15, 10 ** 17, 20000).astype(float).tolist()
-    assert _mismatches(x) == []
+    assert repr_mismatches(x) == []
 
 
 @pytest.mark.parametrize("ndig", range(1, 18))
@@ -76,7 +58,7 @@ def test_decimals_of_each_length(ndig):
     rng = np.random.default_rng(ndig)
     digits = rng.integers(10 ** (ndig - 1), 10 ** ndig, 2000, dtype=np.int64).tolist()
     exps = rng.integers(-40, 41, 2000).tolist()
-    assert _mismatches([float(f"{m}e{e}") for m, e in zip(digits, exps)]) == []
+    assert repr_mismatches([float(f"{m}e{e}") for m, e in zip(digits, exps)]) == []
 
 
 def test_layout_boundaries():
@@ -87,28 +69,22 @@ def test_layout_boundaries():
             lo, hi = np.nextafter(lo, 0), np.nextafter(hi, np.inf)
             x += [lo, hi]
         x += [b, b * 1.5, b / 1.5, b * 0.99999, b * 1.00001]
-    got = dict(zip(x, _text(float_fields, x, np.float64)[0]))
+    got = dict(zip(x, kernel_text(float_fields, x, np.float64)[0]))
     assert got[1e-5] == b"1e-05" and got[1e-4] == b"0.0001"
     assert got[1e16] == b"1e+16" and got[1e17] == b"1e+17"
     assert got[np.nextafter(1e16, 0)] == b"9999999999999998.0"
-    assert _mismatches(x) == []
+    assert repr_mismatches(x) == []
 
 
 def test_random_bit_patterns_over_every_exponent():
     x = reprsweep.random_bits(200_000, seed=7)
     exponents = (x.view(np.int64) >> 52) & 0x7FF
     assert len(np.unique(exponents)) == 2048
-    assert _mismatches(x) == []
+    assert repr_mismatches(x) == []
 
 
 def test_the_sweep_edge_sets_match_repr():
-    assert _mismatches(reprsweep.edge_values(seed=3)) == []
-
-
-@settings(derandomize=True, database=None, max_examples=500, deadline=None)
-@given(st.lists(st.floats(), min_size=1, max_size=50))
-def test_kernel_is_repr_on_hypothesis_floats(values):
-    assert _mismatches(values) == []
+    assert repr_mismatches(reprsweep.edge_values(seed=3)) == []
 
 
 def test_two_dimensional_fields_match_repr_cell_by_cell():
@@ -124,12 +100,12 @@ def test_two_dimensional_fields_match_repr_cell_by_cell():
 
 def test_the_kernel_decides_zeros_powers_of_two_and_nearly_every_value():
     pow2 = [2.0 ** k for k in range(-900, 900)]
-    _, other = _text(float_fields, [0.0, -0.0] + pow2 + [-v for v in pow2], np.float64)
+    _, other = kernel_text(float_fields, [0.0, -0.0] + pow2 + [-v for v in pow2], np.float64)
     # 2^-25 = 2.98023223876953125e-08 ties at 17 digits; repr breaks the tie
     assert np.flatnonzero(other).tolist() == [2 + 900 - 25, 2 + 1800 + 900 - 25]
     rng = np.random.default_rng(11)
     x = rng.standard_normal(100_000) * 10.0 ** rng.integers(-10, 10, 100_000)
-    _, other = _text(float_fields, x, np.float64)
+    _, other = kernel_text(float_fields, x, np.float64)
     assert other.mean() <= 1e-3
 
 
@@ -140,7 +116,7 @@ def test_int_fields_give_str():
         [10 ** k + j for k in range(19) for j in (-1, 0, 1)],
         rng.integers(-2 ** 63, 2 ** 63 - 1, 50_000, dtype=np.int64),
         rng.integers(-5000, 5000, 5000)]).astype(np.int64)
-    got, _ = _text(int_fields, v, np.int64)
+    got, _ = kernel_text(int_fields, v, np.int64)
     assert got == [str(k).encode() for k in v.tolist()]
 
 
