@@ -10,7 +10,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .config import ParseError, load_json, parse_complex, parse_config, parse_value
+from .config import ParseError, load_json, parse_config, parse_value
 from .fixtures import FIXTURES, FIXTURE_NOTES
 from .runner import emit, report_json, run
 
@@ -72,22 +72,6 @@ def _numbers(text: str, flag: str, kind=float) -> list:
         raise ParseError(flag, f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _parse_z(text: str) -> list[float]:
-    z = _numbers(text, "--z")
-    if len(z) > 2:
-        raise ParseError("--z", "expected re or re,im")
-    z = parse_value("z", z if len(z) == 2 else z[0], "--z")
-    return [z.real, z.imag]
-
-
-def _parse_alpha(text: str) -> list:
-    out = []
-    for i, a in enumerate(_numbers(text, "--alpha", complex)):
-        a = parse_complex([a.real, a.imag], f"--alpha[{i}]")
-        out.append([a.real, a.imag] if a.imag else a.real)
-    return out
-
-
 def _flag_config(family: str, analysis: dict, flags: dict):
     """The config of one analysis whose keys were set by command line flags
     (`flags` maps key to flag); an error in a key names its flag."""
@@ -131,13 +115,19 @@ def _dispatch(args) -> int:
             raise OSError(f"cannot read {args.config}: {exc}") from exc
         doc = parse_config(text)
     elif args.command == "scan":
-        lo_hi = parse_value("range", _numbers(args.range, "--range"), "--range")
-        doc = _flag_config(args.family, {"kind": "lambda_scan", "range": list(lo_hi),
+        doc = _flag_config(args.family, {"kind": "lambda_scan",
+                                         "range": _numbers(args.range, "--range"),
                                          "grid": args.grid, "N": args.period},
                            {"range": "--range", "grid": "--grid", "N": "--period"})
     else:  # trajectory
-        doc = _flag_config(args.family, {"kind": "trajectory", "z": _parse_z(args.z),
-                                         "alpha": _parse_alpha(args.alpha)},
+        z = _numbers(args.z, "--z")
+        if len(z) > 2:
+            raise ParseError("--z", "expected re or re,im")
+        alpha = [[a.real, a.imag] if a.imag else a.real
+                 for a in _numbers(args.alpha, "--alpha", complex)]
+        doc = _flag_config(args.family, {"kind": "trajectory",
+                                         "z": z if len(z) == 2 else [z[0], 0.0],
+                                         "alpha": alpha},
                            {"z": "--z", "alpha": "--alpha"})
 
     if args.horizon is not None:

@@ -36,7 +36,6 @@ from .opcore import (
     NotConvergentError,
     adj,
     as_operator,
-    block2x2,
     classify_definiteness,
     conditioning,
     op_norm,
@@ -133,7 +132,7 @@ def commutator_form(fam: CoefficientFamily, strategy: AlphaStrategy, n: int,
     m11 = strategy.alpha(fam, n) @ adj(fam.a(n))
     m12 = -(lam * np.eye(d) - fam.b(n)) @ g
     m22 = adj(fam.a(n)) @ g
-    return sym(block2x2(m11, m12, np.zeros((d, d)), m22))
+    return sym(np.block([[m11, m12], [np.zeros((d, d)), m22]]))
 
 
 def boundary_form(fam: CoefficientFamily, strategy: AlphaStrategy, n: int,
@@ -146,7 +145,7 @@ def boundary_form(fam: CoefficientFamily, strategy: AlphaStrategy, n: int,
     m11 = al_prev @ adj(fam.a(n - 1))
     m12 = -al_prev @ (lam * np.eye(d) - fam.b(n))
     m22 = strategy.alpha(fam, n) @ adj(fam.a(n))
-    return sym(block2x2(m11, m12, np.zeros((d, d)), m22))
+    return sym(np.block([[m11, m12], [np.zeros((d, d)), m22]]))
 
 
 def commutator_value(fam: CoefficientFamily, strategy: AlphaStrategy, n: int,

@@ -224,13 +224,15 @@ def _number(kind: type, lo: float = -math.inf, int64: bool = True):
 
 
 def _interval(item):
-    """Parser of [lo, hi] with lo < hi, each end typed by `item`."""
+    """Parser of [lo, hi] with lo < hi and finite hi - lo, each end typed by `item`."""
     def parse(v: Any, path: str, dim: int):
         if not isinstance(v, list) or len(v) != 2:
             raise ParseError(path, "expected [lo, hi]")
         lo, hi = (item(x, f"{path}[{i}]") for i, x in enumerate(v))
         if not lo < hi:
             raise ParseError(path, "expected lo < hi")
+        if not math.isfinite(hi - lo):
+            raise ParseError(path, "expected a finite width hi - lo")
         return (lo, hi)
     return parse
 

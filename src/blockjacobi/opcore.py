@@ -5,7 +5,7 @@ Every helper acts on the last two axes, so one (d, d) matrix and a stack
 stack.  One matrix is checked by as_operator.  A stack is taken as computed
 (an overflowed product keeps a non-finite norm), except by require_hermitian,
 its readers and conditioning, which refuse non-finite entries.  Block
-operators on H (+) H are (2d, 2d) (block2x2); decompositions use numpy.linalg.
+operators on H (+) H are (2d, 2d) (np.block); decompositions use numpy.linalg.
 """
 
 from __future__ import annotations
@@ -253,28 +253,7 @@ def invert(x) -> np.ndarray:
     return np.linalg.inv(a)
 
 
-# ---- block operators on H (+) H ----
-
-
-def block2x2(tl, tr, bl, br) -> np.ndarray:
-    """Assemble [[TL, TR], [BL, BR]].  Scalars broadcast to scaled identities."""
-    mats = []
-    dim = None
-    for x in (tl, tr, bl, br):
-        if np.isscalar(x):
-            mats.append(x)
-            continue
-        m = as_operator(x)
-        if dim is None:
-            dim = m.shape[0]
-        elif m.shape[0] != dim:
-            raise ValueError("blocks must share one dimension")
-        mats.append(m)
-    if dim is None:
-        raise ValueError("at least one block must be a matrix")
-    eye = np.eye(dim)
-    mats = [m * eye if np.isscalar(m) else m for m in mats]
-    return np.block([[mats[0], mats[1]], [mats[2], mats[3]]])
+# ---- quadratic forms ----
 
 
 def quad_form(m: np.ndarray, v: np.ndarray) -> float:

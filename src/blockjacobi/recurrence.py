@@ -135,14 +135,14 @@ class Trajectory:
     def norms(self) -> np.ndarray:
         """||u_n|| for every stored n.  A row whose plain norm overflows (the
         sample stored past an overflow cut) is scaled by its largest entry
-        first, so that a representable norm stays finite."""
+        first: a representable norm stays finite, and any other reads inf."""
         with np.errstate(over="ignore", invalid="ignore"):
             norms = np.linalg.norm(self.u, axis=1)
-        big = np.flatnonzero(np.isinf(norms))
-        big = big[np.isfinite(self.u[big]).all(axis=1)]
-        if len(big):
-            s = np.abs(self.u[big]).max(axis=1)
-            norms[big] = s * np.linalg.norm(self.u[big] / s[:, None], axis=1)
+            big = np.flatnonzero(np.isinf(norms))
+            big = big[np.isfinite(self.u[big]).all(axis=1)]
+            if len(big):
+                s = np.abs(self.u[big]).max(axis=1)
+                norms[big] = s * np.linalg.norm(self.u[big] / s[:, None], axis=1)
         return norms
 
 

@@ -54,7 +54,6 @@ from .recurrence import (
     norm_stack,
     propagate,
     propagate_block,
-    solution_space_dimension,
     transfer_stack,
     window_product,
     weighted_norm_trace,
@@ -573,8 +572,9 @@ def indeterminacy_probe(fam: CoefficientFamily, z_samples: Sequence[complex],
                         scan_grid: int = 101) -> IndeterminacyReport:
     """Detect complete indeterminacy: a convergent Carleman sum, a nonempty
     definiteness region of the limit form, and at every sampled z all 2d basis
-    trajectories square-summable with a d-dimensional space of solutions
-    seeded through the n = 0 boundary relation.
+    trajectories square-summable.  The d solutions seeded from u_0 = e_1 .. e_d
+    through the n = 0 relation are combinations of the basis; they span
+    d dimensions (solution_dim), and a singular a_0 raises SingularError.
 
     A divergent Carleman sum yields the self-adjoint-regime verdict instead;
     anything short of either standard stays undecided.
@@ -593,13 +593,13 @@ def indeterminacy_probe(fam: CoefficientFamily, z_samples: Sequence[complex],
         verdicts = [UNDECIDED if t.truncated_at is not None and not t.overflow
                     else l2_tail_diagnostic(t).verdict
                     for t in basis_trajectories(fam, z, traj_horizon)]
-        dim = solution_space_dimension(fam, z, traj_horizon)
-        ok = all(v == SQUARE_SUMMABLE for v in verdicts) and dim == fam.dim
+        fam.a_inv(0)  # the seeded solutions' u_1 needs it
+        ok = all(v == SQUARE_SUMMABLE for v in verdicts)
         all_ok = all_ok and ok
         per_z.append({
             "z": complex(z),
             "basis_verdicts": verdicts,
-            "solution_dim": dim,
+            "solution_dim": fam.dim,
             "ok": ok,
         })
     if car.verdict == _coeffs.CONVERGES and not lset.empty and all_ok:

@@ -423,6 +423,25 @@ def test_run_names_a_horizon_without_a_mid_trace_window():
         "message": "horizon 5 leaves the mid-trace window [2, 2) empty"}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_records_a_limit_form_that_does_not_settle_beside_the_conditions():
+    # a period-2 family whose normalized identity-weight forms do not settle:
+    # c_limit raises, and the four weight conditions are still reported
+    family = {"kind": "scaled_periodic", "period": 2,
+              "x": {"kind": "constant"}, "y": {"kind": "constant"},
+              "X": [[[1, 1], [1, 2]], [[2, 0], [0, 3]]],
+              "Y": [[[2, 1], [1, 1]], [[0, 0], [0, 0]]]}
+    doc = parse_config({"family": family, "horizon": 2000, "analyses": [
+        {"kind": "commutator", "strategy": "identity", "lambda": 0.5}]})
+    out = run(doc).results["00_commutator"]
+    assert out["limit_form"]["error"] == "NotConvergentError"
+    assert out["limit_form"]["message"].startswith("normalized forms do not settle")
+    assert set(out["limit_form"]) == {"error", "message"}
+    assert list(out["conditions"]) == ["neg_part", "drift", "commutator", "inverse_weight"]
+    assert all("verdict" in cond for cond in out["conditions"].values())
+    assert out["strategy"] == "identity" and out["all_hold"] is False
+
+
 def test_run_records_a_log_weight_horizon_without_envelope_terms():
     doc = parse_config({"family": "paper-logweight",
                         "analyses": [{"kind": "log_weight_criterion", "depth": 1},
@@ -676,6 +695,35 @@ def test_cli_flags_are_typed_like_config_keys(argv, flag, capsys):
     assert f"error: {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["trajectory", "--z", "0.5", "--alpha", "1,inf,0,0"],
+     "--alpha[1]: expected a finite real number or an [re, im] pair"),
+    (["trajectory", "--z", "1,2,3", "--alpha", "1,0,0,0"], "--z: expected re or re,im"),
+    (["trajectory", "--z", "1e400", "--alpha", "1,0,0,0"],
+     "--z: expected a finite real number or an [re, im] pair"),
+    (["scan", "--range=5,1"], "--range: expected lo < hi"),
+    (["scan", "--range=inf,1"], "--range[0]: expected a finite real number"),
+])
+def test_cli_flag_errors_read_exactly(argv, err, capsys):
+    assert main([argv[0], "--family", "paper-constant", *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {err}\n" and captured.out == ""
+
+
+def test_ranges_whose_width_overflows_are_refused(capsys):
+    # hi - lo = inf would overflow the scan grid
+    assert main(["scan", "--family", "paper-constant", "--range=-1e308,1e308"]) == 2
+    assert capsys.readouterr().err == "error: --range: expected a finite width hi - lo\n"
+    for analysis in ({"kind": "lambda_scan", "range": [-1e308, 1e308]},
+                     {"kind": "indeterminacy", "z_samples": [1], "range": [-1e308, 1e308]}):
+        with pytest.raises(ParseError) as err:
+            parse_config({"family": "paper-constant", "analyses": [{"kind": "carleman"}, analysis]})
+        assert str(err.value) == "$.analyses[1].range: expected a finite width hi - lo"
+    doc = parse_config({"family": "paper-constant",
+                        "analyses": [{"kind": "lambda_scan", "range": [-1e307, 1e307]}]})
+    assert doc.analyses[0].params["range"] == (-1e307, 1e307)
+
+
 def test_cli_prints_json_without_out_dir(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": "paper-constant",
@@ -770,3 +818,22 @@ def test_cli_trajectory_past_an_overflow_cut_has_a_finite_norm(tmp_path):
     assert rows[3][6:] == ["", ""]
     assert band.per_alpha[0].overflow and math.isfinite(band.c1)
     assert l2.evidence["overflow"] and l2.partial_sum == math.inf
+
+
+def test_cli_trajectory_past_an_overflow_cut_with_no_representable_norm(tmp_path):
+    """The sample stored past the overflow cut at z = 1e308 + 1e308i has
+    entries of magnitude 1e308 in all four cells: its norm is not a float,
+    so the cell reads inf, and the rescale that finds so does not warn."""
+    import warnings
+
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["trajectory", "--family", "paper-constant", "--z", "1e308,1e308",
+                   "--alpha", "1,0,0,1", "--horizon", "10", "--out-dir", str(out),
+                   "--format", "csv-bundle"])
+    assert rc == 0
+    rows = list(csv.reader((out / "00_trajectory_trajectory.csv").read_text().splitlines()))
+    assert rows[0][5] == "norm" and len(rows) == 4
+    assert rows[3][:5] == ["2", "-1e+308", "-1e+308", "1e+308", "1e+308"]
+    assert rows[3][5] == "inf"

@@ -1,6 +1,5 @@
 """Operator primitives: symmetrization, signed parts, definiteness, inversion,
-the 2x2 singular-value kernel, the stacked product and the 2x2 block
-builder."""
+the 2x2 singular-value kernel and the stacked product."""
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from blockjacobi.opcore import (
     abs_val,
     adj,
     as_operator,
-    block2x2,
     classify_definiteness,
     condition_estimate,
     conditioning,
@@ -155,20 +153,6 @@ def test_hermitian_extremes():
     lo, hi = hermitian_extremes(np.diag([3.0, -1.0, 0.5]))
     assert lo == pytest.approx(-1.0)
     assert hi == pytest.approx(3.0)
-
-
-def test_block_helpers_roundtrip():
-    rng = np.random.default_rng(7)
-    blocks = [rand_operator(rng, 3) for _ in range(4)]
-    m = block2x2(*blocks)
-    back = m[:3, :3], m[:3, 3:], m[3:, :3], m[3:, 3:]
-    for b, c in zip(blocks, back):
-        assert np.abs(b - c).max() == 0.0
-    # scalars broadcast against the matrix blocks
-    m = block2x2(np.eye(2), 0.0, 0.0, 2.0)
-    assert np.abs(m - np.diag([1.0, 1.0, 2.0, 2.0])).max() == 0.0
-    with pytest.raises(ValueError):
-        block2x2(1.0, 0.0, 0.0, 2.0)
 
 
 def test_quad_form_matches_symmetrized_inner_product():

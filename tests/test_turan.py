@@ -29,6 +29,7 @@ from blockjacobi.opcore import (
     HypothesisViolatedError,
     NotConvergentError,
     NotHermitianError,
+    SingularError,
     adj,
     invert,
     op_norm,
@@ -506,6 +507,26 @@ def test_probe_flags_doubling_family():
         assert entry["solution_dim"] == 2
     d = rep.to_dict()
     assert d["verdict"] == COMPLETE_INDETERMINATE
+
+
+def test_probe_propagates_each_z_once(monkeypatch):
+    # the solutions seeded through the n = 0 relation are combinations of the
+    # basis, so only the basis is propagated; a_0^{-1} is still required
+    from blockjacobi import recurrence
+
+    calls = []
+    engine = recurrence._propagate
+    monkeypatch.setattr(recurrence, "_propagate",
+                        lambda *args: calls.append(args[1]) or engine(*args))
+    rep = indeterminacy_probe(indeterminate_doubling(), [1j, 0.5, 1 + 1j], 300)
+    assert calls == [1j, 0.5, 1 + 1j]
+    assert [entry["solution_dim"] for entry in rep.per_z] == [2, 2, 2]
+    assert rep.verdict == COMPLETE_INDETERMINATE
+    doubling = indeterminate_doubling()
+    singular = custom_family(2, lambda n: np.diag([1.0, 0.0]) if n == 0 else doubling.a(n),
+                             doubling.b)
+    with pytest.raises(SingularError, match=r"^a_0: condition estimate inf exceeds 1\.0e\+12$"):
+        indeterminacy_probe(singular, [1j], 300)
 
 
 @pytest.mark.parametrize("horizon", [3, 6, 12])

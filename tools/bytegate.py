@@ -74,6 +74,17 @@ def _file_digests(out_dir: Path, key: str) -> dict[str, str]:
     return digests
 
 
+def write_inputs(inputs: dict, work: Path) -> None:
+    """Write each workload's input files and `jobs.json` to its own
+    directory under work; inputs maps a workload name to its Inputs."""
+    for name, inp in inputs.items():
+        wl_dir = work / name
+        wl_dir.mkdir(parents=True)
+        for fname, data in inp.files.items():
+            (wl_dir / fname).write_bytes(data)
+        (wl_dir / "jobs.json").write_text(json.dumps([asdict(j) for j in inp.jobs]))
+
+
 def _run_jobs(src: Path, work: Path) -> tuple[dict[str, str], dict[str, str]]:
     """Run the jobs of every workload directory under work against the
     package in src; each directory holds the inputs and `jobs.json`.  Returns
@@ -251,12 +262,7 @@ def main(argv: list[str] | None = None) -> int:
             inputs = {name: generate(name, seed) for name in WORKLOADS}
             procs = {}
             for tree, src in trees.items():
-                for name, inp in inputs.items():
-                    wl_dir = Path(tmp, tree, name)
-                    wl_dir.mkdir(parents=True)
-                    for fname, data in inp.files.items():
-                        (wl_dir / fname).write_bytes(data)
-                    (wl_dir / "jobs.json").write_text(json.dumps([asdict(j) for j in inp.jobs]))
+                write_inputs(inputs, Path(tmp, tree))
                 procs[tree] = subprocess.Popen(
                     [sys.executable, __file__, "--child", str(src), str(Path(tmp, tree))],
                     env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
