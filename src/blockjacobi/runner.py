@@ -12,6 +12,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .commutator import (
 )
 from .opcore import DEFINITENESS_EPS, NotConvergentError, HypothesisViolatedError
 from .recurrence import propagate, trajectory_table
-from .table import Table, write_csv
+from .table import KERNEL_MIN, Table, number_texts, write_csv
 from .turan import (
     asymptotic_band,
     christoffel_limit,
@@ -287,63 +288,91 @@ def _is_number(v) -> bool:
 
 def _number_block(obj: list | tuple, indent: str) -> str | None:
     """The indented text of a rectangular nested block of numbers (see
-    `_is_number`), formatted through one "%r" template built from its shape;
-    None when numpy finds it ragged or holding any other leaf."""
-    try:
-        arr = np.array(obj, dtype=object)
-    except ValueError:  # ragged
+    `_is_number`), formatted through one template built from its shape;
+    None when the block is ragged or holds any other leaf.  A block of
+    table.KERNEL_MIN numbers or more, all floats or all int64 ints, takes
+    its texts from the kernels of `table` ("%s"); any other takes each
+    number's repr ("%r")."""
+    shape, leaves = [len(obj)], obj
+    while (kinds := set(map(type, leaves))) <= {list, tuple}:
+        sizes = set(map(len, leaves))
+        if len(sizes) != 1:  # ragged
+            return None
+        shape.append(sizes.pop())
+        leaves = list(chain.from_iterable(leaves))
+    if not kinds <= {int, float}:
         return None
-    flat = arr.ravel().tolist()
-    if not all(map(_is_number, flat)):
+    floats = leaves if kinds == {float} else [v for v in leaves if type(v) is float]
+    x = np.fromiter(floats, np.float64, len(floats))
+    if not np.isfinite(x).all():
         return None
     fmt = "%r"
-    for d in reversed(range(arr.ndim)):
+    if len(leaves) >= KERNEL_MIN and len(kinds) == 1:
+        try:
+            leaves = number_texts(x if float in kinds else np.array(leaves, dtype=np.int64))
+            fmt = "%s"
+        except OverflowError:  # an int past int64
+            pass
+    for d in reversed(range(len(shape))):
         inner = indent + "  " * (d + 1)
-        fmt = "[" + inner + ("," + inner).join([fmt] * arr.shape[d]) + inner[:-2] + "]"
-    return fmt % tuple(flat)
+        fmt = "[" + inner + ("," + inner).join([fmt] * shape[d]) + inner[:-2] + "]"
+    return fmt % tuple(leaves)
 
 
-def _text(obj, indent: str, bulk: bool = True) -> str:
-    """The JSON text of `obj`, `indent` being the line break and indentation
-    of its own level.  Dicts (with str keys), lists, tuples and arrays are
-    walked here and every other value is written as `_jsonable` makes it.
-    numpy looks at a nested list at most once, at its outermost level: a
-    number block there is formatted in bulk, otherwise (`bulk` False) its
-    sublists are written one by one."""
+def _write(obj, indent: str, out: list[str], bulk: bool = True) -> None:
+    """Append the JSON text of `obj` to out, `indent` being the line break
+    and indentation of its own level.  Dicts (with str keys), lists, tuples
+    and arrays are walked here and every other value is written as
+    `_jsonable` makes it.  A nested list is looked at as a number block at
+    most once, at its outermost level: a block there is formatted in bulk,
+    otherwise (`bulk` False) its sublists are written one by one."""
     if _is_number(obj):
-        return repr(obj)
+        out.append(repr(obj))
+        return
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
-    inner = indent + "  "
     if isinstance(obj, dict):
-        brackets = "{}"
-        items = [encode_basestring_ascii(k) + ": " + _text(v, inner)
-                 for k, v in sorted(obj.items())]
+        brackets, bulk = "{}", True
+        items = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items())]
     elif isinstance(obj, (list, tuple)):
         if bulk:
             first = obj
             while isinstance(first, (list, tuple)) and first:
                 first = first[0]
-            if _is_number(first):  # the cheap refusal, before numpy looks
+            if _is_number(first):  # the cheap refusal, before the block walk
                 block = _number_block(obj, indent)
                 if block is not None:
-                    return block
+                    out.append(block)
+                    return
                 bulk = False
         brackets = "[]"
-        items = [_text(v, inner, bulk) for v in obj]
+        items = [("", v) for v in obj]
     else:
         leaf = _jsonable(obj)
-        return _text(leaf, indent) if isinstance(leaf, list) else json.dumps(leaf)
+        if isinstance(leaf, list):
+            _write(leaf, indent, out)
+        else:
+            out.append(json.dumps(leaf))
+        return
     if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+        out.append(brackets)
+        return
+    inner = indent + "  "
+    sep = brackets[0] + inner
+    for key, v in items:
+        out.append(sep + key)
+        sep = "," + inner
+        _write(v, inner, out, bulk)
+    out.append(indent + brackets[1])
 
 
 def report_json(report: AnalysisReport, include_times: bool = True) -> str:
     """The report as key-sorted, indented JSON text: the bytes of
     json.dumps(_jsonable(d), sort_keys=True, indent=2, allow_nan=False),
-    written in one walk."""
-    return _text(report.to_json_dict(include_times), "\n")
+    written in one walk and joined once."""
+    out: list[str] = []
+    _write(report.to_json_dict(include_times), "\n", out)
+    return "".join(out)
 
 
 def emit(report: AnalysisReport, out_dir: str | Path, fmt: str = "json") -> list[Path]:

@@ -9,7 +9,9 @@ its `str`.  `write_csv` computes those bytes for a block of rows at once
 each cell is laid out in a fixed-width field with a mask of the bytes it
 keeps, and the block's text is the one mask compress of its fields.  The
 cells of an object table (Python ints, floats, bools and strings) and of
-any other dtype take their `str`, left-aligned in the same fields.
+any other dtype take their `str`, left-aligned in the same fields.  The
+same kernels give the texts of report.json's number blocks of KERNEL_MIN
+numbers or more (`number_texts`).
 
 `float_fields` finds the shortest decimal that reads back as the float, as
 `repr` does: it rounds x 10^p to 15, 16 and 17 significant digits in
@@ -257,6 +259,33 @@ def int_fields(v: np.ndarray, buf: np.ndarray, keep: np.ndarray) -> None:
     buf.view(np.uint32)[..., 1:6] = np.take(_WORDS, _chunks(m))
     keep[..., :24] = np.take(_INT_LAYOUT, np.searchsorted(_TENS, m, side="right") + 1, axis=0)
     keep[..., 0] = v < 0
+
+
+# A number block of report.json takes its texts from the kernels
+# (`number_texts`) from this many numbers on, and each number's repr through
+# "%r" below it: a call of number_texts costs about 0.4 ms whatever its size,
+# "%r" about 1.2 us a number.  Measured on 2 vCPUs, numpy 2.4.6, kernel
+# against "%r": 0.54 ms against 0.30 ms at 300 numbers, 0.61 against 0.63 at
+# 500, 1.0 against 1.3 at 1 000 and 4.4 against 7.9 at 10 000.
+KERNEL_MIN = 512
+
+
+def number_texts(values: np.ndarray) -> list[str]:
+    """repr of each float64, or str of each int64, of a 1-D array, laid out
+    by float_fields or int_fields and taken from one mask compress of the
+    fields: the texts of a large number block of report.json.  The numbers
+    are laid out 8 ROW_BLOCK at a time, as many fields as one block of rows
+    of a 2x2 trajectory CSV holds."""
+    fields = float_fields if values.dtype.kind == "f" else int_fields
+    texts: list[str] = []
+    for lo in range(0, len(values), 8 * ROW_BLOCK):
+        part = values[lo:lo + 8 * ROW_BLOCK]
+        buf = np.empty((len(part), FIELD), dtype=np.uint8)
+        keep = np.zeros(buf.shape, dtype=bool)
+        fields(part, buf, keep)
+        buf[:, -1], keep[:, -1] = ord(","), True
+        texts += buf[keep].tobytes().decode("ascii").split(",")[:-1]
+    return texts
 
 
 @dataclass

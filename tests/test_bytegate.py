@@ -99,3 +99,58 @@ def test_a_moved_csv_cell_is_measured_against_its_column():
     assert diff.floats[1][3:] == (1.5, 12.0 / 8.0)
     diff.walk_table(old, old[:2] + [[1, 4.0]] + old[3:])
     assert diff.other == ["[2]: length 3 -> 2"]
+
+
+def _report(path: Path, results: str, wall: str) -> Path:
+    path.write_text('{\n  "results": {\n    "x": ' + results + '\n  },\n'
+                    '  "wall_times": {\n    "00_run": ' + wall + '\n  }\n}\n')
+    return path
+
+
+def _digest(path: Path) -> str:
+    return bytegate._file_digests(path.parent, "k")[f"k/{path.name}"]
+
+
+@pytest.mark.parametrize("parent, change, moved", [
+    ("1e-05", "1e-5", "2.5e-05"), ("0.1", "0.10000000000000001", "0.2"),
+    ("[\n      1.5\n    ]", "[1.5]", "[\n      2.5\n    ]")])
+def test_a_report_digest_sees_number_layout_and_not_wall_times(tmp_path, parent, change, moved):
+    (tmp_path / "p").mkdir()
+    (tmp_path / "c").mkdir()
+    old = _report(tmp_path / "p" / "report.json", parent, "0.25")
+    new = _report(tmp_path / "c" / "report.json", change, "0.5")
+    assert _digest(old) != _digest(new)
+    assert _digest(old) == _digest(_report(new, parent, "7.0"))
+    _report(new, change, "0.5")
+    diff = bytegate.file_diff(old, new)
+    assert diff.floats == [] and diff.other == [": the text differs, the values are equal (layout)"]
+    diff = bytegate.file_diff(old, _report(new, moved, "0.5"))
+    assert diff.other == [] and len(diff.floats) == 1
+
+
+def test_a_csv_whose_text_differs_while_its_values_are_equal_is_a_layout_difference(tmp_path):
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_bytes(b"n,x\r\n0,1e-05\r\n")
+    new.write_bytes(b"n,x\r\n0,1e-5\r\n")
+    assert bytegate.file_diff(old, new).other == [
+        ": the text differs, the values are equal (layout)"]
+
+
+def test_the_gate_jobs_run_the_paths_no_workload_takes(tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    monkeypatch.chdir(tmp_path)
+    inputs = bytegate.extra_inputs(3)
+    bytegate.write_inputs({"extra": inputs}, tmp_path)
+    digests, texts = bytegate._run_jobs(root / "src", tmp_path)
+    assert sorted(digests) == [
+        "extra/out/extra/02_trajectory_trajectory.csv", "extra/out/extra/report.json",
+        "extra/out/scan/00_lambda_scan_intervals.csv", "extra/out/scan/report.json",
+        "extra/out/scan/stdout"]
+    assert texts["extra/out/scan/stdout"] == "exit 0\nwrote out/scan/report.json\n"
+    results = json.loads((tmp_path / "extra/out/extra/report.json").read_text())["results"]
+    assert "error" not in results["00_indeterminacy"]
+    assert "error" not in results["01_turan_convergence"]
+    # past the overflow limit: the engine's sequential step found it
+    traj = results["02_trajectory"]
+    assert traj["overflow"] and traj["truncated_at"] < 300

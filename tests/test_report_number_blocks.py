@@ -1,0 +1,114 @@
+"""Byte-oracle tests of report number blocks around table.KERNEL_MIN: from
+that many numbers on, a block of floats or of int64 ints takes its texts
+from the CSV number kernels, and below it, or with any other leaf, it does
+not.  Every block must keep the bytes of the two-walk encoder
+(`conftest.report_oracle`) either way."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from blockjacobi import runner
+from blockjacobi.runner import AnalysisReport, report_json
+from blockjacobi.table import KERNEL_MIN, float_fields
+from conftest import report_oracle
+
+_SPEC = importlib.util.spec_from_file_location(
+    "reprsweep", Path(__file__).resolve().parent.parent / "tools" / "reprsweep.py")
+reprsweep = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(reprsweep)
+
+
+def written(obj) -> str:
+    """`obj` through report_json, as the "results" of a report."""
+    return report_json(AnalysisReport(tool={}, config={}, results=obj), include_times=False)
+
+
+def assert_bytes(obj) -> None:
+    assert written(obj) == report_oracle({"config": {}, "results": obj, "tool": {}})
+
+
+def every_exponent(n: int, seed: int = 0) -> list[float]:
+    """n finite floats from random bit patterns, the exponent field uniform
+    over the finite ones (subnormals included)."""
+    x = reprsweep.random_bits(4 * n, seed)
+    return x[np.isfinite(x)][:n].tolist()
+
+
+@pytest.mark.parametrize("n", [KERNEL_MIN - 1, KERNEL_MIN, KERNEL_MIN + 1, 10_007])
+def test_blocks_around_the_crossover_keep_their_bytes(n):
+    values = every_exponent(n, seed=n)
+    assert_bytes(values)
+    assert_bytes({"pairs": [values[i:i + 2] for i in range(0, n - 1, 2)]})
+
+
+@pytest.mark.parametrize("shape", [(KERNEL_MIN,), (KERNEL_MIN // 2, 2), (43, 3, 4),
+                                   (KERNEL_MIN // 8, 2, 2, 2), (1, 1, 1, 600)])
+def test_blocks_of_every_rank_keep_their_bytes(shape):
+    block = np.array(every_exponent(math.prod(shape), seed=len(shape))).reshape(shape).tolist()
+    assert_bytes(block)
+    if len(shape) > 1:
+        assert_bytes([tuple(row) for row in block])  # tuples are lists in JSON
+
+
+def test_edge_floats_keep_their_bytes_where_the_kernel_leaves_them_to_repr():
+    x = reprsweep.edge_values(0)
+    x = x[np.isfinite(x)]
+    buf = np.empty((len(x), 64), dtype=np.uint8)
+    other = float_fields(x, buf, np.zeros(buf.shape, dtype=bool))
+    ties = x[other].tolist()
+    assert len(ties) > KERNEL_MIN  # the 17-digit ties and the values past 1e+-280
+    assert_bytes(ties)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1e281, 1e-281]
+    assert_bytes((special * KERNEL_MIN)[:KERNEL_MIN + 3])
+    assert_bytes(x.tolist())
+
+
+@pytest.mark.parametrize("ints", [
+    [-2 ** 63, 2 ** 63 - 1, 0, -1, 10 ** 18, -10 ** 19 + 1],
+    [-2 ** 63, 10 ** 30, 7],  # past int64: repr
+    [2 ** 63, -1],
+])
+def test_int_blocks_keep_their_bytes(ints):
+    block = (ints * KERNEL_MIN)[:KERNEL_MIN + 1]
+    assert_bytes(block)
+    assert_bytes([block[i:i + 3] for i in range(0, len(block) - 2, 3)])
+
+
+def test_ints_mixed_with_floats_keep_their_bytes_and_their_types():
+    floats = every_exponent(KERNEL_MIN)
+    mixed = [v if i % 7 else i for i, v in enumerate(floats)]
+    assert_bytes(mixed)
+    text = written(mixed)
+    assert "\n    7,\n" in text and "\n    7.0,\n" not in text
+
+
+@pytest.mark.parametrize("bad", [True, math.nan, math.inf, -math.inf, None, "1.0"])
+def test_a_block_with_another_leaf_keeps_its_bytes(bad):
+    rows = np.array(every_exponent(2 * KERNEL_MIN)).reshape(-1, 2).tolist()
+    rows[-1][1] = bad
+    assert_bytes(rows)
+
+
+def test_a_ragged_block_keeps_its_bytes():
+    rows = np.array(every_exponent(2 * KERNEL_MIN)).reshape(-1, 2).tolist()
+    for last in ([0.5], [0.5, 1.5, 2.5], [[0.5, 1.5], 2.5], []):
+        assert_bytes(rows[:-1] + [last])
+
+
+def test_the_kernel_serves_large_rectangular_number_blocks_only(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(runner, "number_texts",
+                        lambda x, texts_of=runner.number_texts: sizes.append(len(x)) or texts_of(x))
+    floats = every_exponent(2 * KERNEL_MIN)
+    pairs = np.array(floats).reshape(-1, 2).tolist()
+    blocks = {"below": floats[:KERNEL_MIN - 1], "at": floats[:KERNEL_MIN],
+              "ints": list(range(KERNEL_MIN)), "pairs": pairs,
+              "mixed": [1] + floats[1:], "small": [[1.5, 2.5]] * 3,
+              "ragged": pairs[:-1] + [[0.5]], "nan": pairs[:-1] + [[0.5, math.nan]],
+              "bool": pairs[:-1] + [[0.5, True]], "big int": [2 ** 63] + list(range(KERNEL_MIN))}
+    assert_bytes(blocks)
+    assert sorted(sizes) == [KERNEL_MIN, KERNEL_MIN, 2 * KERNEL_MIN]

@@ -1,14 +1,17 @@
 """Byte gate: do two source trees write the same outputs on the benchmark's
-workloads?
+workloads and on a few jobs of the gate's own?
 
     python3 tools/bytegate.py PARENT_SRC CHANGE_SRC --seeds 0-9
 
 PARENT_SRC and CHANGE_SRC are the `src/` directories of two checkouts.  For
 every seed, perfbench/workloads.py generates the inputs of the four
-workloads, and each tree runs every job of them in its own process (the two
-side by side, with BLAS threads pinned to 1 as in the benchmark).  The digest
-of an output is the sha256 of
-  - a `report.json` without `wall_times`, re-dumped with sorted keys,
+workloads, and `extra_inputs` those of the gate's own jobs (paths no
+workload takes: a csv-bundle scan, the indeterminacy and turan_convergence
+analyses, and the engine's sequential re-step).  Each tree runs every job in
+its own process (the two side by side, with BLAS threads pinned to 1 as in
+the benchmark).  The digest of an output is the sha256 of
+  - a `report.json`'s text up to its last key, `"wall_times"`, so that the
+    layout of every number counts (1e-05 is not 1e-5),
   - any other file a job writes (the CSVs), as written,
   - a CLI job's exit code and stdout;
 a job that raises records its exception instead.  The gate prints every
@@ -31,7 +34,8 @@ exception as text.  For every such output the gate prints
     float directly under a JSON key the floats directly under the keys of
     its object, in either tree;
   - each other difference: a string, int, bool, key, length or non-finite
-    float that changed, or an output only one tree has.
+    float that changed, or an output only one tree has; and "layout" for an
+    output whose text differs while its values are equal.
 It then exits 1 only when there is such a non-float difference, 0 when
 floats alone moved.
 """
@@ -62,14 +66,41 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# The last key of a report.json: the text before it is what the gate digests.
+WALL_TIMES = b'\n  "wall_times": '
+
+# Jobs the gate runs besides the workloads', for paths no workload takes: the
+# object-cell CSV of a csv-bundle scan, the indeterminacy and
+# turan_convergence analyses, and the sequential re-step of the propagation
+# engine.  The trajectory starts on the decaying solution of paper-constant
+# at z = 3 (the transfer matrix's eigenvector for its eigenvalue 0.1769): a
+# chunk product loses it to cancellation, and the growing solution that
+# rounding excites passes the overflow limit before the horizon.
+DECAYING = [1.0, -0.7071067811865469, 0.17694472517071205, -0.12511881506340083]
+
+
+def extra_inputs(seed: int):
+    """The gate's own jobs at a seed, as a workload's Inputs."""
+    from workloads import Inputs, Job
+
+    cfg = {"family": "paper-constant", "horizon": 300, "seed": seed, "analyses": [
+        {"kind": "indeterminacy", "z_samples": [0.5, [1.0, 0.5]]},
+        {"kind": "turan_convergence", "z": 1.0, "alphas": {"random": 3}},
+        {"kind": "trajectory", "z": [3.0, 0.0], "alpha": DECAYING},
+    ]}
+    scan = ["scan", "--family", "paper-constant", "--range=-5,10", "--grid", "201",
+            "--horizon", "1000", "--out-dir", "out/scan", "--format", "csv-bundle"]
+    return Inputs({"extra.json": json.dumps(cfg).encode()},
+                  [Job("library", "out/extra", config="extra.json", fmt="csv-bundle"),
+                   Job("cli", "out/scan", argv=scan)])
+
+
 def _file_digests(out_dir: Path, key: str) -> dict[str, str]:
     digests = {}
     for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
         data = path.read_bytes()
-        if path.name == "report.json":
-            doc = json.loads(data)
-            doc.pop("wall_times", None)
-            data = json.dumps(doc, sort_keys=True).encode()
+        if path.name == "report.json" and WALL_TIMES in data:
+            data = data[:data.rindex(WALL_TIMES)]
         digests[f"{key}/{path.relative_to(out_dir)}"] = _sha(data)
     return digests
 
@@ -218,6 +249,17 @@ class ValueDiff:
                 self.walk(x, y, f"[{i}][{j}]", scales[j])
 
 
+def file_diff(old: Path, new: Path) -> ValueDiff:
+    """The differences between two versions of an output file whose digests
+    differ: by value, and "layout" when the values are equal."""
+    diff = ValueDiff()
+    walk = diff.walk_table if old.suffix == ".csv" else diff.walk
+    walk(_values(old), _values(new))
+    if not diff.floats and not diff.other:
+        diff.other.append(": the text differs, the values are equal (layout)")
+    return diff
+
+
 def _seeds(specs: list[str]) -> list[int]:
     """Seeds from "3" and "0-9" style specs, in order."""
     out: list[int] = []
@@ -260,6 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     for seed in seeds:
         with tempfile.TemporaryDirectory(prefix=f"bytegate-s{seed}-") as tmp:
             inputs = {name: generate(name, seed) for name in WORKLOADS}
+            inputs["extra"] = extra_inputs(seed)
             procs = {}
             for tree, src in trees.items():
                 write_inputs(inputs, Path(tmp, tree))
@@ -289,8 +332,7 @@ def main(argv: list[str] | None = None) -> int:
                 elif key.endswith(("/stdout", "/raised")):
                     diff.walk(old_texts.get(key, old[key]), new_texts.get(key, new[key]))
                 else:
-                    walk = diff.walk_table if key.endswith(".csv") else diff.walk
-                    walk(_values(Path(tmp, "parent", key)), _values(Path(tmp, "change", key)))
+                    diff = file_diff(Path(tmp, "parent", key), Path(tmp, "change", key))
                 if diff.worst:
                     print(f"    worst relative float difference {diff.worst:.3g} at {diff.worst_at}")
                     if diff.worst > worst:

@@ -1,13 +1,19 @@
-"""Sweep the CSV writer's float kernel against Python's repr.
+"""Sweep the float kernel of the CSV and JSON writers against Python's repr
+and json.dumps.
 
     python3 tools/reprsweep.py --count 1000000 --seed 0
 
 Lays out, with `blockjacobi.table.float_fields`, the edge sets below and
 COUNT seeded random bit patterns (every exponent field equally likely, so
 subnormals, infinities and NaNs included), and compares each cell's bytes
-with `repr`.  Prints every mismatch (the first MISMATCHES_SHOWN of them)
-and the share of values the kernel left to `repr`, over all values and over
-those inside its range; exits 1 on a mismatch, else 0.
+with `repr`.  Then writes the finite values, CHUNK at a time, as number
+blocks of a report through `blockjacobi.runner.report_json`: one of
+table.KERNEL_MIN - 1 values (written with "%r"), one of KERNEL_MIN and one
+of the rest (both from the kernel), and compares each line with the text of
+json.dumps.  Prints every mismatch (the first MISMATCHES_SHOWN of them),
+the number of differing report lines, and the share of values the kernel
+left to `repr`, over all values and over those inside its range; exits 1 on
+a mismatch, else 0.
 
 The edge sets: signed zeros, infinities and NaN; the smallest subnormal, the
 smallest normal and the largest float; every power of two from 2^-1074 to
@@ -20,6 +26,7 @@ significant digits; and the neighbours of the layout boundaries 1e-5, 1e-4,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -27,7 +34,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from blockjacobi import table  # noqa: E402
+from blockjacobi import runner, table  # noqa: E402
 
 MISMATCHES_SHOWN = 20
 CHUNK = 100_000
@@ -83,13 +90,30 @@ def kernel_text(x: np.ndarray) -> tuple[list[bytes], np.ndarray]:
     return buf[keep].tobytes().split(b"\n")[:-1], other
 
 
+def json_mismatches(x: np.ndarray) -> list[tuple[str, str]]:
+    """The lines of report_json that differ from json.dumps (as pairs, a
+    missing line empty), the finite values of x laid out as number blocks
+    of KERNEL_MIN - 1 values, KERNEL_MIN values and the rest."""
+    v = x[np.isfinite(x)]
+    k = table.KERNEL_MIN
+    results = {"below": v[:k - 1].tolist(), "at": v[k - 1:2 * k - 1].tolist(),
+               "rest": v[2 * k - 1:].tolist()}
+    got = runner.report_json(runner.AnalysisReport(tool={}, config={}, results=results),
+                             include_times=False).splitlines()
+    want = json.dumps({"config": {}, "results": results, "tool": {}},
+                      sort_keys=True, indent=2).splitlines()
+    got += [""] * (len(want) - len(got))
+    want += [""] * (len(got) - len(want))
+    return [(g, w) for g, w in zip(got, want) if g != w]
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--count", type=int, default=1_000_000, help="random bit patterns")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     x = np.concatenate([edge_values(args.seed), random_bits(args.count, args.seed)])
-    mismatches = fallback = in_range = fallback_in_range = 0
+    mismatches = json_lines = fallback = in_range = fallback_in_range = 0
     for lo in range(0, len(x), CHUNK):
         part = x[lo:lo + CHUNK]
         got, other = kernel_text(part)
@@ -99,12 +123,17 @@ def main(argv: list[str] | None = None) -> int:
                     bits = np.float64(v).view(np.int64)
                     print(f"mismatch: {v!r} ({bits:#018x}) gave {g.decode()!r}")
                 mismatches += 1
+        for g, w in json_mismatches(part):
+            if mismatches < MISMATCHES_SHOWN:
+                print(f"report line mismatch: {g!r}, json.dumps {w!r}")
+            mismatches += 1
+            json_lines += 1
         live = (np.abs(part) >= table._SMALL) & (np.abs(part) <= table._LARGE)
         fallback += int(other.sum())
         in_range += int(live.sum())
         fallback_in_range += int((other & live).sum())
     print(f"{len(x)} values ({len(x) - args.count} edge, {args.count} random, seed {args.seed}): "
-          f"{mismatches} mismatches; left to repr: {fallback} ({fallback / len(x):.4%}), "
+          f"{mismatches} mismatches ({json_lines} of them report lines); left to repr: {fallback} ({fallback / len(x):.4%}), "
           f"{fallback_in_range} of the {in_range} inside the kernel's range "
           f"({fallback_in_range / max(in_range, 1):.4%})")
     return 1 if mismatches else 0
