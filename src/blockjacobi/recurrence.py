@@ -2,7 +2,8 @@
 
     a_{n-1}^* u_{n-1} + b_n u_n + a_n u_{n+1} = z u_n,   n >= 1,
 
-its one-step transfer matrices on H (+) H, windowed transfer products, and
+its one-step transfer matrices on H (+) H, windowed transfer products, the
+fundamental matrix whose combinations are every trajectory at one z, and
 square-summability diagnostics of trajectories.
 """
 
@@ -146,6 +147,17 @@ class Trajectory:
         return norms
 
 
+def initial_data(alphas: Sequence[np.ndarray], d: int) -> np.ndarray:
+    """A batch of initial data (u_0, u_1) as the rows of a (k, 2d) array;
+    an empty batch or a zero datum raises ValueError."""
+    if not len(alphas):
+        raise ValueError("empty batch: propagation needs at least one initial datum")
+    al = np.stack([np.asarray(a, dtype=np.complex128).reshape(2 * d) for a in alphas])
+    if np.any(np.linalg.norm(al, axis=1) == 0.0):
+        raise ValueError("initial data must be nonzero")
+    return al
+
+
 def _chunk_products(AINV: np.ndarray, AH: np.ndarray, B: np.ndarray, z: complex,
                     lo: int, hi: int, c: int) -> np.ndarray:
     """Local prefix products of the transfer matrices of steps lo .. hi-1,
@@ -195,12 +207,8 @@ def _propagate(fam: CoefficientFamily, z: complex, alphas: Sequence[np.ndarray],
     OVERFLOW_LIMIT.  Columns actually past the limit carry the overflow flag,
     the rest are merely shortened (truncated_at is set for all of them).
     """
-    if not len(alphas):
-        raise ValueError("empty batch: propagation needs at least one initial datum")
     d = fam.dim
-    al = np.stack([np.asarray(a, dtype=np.complex128).reshape(2 * d) for a in alphas])
-    if np.any(np.linalg.norm(al, axis=1) == 0.0):
-        raise ValueError("initial data must be nonzero")
+    al = initial_data(alphas, d)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     k = al.shape[0]
@@ -378,18 +386,53 @@ def basis_trajectories(fam: CoefficientFamily, z: complex, horizon: int) -> list
     return propagate_block(fam, z, np.eye(2 * fam.dim, dtype=np.complex128), horizon)
 
 
-def solution_space_dimension(fam: CoefficientFamily, z: complex, horizon: int) -> int:
-    """Numerical dimension of the span of trajectories seeded through
-    formal_eigenvector_start from a basis of H: how many singular values of
-    the stacked, normalized trajectories (propagated as one batch) exceed
-    1e-8 times the largest."""
-    d = fam.dim
-    starts = [formal_eigenvector_start(fam, z, u0) for u0 in np.eye(d, dtype=np.complex128)]
-    cols = []
-    for traj in propagate_block(fam, z, starts, horizon):
-        v = traj.u.reshape(-1)
-        nrm = np.linalg.norm(v)
-        cols.append(v / nrm if nrm > 0 else v)
-    m = np.stack(cols, axis=1)
-    svals = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(svals > 1e-8 * svals[0]))
+@dataclass
+class FundamentalMatrix:
+    """The fundamental matrix of the recurrence at z: phi[n] in C^{d x 2d}
+    maps initial data alpha = (u_0, u_1) to u_n, so that every trajectory is
+    phi alpha, for n = 0 .. L.
+
+    Its columns are the 2d basis trajectories of basis_trajectories, cut
+    together at the first overflow (truncated_at), and residuals[j] are the
+    recurrence defects of column j.  Every combination shares that cut.
+    """
+
+    z: complex
+    phi: np.ndarray            # shape (L+1, dim, 2 dim)
+    residuals: np.ndarray      # shape (2 dim, L), residuals[:, 0] = 0
+    truncated_at: int | None = None
+
+    @property
+    def last_index(self) -> int:
+        return self.phi.shape[0] - 1
+
+    def samples(self, alphas: Sequence[np.ndarray], start: int = 0,
+                stop: int | None = None) -> np.ndarray:
+        """u_n = phi[n] alpha for n = start .. stop - 1 (to L by default), for
+        every alpha of the batch in one product: shape (k, rows, dim)."""
+        rows = self.phi[start:stop]
+        al = initial_data(alphas, rows.shape[1])
+        return (al @ rows.reshape(-1, al.shape[1]).T).reshape(len(al), *rows.shape[:2])
+
+    def overflow(self, u: np.ndarray) -> np.ndarray:
+        """For each row of samples u (k, ..., dim) that end at the cut,
+        whether that combination passed OVERFLOW_LIMIT there."""
+        return (self.truncated_at is not None) & (np.abs(u[:, -1]).max(axis=1) > OVERFLOW_LIMIT)
+
+    def trajectory(self, alpha: np.ndarray) -> Trajectory:
+        """The trajectory phi alpha.  Its residuals are the bound
+        sum_j |alpha_j| r_j of the basis columns' defects, not the defect of
+        its own samples; it overflowed when the largest entry of phi_L alpha
+        at the cut passed OVERFLOW_LIMIT."""
+        alpha = initial_data([alpha], self.phi.shape[1])[0]
+        u = self.samples([alpha])
+        return Trajectory(self.z, alpha, u[0], np.abs(alpha) @ self.residuals,
+                          bool(self.overflow(u)[0]), self.truncated_at)
+
+
+def fundamental_matrix(fam: CoefficientFamily, z: complex, horizon: int) -> FundamentalMatrix:
+    """The basis trajectories of basis_trajectories, stacked as the
+    fundamental matrix at z up to index `horizon`."""
+    trajs = basis_trajectories(fam, z, horizon)
+    return FundamentalMatrix(z, np.stack([t.u for t in trajs], axis=-1),
+                             np.stack([t.residuals for t in trajs]), trajs[0].truncated_at)

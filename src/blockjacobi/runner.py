@@ -30,7 +30,7 @@ from .commutator import (
     weight_conditions,
 )
 from .opcore import DEFINITENESS_EPS, NotConvergentError, HypothesisViolatedError
-from .recurrence import propagate, trajectory_table
+from .recurrence import fundamental_matrix, propagate, trajectory_table
 from .table import KERNEL_MIN, Table, number_texts, write_csv
 from .turan import (
     asymptotic_band,
@@ -62,7 +62,8 @@ class AnalysisReport:
 class _Context:
     """What a handler reads besides its own keys: the family, the horizon, the
     seeded generator shared by all analyses, the report's trace tables, the
-    current analysis key and the limit data of each period."""
+    current analysis key, the limit data of each period and the fundamental
+    matrix of each z."""
 
     fam: object
     horizon: int
@@ -70,11 +71,20 @@ class _Context:
     traces: dict
     key: str = ""
     lims: dict = field(default_factory=dict)
+    phis: dict = field(default_factory=dict)
 
     def limits(self, N: int):
         if N not in self.lims:
             self.lims[N] = extract_periodic_limits(self.fam, N, self.horizon)
         return self.lims[N]
+
+    def fundamental(self, z):
+        """The fundamental matrix at z to the horizon, propagated once per
+        (z, horizon) and read by every analysis at that z."""
+        key = (complex(z), self.horizon)
+        if key not in self.phis:
+            self.phis[key] = fundamental_matrix(self.fam, z, self.horizon)
+        return self.phis[key]
 
     def alphas(self, spec=None) -> list[np.ndarray]:
         """Initial data: the explicit vectors, or unit vectors drawn uniformly
@@ -152,14 +162,16 @@ def _lambda_scan(ctx: _Context, *, range, grid=201, eps=DEFINITENESS_EPS, N=1) -
 
 def _band(ctx: _Context, *, z, N=1, alphas=None, burn_in=10) -> dict:
     alphas = ctx.alphas(alphas)
-    rep = asymptotic_band(ctx.fam, N, z, alphas, ctx.horizon, burn_in=burn_in)
+    rep = asymptotic_band(ctx.fam, N, z, alphas, ctx.horizon, burn_in=burn_in,
+                          phi=ctx.fundamental(z))
     return {"c1": rep.c1, "c2": rep.c2, "ratio": rep.ratio,
             "alphas": len(alphas), "burn_in": rep.burn_in,
             "overflow": any(s.overflow for s in rep.per_alpha)}
 
 
 def _turan_convergence(ctx: _Context, *, z, N=1, alphas=None) -> dict:
-    rep = turan_convergence(ctx.fam, N, z, ctx.alphas(alphas), ctx.horizon)
+    rep = turan_convergence(ctx.fam, N, z, ctx.alphas(alphas), ctx.horizon,
+                            phi=ctx.fundamental(z))
     return {"g": rep.g_values,
             "residuals": [s.residual for s in rep.per_alpha],
             "converged": [s.converged for s in rep.per_alpha],
@@ -208,7 +220,8 @@ def _indeterminacy(ctx: _Context, *, z_samples, N=1, range=(-10.0, 10.0), grid=1
 
 
 def _exact_asymptotics(ctx: _Context, *, z: float, N=1, alphas=None) -> dict:
-    rep = exact_asymptotics(ctx.fam, ctx.limits(N), z, ctx.alphas(alphas), ctx.horizon)
+    rep = exact_asymptotics(ctx.fam, ctx.limits(N), z, ctx.alphas(alphas), ctx.horizon,
+                            phi=ctx.fundamental(z))
     return {"C": rep.C,
             "per_alpha": [{"g": d["g"],
                            "weighted_trace_limit": d["weighted_trace_limit"],
@@ -218,8 +231,9 @@ def _exact_asymptotics(ctx: _Context, *, z: float, N=1, alphas=None) -> dict:
 def _christoffel(ctx: _Context, *, z: float, alpha=None) -> dict:
     if alpha is None:
         alpha = ctx.alphas()[0]
-    rep_ea = exact_asymptotics(ctx.fam, ctx.limits(1), z, [alpha], ctx.horizon)
-    rep = christoffel_limit(ctx.fam, rep_ea.C, rep_ea.trajectories[0])
+    phi = ctx.fundamental(z)
+    rep_ea = exact_asymptotics(ctx.fam, ctx.limits(1), z, [alpha], ctx.horizon, phi=phi)
+    rep = christoffel_limit(ctx.fam, rep_ea.C, phi.trajectory(alpha))
     return {"limit_estimate": rep.limit_estimate, "residual": rep.residual,
             "g": rep_ea.per_alpha[0]["g"],
             "half_g_gap": abs(rep.limit_estimate - rep_ea.per_alpha[0]["g"] / 2.0)}
@@ -289,10 +303,12 @@ def _is_number(v) -> bool:
 def _number_block(obj: list | tuple, indent: str) -> str | None:
     """The indented text of a rectangular nested block of numbers (see
     `_is_number`), formatted through one template built from its shape;
-    None when the block is ragged or holds any other leaf.  A block of
-    table.KERNEL_MIN numbers or more, all floats or all int64 ints, takes
-    its texts from the kernels of `table` ("%s"); any other takes each
-    number's repr ("%r")."""
+    None when the block is ragged or holds any other leaf.  Its innermost
+    entries may mix numbers with [re, im] pairs (a Hermitian table with a
+    real diagonal); such a template is laid out entry by entry, but its
+    numbers are still formatted at once.  A block of table.KERNEL_MIN
+    numbers or more, all floats or all int64 ints, takes its texts from the
+    kernels of `table` ("%s"); any other takes each number's repr ("%r")."""
     shape, leaves = [len(obj)], obj
     while (kinds := set(map(type, leaves))) <= {list, tuple}:
         sizes = set(map(len, leaves))
@@ -300,6 +316,13 @@ def _number_block(obj: list | tuple, indent: str) -> str | None:
             return None
         shape.append(sizes.pop())
         leaves = list(chain.from_iterable(leaves))
+    pairs = None
+    if kinds & {list, tuple}:  # numbers mixed with pairs
+        pairs = [type(v) in (list, tuple) for v in leaves]
+        if any(p and len(v) != 2 for p, v in zip(pairs, leaves)):
+            return None
+        leaves = [w for p, v in zip(pairs, leaves) for w in (v if p else (v,))]
+        kinds = set(map(type, leaves))
     if not kinds <= {int, float}:
         return None
     floats = leaves if kinds == {float} else [v for v in leaves if type(v) is float]
@@ -313,10 +336,18 @@ def _number_block(obj: list | tuple, indent: str) -> str | None:
             fmt = "%s"
         except OverflowError:  # an int past int64
             pass
+    texts = [fmt]  # the entries' templates, one for all when they are alike
+    if pairs is not None:
+        inner = indent + "  " * (len(shape) + 1)
+        pair = "[" + inner + fmt + "," + inner + fmt + inner[:-2] + "]"
+        texts = [pair if p else fmt for p in pairs]
     for d in reversed(range(len(shape))):
-        inner = indent + "  " * (d + 1)
-        fmt = "[" + inner + ("," + inner).join([fmt] * shape[d]) + inner[:-2] + "]"
-    return fmt % tuple(leaves)
+        inner, n = indent + "  " * (d + 1), shape[d]
+        if len(texts) == 1:
+            texts *= n
+        texts = ["[" + inner + ("," + inner).join(texts[i:i + n]) + inner[:-2] + "]"
+                 for i in range(0, len(texts), n)]
+    return texts[0] % tuple(leaves)
 
 
 def _write(obj, indent: str, out: list[str], bulk: bool = True) -> None:

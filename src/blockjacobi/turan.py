@@ -47,16 +47,17 @@ from .opcore import (
 )
 from .recurrence import (
     SQUARE_SUMMABLE,
+    FundamentalMatrix,
     Trajectory,
     basis_trajectories,
     coefficient_stacks,
+    fundamental_matrix,
+    initial_data,
     l2_tail_diagnostic,
     norm_stack,
     propagate,
-    propagate_block,
     transfer_stack,
     window_product,
-    weighted_norm_trace,
 )
 
 # Endpoints of definiteness intervals are bisected to this width.
@@ -113,41 +114,44 @@ class TuranTrace:
     values: np.ndarray  # values[k] is S_{n_start + k}
 
 
-def _traces_from(fam: CoefficientFamily, N: int, z: complex, trajs: Sequence[Trajectory],
-                 horizon: int, start: int = 1) -> list[TuranTrace]:
-    """S_n, n = start .. horizon-1, for already-propagated trajectories.
+def _traces_from(fam: CoefficientFamily, N: int, z: complex, u: np.ndarray,
+                 horizon: int, start: int = 1) -> np.ndarray:
+    """S_n, n = start .. horizon-1, of a batch of trajectories that end at
+    one index, as the rows of a (k, horizon - start) array; u (k, rows, dim)
+    holds their samples from u_{start-1} to that end, and rows past it are
+    NaN.
 
-    One stack of form matrices serves every trajectory.  It is left without
-    sym, which does not change the real part of a quadratic form.  Window
+    One stack of form matrices serves the batch.  It is left without sym,
+    which does not change the real part of a quadratic form.  Window
     products come from batched matrix multiplication of shifted transfer
-    stacks, values from batched quadratic forms.  Each row is computed on
-    its own, so a later start leaves the bits of every row.
+    stacks, and every value from one batched quadratic form.  Each row is
+    computed on its own, so a later start leaves the bits of every row.
     """
     if N < 1:
         raise ValueError("window length N must be >= 1")
     count = horizon - start
-    bst = transfer_stack(fam, z, start, count + N - 1)
-    x = bst[:count]
-    for k in range(1, N):
-        x = bst[k:k + count] @ x
-    m = _weight_block(coefficient_stacks(fam, start + N - 1, count)[0]) @ x
-    out = []
-    for traj in trajs:
-        avail = min(horizon - 1, traj.last_index) - start + 1
-        vals = np.full(count, np.nan)
-        if avail >= 1:
-            u = traj.u[start - 1:]
-            v = np.concatenate([u[0:avail], u[1:avail + 1]], axis=1)
-            mv = np.einsum("nij,nj->ni", m[:avail], v)
-            vals[:avail] = np.einsum("ni,ni->n", v.conj(), mv).real
-        out.append(TuranTrace(N, z, traj.alpha, start, vals))
-    return out
+    avail = min(count, u.shape[1] - 1)
+    vals = np.full((len(u), count), np.nan)
+    if avail >= 1:
+        bst = transfer_stack(fam, z, start, avail + N - 1)
+        x = bst[:avail]
+        for k in range(1, N):
+            x = bst[k:k + avail] @ x
+        m = _weight_block(coefficient_stacks(fam, start + N - 1, avail)[0]) @ x
+        ut = u.transpose(1, 2, 0)
+        v = np.concatenate([ut[:avail], ut[1:avail + 1]], axis=1)  # (avail, 2 dim, k)
+        mv = m @ v
+        vals[:, :avail] = (v.real * mv.real + v.imag * mv.imag).sum(axis=1).T  # Re <v, m v>
+    return vals
 
 
 def turan_traces(fam: CoefficientFamily, N: int, z: complex,
                  alphas: Sequence[np.ndarray], horizon: int) -> list[TuranTrace]:
-    """S_n for n = 1 .. horizon-1 along each seeded trajectory."""
-    return _traces_from(fam, N, z, propagate_block(fam, z, alphas, horizon), horizon)
+    """S_n for n = 1 .. horizon-1 along each seeded trajectory phi alpha."""
+    al = initial_data(alphas, fam.dim)
+    u = fundamental_matrix(fam, z, horizon).samples(al)
+    return [TuranTrace(N, z, a, 1, vals)
+            for a, vals in zip(al, _traces_from(fam, N, z, u, horizon))]
 
 
 # ---- periodic limit data ----
@@ -423,24 +427,31 @@ class BandReport:
 
 def asymptotic_band(fam: CoefficientFamily, N: int, z: complex,
                     alphas: Sequence[np.ndarray], horizon: int,
-                    burn_in: int = 10) -> BandReport:
+                    burn_in: int = 10, *, phi: FundamentalMatrix | None = None) -> BandReport:
     """Empirical two-sided bounds on ||a_n|| (||u_{n-1}||^2 + ||u_n||^2),
-    normalized by ||alpha||^2, over n in [burn_in, horizon)."""
+    normalized by ||alpha||^2, over n in [burn_in, horizon).
+
+    Every trajectory is phi alpha, read from the fundamental matrix at z to
+    `horizon` (propagated here unless the caller passes it), so all of them
+    end at its cut.  A start overflowed when phi alpha passed OVERFLOW_LIMIT
+    there.
+    """
     if burn_in < 1:
         raise ValueError(f"burn_in must be >= 1, got {burn_in}")
-    stats = []
-    c1, c2 = float("inf"), 0.0
-    for traj in propagate_block(fam, z, alphas, horizon):
-        s = weighted_norm_trace(fam, traj)
-        nrm2 = float(np.linalg.norm(traj.alpha) ** 2)
-        seg = s[burn_in - 1:] / nrm2
-        if not len(seg):
-            raise ValueError(f"burn_in {burn_in} leaves no samples: the trajectory "
-                             f"ends at index {traj.last_index}")
-        lo, hi = float(seg.min()), float(seg.max())
-        stats.append(BandAlphaStats(traj.alpha, lo, hi, traj.overflow))
-        c1, c2 = min(c1, lo), max(c2, hi)
-    return BandReport(N, z, horizon, burn_in, c1, c2, stats)
+    phi = fundamental_matrix(fam, z, horizon) if phi is None else phi
+    al = initial_data(alphas, fam.dim)
+    u = phi.samples(al)
+    L = phi.last_index
+    norms2 = np.linalg.norm(u[:, :L], axis=2) ** 2
+    s = norm_stack(fam, 1, L - 1) * (norms2[:, :-1] + norms2[:, 1:])
+    seg = s[:, burn_in - 1:] / (np.linalg.norm(al, axis=1) ** 2)[:, None]
+    if not seg.shape[1]:
+        raise ValueError(f"burn_in {burn_in} leaves no samples: the trajectory "
+                         f"ends at index {L}")
+    stats = [BandAlphaStats(a, lo, hi, bool(over)) for a, lo, hi, over
+             in zip(al, seg.min(axis=1).tolist(), seg.max(axis=1).tolist(), phi.overflow(u))]
+    return BandReport(N, z, horizon, burn_in, min([float("inf")] + [s.c1 for s in stats]),
+                      max([0.0] + [s.c2 for s in stats]), stats)
 
 
 @dataclass
@@ -482,50 +493,52 @@ def _variation_tails(fam: CoefficientFamily, N: int, z: complex, m: int,
     return float(tail)
 
 
-def _tail(values: np.ndarray, rows: int, name: str) -> tuple[float, float]:
-    """Mean of the last tenth (at least one row) of a trace of `rows` rows,
-    and the largest deviation from it there; `values` holds the trace's
-    final rows.  A NaN in that tenth raises NotConvergentError naming the
-    trace."""
-    tail = values[-max(1, rows // 10):]
+def _tail(values: np.ndarray, rows: int, name: str) -> tuple[list[float], list[float]]:
+    """Means of the last tenth (at least one row) of traces of `rows` rows,
+    and the largest deviation from each there; each row of `values` holds
+    one trace's final rows.  A NaN in that tenth raises NotConvergentError
+    naming the trace."""
+    tail = values[:, -max(1, rows // 10):]
     if np.isnan(tail).any():
         raise NotConvergentError(f"{name} is NaN in its last tenth, rows "
-                                 f"{rows - len(tail) + 1} .. {rows}")
-    mean = float(tail.mean())
-    return mean, float(np.abs(tail - mean).max())
+                                 f"{rows - tail.shape[1] + 1} .. {rows}")
+    mean = tail.mean(axis=1)
+    return mean.tolist(), np.abs(tail - mean[:, None]).max(axis=1).tolist()
 
 
 def turan_convergence(fam: CoefficientFamily, N: int, z: complex,
-                      alphas: Sequence[np.ndarray], horizon: int) -> ConvergenceReport:
+                      alphas: Sequence[np.ndarray], horizon: int, *,
+                      phi: FundamentalMatrix | None = None) -> ConvergenceReport:
     """Limits g of the Turan sequences S_n with Cauchy residuals, plus a
     consistency check of |g - S_m| against the variation tails past m for a
     single fitted constant.
 
-    Raises NotConvergentError when an S_n sequence oscillates as widely as its
-    putative limit, or is NaN in the last tenth of its rows up to its
-    trajectory's end.
+    Every trajectory is phi alpha, read from the fundamental matrix at z to
+    `horizon` (propagated here unless the caller passes it), so the S_n of
+    all of them end at its cut.  Raises NotConvergentError when an S_n
+    sequence oscillates as widely as its putative limit, or is NaN in the
+    last tenth of its rows up to that cut.
     """
     first_m = 20  # the smallest m of the rate check, whose window is (m, horizon)
     if horizon <= first_m:
         raise ValueError(f"horizon {horizon} leaves no variation window past m = {first_m}")
-    trajs = propagate_block(fam, z, alphas, horizon)
-    traces = _traces_from(fam, N, z, trajs, horizon)
+    phi = fundamental_matrix(fam, z, horizon) if phi is None else phi
+    al = initial_data(alphas, fam.dim)
+    values = _traces_from(fam, N, z, phi.samples(al), horizon)
+    rows = min(horizon - 1, phi.last_index)  # past the cut, NaN padding
     per = []
-    for tr, traj in zip(traces, trajs):
-        rows = min(horizon - 1, traj.last_index)  # past the end, NaN padding
-        g, residual = _tail(tr.values[:rows], rows, "Turan sequence S_n")
+    for a, g, residual in zip(al, *_tail(values[:, :rows], rows, "Turan sequence S_n")):
         if abs(g) <= residual:
             raise NotConvergentError(
                 f"Turan sequence oscillates by {residual:.3e} around {g:.3e}"
             )
-        per.append(ConvergenceAlphaStats(tr.alpha, g, residual,
-                                         residual < 1e-6 * abs(g)))
+        per.append(ConvergenceAlphaStats(a, g, residual, residual < 1e-6 * abs(g)))
     ms = sorted({max(first_m, horizon // (2 ** k)) for k in range(2, 7)})
     details = []
     worst = 0.0
     for m in ms:
         tail = _variation_tails(fam, N, z, m, horizon)
-        dev = max(abs(per[i].g - traces[i].values[m - 1]) for i in range(len(per)))
+        dev = max(abs(s.g - v) for s, v in zip(per, values[:, m - 1].tolist()))
         details.append({"m": m, "deviation": dev, "tail": tail})
         if tail > 0:
             worst = max(worst, dev / tail)
@@ -617,11 +630,17 @@ class ExactAsymptoticsReport:
     C: np.ndarray  # D_0, the block of the weighted-trace reduction
     per_alpha: list[dict]
     horizon: int
-    trajectories: list[Trajectory]  # one per alpha, as propagated for the limits
+    phi: FundamentalMatrix  # the limits' trajectories are phi alpha
+
+    @property
+    def trajectories(self) -> list[Trajectory]:
+        """The trajectory phi alpha of each alpha, formed on demand."""
+        return [self.phi.trajectory(d["alpha"]) for d in self.per_alpha]
 
 
 def exact_asymptotics(fam: CoefficientFamily, lim: PeriodicLimitData, z: float,
-                      alphas: Sequence[np.ndarray], horizon: int) -> ExactAsymptoticsReport:
+                      alphas: Sequence[np.ndarray], horizon: int, *,
+                      phi: FundamentalMatrix | None = None) -> ExactAsymptoticsReport:
     """In the odd-window regime whose limit forms reduce to diag(D, D) with
     one D over the period and C self-adjoint, the weighted trace
     ||a_n|| (<D u_{n-1}, u_{n-1}> + <D u_n, u_n>) shares the Turan limit g.
@@ -629,8 +648,12 @@ def exact_asymptotics(fam: CoefficientFamily, lim: PeriodicLimitData, z: float,
     for N = 3 (mod 4).  Checks the hypotheses on the supplied limit data,
     then compares both limits per trajectory; the report's C is D_0.
 
-    Each limit is read from the last tenth of its trace's rows, and only
-    those rows are evaluated; a NaN there raises NotConvergentError.
+    Every trajectory is phi alpha, read from the fundamental matrix at z to
+    `horizon` (propagated here, after the hypothesis checks, unless the
+    caller passes it), so all of them end at its cut L.  Each limit is read
+    from the last tenth of its trace's rows, and phi alpha is formed, for
+    every alpha in one product, only from the row where the weighted
+    trace's tenth starts; a NaN in a tenth raises NotConvergentError.
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
@@ -646,21 +669,22 @@ def exact_asymptotics(fam: CoefficientFamily, lim: PeriodicLimitData, z: float,
             raise HypothesisViolatedError(f"D[{j}] is not constant across the period")
         if herm_defect(lim.C[j]) > REDUCTION_TOL:
             raise HypothesisViolatedError(f"C[{j}] is not self-adjoint")
-    trajs = propagate_block(fam, z, alphas, horizon)
-    # every tenth starts at or after that of the shortest column's weighted trace
-    K = min(traj.last_index for traj in trajs) - 1
-    start = K - max(1, K // 10) + 1
-    per = []
-    for tr, traj in zip(_traces_from(fam, lim.N, z, trajs, horizon, start), trajs):
-        u = traj.u[start - 1:]
-        q = np.einsum("nd,de,ne->n", u.conj(), D, u).real
-        w = norm_stack(fam, start, traj.last_index - start)
-        rows = min(horizon - 1, traj.last_index)
-        g = _tail(tr.values[:rows - start + 1], rows, "Turan sequence S_n")
-        west = _tail(w * (q[:-2] + q[1:-1]), traj.last_index - 1, "weighted trace")
-        per.append({"alpha": tr.alpha, "g": g[0], "weighted_trace_limit": west[0],
-                    "gap": abs(west[0] - g[0]), "last_decade_spread": west[1]})
-    return ExactAsymptoticsReport(D, per, horizon, trajs)
+    phi = fundamental_matrix(fam, z, horizon) if phi is None else phi
+    al = initial_data(alphas, fam.dim)
+    # the first row of the weighted trace's tenth (its rows are 1 .. L - 1);
+    # S_n's tenth starts there or later
+    L = phi.last_index
+    start = L - max(1, (L - 1) // 10)
+    u = phi.samples(al, start - 1)
+    rows = min(horizon - 1, L)
+    g = _tail(_traces_from(fam, lim.N, z, u, horizon, start)[:, :rows - start + 1], rows,
+              "Turan sequence S_n")[0]
+    q = np.einsum("knd,de,kne->kn", u.conj(), D, u).real
+    west, spread = _tail(norm_stack(fam, start, L - start) * (q[:, :-2] + q[:, 1:-1]), L - 1,
+                         "weighted trace")
+    per = [{"alpha": a, "g": gi, "weighted_trace_limit": wi, "gap": abs(wi - gi),
+            "last_decade_spread": si} for a, gi, wi, si in zip(al, g, west, spread)]
+    return ExactAsymptoticsReport(D, per, horizon, phi)
 
 
 @dataclass
@@ -673,8 +697,10 @@ class ChristoffelReport:
 def christoffel_limit(fam: CoefficientFamily, C: np.ndarray,
                       traj: Trajectory) -> ChristoffelReport:
     """Cesaro ratio [sum_k 1/||a_k||]^{-1} sum_k <C u_k, u_k> along the
-    trajectory; under the exact-asymptotics hypotheses with a divergent
-    Carleman sum it tends to g/2.
+    trajectory, over every stored sample; under the exact-asymptotics
+    hypotheses with a divergent Carleman sum it tends to g/2.  The runner
+    passes FundamentalMatrix.trajectory(alpha) of the fundamental matrix its
+    exact_asymptotics read, whose residuals are bounds (not read here).
     """
     C = require_hermitian(C)
     L = traj.last_index

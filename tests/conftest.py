@@ -1,6 +1,6 @@
 """Shared helpers: seeded random operators and families for property tests,
-the byte oracle of the report writer, and the CSV number kernels' cells
-against repr."""
+the rank of the formally seeded solutions, the byte oracle of the report
+writer, and the CSV number kernels' cells against repr."""
 
 import json
 
@@ -8,6 +8,7 @@ import numpy as np
 
 from blockjacobi.coeffs import tabulated_family
 from blockjacobi.opcore import adj, condition_estimate
+from blockjacobi.recurrence import formal_eigenvector_start, fundamental_matrix
 from blockjacobi.runner import _jsonable
 from blockjacobi.table import FIELD, float_fields
 
@@ -39,6 +40,17 @@ def rand_family(rng, d, length):
     a = [rand_invertible(rng, d) for _ in range(length)]
     b = [rand_hermitian(rng, d) for _ in range(length)]
     return tabulated_family(a, b, "random tabulated")
+
+
+def formal_rank(fam, z, horizon) -> int:
+    """Numerical dimension of the span of the d solutions seeded through
+    formal_eigenvector_start from a basis of H, read from the fundamental
+    matrix as phi alpha: how many singular values of the stacked, normalized
+    trajectories exceed 1e-8 times the largest."""
+    starts = [formal_eigenvector_start(fam, z, u0) for u0 in np.eye(fam.dim)]
+    u = fundamental_matrix(fam, z, horizon).samples(starts).reshape(fam.dim, -1)
+    svals = np.linalg.svd((u / np.linalg.norm(u, axis=1)[:, None]).T, compute_uv=False)
+    return int(np.sum(svals > 1e-8 * svals[0]))
 
 
 def report_oracle(obj) -> str:

@@ -23,7 +23,6 @@ from blockjacobi.recurrence import (
     norm_stack,
     propagate,
     propagate_block,
-    solution_space_dimension,
     trajectory_table,
     trajectory_to_csv,
     transfer,
@@ -33,7 +32,7 @@ from blockjacobi.recurrence import (
     window_product,
 )
 
-from conftest import rand_family, rand_unit
+from conftest import formal_rank, rand_family, rand_unit
 
 
 def scalar_family(a=1.0, b=0.0):
@@ -331,7 +330,7 @@ def test_basis_trajectories_seed_the_canonical_vectors():
 
 
 def test_solution_space_dimension_full_for_doubling():
-    assert solution_space_dimension(indeterminate_doubling(), 0.0, 300) == 2
+    assert formal_rank(indeterminate_doubling(), 0.0, 300) == 2
 
 
 def test_trajectory_csv_roundtrip(tmp_path):

@@ -1,7 +1,8 @@
 """Byte-oracle tests of report number blocks around table.KERNEL_MIN: from
 that many numbers on, a block of floats or of int64 ints takes its texts
 from the CSV number kernels, and below it, or with any other leaf, it does
-not.  Every block must keep the bytes of the two-walk encoder
+not.  A table whose entries mix numbers with [re, im] pairs is a block too.
+Every block must keep the bytes of the two-walk encoder
 (`conftest.report_oracle`) either way."""
 
 import importlib.util
@@ -112,3 +113,36 @@ def test_the_kernel_serves_large_rectangular_number_blocks_only(monkeypatch):
               "bool": pairs[:-1] + [[0.5, True]], "big int": [2 ** 63] + list(range(KERNEL_MIN))}
     assert_bytes(blocks)
     assert sorted(sizes) == [KERNEL_MIN, KERNEL_MIN, 2 * KERNEL_MIN]
+
+
+def hermitian_tables(n: int, seed: int = 0) -> list:
+    """n Hermitian 2x2 tables as a config writes b_n with a real diagonal:
+    real numbers on the diagonal, [re, im] pairs off it (6 numbers each)."""
+    x = every_exponent(4 * n, seed)
+    return [[[x[i], [x[i + 1], x[i + 2]]], [[x[i + 1], -x[i + 2]], x[i + 3]]]
+            for i in range(0, 4 * n, 4)]
+
+
+@pytest.mark.parametrize("n", [KERNEL_MIN // 6 - 1, KERNEL_MIN // 6 + 1, 2000])
+def test_tables_mixing_numbers_and_pairs_are_blocks(n, monkeypatch):
+    tables = hermitian_tables(n, seed=n)
+    assert runner._number_block(tables, "\n") is not None
+    sizes = []
+    monkeypatch.setattr(runner, "number_texts",
+                        lambda x, texts_of=runner.number_texts: sizes.append(len(x)) or texts_of(x))
+    assert_bytes({"b": tables, "ints": [[1, [2, 3]], [[2, -3], 4]] * n})
+    # the floats of the tables and the ints of 2n rows, 6n numbers each
+    assert sizes == ([6 * n] * 2 if 6 * n >= KERNEL_MIN else [])
+
+
+@pytest.mark.parametrize("n", [KERNEL_MIN // 6 - 1, KERNEL_MIN // 6 + 1])
+def test_mixed_tables_with_a_non_finite_or_ragged_entry_keep_the_entry_path(n):
+    for bad in (math.nan, math.inf, [0.5, 1.5, 2.5], [0.5], [0.5, True]):
+        tables = hermitian_tables(n, seed=n)
+        tables[-1][1][0] = bad
+        assert runner._number_block(tables, "\n") is None
+        assert_bytes(tables)
+    tables = hermitian_tables(n, seed=n)
+    tables[-1][1] = tables[-1][1][:1]  # a row one entry short
+    assert runner._number_block(tables, "\n") is None
+    assert_bytes(tables)

@@ -1,19 +1,21 @@
 """exact_asymptotics reads each limit from the last tenth of its trace's
 rows: S_n has rows 1 .. min(horizon - 1, L) and the weighted trace rows
-1 .. L - 1, L a column's last index.  It evaluates both traces once, from
-the row where the shortest column's tenth starts.  Every reported number is
-compared bit for bit with the last tenth of the full traces from row 1, on
-ordinary families, on batches whose columns end at different indices, on
-huge coefficients, and with a NaN in the skipped rows.  A NaN inside a tenth
-refuses with NotConvergentError, here and in turan_convergence, and the
-runner records that refusal as an error entry.
+1 .. L - 1, L the last index of the fundamental matrix, where every
+trajectory phi alpha ends.  It evaluates both traces once, from the row
+where the weighted trace's tenth starts.  Every reported number is compared
+bit for bit with the last tenth of the full traces from row 1, on ordinary
+families, on a fundamental matrix cut before the horizon, on huge
+coefficients, and with a NaN in the skipped rows.  The fundamental matrix
+comes in through the `phi` argument, hand-made where a test needs it.  A
+NaN inside a tenth refuses with NotConvergentError, here and in
+turan_convergence, and the runner records that refusal as an error entry.
 """
 
 import numpy as np
 import pytest
 
 from conftest import rand_unit
-from blockjacobi import turan
+from blockjacobi import runner, turan
 from blockjacobi.coeffs import (
     ConstantWeight,
     PowerWeight,
@@ -23,7 +25,7 @@ from blockjacobi.coeffs import (
 from blockjacobi.config import parse_config
 from blockjacobi.fixtures import X_OP, paper_constant, sqrt_growth
 from blockjacobi.opcore import NotConvergentError, op_norm
-from blockjacobi.recurrence import Trajectory, norm_stack, propagate, propagate_block
+from blockjacobi.recurrence import FundamentalMatrix, fundamental_matrix, norm_stack
 from blockjacobi.runner import run
 from blockjacobi.turan import (
     _traces_from,
@@ -57,15 +59,17 @@ def _last_tenth(values):
     return mean, float(np.abs(tail - mean).max())
 
 
-def _oracle(fam, lim, z, trajs, horizon):
-    """The reported numbers from the full traces: S_n for n = 1 ..
-    min(horizon - 1, L), the weighted trace for n = 1 .. L - 1."""
+def _oracle(fam, lim, z, phi, alphas, horizon):
+    """The reported numbers from the full traces of phi alpha: S_n for
+    n = 1 .. min(horizon - 1, L), the weighted trace for n = 1 .. L - 1."""
     D = lim.D[0]
+    L = phi.last_index
+    u = phi.samples(alphas)
     out = []
-    for tr, traj in zip(_traces_from(fam, lim.N, z, trajs, horizon, start=1), trajs):
-        q = np.einsum("nd,de,ne->n", traj.u.conj(), D, traj.u).real
-        w = norm_stack(fam, 1, traj.last_index - 1)
-        g = _last_tenth(tr.values[:min(horizon - 1, traj.last_index)])[0]
+    for vals, ua in zip(_traces_from(fam, lim.N, z, u, horizon, start=1), u):
+        q = np.einsum("nd,de,ne->n", ua.conj(), D, ua).real
+        w = norm_stack(fam, 1, L - 1)
+        g = _last_tenth(vals[:min(horizon - 1, L)])[0]
         west, spread = _last_tenth(w * (q[:-2] + q[1:-1]))
         out.append({"g": g, "weighted_trace_limit": west, "gap": abs(west - g),
                     "last_decade_spread": spread})
@@ -76,51 +80,48 @@ def _bits(entries):
     return [[np.float64(e[k]).tobytes() for k in KEYS] for e in entries]
 
 
-def _on(trajs, monkeypatch):
-    """Make turan propagate to the given trajectories."""
-    monkeypatch.setattr(turan, "propagate_block", lambda *args: trajs)
-
-
-def _check(fam, lim, z, trajs, horizon, monkeypatch):
-    """exact_asymptotics on the given trajectories against the oracle; the
-    rows its traces were evaluated from, in order."""
+def _check(fam, lim, z, phi, alphas, horizon, monkeypatch):
+    """exact_asymptotics on the given fundamental matrix against the oracle;
+    the rows its traces were evaluated from, in order."""
     starts = []
 
     def traces_from(*args):
         starts.append(args[-1])
         return _traces_from(*args)
 
-    _on(trajs, monkeypatch)
     monkeypatch.setattr(turan, "_traces_from", traces_from)
-    rep = exact_asymptotics(fam, lim, z, [t.alpha for t in trajs], horizon)
-    assert rep.trajectories == trajs
-    assert _bits(rep.per_alpha) == _bits(_oracle(fam, lim, z, trajs, horizon))
+    rep = exact_asymptotics(fam, lim, z, alphas, horizon, phi=phi)
+    assert rep.phi is phi
+    assert _bits(rep.per_alpha) == _bits(_oracle(fam, lim, z, phi, alphas, horizon))
     return starts
 
 
-def _with_u(traj, u):
-    return Trajectory(traj.z, traj.alpha, u, traj.residuals[:len(u) - 1])
+def _cut(phi, last):
+    """The fundamental matrix phi ended at index `last`, as a cut there
+    leaves it."""
+    return FundamentalMatrix(phi.z, phi.phi[:last + 1], phi.residuals[:, :last], last)
 
 
-def _with_nan(traj, index):
-    u = traj.u.copy()
-    u[index] = np.nan
-    return _with_u(traj, u)
+def _with_nan(phi, index):
+    """phi with a NaN row at `index`: every combination is NaN there."""
+    m = phi.phi.copy()
+    m[index] = np.nan
+    return FundamentalMatrix(phi.z, m, phi.residuals, phi.truncated_at)
 
 
 @pytest.mark.parametrize("horizon", [2, 3, 5, 11, 12, 13, 21, 101, 3000])
 def test_sqrt_growth_n1_reads_the_same_tail(horizon, monkeypatch):
     fam = sqrt_growth()
-    trajs = propagate_block(fam, 0.0, _alphas(1, 3), horizon)
-    starts = _check(fam, _free_limits(), 0.0, trajs, horizon, monkeypatch)
+    phi = fundamental_matrix(fam, 0.0, horizon)
+    starts = _check(fam, _free_limits(), 0.0, phi, _alphas(1, 3), horizon, monkeypatch)
     assert len(starts) == 1 and (starts[0] > 1) == (horizon >= 3)
 
 
 def test_sqrt_growth_n1_extracted_limits(monkeypatch):
     fam = sqrt_growth()
     lim = extract_periodic_limits(fam, 1, 20000)
-    trajs = propagate_block(fam, 0.3, _alphas(2, 4), 20000)
-    assert _check(fam, lim, 0.3, trajs, 20000, monkeypatch) == [18001]
+    phi = fundamental_matrix(fam, 0.3, 20000)
+    assert _check(fam, lim, 0.3, phi, _alphas(2, 4), 20000, monkeypatch) == [18001]
 
 
 def test_square_growth_n3_weights_by_d(monkeypatch):
@@ -130,26 +131,29 @@ def test_square_growth_n3_weights_by_d(monkeypatch):
     assert lim.N == 3 and lim.D is not None
     alphas = [np.array([1.0, 0.0, 0.0, 0.0], dtype=complex),
               np.array([0.3, -0.2, 0.5, 1.0], dtype=complex)]
-    trajs = propagate_block(fam, 0.0, alphas, 2000)
-    assert _check(fam, lim, 0.0, trajs, 2000, monkeypatch) == [1801]
+    phi = fundamental_matrix(fam, 0.0, 2000)
+    assert _check(fam, lim, 0.0, phi, alphas, 2000, monkeypatch) == [1801]
 
 
-def test_batch_cut_by_overflow(monkeypatch):
-    # u_n grows like 10^n: the batch is cut near n = 150, with one column
-    # past the overflow limit and the other only shortened
+def test_fundamental_matrix_cut_by_overflow(monkeypatch):
+    # u_n grows like 10^n: the fundamental matrix is cut near n = 150, and
+    # each combination that passed the overflow limit there is flagged
     fam = custom_family(2, lambda n: np.eye(2), lambda n: ZERO)
-    trajs = propagate_block(fam, 10.0, _alphas(3, 2), 1000)
-    assert trajs[0].last_index < 200 and any(t.overflow for t in trajs)
-    K = trajs[0].last_index - 1
-    assert _check(fam, _free_limits(), 10.0, trajs, 1000, monkeypatch) == [K - K // 10 + 1]
+    phi = fundamental_matrix(fam, 10.0, 1000)
+    alphas = _alphas(3, 2)
+    assert phi.last_index == phi.truncated_at < 200
+    assert phi.overflow(phi.samples(alphas)).any()
+    K = phi.last_index - 1
+    assert _check(fam, _free_limits(), 10.0, phi, alphas, 1000,
+                  monkeypatch) == [K - K // 10 + 1]
 
 
-def test_columns_that_end_at_different_indices(monkeypatch):
+def test_fundamental_matrix_that_ends_before_the_horizon(monkeypatch):
     fam = sqrt_growth()
-    alphas = _alphas(4, 3)
-    trajs = [propagate(fam, 0.2, a, h) for a, h in zip(alphas, (2000, 1500, 1717))]
-    # the last tenth of the shortest column's weighted trace
-    assert _check(fam, _free_limits(), 0.2, trajs, 2000, monkeypatch) == [1499 - 149 + 1]
+    phi = _cut(fundamental_matrix(fam, 0.2, 2000), 1500)
+    # the last tenth of the weighted trace, rows 1 .. 1499
+    assert _check(fam, _free_limits(), 0.2, phi, _alphas(4, 3), 2000,
+                  monkeypatch) == [1499 - 149 + 1]
 
 
 @pytest.mark.parametrize("scale", [1e299, 1e297])
@@ -157,21 +161,21 @@ def test_huge_coefficients_read_the_same_rows(scale, monkeypatch):
     # with 1e299 X, a bound on the skipped rows cannot rule out an overflow
     # there, but those rows are not read, so both start at the last tenth
     fam = custom_family(2, lambda n: scale * X_OP, lambda n: ZERO)
-    trajs = propagate_block(fam, 0.5, _alphas(6, 2), 400)
-    assert not any(t.overflow for t in trajs)
-    assert _check(fam, _free_limits(), 0.5, trajs, 400, monkeypatch) == [361]
+    phi = fundamental_matrix(fam, 0.5, 400)
+    assert phi.truncated_at is None
+    assert _check(fam, _free_limits(), 0.5, phi, _alphas(6, 2), 400, monkeypatch) == [361]
 
 
 def test_nan_in_the_skipped_rows_is_not_read(monkeypatch):
     fam = sqrt_growth()
     lim = _free_limits()
-    clean = propagate_block(fam, 0.0, _alphas(7, 2), 1001)
-    trajs = [_with_nan(clean[0], 5), clean[1]]  # S_5, S_6 and the weighted trace there
-    assert np.isnan(_traces_from(fam, 1, 0.0, trajs, 1001)[0].values).sum() == 2
-    assert _check(fam, lim, 0.0, trajs, 1001, monkeypatch) == [901]
-    got = exact_asymptotics(fam, lim, 0.0, [t.alpha for t in trajs], 1001)
-    _on(clean, monkeypatch)
-    want = exact_asymptotics(fam, lim, 0.0, [t.alpha for t in clean], 1001)
+    alphas = _alphas(7, 2)
+    clean = fundamental_matrix(fam, 0.0, 1001)
+    phi = _with_nan(clean, 5)  # S_5, S_6 and the weighted trace there
+    assert np.isnan(_traces_from(fam, 1, 0.0, phi.samples(alphas), 1001)[0]).sum() == 2
+    assert _check(fam, lim, 0.0, phi, alphas, 1001, monkeypatch) == [901]
+    got = exact_asymptotics(fam, lim, 0.0, alphas, 1001, phi=phi)
+    want = exact_asymptotics(fam, lim, 0.0, alphas, 1001, phi=clean)
     assert _bits(got.per_alpha) == _bits(want.per_alpha)
 
 
@@ -180,23 +184,20 @@ def test_nan_in_the_last_tenth_of_s_n_refuses(index, refused, monkeypatch):
     # S_n and the weighted trace have rows 1 .. 999 and read u_{n-1}, u_n:
     # their last tenth is rows 901 .. 999, which first reads u_900
     fam = sqrt_growth()
-    trajs = propagate_block(fam, 0.2, _alphas(5, 2), 1000)
-    trajs[1] = _with_nan(trajs[1], index)
+    alphas = _alphas(5, 2)
+    phi = _with_nan(fundamental_matrix(fam, 0.2, 1000), index)
     if not refused:
-        assert _check(fam, _free_limits(), 0.2, trajs, 1000, monkeypatch) == [901]
+        assert _check(fam, _free_limits(), 0.2, phi, alphas, 1000, monkeypatch) == [901]
         return
-    _on(trajs, monkeypatch)
     with pytest.raises(NotConvergentError,
                        match=r"Turan sequence S_n is NaN in its last tenth, rows 901 \.\. 999"):
-        exact_asymptotics(fam, _free_limits(), 0.2, [t.alpha for t in trajs], 1000)
+        exact_asymptotics(fam, _free_limits(), 0.2, alphas, 1000, phi=phi)
 
 
 def test_nan_in_the_last_tenth_of_the_weighted_trace_refuses(monkeypatch):
-    # the weighted trace of a column cut at L = 800 has rows 1 .. 799
+    # the weighted trace of a fundamental matrix cut at L = 800 has rows 1 .. 799
     fam = sqrt_growth()
-    trajs = propagate_block(fam, 0.2, _alphas(5, 2), 1000)
-    trajs[0] = _with_u(trajs[0], trajs[0].u[:801])
-    _on(trajs, monkeypatch)
+    phi = _cut(fundamental_matrix(fam, 0.2, 1000), 800)
 
     def nan_last(fam, start, count):
         w = norm_stack(fam, start, count).copy()
@@ -206,13 +207,13 @@ def test_nan_in_the_last_tenth_of_the_weighted_trace_refuses(monkeypatch):
     monkeypatch.setattr(turan, "norm_stack", nan_last)
     with pytest.raises(NotConvergentError,
                        match=r"weighted trace is NaN in its last tenth, rows 721 \.\. 799"):
-        exact_asymptotics(fam, _free_limits(), 0.2, [t.alpha for t in trajs], 1000)
+        exact_asymptotics(fam, _free_limits(), 0.2, _alphas(5, 2), 1000, phi=phi)
 
 
 def test_runner_records_the_refusal(monkeypatch):
-    engine = turan.propagate_block
-    monkeypatch.setattr(turan, "propagate_block",
-                        lambda *args: [_with_nan(t, -2) for t in engine(*args)])
+    engine = runner.fundamental_matrix
+    monkeypatch.setattr(runner, "fundamental_matrix",
+                        lambda *args: _with_nan(engine(*args), -2))
     doc = parse_config({"family": {"kind": "scaled_periodic", "period": 1,
                                    "x": {"kind": "power", "exponent": 0.5},
                                    "y": {"kind": "constant", "value": 0.0},
@@ -227,26 +228,25 @@ def test_runner_records_the_refusal(monkeypatch):
             "message": "Turan sequence S_n is NaN in its last tenth, rows 1801 .. 1999"}
 
 
-def test_turan_convergence_refuses_a_nan_in_its_last_tenth(monkeypatch):
+def test_turan_convergence_refuses_a_nan_in_its_last_tenth():
     fam = paper_constant()
-    trajs = propagate_block(fam, 1.0, _alphas(9, 2), 400)
-    _on([trajs[0], _with_nan(trajs[1], 380)], monkeypatch)
+    phi = _with_nan(fundamental_matrix(fam, 1.0, 400), 380)
     with pytest.raises(NotConvergentError,
                        match=r"Turan sequence S_n is NaN in its last tenth, rows 361 \.\. 399"):
-        turan_convergence(fam, 1, 1.0, [t.alpha for t in trajs], 400)
+        turan_convergence(fam, 1, 1.0, _alphas(9, 2), 400, phi=phi)
 
 
-def test_turan_convergence_reads_each_column_up_to_its_end(monkeypatch):
-    # _traces_from pads a column past its end with NaN: those rows are not
-    # counted, so each column's tenth ends at its own last row
+def test_turan_convergence_ends_every_combination_at_the_cut():
+    # _traces_from pads the rows past the fundamental matrix's cut with NaN:
+    # those rows are not counted, so every combination's tenth ends at the cut
     fam = paper_constant()
-    trajs = [propagate(fam, 1.0, a, h) for a, h in zip(_alphas(10, 3), (400, 250, 333))]
-    _on(trajs, monkeypatch)
-    rep = turan_convergence(fam, 1, 1.0, [t.alpha for t in trajs], 400)
-    for s, tr, traj in zip(rep.per_alpha, _traces_from(fam, 1, 1.0, trajs, 400), trajs):
-        rows = min(399, traj.last_index)
-        assert np.isnan(tr.values[rows:]).all()
-        assert (s.g, s.residual) == _last_tenth(tr.values[:rows])
+    alphas = _alphas(10, 3)
+    phi = _cut(fundamental_matrix(fam, 1.0, 400), 250)
+    rep = turan_convergence(fam, 1, 1.0, alphas, 400, phi=phi)
+    values = _traces_from(fam, 1, 1.0, phi.samples(alphas), 400)
+    for s, vals in zip(rep.per_alpha, values):
+        assert not np.isnan(vals[:250]).any() and np.isnan(vals[250:]).all()
+        assert (s.g, s.residual) == _last_tenth(vals[:250])
 
 
 def test_horizon_below_2_is_refused():

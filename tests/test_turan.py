@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import rand_family, rand_invertible, rand_hermitian, rand_unit
+from conftest import formal_rank, rand_family, rand_invertible, rand_hermitian, rand_unit
 from blockjacobi.coeffs import (
     UNDECIDED,
     ConstantWeight,
@@ -40,7 +40,6 @@ from blockjacobi.recurrence import (
     basis_trajectories,
     propagate,
     propagate_block,
-    solution_space_dimension,
     transfer,
     transfer_inv,
 )
@@ -557,10 +556,10 @@ def test_probe_undecided_when_standards_fail():
 def test_probe_survives_formal_starts_that_overflow_at_different_steps():
     # a_n = 2^n Id, b_n = 8^n diag(1, 0) at z = 0.5: the first formal start
     # overflows at n = 23, the second stays bounded up to n = 300.  Both are
-    # propagated as one batch, cut together, so their samples stack.
+    # read from the fundamental matrix, cut at once, so their samples stack.
     fam = custom_family(2, lambda n: 2.0 ** n * np.eye(2),
                         lambda n: 8.0 ** n * np.diag([1.0, 0.0]))
-    assert solution_space_dimension(fam, 0.5, 300) == 2
+    assert formal_rank(fam, 0.5, 300) == 2
     rep = indeterminacy_probe(fam, [0.5], horizon=300)
     assert rep.per_z[0]["solution_dim"] == 2
     assert not rep.per_z[0]["ok"]
