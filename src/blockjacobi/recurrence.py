@@ -406,13 +406,16 @@ class FundamentalMatrix:
     def last_index(self) -> int:
         return self.phi.shape[0] - 1
 
-    def samples(self, alphas: Sequence[np.ndarray], start: int = 0,
-                stop: int | None = None) -> np.ndarray:
-        """u_n = phi[n] alpha for n = start .. stop - 1 (to L by default), for
-        every alpha of the batch in one product: shape (k, rows, dim)."""
-        rows = self.phi[start:stop]
-        al = initial_data(alphas, rows.shape[1])
-        return (al @ rows.reshape(-1, al.shape[1]).T).reshape(len(al), *rows.shape[:2])
+    def samples(self, alphas: Sequence[np.ndarray], start: int = 0) -> np.ndarray:
+        """u_n = phi[n] alpha for n = start .. L, for every alpha of the batch:
+        shape (k, rows, dim).  Multiply-adds of the columns of phi in index
+        order, so a start keeps its bits in any batch."""
+        cols = np.moveaxis(self.phi[start:], -1, 0)
+        al = initial_data(alphas, cols.shape[-1])
+        out = al[:, 0, None, None] * cols[0]
+        for j in range(1, len(cols)):
+            out += al[:, j, None, None] * cols[j]
+        return out
 
     def overflow(self, u: np.ndarray) -> np.ndarray:
         """For each row of samples u (k, ..., dim) that end at the cut,

@@ -43,6 +43,7 @@ from .opcore import (
     op_norm,
     quad_form,
     require_hermitian,
+    stack_mul,
     sym,
 )
 from .recurrence import (
@@ -56,7 +57,6 @@ from .recurrence import (
     l2_tail_diagnostic,
     norm_stack,
     propagate,
-    transfer_stack,
     window_product,
 )
 
@@ -99,7 +99,8 @@ def turan_form(fam: CoefficientFamily, N: int, n: int, z: complex) -> np.ndarray
 def turan_value(fam: CoefficientFamily, N: int, n: int, z: complex,
                 alpha: np.ndarray) -> float:
     """S_n = ||a_{n+N-1}|| Q_n^z((u_{n-1}, u_n)) for the trajectory seeded by
-    alpha = (u_0, u_1); the per-row oracle of turan_traces."""
+    alpha = (u_0, u_1), through the window product: the independent per-row
+    oracle of turan_traces, which reads S_n off the samples."""
     m = _row_form(fam, N, n, z)
     traj = propagate(fam, z, alpha, max(n + 1, 2))
     return quad_form(m, np.concatenate([traj.u[n - 1], traj.u[n]]))
@@ -107,51 +108,48 @@ def turan_value(fam: CoefficientFamily, N: int, n: int, z: complex,
 
 @dataclass
 class TuranTrace:
+    """S_n along phi alpha at z: values[k] is S_{n_start + k}, NaN past L - N."""
+
     N: int
     z: complex
     alpha: np.ndarray
     n_start: int
-    values: np.ndarray  # values[k] is S_{n_start + k}
+    values: np.ndarray
 
 
-def _traces_from(fam: CoefficientFamily, N: int, z: complex, u: np.ndarray,
-                 horizon: int, start: int = 1) -> np.ndarray:
+def _traces_from(fam: CoefficientFamily, N: int, u: np.ndarray, horizon: int,
+                 start: int = 1) -> np.ndarray:
     """S_n, n = start .. horizon-1, of a batch of trajectories that end at
-    one index, as the rows of a (k, horizon - start) array; u (k, rows, dim)
-    holds their samples from u_{start-1} to that end, and rows past it are
-    NaN.
-
-    One stack of form matrices serves the batch.  It is left without sym,
-    which does not change the real part of a quadratic form.  Window
-    products come from batched matrix multiplication of shifted transfer
-    stacks, and every value from one batched quadratic form.  Each row is
-    computed on its own, so a later start leaves the bits of every row.
+    one index L, as the rows of a (k, horizon - start) array; u (k, rows,
+    dim) holds their samples u_{start-1} .. u_L.  Along a solution the
+    window product only shifts the state, X_n(z) (u_{n-1}, u_n) =
+    (u_{n+N-1}, u_{n+N}), so S_n = Re(<a u_n, u_{n+N-1}> - <u_{n-1}, a u_{n+N}>)
+    with a = a_{n+N-1}, and needs no transfer matrix, z or a_n^{-1}.  Rows
+    past L - N are NaN.  Each row is computed on its own, so a later start
+    leaves the bits of every row.
     """
     if N < 1:
         raise ValueError("window length N must be >= 1")
     count = horizon - start
-    avail = min(count, u.shape[1] - 1)
+    avail = min(count, u.shape[1] - N - 1)
     vals = np.full((len(u), count), np.nan)
     if avail >= 1:
-        bst = transfer_stack(fam, z, start, avail + N - 1)
-        x = bst[:avail]
-        for k in range(1, N):
-            x = bst[k:k + avail] @ x
-        m = _weight_block(coefficient_stacks(fam, start + N - 1, avail)[0]) @ x
-        ut = u.transpose(1, 2, 0)
-        v = np.concatenate([ut[:avail], ut[1:avail + 1]], axis=1)  # (avail, 2 dim, k)
-        mv = m @ v
-        vals[:, :avail] = (v.real * mv.real + v.imag * mv.imag).sum(axis=1).T  # Re <v, m v>
+        a = coefficient_stacks(fam, start + N - 1, avail)[0]
+        ut = u.transpose(1, 2, 0)  # ut[i]: u_{start-1+i} of each trajectory, (dim, k)
+        au, v = stack_mul(a, ut[1:avail + 1]), ut[N:N + avail]  # a u_n, u_{n+N-1}
+        w, aw = ut[:avail], stack_mul(a, ut[N + 1:N + 1 + avail])  # u_{n-1}, a u_{n+N}
+        s = au.real * v.real + au.imag * v.imag - w.real * aw.real - w.imag * aw.imag
+        vals[:, :avail] = s.sum(axis=1).T
     return vals
 
 
 def turan_traces(fam: CoefficientFamily, N: int, z: complex,
                  alphas: Sequence[np.ndarray], horizon: int) -> list[TuranTrace]:
-    """S_n for n = 1 .. horizon-1 along each seeded trajectory phi alpha."""
+    """S_n, n = 1 .. horizon-1, along each phi alpha at z; NaN past L - N."""
     al = initial_data(alphas, fam.dim)
     u = fundamental_matrix(fam, z, horizon).samples(al)
     return [TuranTrace(N, z, a, 1, vals)
-            for a, vals in zip(al, _traces_from(fam, N, z, u, horizon))]
+            for a, vals in zip(al, _traces_from(fam, N, u, horizon))]
 
 
 # ---- periodic limit data ----
@@ -506,6 +504,14 @@ def _tail(values: np.ndarray, rows: int, name: str) -> tuple[list[float], list[f
     return mean.tolist(), np.abs(tail - mean[:, None]).max(axis=1).tolist()
 
 
+def _s_rows(phi: FundamentalMatrix, N: int) -> int:
+    """L - N, the last row of S_n along phi alpha; NotConvergentError if L <= N."""
+    if phi.last_index <= N:
+        raise NotConvergentError(f"the fundamental matrix ends at L = {phi.last_index}, "
+                                 f"which leaves no Turan value S_n for N = {N}")
+    return phi.last_index - N
+
+
 def turan_convergence(fam: CoefficientFamily, N: int, z: complex,
                       alphas: Sequence[np.ndarray], horizon: int, *,
                       phi: FundamentalMatrix | None = None) -> ConvergenceReport:
@@ -515,41 +521,32 @@ def turan_convergence(fam: CoefficientFamily, N: int, z: complex,
 
     Every trajectory is phi alpha, read from the fundamental matrix at z to
     `horizon` (propagated here unless the caller passes it), so the S_n of
-    all of them end at its cut.  Raises NotConvergentError when an S_n
-    sequence oscillates as widely as its putative limit, or is NaN in the
-    last tenth of its rows up to that cut.
+    all of them have rows 1 .. L - N, L its last index.  Raises
+    NotConvergentError when L <= N, or when an S_n sequence oscillates as
+    widely as its putative limit or is NaN in the last tenth of its rows.
     """
     first_m = 20  # the smallest m of the rate check, whose window is (m, horizon)
     if horizon <= first_m:
         raise ValueError(f"horizon {horizon} leaves no variation window past m = {first_m}")
     phi = fundamental_matrix(fam, z, horizon) if phi is None else phi
     al = initial_data(alphas, fam.dim)
-    values = _traces_from(fam, N, z, phi.samples(al), horizon)
-    rows = min(horizon - 1, phi.last_index)  # past the cut, NaN padding
+    rows = _s_rows(phi, N)  # past them, NaN padding
+    values = _traces_from(fam, N, phi.samples(al), horizon)
     per = []
     for a, g, residual in zip(al, *_tail(values[:, :rows], rows, "Turan sequence S_n")):
         if abs(g) <= residual:
-            raise NotConvergentError(
-                f"Turan sequence oscillates by {residual:.3e} around {g:.3e}"
-            )
+            raise NotConvergentError(f"Turan sequence oscillates by {residual:.3e} "
+                                     f"around {g:.3e}")
         per.append(ConvergenceAlphaStats(a, g, residual, residual < 1e-6 * abs(g)))
     ms = sorted({max(first_m, horizon // (2 ** k)) for k in range(2, 7)})
-    details = []
-    worst = 0.0
-    for m in ms:
-        tail = _variation_tails(fam, N, z, m, horizon)
-        dev = max(abs(s.g - v) for s, v in zip(per, values[:, m - 1].tolist()))
-        details.append({"m": m, "deviation": dev, "tail": tail})
-        if tail > 0:
-            worst = max(worst, dev / tail)
-    rate_ok = True
-    for dct in details:
-        bound = worst * dct["tail"] * (1 + 1e-6) + 1e-12
-        ok = bool(dct["deviation"] <= bound
-                  or dct["tail"] == 0 and dct["deviation"] <= 1e-10)
-        dct["ok"] = ok
-        rate_ok = rate_ok and ok
-    return ConvergenceReport(N, z, horizon, per, rate_ok, worst, details)
+    details = [{"m": m,
+                "deviation": max(abs(s.g - v) for s, v in zip(per, values[:, m - 1].tolist())),
+                "tail": _variation_tails(fam, N, z, m, horizon)} for m in ms]
+    worst = max([0.0] + [d["deviation"] / d["tail"] for d in details if d["tail"] > 0])
+    for d in details:
+        d["ok"] = bool(d["deviation"] <= worst * d["tail"] * (1 + 1e-6) + 1e-12
+                       or d["tail"] == 0 and d["deviation"] <= 1e-10)
+    return ConvergenceReport(N, z, horizon, per, all(d["ok"] for d in details), worst, details)
 
 
 # ---- indeterminacy probe ----
@@ -651,9 +648,10 @@ def exact_asymptotics(fam: CoefficientFamily, lim: PeriodicLimitData, z: float,
     Every trajectory is phi alpha, read from the fundamental matrix at z to
     `horizon` (propagated here, after the hypothesis checks, unless the
     caller passes it), so all of them end at its cut L.  Each limit is read
-    from the last tenth of its trace's rows, and phi alpha is formed, for
-    every alpha in one product, only from the row where the weighted
-    trace's tenth starts; a NaN in a tenth raises NotConvergentError.
+    from the last tenth of its trace's rows, S_n's 1 .. L - N and the
+    weighted trace's 1 .. L - 1, and phi alpha is formed for the whole
+    batch only from the first row of either tenth.  L <= N, or a NaN in a
+    tenth, raises NotConvergentError.
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
@@ -671,13 +669,11 @@ def exact_asymptotics(fam: CoefficientFamily, lim: PeriodicLimitData, z: float,
             raise HypothesisViolatedError(f"C[{j}] is not self-adjoint")
     phi = fundamental_matrix(fam, z, horizon) if phi is None else phi
     al = initial_data(alphas, fam.dim)
-    # the first row of the weighted trace's tenth (its rows are 1 .. L - 1);
-    # S_n's tenth starts there or later
-    L = phi.last_index
-    start = L - max(1, (L - 1) // 10)
+    L, rows = phi.last_index, _s_rows(phi, lim.N)
+    # the first row of either tenth: S_n has rows 1 .. rows, the weighted trace 1 .. L - 1
+    start = min(L - max(1, (L - 1) // 10), rows + 1 - max(1, rows // 10))
     u = phi.samples(al, start - 1)
-    rows = min(horizon - 1, L)
-    g = _tail(_traces_from(fam, lim.N, z, u, horizon, start)[:, :rows - start + 1], rows,
+    g = _tail(_traces_from(fam, lim.N, u, horizon, start)[:, :rows - start + 1], rows,
               "Turan sequence S_n")[0]
     q = np.einsum("knd,de,kne->kn", u.conj(), D, u).real
     west, spread = _tail(norm_stack(fam, start, L - start) * (q[:, :-2] + q[:, 1:-1]), L - 1,

@@ -70,7 +70,7 @@ def test_band_and_turan_limits_match_direct_propagation(name):
         _close(b.c1, s.min())
         _close(b.c2, s.max())
         assert not b.overflow
-        values = _traces_from(fam, 1, z, traj.u[None], H)[0]
+        values = _traces_from(fam, 1, traj.u[None], H)[0]
         _close(c.g, _last_tenth_mean(values))
 
 
@@ -83,7 +83,7 @@ def test_exact_asymptotics_and_christoffel_match_direct_propagation(z):
     rep = exact_asymptotics(fam, lim, z, alphas, H)
     for alpha, entry, traj in zip(alphas, rep.per_alpha, rep.trajectories):
         direct = _direct(fam, z, alpha)
-        g = _last_tenth_mean(_traces_from(fam, 1, z, direct.u[None], H)[0])
+        g = _last_tenth_mean(_traces_from(fam, 1, direct.u[None], H)[0])
         q = np.einsum("nd,de,ne->n", direct.u.conj(), D, direct.u).real
         west = _last_tenth_mean(norm_stack(fam, 1, H - 1) * (q[:-2] + q[1:-1]))
         _close(entry["g"], g)

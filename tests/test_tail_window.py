@@ -1,15 +1,17 @@
 """exact_asymptotics reads each limit from the last tenth of its trace's
-rows: S_n has rows 1 .. min(horizon - 1, L) and the weighted trace rows
-1 .. L - 1, L the last index of the fundamental matrix, where every
-trajectory phi alpha ends.  It evaluates both traces once, from the row
-where the weighted trace's tenth starts.  Every reported number is compared
-bit for bit with the last tenth of the full traces from row 1, on ordinary
-families, on a fundamental matrix cut before the horizon, on huge
-coefficients, and with a NaN in the skipped rows.  The fundamental matrix
-comes in through the `phi` argument, hand-made where a test needs it.  A
-NaN inside a tenth refuses with NotConvergentError, here and in
+rows: S_n has rows 1 .. L - N and the weighted trace rows 1 .. L - 1, L
+the last index of the fundamental matrix, where every trajectory phi alpha
+ends.  It evaluates both traces once, from the first row of either tenth.
+Every reported number is compared bit for bit with the last tenth of the
+full traces from row 1, on ordinary families, on a fundamental matrix cut
+before the horizon, on huge coefficients, and with a NaN in the skipped
+rows.  The fundamental matrix comes in through the `phi` argument,
+hand-made where a test needs it.  A NaN inside a tenth, or a fundamental
+matrix that ends at L <= N, refuses with NotConvergentError, here and in
 turan_convergence, and the runner records that refusal as an error entry.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -61,15 +63,15 @@ def _last_tenth(values):
 
 def _oracle(fam, lim, z, phi, alphas, horizon):
     """The reported numbers from the full traces of phi alpha: S_n for
-    n = 1 .. min(horizon - 1, L), the weighted trace for n = 1 .. L - 1."""
+    n = 1 .. L - N, the weighted trace for n = 1 .. L - 1."""
     D = lim.D[0]
     L = phi.last_index
     u = phi.samples(alphas)
     out = []
-    for vals, ua in zip(_traces_from(fam, lim.N, z, u, horizon, start=1), u):
+    for vals, ua in zip(_traces_from(fam, lim.N, u, horizon, start=1), u):
         q = np.einsum("nd,de,ne->n", ua.conj(), D, ua).real
         w = norm_stack(fam, 1, L - 1)
-        g = _last_tenth(vals[:min(horizon - 1, L)])[0]
+        g = _last_tenth(vals[:L - lim.N])[0]
         west, spread = _last_tenth(w * (q[:-2] + q[1:-1]))
         out.append({"g": g, "weighted_trace_limit": west, "gap": abs(west - g),
                     "last_decade_spread": spread})
@@ -132,7 +134,9 @@ def test_square_growth_n3_weights_by_d(monkeypatch):
     alphas = [np.array([1.0, 0.0, 0.0, 0.0], dtype=complex),
               np.array([0.3, -0.2, 0.5, 1.0], dtype=complex)]
     phi = fundamental_matrix(fam, 0.0, 2000)
-    assert _check(fam, lim, 0.0, phi, alphas, 2000, monkeypatch) == [1801]
+    # S_n's last tenth, rows 1799 .. 1997, starts before the weighted
+    # trace's, rows 1801 .. 1999
+    assert _check(fam, lim, 0.0, phi, alphas, 2000, monkeypatch) == [1799]
 
 
 def test_fundamental_matrix_cut_by_overflow(monkeypatch):
@@ -171,8 +175,8 @@ def test_nan_in_the_skipped_rows_is_not_read(monkeypatch):
     lim = _free_limits()
     alphas = _alphas(7, 2)
     clean = fundamental_matrix(fam, 0.0, 1001)
-    phi = _with_nan(clean, 5)  # S_5, S_6 and the weighted trace there
-    assert np.isnan(_traces_from(fam, 1, 0.0, phi.samples(alphas), 1001)[0]).sum() == 2
+    phi = _with_nan(clean, 5)  # S_4, S_5, S_6 and the weighted trace there
+    assert np.isnan(_traces_from(fam, 1, phi.samples(alphas), 1001)[0]).sum() == 3
     assert _check(fam, lim, 0.0, phi, alphas, 1001, monkeypatch) == [901]
     got = exact_asymptotics(fam, lim, 0.0, alphas, 1001, phi=phi)
     want = exact_asymptotics(fam, lim, 0.0, alphas, 1001, phi=clean)
@@ -181,7 +185,7 @@ def test_nan_in_the_skipped_rows_is_not_read(monkeypatch):
 
 @pytest.mark.parametrize("index, refused", [(899, False), (900, True), (998, True)])
 def test_nan_in_the_last_tenth_of_s_n_refuses(index, refused, monkeypatch):
-    # S_n and the weighted trace have rows 1 .. 999 and read u_{n-1}, u_n:
+    # S_n and the weighted trace have rows 1 .. 999 and read u_{n-1} first:
     # their last tenth is rows 901 .. 999, which first reads u_900
     fam = sqrt_growth()
     alphas = _alphas(5, 2)
@@ -237,19 +241,36 @@ def test_turan_convergence_refuses_a_nan_in_its_last_tenth():
 
 
 def test_turan_convergence_ends_every_combination_at_the_cut():
-    # _traces_from pads the rows past the fundamental matrix's cut with NaN:
-    # those rows are not counted, so every combination's tenth ends at the cut
+    # _traces_from pads the rows past L - N with NaN: those rows are not
+    # counted, so every combination's tenth ends at row 249 of a cut at 250
     fam = paper_constant()
     alphas = _alphas(10, 3)
     phi = _cut(fundamental_matrix(fam, 1.0, 400), 250)
     rep = turan_convergence(fam, 1, 1.0, alphas, 400, phi=phi)
-    values = _traces_from(fam, 1, 1.0, phi.samples(alphas), 400)
+    values = _traces_from(fam, 1, phi.samples(alphas), 400)
     for s, vals in zip(rep.per_alpha, values):
-        assert not np.isnan(vals[:250]).any() and np.isnan(vals[250:]).all()
-        assert (s.g, s.residual) == _last_tenth(vals[:250])
+        assert not np.isnan(vals[:249]).any() and np.isnan(vals[249:]).all()
+        assert (s.g, s.residual) == _last_tenth(vals[:249])
 
 
 def test_horizon_below_2_is_refused():
     fam = sqrt_growth()
     with pytest.raises(ValueError, match="horizon must be >= 2"):
         exact_asymptotics(fam, _free_limits(), 0.0, _alphas(8, 1), 1)
+
+
+@pytest.mark.parametrize("N, last", [(1, 1), (3, 2), (3, 3)])
+def test_fundamental_matrix_that_ends_at_l_le_n_refuses(N, last):
+    # S_n reads u_{n+N}, so phi ending at L <= N leaves no S_n row and no
+    # tenth to average: both analyses say so rather than take an empty mean
+    fam = paper_constant()
+    phi = _cut(fundamental_matrix(fam, 1.0, 400), last)
+    lim = make_periodic_limits(N, [ZERO] * N, [ZERO] * N, [np.eye(2)] * N,
+                               [X_OP / XN] * N)
+    msg = rf"ends at L = {last}, which leaves no Turan value S_n for N = {N}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NotConvergentError, match=msg):
+            turan_convergence(fam, N, 1.0, _alphas(11, 2), 400, phi=phi)
+        with pytest.raises(NotConvergentError, match=msg):
+            exact_asymptotics(fam, lim, 1.0, _alphas(11, 2), 400, phi=phi)
