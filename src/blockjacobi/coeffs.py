@@ -639,10 +639,15 @@ CONVERGES = "converges"
 UNDECIDED = "undecided"
 
 
+def tenth(count: int) -> int:
+    """The length of a tenth of `count` entries: at least one entry."""
+    return max(1, count // 10)
+
+
 def tail_window(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The next-to-last and the last tenth of a sequence, each tenth at least
-    one entry; the next-to-last is empty for a sequence of one entry."""
-    cut = max(1, len(values) // 10)
+    """The next-to-last and the last tenth of a sequence; the next-to-last is
+    empty for a sequence of one entry."""
+    cut = tenth(len(values))
     return values[-2 * cut:-cut], values[-cut:]
 
 
@@ -778,7 +783,7 @@ def vanishing_verdict(values: np.ndarray) -> tuple[bool, dict]:
     v = np.asarray(values, dtype=float)
     if len(v) < 20:
         return bool(np.all(v == 0.0)), {"last_max": float(v.max(initial=0.0))}
-    cut = max(1, len(v) // 10)
+    cut = tenth(len(v))
     head = float(v[:cut].max())
     tail = float(v[-cut:].max())
     ok = tail <= max(1e-12, 1e-2 * head)
@@ -791,7 +796,7 @@ def bounded_verdict(values: np.ndarray) -> tuple[bool, dict]:
     v = np.asarray(values, dtype=float)
     if len(v) < 20:
         return True, {"max": float(v.max(initial=0.0))}
-    cut = max(1, len(v) // 10)
+    cut = tenth(len(v))
     head = float(v[:-cut].max())
     tail = float(v[-cut:].max())
     ok = tail <= 1.05 * max(head, 1e-300)

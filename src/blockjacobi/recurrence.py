@@ -29,11 +29,9 @@ OVERFLOW_LIMIT = 1e150
 # chunk is stepped again sequentially.
 DEFECT_GATE = 64 * np.finfo(np.float64).eps
 
-# Chunks whose local transfer products are formed together: bounds the extra
-# memory to CHUNK_GROUP * c * 2d^2 entries, and an early overflow leaves the
-# products of later groups unformed.  It also bounds the chunk-columns checked
-# together: a span of max(1, CHUNK_GROUP // k) chunks of a k-column batch, so
-# that the check's temporaries stay small where a batch is wide.
+# Chunks whose local transfer products are formed, expanded and checked
+# together: bounds the extra memory to CHUNK_GROUP * c * 2d^2 entries, and an
+# early overflow leaves the products of later groups unformed.
 CHUNK_GROUP = 32
 
 SQUARE_SUMMABLE = "square_summable"
@@ -195,17 +193,17 @@ def _propagate(fam: CoefficientFamily, z: complex, alphas: Sequence[np.ndarray],
     across CHUNK_GROUP chunks at a time; then each chunk's samples come from
     one product of its stacked prefix products with the boundary state
     (u_{m-1}, u_m) its predecessor left.  A group's chunks are expanded so in
-    order, a span of max(1, CHUNK_GROUP // k) chunks at a time for k columns,
-    and the recurrence defects of the stored samples are evaluated once over
-    the whole span.  The first chunk of the span whose samples are
-    non-finite or near OVERFLOW_LIMIT, or whose defect anywhere exceeds
+    order, and the recurrence defects of the stored samples are evaluated
+    once over the whole group.  The first chunk of the group whose samples
+    are non-finite or near OVERFLOW_LIMIT, or whose defect anywhere exceeds
     DEFECT_GATE, is stepped again from its boundary state by the sequential
-    step, which solves for u_{n+1} through a_n^{-1}; the next span starts
-    after it, from its new boundary.  So every sample and defect is the one a
-    check chunk by chunk leaves, and the batch is cut exactly where the
-    sequential step cuts it: at the first step where any column passes
-    OVERFLOW_LIMIT.  Columns actually past the limit carry the overflow flag,
-    the rest are merely shortened (truncated_at is set for all of them).
+    step, which solves for u_{n+1} through a_n^{-1}; the chunks after it are
+    expanded again from its new boundary and checked together.  So every
+    sample and defect is the one a check chunk by chunk leaves, and the
+    batch is cut exactly where the sequential step cuts it: at the first
+    step where any column passes OVERFLOW_LIMIT.  Columns actually past the
+    limit carry the overflow flag, the rest are merely shortened
+    (truncated_at is set for all of them).
     """
     d = fam.dim
     al = initial_data(alphas, d)
@@ -257,7 +255,6 @@ def _propagate(fam: CoefficientFamily, z: complex, alphas: Sequence[np.ndarray],
         return lo + int(np.argmin(ok))
 
     c = math.isqrt(horizon - 1)
-    span = max(1, CHUNK_GROUP // k)
     cut = None
     with np.errstate(all="ignore"):  # overflow is detected and stepped again
         for lo in range(1, horizon, max(CHUNK_GROUP * c, 1)):
@@ -265,18 +262,17 @@ def _propagate(fam: CoefficientFamily, z: complex, alphas: Sequence[np.ndarray],
             Q = _chunk_products(AINV, AH, B, z, lo, hi, c)
             j = 0
             while cut is None and j < len(Q):
-                top = min(j + span, len(Q))
-                for i in range(j, top):  # each chunk from its predecessor's boundary
+                for i in range(j, len(Q)):  # each chunk from its predecessor's boundary
                     m, mh = lo + i * c, min(lo + (i + 1) * c, hi)
                     s = ut[m - 1:m + 1].reshape(2 * d, k)
                     ut[m + 1:mh + 1] = (Q[i, 2:].reshape(-1, 2 * d) @ s).reshape(-1, d, k)[:mh - m]
-                f = failing_row(lo + j * c, min(lo + top * c, hi))
+                f = failing_row(lo + j * c, hi)
                 if f is None:
-                    j = top
-                else:  # step the first failing chunk again; the next span starts after it
-                    j = (f - lo) // c
-                    cut = steps(lo + j * c, min(lo + (j + 1) * c, hi))
-                    j += 1
+                    break
+                # step the first failing chunk again; the chunks after it are expanded again
+                j = (f - lo) // c
+                cut = steps(lo + j * c, min(lo + (j + 1) * c, hi))
+                j += 1
             if cut is not None:
                 break
     last = horizon if cut is None else cut
@@ -299,16 +295,17 @@ def propagate_block(fam: CoefficientFamily, z: complex, alphas: Sequence[np.ndar
     return _propagate(fam, z, alphas, horizon)
 
 
-def weighted_norm_trace(fam: CoefficientFamily, traj: Trajectory) -> np.ndarray:
-    """s_n = ||a_n|| (||u_{n-1}||^2 + ||u_n||^2) for 1 <= n <= L-1.
+def weighted_norm_trace(fam: CoefficientFamily, u: np.ndarray) -> np.ndarray:
+    """s_n = ||a_n|| (||u_{n-1}||^2 + ||u_n||^2) for 1 <= n <= L-1, of samples
+    u_0 .. u_L with any leading axes, shape (..., L+1, dim).
 
     Bounded above and below along a trajectory exactly when the two-sided
-    asymptotic band estimate holds; returned with s[0] corresponding to n = 1.
+    asymptotic band estimate holds; returned as (..., L-1) with s[..., 0]
+    corresponding to n = 1.
     """
-    L = traj.last_index
-    norms2 = np.linalg.norm(traj.u[:L], axis=1) ** 2
-    w = norm_stack(fam, 1, L - 1)
-    return w * (norms2[:-1] + norms2[1:])
+    L = u.shape[-2] - 1
+    norms2 = np.linalg.norm(u[..., :L, :], axis=-1) ** 2
+    return norm_stack(fam, 1, L - 1) * (norms2[..., :-1] + norms2[..., 1:])
 
 
 @dataclass
@@ -368,7 +365,7 @@ def trajectory_table(traj: Trajectory, fam: CoefficientFamily) -> Table:
     vals = np.zeros((L + 1, 2 * d + 3))
     vals[:, :2 * d] = np.ascontiguousarray(traj.u).view(np.float64)
     vals[:, 2 * d] = traj.norms()
-    vals[1:L, 2 * d + 1] = weighted_norm_trace(fam, traj)
+    vals[1:L, 2 * d + 1] = weighted_norm_trace(fam, traj.u)
     vals[1:L, 2 * d + 2] = traj.residuals[1:]
     mask = np.zeros(vals.shape, dtype=bool)
     mask[[0, L], -2:] = True
@@ -380,41 +377,36 @@ def trajectory_to_csv(traj: Trajectory, fam: CoefficientFamily, path) -> None:
     write_csv(trajectory_table(traj, fam), path)
 
 
-def basis_trajectories(fam: CoefficientFamily, z: complex, horizon: int) -> list[Trajectory]:
-    """Propagate the 2d canonical initial conditions of H (+) H as one batch,
-    cut together at the first overflow."""
-    return propagate_block(fam, z, np.eye(2 * fam.dim, dtype=np.complex128), horizon)
-
-
 @dataclass
 class FundamentalMatrix:
-    """The fundamental matrix of the recurrence at z: phi[n] in C^{d x 2d}
+    """The fundamental matrix of the recurrence at z: Phi_n in C^{d x 2d}
     maps initial data alpha = (u_0, u_1) to u_n, so that every trajectory is
-    phi alpha, for n = 0 .. L.
+    Phi alpha, for n = 0 .. L.
 
-    Its columns are the 2d basis trajectories of basis_trajectories, cut
-    together at the first overflow (truncated_at), and residuals[j] are the
-    recurrence defects of column j.  Every combination shares that cut.
+    Its columns are the 2d basis trajectories Phi e_j as one propagate_block
+    call returns them, cut together at the first overflow (truncated_at),
+    each with its own recurrence defects.  Every combination shares that cut.
     """
 
     z: complex
-    phi: np.ndarray            # shape (L+1, dim, 2 dim)
-    residuals: np.ndarray      # shape (2 dim, L), residuals[:, 0] = 0
-    truncated_at: int | None = None
+    columns: list[Trajectory]
 
     @property
     def last_index(self) -> int:
-        return self.phi.shape[0] - 1
+        return self.columns[0].last_index
+
+    @property
+    def truncated_at(self) -> int | None:
+        return self.columns[0].truncated_at
 
     def samples(self, alphas: Sequence[np.ndarray], start: int = 0) -> np.ndarray:
-        """u_n = phi[n] alpha for n = start .. L, for every alpha of the batch:
-        shape (k, rows, dim).  Multiply-adds of the columns of phi in index
-        order, so a start keeps its bits in any batch."""
-        cols = np.moveaxis(self.phi[start:], -1, 0)
-        al = initial_data(alphas, cols.shape[-1])
-        out = al[:, 0, None, None] * cols[0]
-        for j in range(1, len(cols)):
-            out += al[:, j, None, None] * cols[j]
+        """u_n = Phi_n alpha for n = start .. L, for every alpha of the batch:
+        shape (k, rows, dim).  Multiply-adds of the columns in index order,
+        so a start keeps its bits in any batch."""
+        al = initial_data(alphas, self.columns[0].u.shape[1])
+        out = al[:, 0, None, None] * self.columns[0].u[start:]
+        for j in range(1, len(self.columns)):
+            out += al[:, j, None, None] * self.columns[j].u[start:]
         return out
 
     def overflow(self, u: np.ndarray) -> np.ndarray:
@@ -423,19 +415,19 @@ class FundamentalMatrix:
         return (self.truncated_at is not None) & (np.abs(u[:, -1]).max(axis=1) > OVERFLOW_LIMIT)
 
     def trajectory(self, alpha: np.ndarray) -> Trajectory:
-        """The trajectory phi alpha.  Its residuals are the bound
-        sum_j |alpha_j| r_j of the basis columns' defects, not the defect of
-        its own samples; it overflowed when the largest entry of phi_L alpha
-        at the cut passed OVERFLOW_LIMIT."""
-        alpha = initial_data([alpha], self.phi.shape[1])[0]
+        """The trajectory Phi alpha.  Its residuals are the bound
+        sum_j |alpha_j| r_j of the columns' defects, not the defect of its
+        own samples; it overflowed when the largest entry of Phi_L alpha at
+        the cut passed OVERFLOW_LIMIT."""
+        alpha = initial_data([alpha], self.columns[0].u.shape[1])[0]
         u = self.samples([alpha])
-        return Trajectory(self.z, alpha, u[0], np.abs(alpha) @ self.residuals,
+        return Trajectory(self.z, alpha, u[0],
+                          np.abs(alpha) @ np.stack([t.residuals for t in self.columns]),
                           bool(self.overflow(u)[0]), self.truncated_at)
 
 
 def fundamental_matrix(fam: CoefficientFamily, z: complex, horizon: int) -> FundamentalMatrix:
-    """The basis trajectories of basis_trajectories, stacked as the
-    fundamental matrix at z up to index `horizon`."""
-    trajs = basis_trajectories(fam, z, horizon)
-    return FundamentalMatrix(z, np.stack([t.u for t in trajs], axis=-1),
-                             np.stack([t.residuals for t in trajs]), trajs[0].truncated_at)
+    """The fundamental matrix at z up to index `horizon`: the 2d canonical
+    initial data of H (+) H propagated as one batch."""
+    return FundamentalMatrix(z, propagate_block(fam, z, np.eye(2 * fam.dim, dtype=np.complex128),
+                                                horizon))

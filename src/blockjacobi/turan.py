@@ -27,6 +27,7 @@ from .coeffs import (
     sequence_stack,
     stack_limit,
     tail_window,
+    tenth,
     total_variation,
 )
 from .opcore import (
@@ -50,13 +51,13 @@ from .recurrence import (
     SQUARE_SUMMABLE,
     FundamentalMatrix,
     Trajectory,
-    basis_trajectories,
     coefficient_stacks,
     fundamental_matrix,
     initial_data,
     l2_tail_diagnostic,
     norm_stack,
     propagate,
+    weighted_norm_trace,
     window_product,
 )
 
@@ -439,13 +440,10 @@ def asymptotic_band(fam: CoefficientFamily, N: int, z: complex,
     phi = fundamental_matrix(fam, z, horizon) if phi is None else phi
     al = initial_data(alphas, fam.dim)
     u = phi.samples(al)
-    L = phi.last_index
-    norms2 = np.linalg.norm(u[:, :L], axis=2) ** 2
-    s = norm_stack(fam, 1, L - 1) * (norms2[:, :-1] + norms2[:, 1:])
-    seg = s[:, burn_in - 1:] / (np.linalg.norm(al, axis=1) ** 2)[:, None]
+    seg = weighted_norm_trace(fam, u)[:, burn_in - 1:] / (np.linalg.norm(al, axis=1) ** 2)[:, None]
     if not seg.shape[1]:
         raise ValueError(f"burn_in {burn_in} leaves no samples: the trajectory "
-                         f"ends at index {L}")
+                         f"ends at index {phi.last_index}")
     stats = [BandAlphaStats(a, lo, hi, bool(over)) for a, lo, hi, over
              in zip(al, seg.min(axis=1).tolist(), seg.max(axis=1).tolist(), phi.overflow(u))]
     return BandReport(N, z, horizon, burn_in, min([float("inf")] + [s.c1 for s in stats]),
@@ -496,7 +494,7 @@ def _tail(values: np.ndarray, rows: int, name: str) -> tuple[list[float], list[f
     and the largest deviation from each there; each row of `values` holds
     one trace's final rows.  A NaN in that tenth raises NotConvergentError
     naming the trace."""
-    tail = values[:, -max(1, rows // 10):]
+    tail = values[:, -tenth(rows):]
     if np.isnan(tail).any():
         raise NotConvergentError(f"{name} is NaN in its last tenth, rows "
                                  f"{rows - tail.shape[1] + 1} .. {rows}")
@@ -602,7 +600,7 @@ def indeterminacy_probe(fam: CoefficientFamily, z_samples: Sequence[complex],
         # short tail before the cut to read, which decides nothing
         verdicts = [UNDECIDED if t.truncated_at is not None and not t.overflow
                     else l2_tail_diagnostic(t).verdict
-                    for t in basis_trajectories(fam, z, traj_horizon)]
+                    for t in fundamental_matrix(fam, z, traj_horizon).columns]
         fam.a_inv(0)  # the seeded solutions' u_1 needs it
         ok = all(v == SQUARE_SUMMABLE for v in verdicts)
         all_ok = all_ok and ok
@@ -628,11 +626,6 @@ class ExactAsymptoticsReport:
     per_alpha: list[dict]
     horizon: int
     phi: FundamentalMatrix  # the limits' trajectories are phi alpha
-
-    @property
-    def trajectories(self) -> list[Trajectory]:
-        """The trajectory phi alpha of each alpha, formed on demand."""
-        return [self.phi.trajectory(d["alpha"]) for d in self.per_alpha]
 
 
 def exact_asymptotics(fam: CoefficientFamily, lim: PeriodicLimitData, z: float,
@@ -671,7 +664,7 @@ def exact_asymptotics(fam: CoefficientFamily, lim: PeriodicLimitData, z: float,
     al = initial_data(alphas, fam.dim)
     L, rows = phi.last_index, _s_rows(phi, lim.N)
     # the first row of either tenth: S_n has rows 1 .. rows, the weighted trace 1 .. L - 1
-    start = min(L - max(1, (L - 1) // 10), rows + 1 - max(1, rows // 10))
+    start = min(L - tenth(L - 1), rows + 1 - tenth(rows))
     u = phi.samples(al, start - 1)
     g = _tail(_traces_from(fam, lim.N, u, horizon, start)[:, :rows - start + 1], rows,
               "Turan sequence S_n")[0]

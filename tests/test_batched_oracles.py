@@ -53,7 +53,7 @@ from blockjacobi.opcore import SingularError, adj, neg_part, op_norm, sym
 from blockjacobi import recurrence
 from blockjacobi.recurrence import (
     OVERFLOW_LIMIT,
-    basis_trajectories,
+    fundamental_matrix,
     propagate,
     propagate_block,
 )
@@ -287,7 +287,7 @@ def test_propagate_block_matches_sequential_loop(fam, z):
 
 @pytest.mark.parametrize("z", PROPAGATION_Z)
 def test_basis_trajectories_match_sequential_loop(fam, z):
-    _check_against_sequential(fam, z, list(np.eye(4)), basis_trajectories(fam, z, H), H)
+    _check_against_sequential(fam, z, list(np.eye(4)), fundamental_matrix(fam, z, H).columns, H)
 
 
 def test_overflowing_scalar_propagation_matches_sequential_loop():
@@ -299,7 +299,8 @@ def test_overflowing_scalar_propagation_matches_sequential_loop():
     _check_against_sequential(fam, 10.0, [grow], [traj], H)
     _check_against_sequential(fam, 10.0, [small, grow, small],
                               propagate_block(fam, 10.0, [small, grow, small], H), H)
-    _check_against_sequential(fam, 10.0, list(np.eye(2)), basis_trajectories(fam, 10.0, H), H)
+    _check_against_sequential(fam, 10.0, list(np.eye(2)),
+                              fundamental_matrix(fam, 10.0, H).columns, H)
 
 
 def test_propagation_never_reads_the_inverse_of_a_0():
@@ -311,7 +312,8 @@ def test_propagation_never_reads_the_inverse_of_a_0():
     alphas = [np.array([1.0, 0.0, 0.5, -0.5j]), np.array([0.0, 1.0, 1.0, 0.0])]
     _check_against_sequential(fam, 0.75, alphas[:1], [propagate(fam, 0.75, alphas[0], H)], H)
     _check_against_sequential(fam, 0.75, alphas, propagate_block(fam, 0.75, alphas, H), H)
-    _check_against_sequential(fam, 0.75, list(np.eye(4)), basis_trajectories(fam, 0.75, H), H)
+    _check_against_sequential(fam, 0.75, list(np.eye(4)),
+                              fundamental_matrix(fam, 0.75, H).columns, H)
 
 
 # ---- weights ----
@@ -581,7 +583,7 @@ def test_chunked_path_cuts_early_overflow_where_the_loop_does(case):
         "tabulated-z0.75": (CHUNKED_FAMILIES["tabulated"](), 0.75),
     }[case]
     alphas = list(np.eye(2 * fam.dim))
-    trajs = basis_trajectories(fam, z, H_CHUNKED)
+    trajs = fundamental_matrix(fam, z, H_CHUNKED).columns
     assert trajs[0].truncated_at is not None and trajs[0].truncated_at > math.isqrt(H_CHUNKED - 1)
     _check_against_sequential(fam, z, alphas, trajs, H_CHUNKED)
 
@@ -595,9 +597,9 @@ def test_chunked_path_raises_no_runtime_warning():
         for fam, z, horizon in [(doubling, 0.5, 300), (scalar, 10.0, H_CHUNKED),
                                 (fixtures.paper_constant(), 1j, H_CHUNKED),
                                 (fixtures.sqrt_growth(), 2.0, H_CHUNKED)]:
-            trajs = basis_trajectories(fam, z, horizon)
+            trajs = fundamental_matrix(fam, z, horizon).columns
             assert all(np.isfinite(t.u).all() and np.isfinite(t.residuals).all() for t in trajs)
-        assert any(t.overflow for t in basis_trajectories(doubling, 0.5, 300))
+        assert any(t.overflow for t in fundamental_matrix(doubling, 0.5, 300).columns)
 
 
 def _decay_window_start(start, z, beta):
@@ -611,11 +613,11 @@ def _decay_window_start(start, z, beta):
     return np.array([u[0], u[1]])
 
 
-SPAN_CASES = {
+GROUP_CASES = {
     **{name: (FAMILIES[name], 0.75) for name in
        ["paper-constant", "paper-unbounded", "paper-blockrepeat", "paper-logweight"]},
-    # re-steps a chunk in the middle of a span: at H = 2000 and k = 1, chunk
-    # 22 of a span of 32
+    # re-steps a chunk in the middle of a group: at H = 2000, chunk 22 of a
+    # group of 32
     "decay-window": (lambda: _decay_window_family(1000, 100, -2.6), 0.5),
     # every column overflows within the first group
     "scalar-z10": (lambda: custom_family(1, lambda n: np.eye(1), lambda n: np.zeros((1, 1))), 10.0),
@@ -623,31 +625,31 @@ SPAN_CASES = {
 
 
 @pytest.mark.parametrize("k", [1, 2, 8, 20, 33])
-@pytest.mark.parametrize("case", sorted(SPAN_CASES))
-def test_span_checks_match_chunk_by_chunk_checks_bit_for_bit(monkeypatch, case, k):
-    # CHUNK_GROUP = 1 gives spans of one chunk: each chunk checked on its own
-    make, z = SPAN_CASES[case]
+@pytest.mark.parametrize("case", sorted(GROUP_CASES))
+def test_group_checks_match_chunk_by_chunk_checks_bit_for_bit(monkeypatch, case, k):
+    # CHUNK_GROUP = 1 gives groups of one chunk: each chunk checked on its own
+    make, z = GROUP_CASES[case]
     fam = make()
     rng = np.random.default_rng(k)
     alphas = [rng.normal(size=2 * fam.dim) + 1j * rng.normal(size=2 * fam.dim) for _ in range(k)]
     if case == "decay-window":
         alphas[0] = _decay_window_start(1000, z, -2.6)
     for horizon in [2, 3, 5, 400, 2000, H_CHUNKED]:
-        spans = propagate_block(fam, z, alphas, horizon)
+        groups = propagate_block(fam, z, alphas, horizon)
         with monkeypatch.context() as m:
             m.setattr(recurrence, "CHUNK_GROUP", 1)
             chunks = propagate_block(fam, z, alphas, horizon)
-        for a, b in zip(spans, chunks, strict=True):
+        for a, b in zip(groups, chunks, strict=True):
             np.testing.assert_array_equal(a.u, b.u, strict=True)
             np.testing.assert_array_equal(a.residuals, b.residuals, strict=True)
             assert (a.overflow, a.truncated_at) == (b.overflow, b.truncated_at)
         if case == "scalar-z10" and horizon >= 400:
-            assert spans[0].truncated_at < horizon
+            assert groups[0].truncated_at < horizon
         if case == "decay-window" and horizon == 2000:
             with monkeypatch.context() as m:  # the gate steps a chunk again
                 m.setattr(recurrence, "DEFECT_GATE", np.inf)
                 raw = propagate_block(fam, z, alphas, horizon)
-            assert not np.array_equal(raw[0].u, spans[0].u)
+            assert not np.array_equal(raw[0].u, groups[0].u)
 
 
 def _mp_trajectory(mpmath, fam, z, alpha, horizon):

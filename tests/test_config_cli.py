@@ -484,7 +484,7 @@ def test_run_reports_exact_asymptotics_and_christoffel_as_computed():
     np.testing.assert_array_equal(got["C"], want.C)
     assert got["per_alpha"] == [{k: d[k] for k in ("g", "weighted_trace_limit", "gap")}
                                 for d in want.per_alpha]
-    chris = christoffel_limit(fam, want.C, want.trajectories[0])
+    chris = christoffel_limit(fam, want.C, want.phi.trajectory(want.per_alpha[0]["alpha"]))
     g = want.per_alpha[0]["g"]
     assert rep.results["01_christoffel"] == {
         "limit_estimate": chris.limit_estimate, "residual": chris.residual, "g": g,

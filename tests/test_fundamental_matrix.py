@@ -66,7 +66,7 @@ def test_band_and_turan_limits_match_direct_propagation(name):
     conv = turan_convergence(fam, 1, z, alphas, H)
     for alpha, b, c in zip(alphas, band.per_alpha, conv.per_alpha):
         traj = _direct(fam, z, alpha)
-        s = weighted_norm_trace(fam, traj)[band.burn_in - 1:]
+        s = weighted_norm_trace(fam, traj.u)[band.burn_in - 1:]
         _close(b.c1, s.min())
         _close(b.c2, s.max())
         assert not b.overflow
@@ -81,7 +81,8 @@ def test_exact_asymptotics_and_christoffel_match_direct_propagation(z):
     D = lim.D[0]
     alphas = _alphas(2)
     rep = exact_asymptotics(fam, lim, z, alphas, H)
-    for alpha, entry, traj in zip(alphas, rep.per_alpha, rep.trajectories):
+    trajs = [rep.phi.trajectory(d["alpha"]) for d in rep.per_alpha]
+    for alpha, entry, traj in zip(alphas, rep.per_alpha, trajs):
         direct = _direct(fam, z, alpha)
         g = _last_tenth_mean(_traces_from(fam, 1, direct.u[None], H)[0])
         q = np.einsum("nd,de,ne->n", direct.u.conj(), D, direct.u).real
@@ -100,14 +101,16 @@ def test_combinations_outside_the_band_share_the_cut_and_the_overflow_rule():
     fam, z = paper_constant(), 10.0
     phi = fundamental_matrix(fam, z, 600)
     assert phi.last_index == phi.truncated_at < 600
-    assert np.abs(phi.phi[-1]).max() > OVERFLOW_LIMIT >= np.abs(phi.phi[:-1]).max()
+    cols = np.stack([t.u for t in phi.columns])
+    assert np.abs(cols[:, -1]).max() > OVERFLOW_LIMIT >= np.abs(cols[:, :-1]).max()
+    residuals = np.stack([t.residuals for t in phi.columns])
     alphas = _alphas(3, 8)
     flags = []
     for alpha in alphas:
         traj = phi.trajectory(alpha)
         assert traj.last_index == traj.truncated_at == phi.truncated_at
         assert traj.overflow == bool(np.abs(traj.u[-1]).max() > OVERFLOW_LIMIT)
-        assert np.array_equal(traj.residuals, np.abs(alpha) @ phi.residuals)
+        assert np.array_equal(traj.residuals, np.abs(alpha) @ residuals)
         flags.append(traj.overflow)
     assert any(flags) and not all(flags)
     band = asymptotic_band(fam, 1, z, alphas, 600)
@@ -136,7 +139,7 @@ def test_one_propagation_serves_every_analysis_at_one_z(monkeypatch):
     fam = doc.family.build()
     starts = [np.array([complex(*x) if isinstance(x, list) else x for x in a]) for a in alphas]
     ea = exact_asymptotics(fam, extract_periodic_limits(fam, 1, H), 0.0, starts, H)
-    chris = christoffel_limit(fam, ea.C, ea.trajectories[0])
+    chris = christoffel_limit(fam, ea.C, ea.phi.trajectory(ea.per_alpha[0]["alpha"]))
     band = asymptotic_band(fam, 1, 0.0, starts, H)
     conv = turan_convergence(fam, 1, 0.0, starts, H)
     assert results["00_exact_asymptotics"]["per_alpha"] == [

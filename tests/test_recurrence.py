@@ -16,9 +16,9 @@ from blockjacobi.recurrence import (
     SQUARE_SUMMABLE,
     UNDECIDED,
     Trajectory,
-    basis_trajectories,
     coefficient_stacks,
     formal_eigenvector_start,
+    fundamental_matrix,
     l2_tail_diagnostic,
     norm_stack,
     propagate,
@@ -228,7 +228,7 @@ def test_weighted_norm_trace_values():
     rng = np.random.default_rng(18)
     fam = rand_family(rng, 2, 12)
     traj = propagate(fam, 0.5, rand_unit(rng, 4), 10)
-    s = weighted_norm_trace(fam, traj)
+    s = weighted_norm_trace(fam, traj.u)
     assert len(s) == traj.last_index - 1
     for k in range(len(s)):
         n = k + 1
@@ -239,10 +239,10 @@ def test_weighted_norm_trace_values():
 
 def test_l2_diagnostic_decaying_and_flat_tails():
     fam = indeterminate_doubling()
-    for traj in basis_trajectories(fam, 1j, 400):
+    for traj in fundamental_matrix(fam, 1j, 400).columns:
         assert l2_tail_diagnostic(traj).verdict == SQUARE_SUMMABLE
     # constant self-adjoint entries at a non-real z: solutions grow
-    for traj in basis_trajectories(paper_constant(), 1j, 800):
+    for traj in fundamental_matrix(paper_constant(), 1j, 800).columns:
         assert l2_tail_diagnostic(traj).verdict == NOT_SQUARE_SUMMABLE
 
 
@@ -319,9 +319,9 @@ def test_an_empty_batch_is_refused(alphas):
         propagate_block(paper_constant(), 0.5, alphas, 50)
 
 
-def test_basis_trajectories_seed_the_canonical_vectors():
+def test_fundamental_matrix_columns_seed_the_canonical_vectors():
     fam = paper_constant()
-    basis = basis_trajectories(fam, 0.0, 5)
+    basis = fundamental_matrix(fam, 0.0, 5).columns
     assert len(basis) == 4
     for k, traj in enumerate(basis):
         want = np.zeros(4)
@@ -354,7 +354,7 @@ def _rows_oracle(traj, fam):
     vals = np.zeros((L + 1, 2 * d + 3))
     vals[:, :2 * d] = np.ascontiguousarray(traj.u).view(np.float64)
     vals[:, 2 * d] = traj.norms()
-    vals[1:L, 2 * d + 1] = weighted_norm_trace(fam, traj)
+    vals[1:L, 2 * d + 1] = weighted_norm_trace(fam, traj.u)
     vals[1:L, 2 * d + 2] = traj.residuals[1:]
     rows = [[n] + row for n, row in enumerate(vals.tolist())]
     for row in (rows[0], rows[L]):

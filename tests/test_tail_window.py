@@ -12,6 +12,7 @@ turan_convergence, and the runner records that refusal as an error entry.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,14 +102,16 @@ def _check(fam, lim, z, phi, alphas, horizon, monkeypatch):
 def _cut(phi, last):
     """The fundamental matrix phi ended at index `last`, as a cut there
     leaves it."""
-    return FundamentalMatrix(phi.z, phi.phi[:last + 1], phi.residuals[:, :last], last)
+    return FundamentalMatrix(phi.z, [replace(t, u=t.u[:last + 1], residuals=t.residuals[:last],
+                                             truncated_at=last) for t in phi.columns])
 
 
 def _with_nan(phi, index):
     """phi with a NaN row at `index`: every combination is NaN there."""
-    m = phi.phi.copy()
-    m[index] = np.nan
-    return FundamentalMatrix(phi.z, m, phi.residuals, phi.truncated_at)
+    cols = [replace(t, u=t.u.copy()) for t in phi.columns]
+    for t in cols:
+        t.u[index] = np.nan
+    return FundamentalMatrix(phi.z, cols)
 
 
 @pytest.mark.parametrize("horizon", [2, 3, 5, 11, 12, 13, 21, 101, 3000])

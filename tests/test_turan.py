@@ -37,7 +37,7 @@ from blockjacobi.opcore import (
     sym,
 )
 from blockjacobi.recurrence import (
-    basis_trajectories,
+    fundamental_matrix,
     propagate,
     propagate_block,
     transfer,
@@ -571,7 +571,7 @@ def test_probe_reads_basis_columns_cut_short_by_another_as_undecided():
     # there with them and have no tail to read
     fam = custom_family(2, lambda n: 2.0 ** n * np.eye(2),
                         lambda n: 8.0 ** n * np.diag([1.0, 0.0]))
-    trajs = basis_trajectories(fam, 0.5, 300)
+    trajs = fundamental_matrix(fam, 0.5, 300).columns
     assert [t.overflow for t in trajs] == [True, False, True, False]
     assert {t.truncated_at for t in trajs} == {23}
     with warnings.catch_warnings():
