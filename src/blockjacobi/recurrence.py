@@ -30,9 +30,19 @@ OVERFLOW_LIMIT = 1e150
 DEFECT_GATE = 64 * np.finfo(np.float64).eps
 
 # Chunks whose local transfer products are formed, expanded and checked
-# together: bounds the extra memory to CHUNK_GROUP * c * 2d^2 entries, and an
-# early overflow leaves the products of later groups unformed.
-CHUNK_GROUP = 32
+# together: bounds the extra memory to about 3 CHUNK_GROUP * c * 2d^2
+# entries, and an early overflow leaves the products of later groups
+# unformed.  The product kernel's calls run over a group's chunks, so a wider
+# group costs less per chunk: at 64, one engine call at H = 2000 took 1.2 ms
+# against 1.5 ms at 32, while 128 raised the peak memory of an
+# asymptotics-1e5 pass from 118 to 124 MB (2-vCPU Xeon, one thread).
+CHUNK_GROUP = 64
+
+# Rows of Phi that FundamentalMatrix.samples combines for every start at a
+# time, so that the block of output stays in cache through the 2d
+# multiply-adds: on a 2-vCPU Xeon, one thread, 20 starts x 1e5 rows took
+# 86 ms unblocked and 40-42 ms so.
+SAMPLE_ROWS = 2048
 
 SQUARE_SUMMABLE = "square_summable"
 NOT_SQUARE_SUMMABLE = "not_square_summable"
@@ -156,6 +166,19 @@ def initial_data(alphas: Sequence[np.ndarray], d: int) -> np.ndarray:
     return al
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=-2) of a complex stack (..., d, k): the same
+    products Re(conj(x) x) (numpy's complex product rounds re^2 + im^2
+    once), summed over the d components one after another.  That is numpy's
+    own order for d < 8, so the result is the same bit for bit there,
+    without numpy's reduction over an axis of length d."""
+    s = (x.conj() * x).real
+    out = s[..., 0, :]
+    for j in range(1, s.shape[-2]):
+        out = out + s[..., j, :]
+    return np.sqrt(out)
+
+
 def _chunk_products(AINV: np.ndarray, AH: np.ndarray, B: np.ndarray, z: complex,
                     lo: int, hi: int, c: int) -> np.ndarray:
     """Local prefix products of the transfer matrices of steps lo .. hi-1,
@@ -166,21 +189,34 @@ def _chunk_products(AINV: np.ndarray, AH: np.ndarray, B: np.ndarray, z: complex,
     out[j, 0], out[j, 1] are [Id, 0] and [0, Id]; the whole product is the
     window out[j, i + 1 : i + 3].  The last chunk is padded with steps that
     repeat u_n.
+
+    The products are formed with the chunk axis last, so that each numpy
+    call runs over every chunk of the group (a batched matmul makes one BLAS
+    call per chunk): a step is one broadcast product of its lower half with
+    the two rows before it, the 2d terms of the contraction, and one sum of
+    the terms in index order.  Elementwise arithmetic does not depend on the
+    length of the axis, so a chunk's products keep their bits in a group of
+    any size.  They are returned chunk-major, as one copy, so that each
+    chunk's products are one contiguous matrix.
     """
     d = B.shape[1]
     cnt = hi - lo
+    n = -(-cnt // c)
     eye = np.eye(d)
     ainv = AINV[lo - 1:hi - 1]
-    L = np.zeros((-(-cnt // c) * c, d, 2 * d), dtype=np.complex128)
+    L = np.zeros((n * c, d, 2 * d), dtype=np.complex128)
     L[:cnt, :, :d] = -stack_mul(ainv, AH[lo - 1:hi - 1])
     L[:cnt, :, d:] = stack_mul(ainv, z * eye - B[lo:hi])
     L[cnt:, :, d:] = eye
-    L = L.reshape(-1, c, d, 2 * d)
-    Q = np.empty((len(L), c + 2, d, 2 * d), dtype=np.complex128)
-    Q[:, :2] = np.eye(2 * d).reshape(2, d, 2 * d)
+    # L[i, t, :, 0, j]: column t of the lower half of step i of chunk j
+    L = np.ascontiguousarray(L.reshape(n, c, d, 2 * d).transpose(1, 3, 2, 0))[:, :, :, None]
+    Q = np.empty((c + 2, d, 2 * d, n), dtype=np.complex128)
+    Q[:2] = np.eye(2 * d).reshape(2, d, 2 * d, 1)
+    terms = np.empty((2 * d, d, 2 * d, n), dtype=np.complex128)
     for i in range(c):
-        Q[:, i + 2] = L[:, i] @ Q[:, i:i + 2].reshape(-1, 2 * d, 2 * d)
-    return Q
+        np.multiply(L[i], Q[i:i + 2].reshape(2 * d, 1, 2 * d, n), out=terms)
+        np.add.reduce(terms, axis=0, out=Q[i + 2])
+    return np.ascontiguousarray(Q.transpose(3, 0, 1, 2))
 
 
 def _propagate(fam: CoefficientFamily, z: complex, alphas: Sequence[np.ndarray],
@@ -189,16 +225,18 @@ def _propagate(fam: CoefficientFamily, z: complex, alphas: Sequence[np.ndarray],
     of initial data (u_0, u_1) = alpha up to index `horizon`.
 
     The steps n = 1 .. horizon-1 are cut into chunks of c = isqrt(horizon-1)
-    steps.  The transfer products local to each chunk are formed batched
-    across CHUNK_GROUP chunks at a time; then each chunk's samples come from
-    one product of its stacked prefix products with the boundary state
-    (u_{m-1}, u_m) its predecessor left.  A group's chunks are expanded so in
-    order, and the recurrence defects of the stored samples are evaluated
-    once over the whole group.  The first chunk of the group whose samples
-    are non-finite or near OVERFLOW_LIMIT, or whose defect anywhere exceeds
-    DEFECT_GATE, is stepped again from its boundary state by the sequential
-    step, which solves for u_{n+1} through a_n^{-1}; the chunks after it are
-    expanded again from its new boundary and checked together.  So every
+    steps.  The transfer products local to each chunk are formed for
+    CHUNK_GROUP chunks at a time, each numpy call over all of them
+    (_chunk_products); then each chunk's samples come from one product of
+    its stacked prefix products with the boundary state (u_{m-1}, u_m) its
+    predecessor left.  A group's chunks are expanded so in order, and the
+    recurrence defects of the stored samples are evaluated once over the
+    whole group, their norms as sums over the d components (_norms).  The
+    first chunk of the group whose samples are non-finite or near
+    OVERFLOW_LIMIT, or whose defect anywhere exceeds DEFECT_GATE, is stepped
+    again from its boundary state by the sequential step, which solves for
+    u_{n+1} through a_n^{-1}; the chunks after it are expanded again from
+    its new boundary and checked together.  So every
     sample and defect is the one a check chunk by chunk leaves, and the
     batch is cut exactly where the sequential step cuts it: at the first
     step where any column passes OVERFLOW_LIMIT.  Columns actually past the
@@ -228,10 +266,7 @@ def _propagate(fam: CoefficientFamily, z: complex, alphas: Sequence[np.ndarray],
             cur = ut[n]
             rhs = z * cur - B[n] @ cur - AH[n - 1] @ ut[n - 1]
             nxt = ut[n + 1] = AINV[n - 1] @ rhs
-            r = A[n] @ nxt - rhs
-            # np.linalg.norm(r, axis=0) spelled out: same operations, without
-            # the call overhead that costs a tenth of a one-column step
-            rt[n] = np.sqrt(np.add.reduce((r.conj() * r).real, axis=0))
+            rt[n] = _norms(A[n] @ nxt - rhs)
             if np.abs(nxt).max() > OVERFLOW_LIMIT:
                 return n + 1
         return None
@@ -242,10 +277,8 @@ def _propagate(fam: CoefficientFamily, z: complex, alphas: Sequence[np.ndarray],
         exceeds DEFECT_GATE, else None."""
         prev, cur, nxt = ut[lo - 1:hi - 1], ut[lo:hi], ut[lo + 1:hi + 1]
         rhs = z * cur - stack_mul(B[lo:hi], cur) - stack_mul(AH[lo - 1:hi - 1], prev)
-        r = stack_mul(A[lo:hi], nxt) - rhs
-        rt[lo:hi] = np.sqrt(np.add.reduce((r.conj() * r).real, axis=1))
-        gate = DEFECT_GATE * (NRM[lo:hi, None] * np.linalg.norm(nxt, axis=1)
-                              + np.linalg.norm(rhs, axis=1))
+        rt[lo:hi] = _norms(stack_mul(A[lo:hi], nxt) - rhs)
+        gate = DEFECT_GATE * (NRM[lo:hi, None] * _norms(nxt) + _norms(rhs))
         # half the limit, so that a step accepted here cannot hold a value
         # the sequential step would have found past it
         big = np.abs(nxt)
@@ -402,11 +435,17 @@ class FundamentalMatrix:
     def samples(self, alphas: Sequence[np.ndarray], start: int = 0) -> np.ndarray:
         """u_n = Phi_n alpha for n = start .. L, for every alpha of the batch:
         shape (k, rows, dim).  Multiply-adds of the columns in index order,
-        so a start keeps its bits in any batch."""
-        al = initial_data(alphas, self.columns[0].u.shape[1])
-        out = al[:, 0, None, None] * self.columns[0].u[start:]
-        for j in range(1, len(self.columns)):
-            out += al[:, j, None, None] * self.columns[j].u[start:]
+        SAMPLE_ROWS rows at a time, so a start keeps its bits in any batch
+        and from any row on."""
+        cols = [t.u[start:] for t in self.columns]
+        al = initial_data(alphas, cols[0].shape[1])[:, :, None, None]
+        out = np.empty((len(al),) + cols[0].shape, dtype=np.complex128)
+        term = np.empty_like(out[:, :SAMPLE_ROWS])
+        for r in range(0, len(cols[0]), SAMPLE_ROWS):
+            rows = slice(r, r + SAMPLE_ROWS)
+            block = np.multiply(al[:, 0], cols[0][rows], out=out[:, rows])
+            for j in range(1, len(cols)):
+                block += np.multiply(al[:, j], cols[j][rows], out=term[:, :block.shape[1]])
         return out
 
     def overflow(self, u: np.ndarray) -> np.ndarray:

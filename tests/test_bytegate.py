@@ -101,6 +101,28 @@ def test_a_moved_csv_cell_is_measured_against_its_column():
     assert diff.other == ["[2]: length 3 -> 2"]
 
 
+def test_the_field_summary_counts_moved_floats_by_workload_and_field():
+    # a JSON field is its key path without indices, a CSV field its file
+    # and column; the worst values are taken over every output and seed (a
+    # float directly under a key is measured against the floats beside it)
+    summary = bytegate.FieldSummary()
+    for seed_scale in (1.0, 2.0):
+        diff = _walk({"results": {"00_band": [{"c1": 1.0, "c2": 4.0}, {"c1": 2.0, "c2": 8.0}]}},
+                     {"results": {"00_band": [{"c1": 1.0 + 1e-15 * seed_scale, "c2": 4.0},
+                                              {"c1": 2.0 + 4e-15, "c2": 8.0}]}})
+        summary.add("short-cli/out/a/report.json", diff)
+    table = bytegate.ValueDiff()
+    table.walk_table([["n", "norm", "residual"], [0, 3.0, 0.0], [1, 4.0, 1e-16]],
+                     [["n", "norm", "residual"], [0, 3.0, 2e-16], [1, 4.0, 1e-16]])
+    summary.add("asymptotics-1e5/out/sqrt_growth/02_trajectory_trajectory.csv", table)
+    assert summary.lines() == [
+        "field asymptotics-1e5 02_trajectory_trajectory.csv:residual: 1 moved floats, "
+        "worst relative 1, of the field's largest magnitude 1",
+        "field short-cli .results.00_band.c1: 4 moved floats, worst relative 2e-15, "
+        f"of the field's largest magnitude {4e-15 / 8.0:.3g}"]
+    assert bytegate.FieldSummary().lines() == []
+
+
 def _report(path: Path, results: str, wall: str) -> Path:
     path.write_text('{\n  "results": {\n    "x": ' + results + '\n  },\n'
                     '  "wall_times": {\n    "00_run": ' + wall + '\n  }\n}\n')

@@ -6,7 +6,7 @@ import csv
 import numpy as np
 import pytest
 
-from blockjacobi import fixtures
+from blockjacobi import fixtures, recurrence
 from blockjacobi.coeffs import constant_family, custom_family, tabulated_family
 from blockjacobi.fixtures import X_OP, Y_OP, indeterminate_doubling, paper_constant
 from blockjacobi.opcore import adj
@@ -167,6 +167,34 @@ def test_propagate_residuals_track_the_recurrence():
         local = max(np.linalg.norm(traj.u[k]) for k in (n - 1, n, n + 1))
         assert np.linalg.norm(defect) <= 1e-8 * max(1.0, local)
         assert traj.residuals[n] <= 1e-8 * max(1.0, local)
+
+
+@pytest.mark.parametrize("layout", ["stack", "engine", "one step"])
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_defect_norms_equal_numpy_norm_bit_for_bit(d, k, layout):
+    # rows scaled over 1e-250 .. 1e250, so squares underflow and overflow,
+    # and some entries inf or nan in either part
+    rng = np.random.default_rng(10 * d + k)
+    shape = (400, d, k)
+    scale = 10.0 ** rng.uniform(-250, 250, (400, 1, 1))
+    x = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scale
+    x.flat[rng.choice(x.size, 12, replace=False)] = [
+        np.inf, -np.inf, np.nan, complex(0, np.inf), complex(np.nan, 1), complex(1, -np.inf),
+        complex(np.inf, np.nan), 1e200, 1e-200, complex(1e200, 1e200), 1e-320, 0.0]
+    if layout == "engine":  # the engine's column-major samples, read as (n, d, k)
+        x = np.ascontiguousarray(x.transpose(2, 0, 1)).transpose(1, 2, 0)
+    with np.errstate(all="ignore"):
+        if layout == "one step":  # the sequential step's (d, k), row by row
+            got = np.array([recurrence._norms(row) for row in x])
+            want = np.array([np.linalg.norm(row, axis=0) for row in x])
+        else:
+            got, want = recurrence._norms(x), np.linalg.norm(x, axis=1)
+    assert got.shape == want.shape == (400, k)
+    assert np.isnan(got).any() and np.isinf(got).any() and (got == 0).any()
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_array_equal(got[~np.isnan(got)].view(np.uint64),
+                                  want[~np.isnan(want)].view(np.uint64))
 
 
 def test_transfer_advances_propagated_pairs():

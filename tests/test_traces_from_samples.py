@@ -13,14 +13,16 @@ the Lemma scale ||a_{n+N-1}|| (||u_{n-1}||^2 + ||u_n||^2) on every row both
 define, and the new path defines exactly the rows 1 .. L - N.
 
 A start's samples phi alpha keep their bits whatever other starts share the
-batch, so none of the numbers read from them depends on the batch either.
+batch, so none of the numbers read from them depends on the batch either;
+and forming them SAMPLE_ROWS rows at a time leaves the bits of the one
+formula over all rows.
 """
 
 import numpy as np
 import pytest
 
 from blockjacobi.fixtures import FIXTURES, paper_constant, sqrt_growth
-from blockjacobi.recurrence import fundamental_matrix, transfer_stack
+from blockjacobi.recurrence import SAMPLE_ROWS, fundamental_matrix, initial_data, transfer_stack
 from blockjacobi.turan import _traces_from
 from conftest import rand_unit
 
@@ -97,3 +99,21 @@ def test_a_start_keeps_its_sample_bits_in_any_batch(make, z):
     late = phi.samples(starts[:3], 1500)
     for j in range(3):
         assert np.array_equal(late[j], alone[j][1500:])
+
+
+def test_row_blocks_keep_the_bits_of_the_whole_formula():
+    # the one-pass formula, multiply-adds over every row at once; the starts
+    # put both ends of the rows on both sides of a block edge
+    phi = fundamental_matrix(sqrt_growth(), 0.3 + 0.2j, 3 * SAMPLE_ROWS)
+    rows = phi.last_index + 1
+    rng = np.random.default_rng(13)
+    starts = [rand_unit(rng, 4) for _ in range(3)]
+    al = initial_data(starts, 2)
+    for start in (0, 1, SAMPLE_ROWS - 1, SAMPLE_ROWS, SAMPLE_ROWS + 1,
+                  rows - 2 * SAMPLE_ROWS - 1, rows - 2 * SAMPLE_ROWS, rows - 2 * SAMPLE_ROWS + 1,
+                  rows - SAMPLE_ROWS - 1, rows - SAMPLE_ROWS, rows - SAMPLE_ROWS + 1,
+                  rows - 1):
+        want = al[:, 0, None, None] * phi.columns[0].u[start:]
+        for j in range(1, 4):
+            want += al[:, j, None, None] * phi.columns[j].u[start:]
+        np.testing.assert_array_equal(phi.samples(starts, start), want, strict=True)

@@ -36,8 +36,12 @@ exception as text.  For every such output the gate prints
   - each other difference: a string, int, bool, key, length or non-finite
     float that changed, or an output only one tree has; and "layout" for an
     output whose text differs while its values are equal.
-It then exits 1 only when there is such a non-float difference, 0 when
-floats alone moved.
+It ends with one line per field over every output and seed: the workload,
+the field (a JSON key path without its indices, or a CSV's file name and
+column), how many floats moved there, the worst relative difference and the
+worst difference relative to the field's largest magnitude.  It then exits
+1 only when there is such a non-float difference, 0 when floats alone
+moved.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -204,6 +209,15 @@ class ValueDiff:
         self.worst_at = ""
         self.floats: list[tuple[str, float, float, float, float]] = []
         self.other: list[str] = []
+        self.header: list | None = None  # a CSV's first row
+
+    def field(self, at: str) -> str:
+        """The field of the float at `at`: a CSV's column header, else the
+        JSON key path without its indices."""
+        if self.header is None:
+            return re.sub(r"\[\d+\]", "", at)
+        j = int(at.rsplit("[", 1)[1][:-1])
+        return str(self.header[j]) if j < len(self.header) else f"column {j}"
 
     def walk(self, old, new, at: str = "", scale: float | None = None) -> None:
         """Compare old and new; scale is the largest finite magnitude of
@@ -239,6 +253,7 @@ class ValueDiff:
         column in both tables."""
         if len(old) != len(new):
             self.other.append(f": length {len(old)} -> {len(new)}")
+        self.header = old[0] if old else []
         rows = old + new
         scales = [_magnitude([row[j] for row in rows if j < len(row)])
                   for j in range(max(map(len, rows), default=0))]
@@ -247,6 +262,30 @@ class ValueDiff:
                 self.other.append(f"[{i}]: length {len(o)} -> {len(n)}")
             for j, (x, y) in enumerate(zip(o, n)):
                 self.walk(x, y, f"[{i}][{j}]", scales[j])
+
+
+class FieldSummary:
+    """The moved floats of every output compared, by workload and field:
+    their count, the worst relative difference and the worst difference
+    relative to the field's largest magnitude."""
+
+    def __init__(self):
+        self.fields: dict[str, list] = {}
+
+    def add(self, key: str, diff: ValueDiff) -> None:
+        """Count the moved floats of diff, the output at digest key
+        (workload/out_dir/file)."""
+        workload, _, path = key.partition("/")
+        name = "" if path.endswith(".json") else Path(path).name + ":"
+        for at, _, _, rel, of_field in diff.floats:
+            entry = self.fields.setdefault(f"{workload} {name}{diff.field(at)}", [0, 0.0, 0.0])
+            entry[0] += 1
+            entry[1], entry[2] = max(entry[1], rel), max(entry[2], of_field)
+
+    def lines(self) -> list[str]:
+        return [f"field {field}: {n} moved floats, worst relative {rel:.3g}, "
+                f"of the field's largest magnitude {of_field:.3g}"
+                for field, (n, rel, of_field) in sorted(self.fields.items())]
 
 
 def file_diff(old: Path, new: Path) -> ValueDiff:
@@ -297,6 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     trees = {"parent": args.parent_src.resolve(), "change": args.change_src.resolve()}
     seeds = _seeds(args.seeds)
     compared = differ = other = 0
+    summary = FieldSummary()
     worst_of_field = 0.0
     worst, worst_at = 0.0, ""
     for seed in seeds:
@@ -343,6 +383,7 @@ def main(argv: list[str] | None = None) -> int:
                 if len(diff.floats) > FLOATS_SHOWN:
                     print(f"    ... and {len(diff.floats) - FLOATS_SHOWN} more moved floats")
                 worst_of_field = max([worst_of_field] + [f[-1] for f in diff.floats])
+                summary.add(key, diff)
                 for line in diff.other:
                     print(f"    non-float difference at {key}{line}")
                 other += len(diff.other)
@@ -354,6 +395,8 @@ def main(argv: list[str] | None = None) -> int:
           + (f" at {worst_at}" if worst else "")
           + f", and {worst_of_field:.3g} relative to a field's largest magnitude"
           + f"; {other} non-float differences")
+    for line in summary.lines():
+        print(line)
     return 1 if other else 0
 
 
