@@ -354,7 +354,7 @@ def check_growth_criterion(fam: CoefficientFamily,
     ev_comm = series_verdict(t_comm, first_index=1)
     ev_sq = series_verdict(1.0 / sq, first_index=0)
 
-    lim = stack_limit(lambda ns: C[ns], range(horizon))
+    lim = stack_limit(lambda ns: C[ns], np.arange(horizon))
     cond, past = conditioning(lim.value)[1:] if lim.converged else (float("inf"), True)
     ok_dir = lim.converged and not past
 

@@ -31,7 +31,7 @@ from .commutator import (
 )
 from .opcore import DEFINITENESS_EPS, NotConvergentError, HypothesisViolatedError
 from .recurrence import fundamental_matrix, propagate, trajectory_table
-from .table import KERNEL_MIN, Table, number_texts, write_csv
+from .table import KERNEL_MIN, MARKS, Table, number_text, write_csv
 from .turan import (
     asymptotic_band,
     christoffel_limit,
@@ -302,13 +302,13 @@ def _is_number(v) -> bool:
 
 def _number_block(obj: list | tuple, indent: str) -> str | None:
     """The indented text of a rectangular nested block of numbers (see
-    `_is_number`), formatted through one template built from its shape;
-    None when the block is ragged or holds any other leaf.  Its innermost
-    entries may mix numbers with [re, im] pairs (a Hermitian table with a
-    real diagonal); such a template is laid out entry by entry, but its
-    numbers are still formatted at once.  A block of table.KERNEL_MIN
-    numbers or more, all floats or all int64 ints, takes its texts from the
-    kernels of `table` ("%s"); any other takes each number's repr ("%r")."""
+    `_is_number`); None when the block is ragged or holds any other leaf.
+    Its innermost entries may mix numbers with [re, im] pairs (a Hermitian
+    table with a real diagonal).  A block of table.KERNEL_MIN numbers or
+    more, all floats or all int64 ints, is written by `table.number_text`
+    with the separators of `_separators`; any other is formatted through
+    one "%r" template built from its shape, entry by entry for a mixed
+    block."""
     shape, leaves = [len(obj)], obj
     while (kinds := set(map(type, leaves))) <= {list, tuple}:
         sizes = set(map(len, leaves))
@@ -329,18 +329,18 @@ def _number_block(obj: list | tuple, indent: str) -> str | None:
     x = np.fromiter(floats, np.float64, len(floats))
     if not np.isfinite(x).all():
         return None
-    fmt = "%r"
     if len(leaves) >= KERNEL_MIN and len(kinds) == 1:
         try:
-            leaves = number_texts(x if float in kinds else np.array(leaves, dtype=np.int64))
-            fmt = "%s"
-        except OverflowError:  # an int past int64
+            values = x if float in kinds else np.array(leaves, dtype=np.int64)
+            head, which, separators = _separators(shape, pairs, indent)
+            return head + number_text(values, which, separators)
+        except OverflowError:  # an int past int64, or more separators than marks
             pass
-    texts = [fmt]  # the entries' templates, one for all when they are alike
+    texts = ["%r"]  # the entries' templates, one for all when they are alike
     if pairs is not None:
         inner = indent + "  " * (len(shape) + 1)
-        pair = "[" + inner + fmt + "," + inner + fmt + inner[:-2] + "]"
-        texts = [pair if p else fmt for p in pairs]
+        pair = "[" + inner + "%r," + inner + "%r" + inner[:-2] + "]"
+        texts = [pair if p else "%r" for p in pairs]
     for d in reversed(range(len(shape))):
         inner, n = indent + "  " * (d + 1), shape[d]
         if len(texts) == 1:
@@ -348,6 +348,47 @@ def _number_block(obj: list | tuple, indent: str) -> str | None:
         texts = ["[" + inner + ("," + inner).join(texts[i:i + n]) + inner[:-2] + "]"
                  for i in range(0, len(texts), n)]
     return texts[0] % tuple(leaves)
+
+
+def _separators(shape: list[int], pairs: list[bool] | None,
+                indent: str) -> tuple[str, np.ndarray, list[bytes]]:
+    """The text before the first number of a block of that shape, whose
+    innermost entries are pairs where `pairs` says so; for each number the
+    index of the separator after it, and the separators.  A separator is
+    set by the number's kind (plain, or the real or the imaginary part of a
+    pair), by how many levels close after its entry and by whether the next
+    entry is a pair: code 6 closes + 3 next + kind.  Raises OverflowError
+    when a block needs more separators than table.MARKS holds."""
+    r = len(shape)
+    line = [indent + "  " * d for d in range(r + 2)]  # the start of a line at depth d
+    opens = ["".join("[" + line[d] for d in range(r - k + 1, r + 1)) for k in range(r + 1)]
+    closes = ["".join(line[d] + "]" for d in range(r - 1, r - k - 1, -1)) for k in range(r + 1)]
+    pair = "[" + line[r + 1]
+
+    def text(code: int) -> bytes:
+        k, nxt, kind = code // 6, code // 3 % 2, code % 3
+        if kind == 2:  # after the real part
+            return ("," + line[r + 1]).encode()
+        after = "," + line[r - k] + opens[k] + pair * nxt if k < r else ""
+        return ((line[r] + "]") * kind + closes[k] + after).encode()
+
+    k = np.zeros(math.prod(shape), dtype=np.intp)  # the levels that close after each entry
+    size = 1
+    for n in reversed(shape):
+        size *= n
+        k.reshape(-1, size)[:, -1] += 1
+    code = 6 * k
+    if pairs is not None:
+        p = np.array(pairs)
+        code[:-1] += 3 * p[1:]
+        code += p
+        code = np.repeat(code, 1 + p)
+        code[np.cumsum(1 + p)[p] - 2] = 2
+    used = np.bincount(code) > 0
+    if used.sum() > len(MARKS):
+        raise OverflowError(f"a number block needs {used.sum()} separators")
+    head = opens[r] + pair * (pairs is not None and pairs[0])
+    return head, (np.cumsum(used) - 1)[code], [text(c) for c in np.flatnonzero(used).tolist()]
 
 
 def _write(obj, indent: str, out: list[str], bulk: bool = True) -> None:

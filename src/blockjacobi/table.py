@@ -10,8 +10,10 @@ each cell is laid out in a fixed-width field with a mask of the bytes it
 keeps, and the block's text is the one mask compress of its fields.  The
 cells of an object table (Python ints, floats, bools and strings) and of
 any other dtype take their `str`, left-aligned in the same fields.  The
-same kernels give the texts of report.json's number blocks of KERNEL_MIN
-numbers or more (`number_texts`).
+same kernels write report.json's number blocks of KERNEL_MIN numbers or
+more (`number_text`): there a field's last byte is a control byte that
+names the separator after the number, and each separator is put in by one
+`bytes.replace` of its mark over the block's bytes.
 
 `float_fields` finds the shortest decimal that reads back as the float, as
 `repr` does: it rounds x 10^p to 15, 16 and 17 significant digits in
@@ -175,7 +177,7 @@ def _decimals(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pow2 = (ax.view(np.int64) & ((1 << 52) - 1)) == 0
     M = N
     for scale in (10, 100):  # 16 and 15 digits; the shorter wins when it reads back
-        r = N % scale
+        r = N - N // scale * scale  # N % scale, without int64 %
         v = (r + d) / scale
         n = np.rint(v)
         dk = v - n
@@ -195,9 +197,15 @@ def _decimals(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _chunks(m: np.ndarray) -> np.ndarray:
-    """m < 10^20 as five 4-digit numbers, the most significant first."""
-    return np.stack([m // 10 ** 16, m // 10 ** 12 % 10 ** 4, m // 10 ** 8 % 10 ** 4,
-                     m // 10 ** 4 % 10 ** 4, m % 10 ** 4], axis=-1)
+    """m < 10^20 as five 4-digit numbers, the most significant first; peeled
+    off with // alone, which numpy computes faster than int64 %."""
+    out = np.empty(m.shape + (5,), dtype=m.dtype)
+    for j in (4, 3, 2, 1):
+        q = m // 10 ** 4
+        out[..., j] = m - q * 10 ** 4
+        m = q
+    out[..., 0] = m
+    return out
 
 
 def float_fields(x: np.ndarray, buf: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -261,31 +269,42 @@ def int_fields(v: np.ndarray, buf: np.ndarray, keep: np.ndarray) -> None:
     keep[..., 0] = v < 0
 
 
-# A number block of report.json takes its texts from the kernels
-# (`number_texts`) from this many numbers on, and each number's repr through
-# "%r" below it: a call of number_texts costs about 0.4 ms whatever its size,
-# "%r" about 1.2 us a number.  Measured on 2 vCPUs, numpy 2.4.6, kernel
-# against "%r": 0.54 ms against 0.30 ms at 300 numbers, 0.61 against 0.63 at
-# 500, 1.0 against 1.3 at 1 000 and 4.4 against 7.9 at 10 000.
+# A number block of report.json is written by the kernels (`number_text`)
+# from this many numbers on, and each number's repr through "%r" below it:
+# a float block costs about 0.14 ms plus 0.43 us a number in the kernels,
+# and 0.7 us a number through "%r".  Measured on 2 vCPUs, numpy 2.4.6, a
+# flat block of floats, kernel against "%r": 0.26 ms against 0.21 ms at 300
+# numbers, 0.31 against 0.31 at 450, 0.34 against 0.38 at 500, 0.50
+# against 0.70 at 1 000 and 4.6 against 7.4 at 10 000.
 KERNEL_MIN = 512
 
+# The bytes that mark a separator in `number_text`: control bytes, which no
+# number text holds, but not the line feed that separators hold.
+MARKS = bytes(b for b in range(0x20) if b != ord("\n"))
 
-def number_texts(values: np.ndarray) -> list[str]:
-    """repr of each float64, or str of each int64, of a 1-D array, laid out
-    by float_fields or int_fields and taken from one mask compress of the
-    fields: the texts of a large number block of report.json.  The numbers
-    are laid out 8 ROW_BLOCK at a time, as many fields as one block of rows
-    of a 2x2 trajectory CSV holds."""
+
+def number_text(values: np.ndarray, which: np.ndarray, separators: list[bytes]) -> str:
+    """The text of a report.json number block: repr of each float64, or str
+    of each int64, of a 1-D array, the number values[i] followed by
+    separators[which[i]].  The numbers are laid out by float_fields or
+    int_fields 8 ROW_BLOCK at a time, as many fields as one block of rows
+    of a 2x2 trajectory CSV holds, each field's last byte the mark (from
+    MARKS) of its separator; each part is one mask compress, and each
+    separator one bytes.replace of its mark over the whole text."""
     fields = float_fields if values.dtype.kind == "f" else int_fields
-    texts: list[str] = []
+    marks = np.frombuffer(MARKS, dtype=np.uint8)[which]
+    parts = []
     for lo in range(0, len(values), 8 * ROW_BLOCK):
         part = values[lo:lo + 8 * ROW_BLOCK]
         buf = np.empty((len(part), FIELD), dtype=np.uint8)
         keep = np.zeros(buf.shape, dtype=bool)
         fields(part, buf, keep)
-        buf[:, -1], keep[:, -1] = ord(","), True
-        texts += buf[keep].tobytes().decode("ascii").split(",")[:-1]
-    return texts
+        buf[:, -1], keep[:, -1] = marks[lo:lo + 8 * ROW_BLOCK], True
+        parts.append(buf[keep].tobytes())
+    text = b"".join(parts)
+    for mark, separator in zip(MARKS, separators):
+        text = text.replace(bytes([mark]), separator)
+    return text.decode("ascii")
 
 
 @dataclass

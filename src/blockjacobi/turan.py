@@ -257,8 +257,8 @@ def extract_periodic_limits(fam: CoefficientFamily, N: int,
         lo = 1 if name == "R" else 0
         for j in range(N):
             first = j if j >= lo else j + N
-            idx = list(range(first, horizon, N))
-            if not idx:
+            idx = np.arange(first, horizon, N)
+            if not len(idx):
                 raise ValueError("horizon too small for the requested period")
             lim = stack_limit(take, idx, tol=EXTRACTION_TOL)
             data[name].append(lim.value)

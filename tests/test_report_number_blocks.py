@@ -1,9 +1,10 @@
 """Byte-oracle tests of report number blocks around table.KERNEL_MIN: from
-that many numbers on, a block of floats or of int64 ints takes its texts
-from the CSV number kernels, and below it, or with any other leaf, it does
-not.  A table whose entries mix numbers with [re, im] pairs is a block too.
-Every block must keep the bytes of the two-walk encoder
-(`conftest.report_oracle`) either way."""
+that many numbers on, a block of floats or of int64 ints is written by the
+CSV number kernels (`table.number_text`), each separator put in from a
+marker byte, and below it, or with any other leaf, it is not.  A table
+whose entries mix numbers with [re, im] pairs is a block too.  Every block
+must keep the bytes of the two-walk encoder (`conftest.report_oracle`)
+either way."""
 
 import importlib.util
 import math
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 from blockjacobi import runner
-from blockjacobi.runner import AnalysisReport, report_json
+from blockjacobi.config import parse_config
+from blockjacobi.runner import AnalysisReport, report_json, run
 from blockjacobi.table import KERNEL_MIN, float_fields
 from conftest import report_oracle
 
@@ -30,6 +32,22 @@ def written(obj) -> str:
 
 def assert_bytes(obj) -> None:
     assert written(obj) == report_oracle({"config": {}, "results": obj, "tool": {}})
+
+
+@pytest.fixture
+def kernel_sizes(monkeypatch) -> list[int]:
+    """The number of numbers of each block that table.number_text writes
+    from here on, in the order written."""
+    sizes = []
+    monkeypatch.setattr(runner, "number_text",
+                        lambda x, *marks, text_of=runner.number_text:
+                        sizes.append(len(x)) or text_of(x, *marks))
+    return sizes
+
+
+def tuples(obj):
+    """obj with every list a tuple."""
+    return tuple(map(tuples, obj)) if isinstance(obj, list) else obj
 
 
 def every_exponent(n: int, seed: int = 0) -> list[float]:
@@ -100,10 +118,7 @@ def test_a_ragged_block_keeps_its_bytes():
         assert_bytes(rows[:-1] + [last])
 
 
-def test_the_kernel_serves_large_rectangular_number_blocks_only(monkeypatch):
-    sizes = []
-    monkeypatch.setattr(runner, "number_texts",
-                        lambda x, texts_of=runner.number_texts: sizes.append(len(x)) or texts_of(x))
+def test_the_kernel_serves_large_rectangular_number_blocks_only(kernel_sizes):
     floats = every_exponent(2 * KERNEL_MIN)
     pairs = np.array(floats).reshape(-1, 2).tolist()
     blocks = {"below": floats[:KERNEL_MIN - 1], "at": floats[:KERNEL_MIN],
@@ -112,7 +127,7 @@ def test_the_kernel_serves_large_rectangular_number_blocks_only(monkeypatch):
               "ragged": pairs[:-1] + [[0.5]], "nan": pairs[:-1] + [[0.5, math.nan]],
               "bool": pairs[:-1] + [[0.5, True]], "big int": [2 ** 63] + list(range(KERNEL_MIN))}
     assert_bytes(blocks)
-    assert sorted(sizes) == [KERNEL_MIN, KERNEL_MIN, 2 * KERNEL_MIN]
+    assert sorted(kernel_sizes) == [KERNEL_MIN, KERNEL_MIN, 2 * KERNEL_MIN]
 
 
 def hermitian_tables(n: int, seed: int = 0) -> list:
@@ -124,15 +139,13 @@ def hermitian_tables(n: int, seed: int = 0) -> list:
 
 
 @pytest.mark.parametrize("n", [KERNEL_MIN // 6 - 1, KERNEL_MIN // 6 + 1, 2000])
-def test_tables_mixing_numbers_and_pairs_are_blocks(n, monkeypatch):
+def test_tables_mixing_numbers_and_pairs_are_blocks(n, kernel_sizes):
     tables = hermitian_tables(n, seed=n)
     assert runner._number_block(tables, "\n") is not None
-    sizes = []
-    monkeypatch.setattr(runner, "number_texts",
-                        lambda x, texts_of=runner.number_texts: sizes.append(len(x)) or texts_of(x))
+    kernel_sizes.clear()
     assert_bytes({"b": tables, "ints": [[1, [2, 3]], [[2, -3], 4]] * n})
     # the floats of the tables and the ints of 2n rows, 6n numbers each
-    assert sizes == ([6 * n] * 2 if 6 * n >= KERNEL_MIN else [])
+    assert kernel_sizes == ([6 * n] * 2 if 6 * n >= KERNEL_MIN else [])
 
 
 @pytest.mark.parametrize("n", [KERNEL_MIN // 6 - 1, KERNEL_MIN // 6 + 1])
@@ -146,3 +159,87 @@ def test_mixed_tables_with_a_non_finite_or_ragged_entry_keep_the_entry_path(n):
     tables[-1][1] = tables[-1][1][:1]  # a row one entry short
     assert runner._number_block(tables, "\n") is None
     assert_bytes(tables)
+
+
+def general_table(seed: int) -> list:
+    """A 2x2 table of [re, im] pairs only, as a config writes a complex a_n."""
+    x = every_exponent(8, seed)
+    return [[x[0:2], x[2:4]], [x[4:6], x[6:8]]]
+
+
+@pytest.mark.parametrize("ends", ["first", "last", "first and last"])
+@pytest.mark.parametrize("n", [KERNEL_MIN // 6 + 1, 2000])
+def test_mixed_blocks_that_start_or_end_with_a_pair_keep_their_bytes(n, ends, kernel_sizes):
+    """Hermitian tables with a real diagonal, after or before a table of
+    pairs, so that the block's first or last entry is a pair."""
+    head = [general_table(1)] if "first" in ends else []
+    tail = [general_table(2)] if "last" in ends else []
+    tables = head + hermitian_tables(n, seed=n) + tail
+    size = 6 * n + 8 * (len(head) + len(tail))
+    assert_bytes(tables)
+    assert_bytes({"b": tables, "n": n})
+    assert kernel_sizes == [size, size]
+
+
+def random_mixed(shape: tuple, seed: int) -> tuple[list, list[bool]]:
+    """A block of that shape whose entries are numbers or, at random,
+    [re, im] pairs; and where the pairs are."""
+    pairs = (np.random.default_rng(seed).random(math.prod(shape)) < 0.5).tolist()
+    x = iter(every_exponent(2 * len(pairs), seed))
+    entries = np.empty(len(pairs), dtype=object)
+    entries[:] = [[next(x), next(x)] if p else next(x) for p in pairs]
+    return entries.reshape(shape).tolist(), pairs
+
+
+@pytest.mark.parametrize("shape", [(KERNEL_MIN,), (43, 3, 4), (5, 1, 7, 2, 9)])
+def test_mixed_blocks_with_pairs_anywhere_keep_their_bytes(shape, kernel_sizes):
+    """Pairs at random entries, so that every kind of number meets every
+    count of closing levels, with and without a pair next."""
+    block, pairs = random_mixed(shape, seed=len(shape))
+    assert_bytes(block)
+    assert_bytes(tuples(block))
+    assert kernel_sizes == [len(pairs) + sum(pairs)] * 2
+
+
+@pytest.mark.parametrize("shape", [(KERNEL_MIN,), (KERNEL_MIN // 2, 2), (43, 3, 4),
+                                   (KERNEL_MIN // 8, 2, 2, 2), (2, 3, 1, 5, 18)])
+def test_int64_and_float_blocks_of_ranks_one_to_five_are_written_by_the_kernel(shape, kernel_sizes):
+    rng = np.random.default_rng(len(shape))
+    ints = rng.integers(-2 ** 63, 2 ** 63 - 1, size=shape, endpoint=True)
+    ints //= 10 ** rng.integers(0, 19, size=shape)  # every digit count
+    floats = np.array(every_exponent(math.prod(shape), seed=len(shape))).reshape(shape)
+    for block in (ints.tolist(), floats.tolist()):
+        assert_bytes(block)
+        assert_bytes(tuples(block))
+        assert_bytes({"block": [block]})  # one level deeper
+    assert kernel_sizes == [math.prod(shape)] * 6
+
+
+def test_a_block_with_more_separators_than_marks_keeps_its_bytes(kernel_sizes):
+    """A rank-9 block whose entries are pairs at random needs 32 separators,
+    one more than table.MARKS holds, and is written through "%r"."""
+    block, pairs = random_mixed((2,) * 9, seed=0)
+    with pytest.raises(OverflowError):
+        runner._separators([2] * 9, pairs, "\n")
+    assert_bytes(block)
+    assert kernel_sizes == []
+
+
+def test_a_tabulated_echo_has_no_control_byte_but_the_line_feed(kernel_sizes):
+    """A tabulated family with complex a_n written as pairs and Hermitian
+    b_n with a real diagonal: both echo blocks are written by the kernel,
+    and no mark is left in the report."""
+    def entry(n):
+        e = 0.1 * math.exp(-n / 10)
+        return ([[[2.0 + e, e], [0.5, -e]], [[0.25, e / 3], [1.5 - e, 0.0]]],
+                [[2.0 + e, [0.5, e]], [[0.5, -e], 1.0 - e / 7]])
+
+    n = KERNEL_MIN // 6 + 10
+    family = {"kind": "tabulated", "a": [entry(k)[0] for k in range(n)],
+              "b": [entry(k)[1] for k in range(n)]}
+    report = run(parse_config({"family": family, "horizon": 50,
+                               "analyses": [{"kind": "validate"}, {"kind": "carleman"}]}))
+    text = report_json(report, include_times=False)
+    assert text == report_oracle(report.to_json_dict(include_times=False))
+    assert kernel_sizes == [8 * n, 6 * n]
+    assert set(text.encode()) & set(range(0x20)) == {ord("\n")}

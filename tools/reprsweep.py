@@ -9,11 +9,14 @@ subnormals, infinities and NaNs included), and compares each cell's bytes
 with `repr`.  Then writes the finite values, CHUNK at a time, as number
 blocks of a report through `blockjacobi.runner.report_json`: one of
 table.KERNEL_MIN - 1 values (written with "%r"), one of KERNEL_MIN and one
-of the rest (both from the kernel), and compares each line with the text of
-json.dumps.  Prints every mismatch (the first MISMATCHES_SHOWN of them),
-the number of differing report lines, and the share of values the kernel
-left to `repr`, over all values and over those inside its range; exits 1 on
-a mismatch, else 0.
+of the rest (both from the kernel); and all of them again as a rank-4
+block of 2x2 tables of [re, im] pairs and as a block of 2x2 tables whose
+entries are numbers or pairs at random, the first and the last a pair
+(both from the kernel, their separators expanded from marker bytes).  It
+compares each line with the text of json.dumps.  Prints every mismatch
+(the first MISMATCHES_SHOWN of them), the number of differing report
+lines, and the share of values the kernel left to `repr`, over all values
+and over those inside its range; exits 1 on a mismatch, else 0.
 
 The edge sets: signed zeros, infinities and NaN; the smallest subnormal, the
 smallest normal and the largest float; every power of two from 2^-1074 to
@@ -90,14 +93,27 @@ def kernel_text(x: np.ndarray) -> tuple[list[bytes], np.ndarray]:
     return buf[keep].tobytes().split(b"\n")[:-1], other
 
 
-def json_mismatches(x: np.ndarray) -> list[tuple[str, str]]:
+def mixed_tables(v: np.ndarray, seed: int) -> list:
+    """2x2 tables of the values of v, each entry a number or, at random, an
+    [re, im] pair; the first and the last entry are pairs."""
+    pairs = np.random.default_rng(seed).random(len(v) // 8 * 4) < 0.5
+    pairs[:1] = pairs[-1:] = True
+    values = iter(v.tolist())
+    entries = [[next(values), next(values)] if p else next(values) for p in pairs.tolist()]
+    return [[entries[i:i + 2], entries[i + 2:i + 4]] for i in range(0, len(entries), 4)]
+
+
+def json_mismatches(x: np.ndarray, seed: int = 0) -> list[tuple[str, str]]:
     """The lines of report_json that differ from json.dumps (as pairs, a
     missing line empty), the finite values of x laid out as number blocks
-    of KERNEL_MIN - 1 values, KERNEL_MIN values and the rest."""
+    of KERNEL_MIN - 1 values, KERNEL_MIN values and the rest, as 2x2 tables
+    of pairs and as 2x2 tables of numbers and pairs (`mixed_tables`)."""
     v = x[np.isfinite(x)]
     k = table.KERNEL_MIN
     results = {"below": v[:k - 1].tolist(), "at": v[k - 1:2 * k - 1].tolist(),
-               "rest": v[2 * k - 1:].tolist()}
+               "rest": v[2 * k - 1:].tolist(),
+               "pairs": v[:len(v) // 8 * 8].reshape(-1, 2, 2, 2).tolist(),
+               "mixed": mixed_tables(v, seed)}
     got = runner.report_json(runner.AnalysisReport(tool={}, config={}, results=results),
                              include_times=False).splitlines()
     want = json.dumps({"config": {}, "results": results, "tool": {}},
@@ -123,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
                     bits = np.float64(v).view(np.int64)
                     print(f"mismatch: {v!r} ({bits:#018x}) gave {g.decode()!r}")
                 mismatches += 1
-        for g, w in json_mismatches(part):
+        for g, w in json_mismatches(part, args.seed + lo):
             if mismatches < MISMATCHES_SHOWN:
                 print(f"report line mismatch: {g!r}, json.dumps {w!r}")
             mismatches += 1
