@@ -472,10 +472,11 @@ class TabulatedFamily(CoefficientFamily):
 
 
 def _operator_table(mats: Sequence, name: str) -> np.ndarray:
-    """Stack of square, finite complex matrices; when numpy refuses the list,
-    the error names its first entry that is not a matrix of entry 0's shape."""
+    """Stack of square, finite complex matrices, a complex128 array held as
+    it is; when numpy refuses the list, the error names its first entry that
+    is not a matrix of entry 0's shape."""
     try:
-        t = np.array(mats, dtype=np.complex128)
+        t = np.asarray(mats, dtype=np.complex128)
     except ValueError:
         shapes = []
         for k, m in enumerate(mats):

@@ -5,6 +5,11 @@ here, so a malformed document fails before any analysis runs.  The keys of an
 analysis kind are the keyword parameters of its handler in `runner.ANALYSES`.
 Complex scalars are written as [re, im] pairs and matrices as row-major
 nested arrays whose entries are reals or [re, im] pairs.
+
+The report echoes the family as parsed (`FamilySpec.echo`): a table of
+matrices (tabulated a and b, scaled_periodic X and Y) written in floats
+alone is echoed from the float64 array its one-pass typing built, a view of
+the family's own table, and any other table as the document wrote it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import inspect
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -32,6 +36,7 @@ from .coeffs import (
 )
 from .fixtures import FIXTURES
 from .runner import ANALYSES, STRATEGIES
+from .table import walk_nested
 
 
 class ParseError(ValueError):
@@ -114,15 +119,16 @@ def parse_weight(obj: Any, path: str) -> ScalarWeight:
 @dataclass
 class FamilySpec:
     family: CoefficientFamily
+    echo: Any = None  # the family as the report echoes it; None: raw["family"]
 
     def build(self) -> CoefficientFamily:
         return self.family
 
 
-def _built(make, path: str, *args, **kwargs) -> FamilySpec:
+def _built(make, path: str, *args, echo=None, **kwargs) -> FamilySpec:
     """The family make(*args, **kwargs); a refusal is reported at path."""
     try:
-        return FamilySpec(make(*args, **kwargs))
+        return FamilySpec(make(*args, **kwargs), echo)
     except ValueError as exc:
         raise ParseError(path, str(exc)) from exc
 
@@ -139,25 +145,24 @@ def _fixture(name: Any, params: Any, name_path: str, params_path: str) -> Family
     return _built(factory, params_path, **params)
 
 
-def _matrices(v: Any, path: str) -> np.ndarray:
-    """A table of matrices of one shape as one (n, rows, cols) stack."""
+def _matrices(v: Any, path: str) -> tuple[np.ndarray, Any]:
+    """A table of matrices of one shape as one (n, rows, cols) stack, and
+    the table as the report echoes it (see `_typed_table`)."""
     if not isinstance(v, list) or not v:
         raise ParseError(path, "expected a non-empty array of matrices")
-    table = _typed_table(v)
-    return _typed_entries(v, path) if table is None else table
+    return _typed_table(v) or (_typed_entries(v, path), v)
 
 
-def _typed_table(v: list) -> np.ndarray | None:
+def _typed_table(v: list) -> tuple[np.ndarray, Any] | None:
     """The table typed in one pass when every entry is a matrix of one shape
     and every number is a finite int or float, written all as reals or all
-    as [re, im] pairs; None otherwise.  Only lists count as arrays."""
-    shape, level = [], [v]
-    while (kinds := set(map(type, level))) == {list}:
-        lens = set(map(len, level))
-        if len(lens) != 1 or 0 in lens:
-            return None
-        shape += lens
-        level = list(chain.from_iterable(level))
+    as [re, im] pairs; None otherwise.  Only lists count as arrays.  With
+    the stack comes its echo: when every number is a float, the float64
+    array of the numbers, a view of the stack; else the list v."""
+    walked = walk_nested(v, {list})
+    if walked is None:
+        return None
+    shape, level, kinds = walked
     if not kinds <= {int, float} or not (len(shape) == 3 or shape[3:] == [2]):
         return None
     try:  # an integer too large for a float overflows
@@ -167,7 +172,9 @@ def _typed_table(v: list) -> np.ndarray | None:
     if not np.isfinite(t).all():
         return None
     # the pair axis read as complex keeps the sign of a zero part
-    return t.view(np.complex128)[..., 0] if len(shape) == 4 else t.astype(np.complex128)
+    table = t.view(np.complex128)[..., 0] if len(shape) == 4 else t.astype(np.complex128)
+    floats = t if len(shape) == 4 else table.real  # a view of the table either way
+    return table, floats if kinds == {float} else v
 
 
 def _typed_entries(v: list, path: str) -> np.ndarray:
@@ -192,16 +199,17 @@ def parse_family(obj: Any, path: str) -> FamilySpec:
         return _fixture(obj["name"], obj.get("params", {}), f"{path}.name", f"{path}.params")
     if kind == "scaled_periodic":
         _require_keys(obj, path, {"kind", "period", "x", "y", "X", "Y"}, set())
-        return _built(scaled_periodic_family, path,
-                      _number(int, 1)(obj["period"], f"{path}.period"),
-                      parse_weight(obj["x"], f"{path}.x"), parse_weight(obj["y"], f"{path}.y"),
-                      _matrices(obj["X"], f"{path}.X"), _matrices(obj["Y"], f"{path}.Y"))
+        period = _number(int, 1)(obj["period"], f"{path}.period")
+        x, y = parse_weight(obj["x"], f"{path}.x"), parse_weight(obj["y"], f"{path}.y")
+        (X, echo_X), (Y, echo_Y) = (_matrices(obj[k], f"{path}.{k}") for k in "XY")
+        return _built(scaled_periodic_family, path, period, x, y, X, Y,
+                      echo={**obj, "X": echo_X, "Y": echo_Y})
     _require_keys(obj, path, {"kind", "a", "b"}, set())
     if kind == "constant":
         return _built(constant_family, path, parse_matrix(obj["a"], f"{path}.a"),
                       parse_matrix(obj["b"], f"{path}.b"))
-    return _built(tabulated_family, path, _matrices(obj["a"], f"{path}.a"),
-                  _matrices(obj["b"], f"{path}.b"))
+    (a, echo_a), (b, echo_b) = (_matrices(obj[k], f"{path}.{k}") for k in "ab")
+    return _built(tabulated_family, path, a, b, echo={**obj, "a": echo_a, "b": echo_b})
 
 
 # ---- analysis keys ----
@@ -328,6 +336,9 @@ class AnalysisConfig:
     horizon: int = DEFAULT_HORIZON
     seed: int = 0
     out_dir: str | None = None
+    # the document: the report echoes its analyses, and its family unless
+    # family.echo is set; parse_config sets it, so that a table parsed from
+    # floats is echoed as parsed even if raw is mutated afterwards
     raw: dict = field(default_factory=dict)
 
 

@@ -12,7 +12,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .commutator import (
 )
 from .opcore import DEFINITENESS_EPS, NotConvergentError, HypothesisViolatedError
 from .recurrence import fundamental_matrix, propagate, trajectory_table
-from .table import KERNEL_MIN, MARKS, Table, number_text, write_csv
+from .table import KERNEL_MIN, MARKS, Table, number_text, walk_nested, write_csv
 from .turan import (
     asymptotic_band,
     christoffel_limit,
@@ -102,9 +101,10 @@ def run(config) -> AnalysisReport:
     validation analysis with violations poisons nothing else; each analysis
     failure is recorded under its own key and the rest continue."""
     fam = config.family.build()
+    echo = config.family.echo
     report = AnalysisReport(
         tool={"name": "blockjacobi", "version": __version__},
-        config={"family": config.raw.get("family"),
+        config={"family": config.raw.get("family") if echo is None else echo,
                 "analyses": [dict(a) for a in config.raw["analyses"]],
                 "horizon": config.horizon, "seed": config.seed},
     )
@@ -302,20 +302,13 @@ def _is_number(v) -> bool:
 
 def _number_block(obj: list | tuple, indent: str) -> str | None:
     """The indented text of a rectangular nested block of numbers (see
-    `_is_number`); None when the block is ragged or holds any other leaf.
-    Its innermost entries may mix numbers with [re, im] pairs (a Hermitian
-    table with a real diagonal).  A block of table.KERNEL_MIN numbers or
-    more, all floats or all int64 ints, is written by `table.number_text`
-    with the separators of `_separators`; any other is formatted through
-    one "%r" template built from its shape, entry by entry for a mixed
-    block."""
-    shape, leaves = [len(obj)], obj
-    while (kinds := set(map(type, leaves))) <= {list, tuple}:
-        sizes = set(map(len, leaves))
-        if len(sizes) != 1:  # ragged
-            return None
-        shape.append(sizes.pop())
-        leaves = list(chain.from_iterable(leaves))
+    `_is_number`) by `_block_text`; None when the block is ragged or holds
+    any other leaf.  Its innermost entries may mix numbers with [re, im]
+    pairs (a Hermitian table with a real diagonal)."""
+    walked = walk_nested(obj, {list, tuple})
+    if walked is None:
+        return None
+    shape, leaves, kinds = walked
     pairs = None
     if kinds & {list, tuple}:  # numbers mixed with pairs
         pairs = [type(v) in (list, tuple) for v in leaves]
@@ -329,13 +322,31 @@ def _number_block(obj: list | tuple, indent: str) -> str | None:
     x = np.fromiter(floats, np.float64, len(floats))
     if not np.isfinite(x).all():
         return None
+    values = None
     if len(leaves) >= KERNEL_MIN and len(kinds) == 1:
         try:
             values = x if float in kinds else np.array(leaves, dtype=np.int64)
+        except OverflowError:  # an int past int64
+            pass
+    return _block_text(shape, pairs, values, leaves, indent)
+
+
+def _block_text(shape: list[int], pairs: list[bool] | None, values: np.ndarray | None,
+                leaves: list | None, indent: str) -> str:
+    """The indented text of a block of numbers of that shape, whose
+    innermost entries are pairs where `pairs` says so.  A block given as a
+    1-D float64 or int64 array `values` (its callers give one from
+    table.KERNEL_MIN numbers on) is written by `table.number_text` with the
+    separators of `_separators`; any other is formatted through one "%r"
+    template built from its shape, entry by entry for a mixed block, filled
+    with `leaves` (by default, the numbers of `values`)."""
+    if values is not None:
+        try:
             head, which, separators = _separators(shape, pairs, indent)
             return head + number_text(values, which, separators)
-        except OverflowError:  # an int past int64, or more separators than marks
+        except OverflowError:  # more separators than marks
             pass
+    leaves = values.tolist() if leaves is None else leaves
     texts = ["%r"]  # the entries' templates, one for all when they are alike
     if pairs is not None:
         inner = indent + "  " * (len(shape) + 1)
@@ -395,13 +406,18 @@ def _write(obj, indent: str, out: list[str], bulk: bool = True) -> None:
     """Append the JSON text of `obj` to out, `indent` being the line break
     and indentation of its own level.  Dicts (with str keys), lists, tuples
     and arrays are walked here and every other value is written as
-    `_jsonable` makes it.  A nested list is looked at as a number block at
-    most once, at its outermost level: a block there is formatted in bulk,
-    otherwise (`bulk` False) its sublists are written one by one."""
+    `_jsonable` makes it.  A finite float64 array of table.KERNEL_MIN
+    numbers or more is a number block formatted from its values, any other
+    array is written as its list.  A nested list is looked at as a number
+    block at most once, at its outermost level: a block there is formatted
+    in bulk, otherwise (`bulk` False) its sublists are written one by one."""
     if _is_number(obj):
         out.append(repr(obj))
         return
     if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.size >= KERNEL_MIN and np.isfinite(obj).all():
+            out.append(_block_text(list(obj.shape), None, obj.reshape(-1), None, indent))
+            return
         obj = obj.tolist()
     if isinstance(obj, dict):
         brackets, bulk = "{}", True
@@ -441,7 +457,8 @@ def _write(obj, indent: str, out: list[str], bulk: bool = True) -> None:
 def report_json(report: AnalysisReport, include_times: bool = True) -> str:
     """The report as key-sorted, indented JSON text: the bytes of
     json.dumps(_jsonable(d), sort_keys=True, indent=2, allow_nan=False),
-    written in one walk and joined once."""
+    written in one walk and joined once.  A parsed table's echo (see
+    config.FamilySpec) is written from its float64 array, not from lists."""
     out: list[str] = []
     _write(report.to_json_dict(include_times), "\n", out)
     return "".join(out)

@@ -13,7 +13,8 @@ any other dtype take their `str`, left-aligned in the same fields.  The
 same kernels write report.json's number blocks of KERNEL_MIN numbers or
 more (`number_text`): there a field's last byte is a control byte that
 names the separator after the number, and each separator is put in by one
-`bytes.replace` of its mark over the block's bytes.
+`bytes.replace` of its mark over the block's bytes.  `walk_nested` is the
+one walk of nested number arrays, for config's tables and report blocks.
 
 `float_fields` finds the shortest decimal that reads back as the float, as
 `repr` does: it rounds x 10^p to 15, 16 and 17 significant digits in
@@ -27,6 +28,7 @@ boundary) takes Python's `repr`, so the bytes equal `repr` by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -305,6 +307,22 @@ def number_text(values: np.ndarray, which: np.ndarray, separators: list[bytes]) 
     for mark, separator in zip(MARKS, separators):
         text = text.replace(bytes([mark]), separator)
     return text.decode("ascii")
+
+
+def walk_nested(v, arrays: set[type]) -> tuple[list[int], list, set[type]] | None:
+    """The walk of a rectangular nested array v, one level at a time while
+    every entry of the level is an array (its type in `arrays`): the shape,
+    the leaves in row-major order and the set of their types.  None when the
+    arrays of a level differ in length or are empty.  Each caller sets its
+    own rules on the leaves."""
+    shape, level = [], [v]
+    while (kinds := set(map(type, level))) <= arrays:
+        lens = set(map(len, level))
+        if len(lens) != 1 or 0 in lens:
+            return None
+        shape += lens
+        level = list(chain.from_iterable(level))
+    return shape, level, kinds
 
 
 @dataclass

@@ -168,8 +168,18 @@ def test_the_gate_jobs_run_the_paths_no_workload_takes(tmp_path, monkeypatch):
     assert sorted(digests) == [
         "extra/out/extra/02_trajectory_trajectory.csv", "extra/out/extra/report.json",
         "extra/out/scan/00_lambda_scan_intervals.csv", "extra/out/scan/report.json",
-        "extra/out/scan/stdout"]
+        "extra/out/scan/stdout", "extra/out/tabulated/report.json",
+        "extra/out/tabulated_cli/report.json", "extra/out/tabulated_cli/stdout"]
     assert texts["extra/out/scan/stdout"] == "exit 0\nwrote out/scan/report.json\n"
+    assert texts["extra/out/tabulated_cli/stdout"] == (
+        "exit 0\nwrote out/tabulated_cli/report.json\n")
+    # the echo of a (its int leaf) and of b (a float table of KERNEL_MIN numbers or more)
+    for out in ("tabulated", "tabulated_cli"):
+        report = json.loads((tmp_path / "extra/out" / out / "report.json").read_text())
+        assert report["config"]["family"] == bytegate.tabulated_file(3)
+        assert type(report["config"]["family"]["a"][0][0][0]) is int
+        assert "error" not in report["results"]["00_validate" if out == "tabulated"
+                                                 else "00_trajectory"]
     results = json.loads((tmp_path / "extra/out/extra/report.json").read_text())["results"]
     assert "error" not in results["00_indeterminacy"]
     assert "error" not in results["01_turan_convergence"]

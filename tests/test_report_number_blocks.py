@@ -7,6 +7,7 @@ must keep the bytes of the two-walk encoder (`conftest.report_oracle`)
 either way."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -243,3 +244,87 @@ def test_a_tabulated_echo_has_no_control_byte_but_the_line_feed(kernel_sizes):
     assert text == report_oracle(report.to_json_dict(include_times=False))
     assert kernel_sizes == [8 * n, 6 * n]
     assert set(text.encode()) & set(range(0x20)) == {ord("\n")}
+
+
+EDGES = [-0.0, 5e-324, 1e300]
+
+
+def echo_tables(count: int, form: str, seed: int) -> tuple[list, list]:
+    """Two tables of 2x2 entries, about `count` numbers each: "real"
+    numbers, [re, im] "pairs" everywhere, "mixed" (a real diagonal, pairs
+    off it) or "int" (reals, one of them the int 1).  Random numbers of
+    modulus below 1 on a dominant diagonal, with -0.0, 5e-324 and 1e300 in
+    the last entry."""
+    per = {"real": 4, "int": 4, "pairs": 8, "mixed": 6}[form]
+    rng = np.random.default_rng(seed)
+    tables = []
+    for _ in range(2):
+        table = []
+        for k in range(count // per):
+            x = rng.uniform(-1.0, 1.0, 8).tolist()
+            if k == count // per - 1:
+                x[1:4] = EDGES
+            m = [[[3.0 + x[0], x[4]], [x[1], x[5]]], [[x[2], x[6]], [3.0 + x[3], x[7]]]]
+            if form in ("real", "int"):
+                m = [[z[0] for z in row] for row in m]
+            elif form == "mixed":
+                m[0][0], m[1][1] = m[0][0][0], m[1][1][0]
+            table.append(m)
+        tables.append(table)
+    if form == "int":
+        tables[0][0][0][1] = 1
+    return tables[0], tables[1]
+
+
+def echo_family(kind: str, a: list, b: list) -> dict:
+    if kind == "tabulated":
+        return {"kind": "tabulated", "a": a, "b": b}
+    return {"kind": "scaled_periodic", "period": len(a),
+            "x": {"kind": "constant", "value": 1.0}, "y": {"kind": "constant", "value": 0.5},
+            "X": a, "Y": b}
+
+
+@pytest.mark.parametrize("kind", ["tabulated", "scaled_periodic"])
+@pytest.mark.parametrize("form", ["real", "pairs", "int", "mixed"])
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_an_echoed_table_keeps_the_bytes_of_the_raw_family(kind, form, step):
+    """Tables of KERNEL_MIN numbers, one entry fewer or one more: the report
+    of the parsed family is the oracle's of the report that holds the raw
+    family, and parsing leaves the caller's document as it was."""
+    per = {"real": 4, "int": 4, "pairs": 8, "mixed": 6}[form]
+    a, b = echo_tables(KERNEL_MIN + step * per, form, seed=per + step)
+    family = echo_family(kind, a, b)
+    doc = {"family": family, "horizon": 2, "analyses": [{"kind": "validate", "upto": 1}]}
+    before = json.dumps(doc)
+    report = run(parse_config(doc))
+    assert json.dumps(doc) == before
+    assert doc["family"] is family and family["a" if kind == "tabulated" else "X"] is a
+    raw = report.to_json_dict(include_times=False)
+    raw["config"] = {**raw["config"], "family": family}
+    text = report_json(report, include_times=False)
+    assert text == report_oracle(raw)
+    leaf = json.loads(text)["config"]["family"]["a" if kind == "tabulated" else "X"][0][0][1]
+    assert type(leaf) is {"real": float, "int": int}.get(form, list)
+
+
+def test_a_tabulated_echo_is_written_from_the_family_tables(kernel_sizes, monkeypatch):
+    """Real entries in a and pairs in b, each table above KERNEL_MIN numbers:
+    the list walker sees neither table, number_text gets each once, and
+    each echoed array is a view of the family's own table."""
+    a, _ = echo_tables(KERNEL_MIN + 4, "real", seed=1)
+    _, b = echo_tables(2 * len(a) * 4, "pairs", seed=2)
+    family = {"kind": "tabulated", "a": a, "b": b}
+    config = parse_config({"family": family, "horizon": 2,
+                           "analyses": [{"kind": "validate", "upto": 1}]})
+    walked = []
+    walk = runner.walk_nested
+    monkeypatch.setattr(runner, "walk_nested", lambda v, arrays: walked.append(v) or walk(v, arrays))
+    report = run(config)
+    raw = report.to_json_dict(include_times=False)
+    raw["config"] = {**raw["config"], "family": family}
+    assert report_json(report, include_times=False) == report_oracle(raw)
+    assert not [v for v in walked if v == a or v == b]
+    assert kernel_sizes == [4 * len(a), 8 * len(b)]
+    fam, echo = config.family.build(), report.config["family"]
+    assert np.shares_memory(echo["a"], fam._table_A)
+    assert np.shares_memory(echo["b"], fam._table_B)

@@ -1,10 +1,12 @@
 """Property test of table typing: `config._matrices` types a well-formed table
 in one pass (`_typed_table`) with the bits of the per-entry path
-(`_typed_entries`), and every malformed table gets the per-entry error."""
+(`_typed_entries`), a table of floats is echoed as a float view of the typed
+stack, and every malformed table gets the per-entry error."""
 
 import copy
 import math
 
+import numpy as np
 import pytest
 
 from blockjacobi import config
@@ -51,17 +53,32 @@ def _is_pair(leaf) -> bool:
     return isinstance(leaf, list)
 
 
+def _numbers(obj) -> list:
+    """The numbers of a nested list, in order."""
+    return [w for v in obj for w in _numbers(v)] if isinstance(obj, list) else [obj]
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(tables())
 def test_bulk_and_per_entry_typing_give_the_same_bits(table):
     per_entry = config._typed_entries(table, "$.t")
-    bulk = config._typed_table(table)
+    typed = config._typed_table(table)
     if len({_is_pair(m[0][0]) for m in table}) == 1:
+        bulk, echo = typed
         assert bulk.shape == per_entry.shape and bulk.dtype == per_entry.dtype
         assert bulk.tobytes() == per_entry.tobytes()
+        # the echo of a table of floats is a float view of the typed table
+        if all(type(v) is float for v in _numbers(table)):
+            assert echo.dtype == np.float64 and np.shares_memory(echo, bulk)
+            assert echo.tolist() == table
+            assert np.array(table).tobytes() == np.ascontiguousarray(echo).tobytes()
+        else:
+            assert echo is table
     else:  # a mixed table is left to the per-entry path
-        assert bulk is None
-    assert config._matrices(table, "$.t").tobytes() == per_entry.tobytes()
+        assert typed is None
+    stack, echo = config._matrices(table, "$.t")
+    assert stack.tobytes() == per_entry.tobytes()
+    assert echo is table or typed is not None
 
 
 # Replacements for one number (or one pair) of a table.

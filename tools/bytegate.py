@@ -7,9 +7,10 @@ PARENT_SRC and CHANGE_SRC are the `src/` directories of two checkouts.  For
 every seed, perfbench/workloads.py generates the inputs of the four
 workloads, and `extra_inputs` those of the gate's own jobs (paths no
 workload takes: a csv-bundle scan, the indeterminacy and turan_convergence
-analyses, and the engine's sequential re-step).  Each tree runs every job in
-its own process (the two side by side, with BLAS threads pinned to 1 as in
-the benchmark).  The digest of an output is the sha256 of
+analyses, the engine's sequential re-step, and the report echo of a
+tabulated family file of real entries, from the library and the CLI).  Each
+tree runs every job in its own process (the two side by side, with BLAS
+threads pinned to 1 as in the benchmark).  The digest of an output is the sha256 of
   - a `report.json`'s text up to its last key, `"wall_times"`, so that the
     layout of every number counts (1e-05 is not 1e-5),
   - any other file a job writes (the CSVs), as written,
@@ -54,6 +55,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -83,6 +85,27 @@ WALL_TIMES = b'\n  "wall_times": '
 # rounding excites passes the overflow limit before the horizon.
 DECAYING = [1.0, -0.7071067811865469, 0.17694472517071205, -0.12511881506340083]
 
+# The entries of the gate's tabulated family file: real 2x2 matrices, so
+# that b (640 numbers, over KERNEL_MIN) is echoed from a float view of the
+# family's complex table, and a, whose first number is the int 1, from the
+# config's lists.  tabulated-1e4 writes [re, im] pairs of floats only.
+TABULATED_ENTRIES = 160
+
+
+def tabulated_file(seed: int) -> dict:
+    """The gate's tabulated family at a seed: a_n and symmetric b_n near
+    the identity and half of it, perturbed by at most 0.1 an entry."""
+    rnd = random.Random(seed)
+
+    def entry(diag: float, symmetric: bool) -> list:
+        e = [rnd.uniform(-0.1, 0.1) for _ in range(3)]
+        return [[diag + e[0], e[1]], [e[1] if symmetric else e[2], diag - e[0]]]
+
+    a = [entry(1.0, False) for _ in range(TABULATED_ENTRIES)]
+    b = [entry(0.5, True) for _ in range(TABULATED_ENTRIES)]
+    a[0][0][0] = 1
+    return {"kind": "tabulated", "a": a, "b": b}
+
 
 def extra_inputs(seed: int):
     """The gate's own jobs at a seed, as a workload's Inputs."""
@@ -95,9 +118,21 @@ def extra_inputs(seed: int):
     ]}
     scan = ["scan", "--family", "paper-constant", "--range=-5,10", "--grid", "201",
             "--horizon", "1000", "--out-dir", "out/scan", "--format", "csv-bundle"]
-    return Inputs({"extra.json": json.dumps(cfg).encode()},
+    family = tabulated_file(seed)
+    tab = {"family": family, "horizon": TABULATED_ENTRIES - 2, "seed": seed, "analyses": [
+        {"kind": "validate"},
+        {"kind": "trajectory", "z": [0.5, 0.25], "alpha": [1.0, 0.0, 0.0, 0.0]},
+    ]}
+    tab_cli = ["trajectory", "--family", "tabulated_family.json", "--z", "0.5,0.25",
+               "--alpha", "1,0,0,0", "--horizon", str(TABULATED_ENTRIES - 2),
+               "--out-dir", "out/tabulated_cli"]
+    return Inputs({"extra.json": json.dumps(cfg).encode(),
+                   "tabulated.json": json.dumps(tab).encode(),
+                   "tabulated_family.json": json.dumps(family).encode()},
                   [Job("library", "out/extra", config="extra.json", fmt="csv-bundle"),
-                   Job("cli", "out/scan", argv=scan)])
+                   Job("cli", "out/scan", argv=scan),
+                   Job("library", "out/tabulated", config="tabulated.json"),
+                   Job("cli", "out/tabulated_cli", argv=tab_cli)])
 
 
 def _file_digests(out_dir: Path, key: str) -> dict[str, str]:
