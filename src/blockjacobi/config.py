@@ -6,10 +6,12 @@ analysis kind are the keyword parameters of its handler in `runner.ANALYSES`.
 Complex scalars are written as [re, im] pairs and matrices as row-major
 nested arrays whose entries are reals or [re, im] pairs.
 
-The report echoes the family as parsed (`FamilySpec.echo`): a table of
-matrices (tabulated a and b, scaled_periodic X and Y) written in floats
-alone is echoed from the float64 array its one-pass typing built, a view of
-the family's own table, and any other table as the document wrote it.
+The report echoes the family and each analysis as parsed (`FamilySpec.echo`,
+`AnalysisSpec.echo`), and a parsed config keeps of its document only those
+echoes: a table of matrices (tabulated a and b, scaled_periodic X and Y)
+written in floats alone is echoed from the float64 array its one-pass typing
+built, a view of the family's own table, and any other value as the document
+wrote it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import dataclasses
 import inspect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -119,21 +121,22 @@ def parse_weight(obj: Any, path: str) -> ScalarWeight:
 @dataclass
 class FamilySpec:
     family: CoefficientFamily
-    echo: Any = None  # the family as the report echoes it; None: raw["family"]
+    echo: Any  # the family as the report echoes it
 
     def build(self) -> CoefficientFamily:
         return self.family
 
 
-def _built(make, path: str, *args, echo=None, **kwargs) -> FamilySpec:
-    """The family make(*args, **kwargs); a refusal is reported at path."""
+def _built(make, path: str, echo, *args, **kwargs) -> FamilySpec:
+    """The family make(*args, **kwargs), echoed as `echo`; a refusal is
+    reported at path."""
     try:
         return FamilySpec(make(*args, **kwargs), echo)
     except ValueError as exc:
         raise ParseError(path, str(exc)) from exc
 
 
-def _fixture(name: Any, params: Any, name_path: str, params_path: str) -> FamilySpec:
+def _fixture(name: Any, params: Any, name_path: str, params_path: str, echo) -> FamilySpec:
     """A built-in family, each parameter typed like its factory default."""
     if not isinstance(name, str) or name not in FIXTURES:
         raise ParseError(name_path, f"unknown fixture {name!r}; known: {sorted(FIXTURES)}")
@@ -142,7 +145,7 @@ def _fixture(name: Any, params: Any, name_path: str, params_path: str) -> Family
     _require_keys(params, params_path, set(), set(defaults))
     for key, value in params.items():
         _number(type(defaults[key]))(value, f"{params_path}.{key}")
-    return _built(factory, params_path, **params)
+    return _built(factory, params_path, echo, **params)
 
 
 def _matrices(v: Any, path: str) -> tuple[np.ndarray, Any]:
@@ -191,25 +194,26 @@ def _typed_entries(v: list, path: str) -> np.ndarray:
 
 def parse_family(obj: Any, path: str) -> FamilySpec:
     if isinstance(obj, str):
-        return _fixture(obj, {}, path, path)
+        return _fixture(obj, {}, path, path, obj)
     kind = _kind(obj, path, ("fixture", "constant", "scaled_periodic", "tabulated"),
                  "family kind")
     if kind == "fixture":
         _require_keys(obj, path, {"kind", "name"}, {"params"})
-        return _fixture(obj["name"], obj.get("params", {}), f"{path}.name", f"{path}.params")
+        return _fixture(obj["name"], obj.get("params", {}), f"{path}.name", f"{path}.params",
+                        obj)
     if kind == "scaled_periodic":
         _require_keys(obj, path, {"kind", "period", "x", "y", "X", "Y"}, set())
         period = _number(int, 1)(obj["period"], f"{path}.period")
         x, y = parse_weight(obj["x"], f"{path}.x"), parse_weight(obj["y"], f"{path}.y")
         (X, echo_X), (Y, echo_Y) = (_matrices(obj[k], f"{path}.{k}") for k in "XY")
-        return _built(scaled_periodic_family, path, period, x, y, X, Y,
-                      echo={**obj, "X": echo_X, "Y": echo_Y})
+        return _built(scaled_periodic_family, path, {**obj, "X": echo_X, "Y": echo_Y},
+                      period, x, y, X, Y)
     _require_keys(obj, path, {"kind", "a", "b"}, set())
     if kind == "constant":
-        return _built(constant_family, path, parse_matrix(obj["a"], f"{path}.a"),
+        return _built(constant_family, path, obj, parse_matrix(obj["a"], f"{path}.a"),
                       parse_matrix(obj["b"], f"{path}.b"))
     (a, echo_a), (b, echo_b) = (_matrices(obj[k], f"{path}.{k}") for k in "ab")
-    return _built(tabulated_family, path, a, b, echo={**obj, "a": echo_a, "b": echo_b})
+    return _built(tabulated_family, path, {**obj, "a": echo_a, "b": echo_b}, a, b)
 
 
 # ---- analysis keys ----
@@ -308,6 +312,7 @@ def parse_value(key: str, v: Any, path: str, dim: int = 0):
 class AnalysisSpec:
     kind: str
     params: dict  # handler keyword arguments
+    echo: dict  # the analysis as the report echoes it
 
 
 def parse_analysis(obj: Any, path: str, dim: int) -> AnalysisSpec:
@@ -326,7 +331,7 @@ def parse_analysis(obj: Any, path: str, dim: int) -> AnalysisSpec:
                 raise ParseError(f"{path}.{key}", f"{kind} needs a real {key}")
             value = value.real
         params[keys[key].name] = value
-    return AnalysisSpec(kind, params)
+    return AnalysisSpec(kind, params, dict(obj))
 
 
 @dataclass
@@ -336,10 +341,6 @@ class AnalysisConfig:
     horizon: int = DEFAULT_HORIZON
     seed: int = 0
     out_dir: str | None = None
-    # the document: the report echoes its analyses, and its family unless
-    # family.echo is set; parse_config sets it, so that a table parsed from
-    # floats is echoed as parsed even if raw is mutated afterwards
-    raw: dict = field(default_factory=dict)
 
 
 def load_json(text: str | bytes, path: str = "$"):
@@ -368,4 +369,4 @@ def parse_config(text: str | bytes | dict) -> AnalysisConfig:
     out_dir = obj.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ParseError("$.out_dir", "expected a string")
-    return AnalysisConfig(fam, analyses, horizon, seed, out_dir, raw=obj)
+    return AnalysisConfig(fam, analyses, horizon, seed, out_dir)

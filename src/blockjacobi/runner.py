@@ -101,11 +101,9 @@ def run(config) -> AnalysisReport:
     validation analysis with violations poisons nothing else; each analysis
     failure is recorded under its own key and the rest continue."""
     fam = config.family.build()
-    echo = config.family.echo
     report = AnalysisReport(
         tool={"name": "blockjacobi", "version": __version__},
-        config={"family": config.raw.get("family") if echo is None else echo,
-                "analyses": [dict(a) for a in config.raw["analyses"]],
+        config={"family": config.family.echo, "analyses": [a.echo for a in config.analyses],
                 "horizon": config.horizon, "seed": config.seed},
     )
     ctx = _Context(fam, config.horizon, np.random.default_rng(config.seed), report.traces)
@@ -302,56 +300,29 @@ def _is_number(v) -> bool:
 
 def _number_block(obj: list | tuple, indent: str) -> str | None:
     """The indented text of a rectangular nested block of numbers (see
-    `_is_number`) by `_block_text`; None when the block is ragged or holds
-    any other leaf.  Its innermost entries may mix numbers with [re, im]
-    pairs (a Hermitian table with a real diagonal)."""
+    `_is_number`), formatted through one "%r" template built from its
+    shape; None when the block is ragged or holds any other leaf.  Its
+    innermost entries may mix numbers with [re, im] pairs (a Hermitian table
+    with a real diagonal), each pair with a template of its own."""
     walked = walk_nested(obj, {list, tuple})
     if walked is None:
         return None
     shape, leaves, kinds = walked
-    pairs = None
+    texts = ["%r"]  # the entries' templates, one for all when they are alike
     if kinds & {list, tuple}:  # numbers mixed with pairs
         pairs = [type(v) in (list, tuple) for v in leaves]
         if any(p and len(v) != 2 for p, v in zip(pairs, leaves)):
             return None
         leaves = [w for p, v in zip(pairs, leaves) for w in (v if p else (v,))]
         kinds = set(map(type, leaves))
-    if not kinds <= {int, float}:
-        return None
-    floats = leaves if kinds == {float} else [v for v in leaves if type(v) is float]
-    x = np.fromiter(floats, np.float64, len(floats))
-    if not np.isfinite(x).all():
-        return None
-    values = None
-    if len(leaves) >= KERNEL_MIN and len(kinds) == 1:
-        try:
-            values = x if float in kinds else np.array(leaves, dtype=np.int64)
-        except OverflowError:  # an int past int64
-            pass
-    return _block_text(shape, pairs, values, leaves, indent)
-
-
-def _block_text(shape: list[int], pairs: list[bool] | None, values: np.ndarray | None,
-                leaves: list | None, indent: str) -> str:
-    """The indented text of a block of numbers of that shape, whose
-    innermost entries are pairs where `pairs` says so.  A block given as a
-    1-D float64 or int64 array `values` (its callers give one from
-    table.KERNEL_MIN numbers on) is written by `table.number_text` with the
-    separators of `_separators`; any other is formatted through one "%r"
-    template built from its shape, entry by entry for a mixed block, filled
-    with `leaves` (by default, the numbers of `values`)."""
-    if values is not None:
-        try:
-            head, which, separators = _separators(shape, pairs, indent)
-            return head + number_text(values, which, separators)
-        except OverflowError:  # more separators than marks
-            pass
-    leaves = values.tolist() if leaves is None else leaves
-    texts = ["%r"]  # the entries' templates, one for all when they are alike
-    if pairs is not None:
         inner = indent + "  " * (len(shape) + 1)
         pair = "[" + inner + "%r," + inner + "%r" + inner[:-2] + "]"
         texts = [pair if p else "%r" for p in pairs]
+    if not kinds <= {int, float}:
+        return None
+    floats = leaves if kinds == {float} else [v for v in leaves if type(v) is float]
+    if not np.isfinite(np.fromiter(floats, np.float64, len(floats))).all():
+        return None
     for d in reversed(range(len(shape))):
         inner, n = indent + "  " * (d + 1), shape[d]
         if len(texts) == 1:
@@ -361,45 +332,22 @@ def _block_text(shape: list[int], pairs: list[bool] | None, values: np.ndarray |
     return texts[0] % tuple(leaves)
 
 
-def _separators(shape: list[int], pairs: list[bool] | None,
-                indent: str) -> tuple[str, np.ndarray, list[bytes]]:
-    """The text before the first number of a block of that shape, whose
-    innermost entries are pairs where `pairs` says so; for each number the
-    index of the separator after it, and the separators.  A separator is
-    set by the number's kind (plain, or the real or the imaginary part of a
-    pair), by how many levels close after its entry and by whether the next
-    entry is a pair: code 6 closes + 3 next + kind.  Raises OverflowError
-    when a block needs more separators than table.MARKS holds."""
-    r = len(shape)
-    line = [indent + "  " * d for d in range(r + 2)]  # the start of a line at depth d
+def _array_text(x: np.ndarray, indent: str) -> str:
+    """The indented text of a float64 array of finite numbers, written by
+    `table.number_text`.  The separator after a number is set by how many
+    levels close after it, 0 to x.ndim, so the array needs x.ndim + 1 of
+    table.MARKS."""
+    r = x.ndim
+    line = [indent + "  " * d for d in range(r + 1)]  # the start of a line at depth d
     opens = ["".join("[" + line[d] for d in range(r - k + 1, r + 1)) for k in range(r + 1)]
     closes = ["".join(line[d] + "]" for d in range(r - 1, r - k - 1, -1)) for k in range(r + 1)]
-    pair = "[" + line[r + 1]
-
-    def text(code: int) -> bytes:
-        k, nxt, kind = code // 6, code // 3 % 2, code % 3
-        if kind == 2:  # after the real part
-            return ("," + line[r + 1]).encode()
-        after = "," + line[r - k] + opens[k] + pair * nxt if k < r else ""
-        return ((line[r] + "]") * kind + closes[k] + after).encode()
-
-    k = np.zeros(math.prod(shape), dtype=np.intp)  # the levels that close after each entry
+    separators = [(closes[k] + "," + line[r - k] + opens[k]).encode() for k in range(r)]
+    k = np.zeros(x.size, dtype=np.intp)  # the levels that close after each number
     size = 1
-    for n in reversed(shape):
+    for n in reversed(x.shape):
         size *= n
         k.reshape(-1, size)[:, -1] += 1
-    code = 6 * k
-    if pairs is not None:
-        p = np.array(pairs)
-        code[:-1] += 3 * p[1:]
-        code += p
-        code = np.repeat(code, 1 + p)
-        code[np.cumsum(1 + p)[p] - 2] = 2
-    used = np.bincount(code) > 0
-    if used.sum() > len(MARKS):
-        raise OverflowError(f"a number block needs {used.sum()} separators")
-    head = opens[r] + pair * (pairs is not None and pairs[0])
-    return head, (np.cumsum(used) - 1)[code], [text(c) for c in np.flatnonzero(used).tolist()]
+    return opens[r] + number_text(x.reshape(-1), k, separators + [closes[r].encode()])
 
 
 def _write(obj, indent: str, out: list[str], bulk: bool = True) -> None:
@@ -407,16 +355,18 @@ def _write(obj, indent: str, out: list[str], bulk: bool = True) -> None:
     and indentation of its own level.  Dicts (with str keys), lists, tuples
     and arrays are walked here and every other value is written as
     `_jsonable` makes it.  A finite float64 array of table.KERNEL_MIN
-    numbers or more is a number block formatted from its values, any other
-    array is written as its list.  A nested list is looked at as a number
-    block at most once, at its outermost level: a block there is formatted
-    in bulk, otherwise (`bulk` False) its sublists are written one by one."""
+    numbers or more, of fewer than len(table.MARKS) dimensions, is written
+    by `_array_text`, any other array as its list.  A nested list is looked
+    at as a number block (`_number_block`) at most once, at its outermost
+    level: a block there is formatted in bulk, otherwise (`bulk` False) its
+    sublists are written one by one."""
     if _is_number(obj):
         out.append(repr(obj))
         return
     if isinstance(obj, np.ndarray):
-        if obj.dtype == np.float64 and obj.size >= KERNEL_MIN and np.isfinite(obj).all():
-            out.append(_block_text(list(obj.shape), None, obj.reshape(-1), None, indent))
+        if (obj.dtype == np.float64 and obj.size >= KERNEL_MIN and obj.ndim < len(MARKS)
+                and np.isfinite(obj).all()):
+            out.append(_array_text(obj, indent))
             return
         obj = obj.tolist()
     if isinstance(obj, dict):
@@ -457,8 +407,9 @@ def _write(obj, indent: str, out: list[str], bulk: bool = True) -> None:
 def report_json(report: AnalysisReport, include_times: bool = True) -> str:
     """The report as key-sorted, indented JSON text: the bytes of
     json.dumps(_jsonable(d), sort_keys=True, indent=2, allow_nan=False),
-    written in one walk and joined once.  A parsed table's echo (see
-    config.FamilySpec) is written from its float64 array, not from lists."""
+    written in one walk and joined once.  Only float64 arrays reach the
+    number kernel: a parsed table's echo (see config.FamilySpec) is written
+    from its float64 array, and every nested list through "%r"."""
     out: list[str] = []
     _write(report.to_json_dict(include_times), "\n", out)
     return "".join(out)

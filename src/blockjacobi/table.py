@@ -10,8 +10,8 @@ each cell is laid out in a fixed-width field with a mask of the bytes it
 keeps, and the block's text is the one mask compress of its fields.  The
 cells of an object table (Python ints, floats, bools and strings) and of
 any other dtype take their `str`, left-aligned in the same fields.  The
-same kernels write report.json's number blocks of KERNEL_MIN numbers or
-more (`number_text`): there a field's last byte is a control byte that
+float kernel also writes report.json's float64 arrays of KERNEL_MIN numbers
+or more (`number_text`): there a field's last byte is a control byte that
 names the separator after the number, and each separator is put in by one
 `bytes.replace` of its mark over the block's bytes.  `walk_nested` is the
 one walk of nested number arrays, for config's tables and report blocks.
@@ -271,13 +271,14 @@ def int_fields(v: np.ndarray, buf: np.ndarray, keep: np.ndarray) -> None:
     keep[..., 0] = v < 0
 
 
-# A number block of report.json is written by the kernels (`number_text`)
-# from this many numbers on, and each number's repr through "%r" below it:
-# a float block costs about 0.14 ms plus 0.43 us a number in the kernels,
-# and 0.7 us a number through "%r".  Measured on 2 vCPUs, numpy 2.4.6, a
-# flat block of floats, kernel against "%r": 0.26 ms against 0.21 ms at 300
-# numbers, 0.31 against 0.31 at 450, 0.34 against 0.38 at 500, 0.50
-# against 0.70 at 1 000 and 4.6 against 7.4 at 10 000.
+# A float64 array of report.json is written by the float kernel
+# (`number_text`) from this many numbers on, and as a list through "%r"
+# below it; a nested list is always written through "%r".  A float block
+# costs about 0.14 ms plus 0.43 us a number in the kernel, and 0.7 us a
+# number through "%r".  Measured on 2 vCPUs, numpy 2.4.6, a flat block of
+# floats, kernel against "%r": 0.26 ms against 0.21 ms at 300 numbers, 0.31
+# against 0.31 at 450, 0.34 against 0.38 at 500, 0.50 against 0.70 at
+# 1 000 and 4.6 against 7.4 at 10 000.
 KERNEL_MIN = 512
 
 # The bytes that mark a separator in `number_text`: control bytes, which no
@@ -286,21 +287,20 @@ MARKS = bytes(b for b in range(0x20) if b != ord("\n"))
 
 
 def number_text(values: np.ndarray, which: np.ndarray, separators: list[bytes]) -> str:
-    """The text of a report.json number block: repr of each float64, or str
-    of each int64, of a 1-D array, the number values[i] followed by
-    separators[which[i]].  The numbers are laid out by float_fields or
-    int_fields 8 ROW_BLOCK at a time, as many fields as one block of rows
-    of a 2x2 trajectory CSV holds, each field's last byte the mark (from
-    MARKS) of its separator; each part is one mask compress, and each
-    separator one bytes.replace of its mark over the whole text."""
-    fields = float_fields if values.dtype.kind == "f" else int_fields
+    """The text of a report.json number block: repr of each float64 of a
+    1-D array, the number values[i] followed by separators[which[i]].  The
+    numbers are laid out by float_fields 8 ROW_BLOCK at a time, as many
+    fields as one block of rows of a 2x2 trajectory CSV holds, each field's
+    last byte the mark (from MARKS) of its separator; each part is one mask
+    compress, and each separator one bytes.replace of its mark over the
+    whole text."""
     marks = np.frombuffer(MARKS, dtype=np.uint8)[which]
     parts = []
     for lo in range(0, len(values), 8 * ROW_BLOCK):
         part = values[lo:lo + 8 * ROW_BLOCK]
         buf = np.empty((len(part), FIELD), dtype=np.uint8)
         keep = np.zeros(buf.shape, dtype=bool)
-        fields(part, buf, keep)
+        float_fields(part, buf, keep)
         buf[:, -1], keep[:, -1] = marks[lo:lo + 8 * ROW_BLOCK], True
         parts.append(buf[keep].tobytes())
     text = b"".join(parts)

@@ -1,12 +1,15 @@
 """Byte-oracle tests of report number blocks around table.KERNEL_MIN: from
-that many numbers on, a block of floats or of int64 ints is written by the
-CSV number kernels (`table.number_text`), each separator put in from a
-marker byte, and below it, or with any other leaf, it is not.  A table
-whose entries mix numbers with [re, im] pairs is a block too.  Every block
+that many numbers on, a finite float64 array is written by the CSV float
+kernel (`table.number_text`), each separator put in from a marker byte, and
+below it, or with any other leaf, it is not.  A nested list is never
+written by the kernel: a rectangular one of numbers, a table whose entries
+mix numbers with [re, im] pairs included, is one "%r" block.  Every block
 must keep the bytes of the two-walk encoder (`conftest.report_oracle`)
 either way."""
 
+import gc
 import importlib.util
+import inspect
 import json
 import math
 from pathlib import Path
@@ -63,13 +66,17 @@ def test_blocks_around_the_crossover_keep_their_bytes(n):
     values = every_exponent(n, seed=n)
     assert_bytes(values)
     assert_bytes({"pairs": [values[i:i + 2] for i in range(0, n - 1, 2)]})
+    assert_bytes(np.array(values))
+    assert_bytes({"pairs": np.array(values[:n // 2 * 2]).reshape(-1, 2)})
 
 
 @pytest.mark.parametrize("shape", [(KERNEL_MIN,), (KERNEL_MIN // 2, 2), (43, 3, 4),
                                    (KERNEL_MIN // 8, 2, 2, 2), (1, 1, 1, 600)])
 def test_blocks_of_every_rank_keep_their_bytes(shape):
-    block = np.array(every_exponent(math.prod(shape), seed=len(shape))).reshape(shape).tolist()
+    array = np.array(every_exponent(math.prod(shape), seed=len(shape))).reshape(shape)
+    block = array.tolist()
     assert_bytes(block)
+    assert_bytes(array)
     if len(shape) > 1:
         assert_bytes([tuple(row) for row in block])  # tuples are lists in JSON
 
@@ -82,9 +89,12 @@ def test_edge_floats_keep_their_bytes_where_the_kernel_leaves_them_to_repr():
     ties = x[other].tolist()
     assert len(ties) > KERNEL_MIN  # the 17-digit ties and the values past 1e+-280
     assert_bytes(ties)
+    assert_bytes(np.array(ties))
     special = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1e281, 1e-281]
     assert_bytes((special * KERNEL_MIN)[:KERNEL_MIN + 3])
+    assert_bytes(np.array((special * KERNEL_MIN)[:KERNEL_MIN + 3]))
     assert_bytes(x.tolist())
+    assert_bytes(x)
 
 
 @pytest.mark.parametrize("ints", [
@@ -128,7 +138,13 @@ def test_the_kernel_serves_large_rectangular_number_blocks_only(kernel_sizes):
               "ragged": pairs[:-1] + [[0.5]], "nan": pairs[:-1] + [[0.5, math.nan]],
               "bool": pairs[:-1] + [[0.5, True]], "big int": [2 ** 63] + list(range(KERNEL_MIN))}
     assert_bytes(blocks)
-    assert sorted(kernel_sizes) == [KERNEL_MIN, KERNEL_MIN, 2 * KERNEL_MIN]
+    assert kernel_sizes == []  # lists, whatever their size, go through "%r"
+    arrays = {"below": np.array(floats[:KERNEL_MIN - 1]), "at": np.array(floats[:KERNEL_MIN]),
+              "pairs": np.array(pairs), "ints": np.arange(KERNEL_MIN),
+              "float32": np.linspace(-1.0, 1.0, KERNEL_MIN, dtype=np.float32),
+              "nan": np.array(floats[:KERNEL_MIN - 1] + [math.nan])}
+    assert_bytes(arrays)
+    assert sorted(kernel_sizes) == [KERNEL_MIN, 2 * KERNEL_MIN]
 
 
 def hermitian_tables(n: int, seed: int = 0) -> list:
@@ -145,8 +161,7 @@ def test_tables_mixing_numbers_and_pairs_are_blocks(n, kernel_sizes):
     assert runner._number_block(tables, "\n") is not None
     kernel_sizes.clear()
     assert_bytes({"b": tables, "ints": [[1, [2, 3]], [[2, -3], 4]] * n})
-    # the floats of the tables and the ints of 2n rows, 6n numbers each
-    assert kernel_sizes == ([6 * n] * 2 if 6 * n >= KERNEL_MIN else [])
+    assert kernel_sizes == []  # each a "%r" block, its pairs with a template of their own
 
 
 @pytest.mark.parametrize("n", [KERNEL_MIN // 6 - 1, KERNEL_MIN // 6 + 1])
@@ -176,35 +191,47 @@ def test_mixed_blocks_that_start_or_end_with_a_pair_keep_their_bytes(n, ends, ke
     head = [general_table(1)] if "first" in ends else []
     tail = [general_table(2)] if "last" in ends else []
     tables = head + hermitian_tables(n, seed=n) + tail
-    size = 6 * n + 8 * (len(head) + len(tail))
+    assert runner._number_block(tables, "\n") is not None  # one block
     assert_bytes(tables)
     assert_bytes({"b": tables, "n": n})
-    assert kernel_sizes == [size, size]
+    assert kernel_sizes == []
 
 
-def random_mixed(shape: tuple, seed: int) -> tuple[list, list[bool]]:
+def random_mixed(shape: tuple, seed: int) -> list:
     """A block of that shape whose entries are numbers or, at random,
-    [re, im] pairs; and where the pairs are."""
+    [re, im] pairs."""
     pairs = (np.random.default_rng(seed).random(math.prod(shape)) < 0.5).tolist()
     x = iter(every_exponent(2 * len(pairs), seed))
     entries = np.empty(len(pairs), dtype=object)
     entries[:] = [[next(x), next(x)] if p else next(x) for p in pairs]
-    return entries.reshape(shape).tolist(), pairs
+    return entries.reshape(shape).tolist()
 
 
 @pytest.mark.parametrize("shape", [(KERNEL_MIN,), (43, 3, 4), (5, 1, 7, 2, 9)])
 def test_mixed_blocks_with_pairs_anywhere_keep_their_bytes(shape, kernel_sizes):
     """Pairs at random entries, so that every kind of number meets every
     count of closing levels, with and without a pair next."""
-    block, pairs = random_mixed(shape, seed=len(shape))
+    block = random_mixed(shape, seed=len(shape))
+    assert runner._number_block(block, "\n") is not None  # one block
     assert_bytes(block)
     assert_bytes(tuples(block))
-    assert kernel_sizes == [len(pairs) + sum(pairs)] * 2
+    assert kernel_sizes == []
 
 
 @pytest.mark.parametrize("shape", [(KERNEL_MIN,), (KERNEL_MIN // 2, 2), (43, 3, 4),
                                    (KERNEL_MIN // 8, 2, 2, 2), (2, 3, 1, 5, 18)])
-def test_int64_and_float_blocks_of_ranks_one_to_five_are_written_by_the_kernel(shape, kernel_sizes):
+def test_float64_arrays_of_ranks_one_to_five_are_written_by_the_kernel(shape, kernel_sizes):
+    floats = np.array(every_exponent(math.prod(shape), seed=len(shape))).reshape(shape)
+    assert_bytes(floats)
+    assert_bytes({"block": [floats]})  # one level deeper
+    assert_bytes(np.asfortranarray(floats))
+    assert kernel_sizes == [math.prod(shape)] * 3
+
+
+@pytest.mark.parametrize("shape", [(KERNEL_MIN,), (KERNEL_MIN // 2, 2), (43, 3, 4),
+                                   (KERNEL_MIN // 8, 2, 2, 2), (2, 3, 1, 5, 18)])
+def test_int64_and_float_lists_of_ranks_one_to_five_are_written_through_the_template(
+        shape, kernel_sizes):
     rng = np.random.default_rng(len(shape))
     ints = rng.integers(-2 ** 63, 2 ** 63 - 1, size=shape, endpoint=True)
     ints //= 10 ** rng.integers(0, 19, size=shape)  # every digit count
@@ -213,23 +240,24 @@ def test_int64_and_float_blocks_of_ranks_one_to_five_are_written_by_the_kernel(s
         assert_bytes(block)
         assert_bytes(tuples(block))
         assert_bytes({"block": [block]})  # one level deeper
-    assert kernel_sizes == [math.prod(shape)] * 6
-
-
-def test_a_block_with_more_separators_than_marks_keeps_its_bytes(kernel_sizes):
-    """A rank-9 block whose entries are pairs at random needs 32 separators,
-    one more than table.MARKS holds, and is written through "%r"."""
-    block, pairs = random_mixed((2,) * 9, seed=0)
-    with pytest.raises(OverflowError):
-        runner._separators([2] * 9, pairs, "\n")
-    assert_bytes(block)
+    assert_bytes(ints)  # an int64 array is written as its list
     assert kernel_sizes == []
+
+
+@pytest.mark.parametrize("ones, sizes", [(21, [KERNEL_MIN]), (22, [])])
+def test_float64_arrays_of_rank_30_and_31_keep_their_bytes(ones, sizes, kernel_sizes):
+    """A rank-r array needs r + 1 separators: rank 30 takes all 31 of
+    table.MARKS and the kernel, rank 31 one more and the list path."""
+    shape = (2,) * 9 + (1,) * ones
+    floats = np.array(every_exponent(KERNEL_MIN, seed=ones)).reshape(shape)
+    assert_bytes(floats)
+    assert kernel_sizes == sizes
 
 
 def test_a_tabulated_echo_has_no_control_byte_but_the_line_feed(kernel_sizes):
     """A tabulated family with complex a_n written as pairs and Hermitian
-    b_n with a real diagonal: both echo blocks are written by the kernel,
-    and no mark is left in the report."""
+    b_n with a real diagonal: a's echo, an array, is written by the kernel
+    and b's, a mixed list, through "%r", and no mark is left in the report."""
     def entry(n):
         e = 0.1 * math.exp(-n / 10)
         return ([[[2.0 + e, e], [0.5, -e]], [[0.25, e / 3], [1.5 - e, 0.0]]],
@@ -242,7 +270,7 @@ def test_a_tabulated_echo_has_no_control_byte_but_the_line_feed(kernel_sizes):
                                "analyses": [{"kind": "validate"}, {"kind": "carleman"}]}))
     text = report_json(report, include_times=False)
     assert text == report_oracle(report.to_json_dict(include_times=False))
-    assert kernel_sizes == [8 * n, 6 * n]
+    assert kernel_sizes == [8 * n]
     assert set(text.encode()) & set(range(0x20)) == {ord("\n")}
 
 
@@ -328,3 +356,18 @@ def test_a_tabulated_echo_is_written_from_the_family_tables(kernel_sizes, monkey
     fam, echo = config.family.build(), report.config["family"]
     assert np.shares_memory(echo["a"], fam._table_A)
     assert np.shares_memory(echo["b"], fam._table_B)
+
+
+def test_a_parsed_config_keeps_no_list_of_its_document():
+    """An all-float tabulated table is echoed from its parse's arrays, so
+    once parsed the document's family and its a and b lists are held by
+    the caller alone."""
+    family = {"kind": "tabulated",
+              **dict(zip("ab", echo_tables(KERNEL_MIN, "real", seed=3)))}
+    config = parse_config({"family": family, "horizon": 2,
+                           "analyses": [{"kind": "validate", "upto": 1}]})
+    gc.collect()
+    for key in "ab":
+        assert gc.get_referrers(family[key]) == [family]
+        assert isinstance(config.family.echo[key], np.ndarray)
+    assert all(inspect.isframe(r) for r in gc.get_referrers(family))

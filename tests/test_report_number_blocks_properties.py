@@ -1,10 +1,12 @@
 """Property test of report number blocks whose sizes straddle
 table.KERNEL_MIN: floats, ints and both mixed, of rank 1 to 4, with now and
 then a leaf that sends the block entry by entry, keep the bytes of the
-two-walk encoder."""
+two-walk encoder; a block of numbers also as a float64 array, the form the
+float kernel writes (its ints made floats)."""
 
 import math
 
+import numpy as np
 import pytest
 
 from blockjacobi.runner import AnalysisReport, report_json
@@ -44,6 +46,11 @@ def blocks(draw):
           suppress_health_check=[HealthCheck.large_base_example])
 @given(blocks())
 def test_blocks_across_the_crossover_keep_their_bytes(block):
-    report = AnalysisReport(tool={}, config={}, results={"block": block})
-    assert report_json(report, include_times=False) == report_oracle(
-        {"config": {}, "results": {"block": block}, "tool": {}})
+    forms = [block]
+    leaves = np.array(block, dtype=object)
+    if all(type(v) is float or type(v) is int and abs(v) < 2 ** 64 for v in leaves.flat):
+        forms.append(leaves.astype(np.float64))
+    for form in forms:
+        report = AnalysisReport(tool={}, config={}, results={"block": form})
+        assert report_json(report, include_times=False) == report_oracle(
+            {"config": {}, "results": {"block": form}, "tool": {}})

@@ -7,16 +7,17 @@ Lays out, with `blockjacobi.table.float_fields`, the edge sets below and
 COUNT seeded random bit patterns (every exponent field equally likely, so
 subnormals, infinities and NaNs included), and compares each cell's bytes
 with `repr`.  Then writes the finite values, CHUNK at a time, as number
-blocks of a report through `blockjacobi.runner.report_json`: one of
-table.KERNEL_MIN - 1 values (written with "%r"), one of KERNEL_MIN and one
-of the rest (both from the kernel); and all of them again as a rank-4
-block of 2x2 tables of [re, im] pairs and as a block of 2x2 tables whose
-entries are numbers or pairs at random, the first and the last a pair
-(both from the kernel, their separators expanded from marker bytes).  It
-compares each line with the text of json.dumps.  Prints every mismatch
-(the first MISMATCHES_SHOWN of them), the number of differing report
-lines, and the share of values the kernel left to `repr`, over all values
-and over those inside its range; exits 1 on a mismatch, else 0.
+blocks of a report through `blockjacobi.runner.report_json`: a list of
+table.KERNEL_MIN - 1 values (written through "%r"), a float64 array of
+KERNEL_MIN values and one of the rest (both from the kernel); and all of
+them again as a rank-4 float64 array of 2x2 tables of [re, im] pairs (from
+the kernel, its separators expanded from marker bytes) and as a list of
+2x2 tables whose entries are numbers or pairs at random, the first and the
+last a pair (through "%r").  It compares each line with the text of
+json.dumps.  Prints every mismatch (the first MISMATCHES_SHOWN of them),
+the number of differing report lines, and the share of values the kernel
+left to `repr`, over all values and over those inside its range; exits 1
+on a mismatch, else 0.
 
 The edge sets: signed zeros, infinities and NaN; the smallest subnormal, the
 smallest normal and the largest float; every power of two from 2^-1074 to
@@ -105,18 +106,19 @@ def mixed_tables(v: np.ndarray, seed: int) -> list:
 
 def json_mismatches(x: np.ndarray, seed: int = 0) -> list[tuple[str, str]]:
     """The lines of report_json that differ from json.dumps (as pairs, a
-    missing line empty), the finite values of x laid out as number blocks
-    of KERNEL_MIN - 1 values, KERNEL_MIN values and the rest, as 2x2 tables
-    of pairs and as 2x2 tables of numbers and pairs (`mixed_tables`)."""
+    missing line empty), the finite values of x laid out as number blocks:
+    a list of KERNEL_MIN - 1 values, arrays of KERNEL_MIN values, of the
+    rest and of 2x2 tables of pairs, and a list of 2x2 tables of numbers and
+    pairs (`mixed_tables`)."""
     v = x[np.isfinite(x)]
     k = table.KERNEL_MIN
-    results = {"below": v[:k - 1].tolist(), "at": v[k - 1:2 * k - 1].tolist(),
-               "rest": v[2 * k - 1:].tolist(),
-               "pairs": v[:len(v) // 8 * 8].reshape(-1, 2, 2, 2).tolist(),
+    results = {"below": v[:k - 1].tolist(), "at": v[k - 1:2 * k - 1], "rest": v[2 * k - 1:],
+               "pairs": v[:len(v) // 8 * 8].reshape(-1, 2, 2, 2),
                "mixed": mixed_tables(v, seed)}
     got = runner.report_json(runner.AnalysisReport(tool={}, config={}, results=results),
                              include_times=False).splitlines()
-    want = json.dumps({"config": {}, "results": results, "tool": {}},
+    lists = {key: r.tolist() if isinstance(r, np.ndarray) else r for key, r in results.items()}
+    want = json.dumps({"config": {}, "results": lists, "tool": {}},
                       sort_keys=True, indent=2).splitlines()
     got += [""] * (len(want) - len(got))
     want += [""] * (len(got) - len(want))
