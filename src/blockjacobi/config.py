@@ -6,12 +6,14 @@ analysis kind are the keyword parameters of its handler in `runner.ANALYSES`.
 Complex scalars are written as [re, im] pairs and matrices as row-major
 nested arrays whose entries are reals or [re, im] pairs.
 
-The report echoes the family and each analysis as parsed (`FamilySpec.echo`,
-`AnalysisSpec.echo`), and a parsed config keeps of its document only those
-echoes: a table of matrices (tabulated a and b, scaled_periodic X and Y)
-written in floats alone is echoed from the float64 array its one-pass typing
-built, a view of the family's own table, and any other value as the document
-wrote it.
+A table of matrices (tabulated a and b, scaled_periodic X and Y) is typed
+in one walk of its nested lists when it is rectangular and all real or all
+pairs (`_typed_table`, the one place that knows the rule), else entry by
+entry.  The report echoes the family and each analysis as parsed
+(`FamilySpec.echo`, `AnalysisSpec.echo`), and a parsed config keeps of its
+document only those echoes: a table written in floats alone is echoed from
+the float64 array its one-pass typing built, a view of the family's own
+table, and any other value as the document wrote it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import inspect
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -38,7 +41,6 @@ from .coeffs import (
 )
 from .fixtures import FIXTURES
 from .runner import ANALYSES, STRATEGIES
-from .table import walk_nested
 
 
 class ParseError(ValueError):
@@ -124,6 +126,7 @@ class FamilySpec:
     echo: Any  # the family as the report echoes it
 
     def build(self) -> CoefficientFamily:
+        """The family; the benchmark's set-up (perfbench/worker.py) calls it."""
         return self.family
 
 
@@ -159,13 +162,18 @@ def _matrices(v: Any, path: str) -> tuple[np.ndarray, Any]:
 def _typed_table(v: list) -> tuple[np.ndarray, Any] | None:
     """The table typed in one pass when every entry is a matrix of one shape
     and every number is a finite int or float, written all as reals or all
-    as [re, im] pairs; None otherwise.  Only lists count as arrays.  With
-    the stack comes its echo: when every number is a float, the float64
-    array of the numbers, a view of the stack; else the list v."""
-    walked = walk_nested(v, {list})
-    if walked is None:
-        return None
-    shape, level, kinds = walked
+    as [re, im] pairs; None otherwise.  Only lists count as arrays: the
+    table is walked one level at a time while every entry of the level is
+    a list, and a level whose lists differ in length or are empty refuses
+    it.  With the stack comes its echo: when every number is a float, the
+    float64 array of the numbers, a view of the stack; else the list v."""
+    shape, level = [], [v]
+    while (kinds := set(map(type, level))) == {list}:
+        lens = set(map(len, level))
+        if len(lens) != 1 or 0 in lens:
+            return None
+        shape += lens
+        level = list(chain.from_iterable(level))
     if not kinds <= {int, float} or not (len(shape) == 3 or shape[3:] == [2]):
         return None
     try:  # an integer too large for a float overflows

@@ -30,7 +30,7 @@ from .commutator import (
 )
 from .opcore import DEFINITENESS_EPS, NotConvergentError, HypothesisViolatedError
 from .recurrence import fundamental_matrix, propagate, trajectory_table
-from .table import KERNEL_MIN, MARKS, Table, number_text, walk_nested, write_csv
+from .table import KERNEL_MIN, MARKS, Table, number_text, write_csv
 from .turan import (
     asymptotic_band,
     christoffel_limit,
@@ -78,9 +78,9 @@ class _Context:
         return self.lims[N]
 
     def fundamental(self, z):
-        """The fundamental matrix at z to the horizon, propagated once per
-        (z, horizon) and read by every analysis at that z."""
-        key = (complex(z), self.horizon)
+        """The fundamental matrix at z to the horizon, propagated once per z
+        and read by every analysis at that z."""
+        key = complex(z)
         if key not in self.phis:
             self.phis[key] = fundamental_matrix(self.fam, z, self.horizon)
         return self.phis[key]
@@ -100,7 +100,7 @@ def run(config) -> AnalysisReport:
     """Run every analysis of a parsed `config.AnalysisConfig` in order.  A
     validation analysis with violations poisons nothing else; each analysis
     failure is recorded under its own key and the rest continue."""
-    fam = config.family.build()
+    fam = config.family.family
     report = AnalysisReport(
         tool={"name": "blockjacobi", "version": __version__},
         config={"family": config.family.echo, "analyses": [a.echo for a in config.analyses],
@@ -292,46 +292,6 @@ def _jsonable(obj):
     return obj
 
 
-def _is_number(v) -> bool:
-    """True for a leaf whose JSON text is its `repr`: an int (not a bool) or
-    a finite float."""
-    return type(v) is int or type(v) is float and math.isfinite(v)
-
-
-def _number_block(obj: list | tuple, indent: str) -> str | None:
-    """The indented text of a rectangular nested block of numbers (see
-    `_is_number`), formatted through one "%r" template built from its
-    shape; None when the block is ragged or holds any other leaf.  Its
-    innermost entries may mix numbers with [re, im] pairs (a Hermitian table
-    with a real diagonal), each pair with a template of its own."""
-    walked = walk_nested(obj, {list, tuple})
-    if walked is None:
-        return None
-    shape, leaves, kinds = walked
-    texts = ["%r"]  # the entries' templates, one for all when they are alike
-    if kinds & {list, tuple}:  # numbers mixed with pairs
-        pairs = [type(v) in (list, tuple) for v in leaves]
-        if any(p and len(v) != 2 for p, v in zip(pairs, leaves)):
-            return None
-        leaves = [w for p, v in zip(pairs, leaves) for w in (v if p else (v,))]
-        kinds = set(map(type, leaves))
-        inner = indent + "  " * (len(shape) + 1)
-        pair = "[" + inner + "%r," + inner + "%r" + inner[:-2] + "]"
-        texts = [pair if p else "%r" for p in pairs]
-    if not kinds <= {int, float}:
-        return None
-    floats = leaves if kinds == {float} else [v for v in leaves if type(v) is float]
-    if not np.isfinite(np.fromiter(floats, np.float64, len(floats))).all():
-        return None
-    for d in reversed(range(len(shape))):
-        inner, n = indent + "  " * (d + 1), shape[d]
-        if len(texts) == 1:
-            texts *= n
-        texts = ["[" + inner + ("," + inner).join(texts[i:i + n]) + inner[:-2] + "]"
-                 for i in range(0, len(texts), n)]
-    return texts[0] % tuple(leaves)
-
-
 def _array_text(x: np.ndarray, indent: str) -> str:
     """The indented text of a float64 array of finite numbers, written by
     `table.number_text`.  The separator after a number is set by how many
@@ -350,19 +310,14 @@ def _array_text(x: np.ndarray, indent: str) -> str:
     return opens[r] + number_text(x.reshape(-1), k, separators + [closes[r].encode()])
 
 
-def _write(obj, indent: str, out: list[str], bulk: bool = True) -> None:
+def _write(obj, indent: str, out: list[str]) -> None:
     """Append the JSON text of `obj` to out, `indent` being the line break
     and indentation of its own level.  Dicts (with str keys), lists, tuples
-    and arrays are walked here and every other value is written as
-    `_jsonable` makes it.  A finite float64 array of table.KERNEL_MIN
-    numbers or more, of fewer than len(table.MARKS) dimensions, is written
-    by `_array_text`, any other array as its list.  A nested list is looked
-    at as a number block (`_number_block`) at most once, at its outermost
-    level: a block there is formatted in bulk, otherwise (`bulk` False) its
-    sublists are written one by one."""
-    if _is_number(obj):
-        out.append(repr(obj))
-        return
+    and arrays are walked here entry by entry, an entry that is an int (not
+    a bool) or a finite float written as its `repr` in the walk's loop, and
+    every other value as `_jsonable` makes it.  A finite float64 array of
+    table.KERNEL_MIN numbers or more, of fewer than len(table.MARKS)
+    dimensions, is written by `_array_text`, any other array as its list."""
     if isinstance(obj, np.ndarray):
         if (obj.dtype == np.float64 and obj.size >= KERNEL_MIN and obj.ndim < len(MARKS)
                 and np.isfinite(obj).all()):
@@ -370,19 +325,9 @@ def _write(obj, indent: str, out: list[str], bulk: bool = True) -> None:
             return
         obj = obj.tolist()
     if isinstance(obj, dict):
-        brackets, bulk = "{}", True
+        brackets = "{}"
         items = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items())]
     elif isinstance(obj, (list, tuple)):
-        if bulk:
-            first = obj
-            while isinstance(first, (list, tuple)) and first:
-                first = first[0]
-            if _is_number(first):  # the cheap refusal, before the block walk
-                block = _number_block(obj, indent)
-                if block is not None:
-                    out.append(block)
-                    return
-                bulk = False
         brackets = "[]"
         items = [("", v) for v in obj]
     else:
@@ -396,11 +341,14 @@ def _write(obj, indent: str, out: list[str], bulk: bool = True) -> None:
         out.append(brackets)
         return
     inner = indent + "  "
-    sep = brackets[0] + inner
+    sep, comma = brackets[0] + inner, "," + inner
     for key, v in items:
-        out.append(sep + key)
-        sep = "," + inner
-        _write(v, inner, out, bulk)
+        if type(v) is float and math.isfinite(v) or type(v) is int:
+            out.append(sep + key + repr(v))
+        else:
+            out.append(sep + key)
+            _write(v, inner, out)
+        sep = comma
     out.append(indent + brackets[1])
 
 
@@ -409,7 +357,7 @@ def report_json(report: AnalysisReport, include_times: bool = True) -> str:
     json.dumps(_jsonable(d), sort_keys=True, indent=2, allow_nan=False),
     written in one walk and joined once.  Only float64 arrays reach the
     number kernel: a parsed table's echo (see config.FamilySpec) is written
-    from its float64 array, and every nested list through "%r"."""
+    from its float64 array, and every list entry by entry."""
     out: list[str] = []
     _write(report.to_json_dict(include_times), "\n", out)
     return "".join(out)

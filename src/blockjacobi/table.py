@@ -13,8 +13,8 @@ any other dtype take their `str`, left-aligned in the same fields.  The
 float kernel also writes report.json's float64 arrays of KERNEL_MIN numbers
 or more (`number_text`): there a field's last byte is a control byte that
 names the separator after the number, and each separator is put in by one
-`bytes.replace` of its mark over the block's bytes.  `walk_nested` is the
-one walk of nested number arrays, for config's tables and report blocks.
+`bytes.replace` of its mark over the block's bytes.  This module holds the
+CSV and number kernels only; nested lists are walked by their users.
 
 `float_fields` finds the shortest decimal that reads back as the float, as
 `repr` does: it rounds x 10^p to 15, 16 and 17 significant digits in
@@ -28,7 +28,6 @@ boundary) takes Python's `repr`, so the bytes equal `repr` by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -272,14 +271,14 @@ def int_fields(v: np.ndarray, buf: np.ndarray, keep: np.ndarray) -> None:
 
 
 # A float64 array of report.json is written by the float kernel
-# (`number_text`) from this many numbers on, and as a list through "%r"
-# below it; a nested list is always written through "%r".  A float block
-# costs about 0.14 ms plus 0.43 us a number in the kernel, and 0.7 us a
-# number through "%r".  Measured on 2 vCPUs, numpy 2.4.6, a flat block of
-# floats, kernel against "%r": 0.26 ms against 0.21 ms at 300 numbers, 0.31
-# against 0.31 at 450, 0.34 against 0.38 at 500, 0.50 against 0.70 at
-# 1 000 and 4.6 against 7.4 at 10 000.
-KERNEL_MIN = 512
+# (`number_text`) from this many numbers on, and below it as its list, by
+# the report writer's walk.  Measured on 2 vCPUs, numpy 2.4.6, kernel against
+# walk: a flat array 0.23 ms against 0.21 at 256 numbers, 0.24 against 0.26
+# at 320, 0.31 against 0.42 at 512 and 1.6 against 3.4 at 4096; an
+# (n, 2, 2, 2) table of pairs, whose walk has more levels, 0.21 against 0.21
+# at 128 numbers, 0.24 against 0.42 at 256 and 0.30 against 0.82 at 512.
+# 256 lies between the two crossovers, near 300 and near 128 numbers.
+KERNEL_MIN = 256
 
 # The bytes that mark a separator in `number_text`: control bytes, which no
 # number text holds, but not the line feed that separators hold.
@@ -307,22 +306,6 @@ def number_text(values: np.ndarray, which: np.ndarray, separators: list[bytes]) 
     for mark, separator in zip(MARKS, separators):
         text = text.replace(bytes([mark]), separator)
     return text.decode("ascii")
-
-
-def walk_nested(v, arrays: set[type]) -> tuple[list[int], list, set[type]] | None:
-    """The walk of a rectangular nested array v, one level at a time while
-    every entry of the level is an array (its type in `arrays`): the shape,
-    the leaves in row-major order and the set of their types.  None when the
-    arrays of a level differ in length or are empty.  Each caller sets its
-    own rules on the leaves."""
-    shape, level = [], [v]
-    while (kinds := set(map(type, level))) <= arrays:
-        lens = set(map(len, level))
-        if len(lens) != 1 or 0 in lens:
-            return None
-        shape += lens
-        level = list(chain.from_iterable(level))
-    return shape, level, kinds
 
 
 @dataclass

@@ -173,11 +173,14 @@ def test_the_gate_jobs_run_the_paths_no_workload_takes(tmp_path, monkeypatch):
     assert texts["extra/out/scan/stdout"] == "exit 0\nwrote out/scan/report.json\n"
     assert texts["extra/out/tabulated_cli/stdout"] == (
         "exit 0\nwrote out/tabulated_cli/report.json\n")
-    # the echo of a (its int leaf) and of b (a float table of KERNEL_MIN numbers or more)
+    # a echoed with its int leaf, and b as written: real on the diagonal, pairs off it
     for out in ("tabulated", "tabulated_cli"):
         report = json.loads((tmp_path / "extra/out" / out / "report.json").read_text())
         assert report["config"]["family"] == bytegate.tabulated_file(3)
         assert type(report["config"]["family"]["a"][0][0][0]) is int
+        b = report["config"]["family"]["b"]
+        assert [[type(v) for v in row] for row in b[-1]] == [[float, list], [list, float]]
+        assert b[-1][0][1] == [b[-1][1][0][0], -b[-1][1][0][1]]
         assert "error" not in report["results"]["00_validate" if out == "tabulated"
                                                  else "00_trajectory"]
     results = json.loads((tmp_path / "extra/out/extra/report.json").read_text())["results"]

@@ -35,7 +35,7 @@ def _hermite():
             "x": {"kind": "power", "exponent": 0.5},
             "y": {"kind": "constant", "value": 0.0},
             "X": [[[1 / math.sqrt(2)]]], "Y": [[[0.0]]]}
-    return parse_family(spec, "$.family").build()
+    return parse_family(spec, "$.family").family
 
 
 @pytest.mark.parametrize("x", [0.0, 0.5, 1.5])

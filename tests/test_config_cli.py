@@ -32,7 +32,7 @@ def test_parse_minimal_config():
         "analyses": [{"kind": "carleman"}],
     }))
     assert doc.horizon == 10_000 and doc.seed == 0 and doc.out_dir is None
-    fam = doc.family.build()
+    fam = doc.family.family
     assert fam.dim == 2
     assert np.abs(fam.a(3) - X_OP).max() == 0.0
 
@@ -46,7 +46,7 @@ def test_parse_inline_constant_family():
         "out_dir": "out",
     })
     assert doc.horizon == 500 and doc.seed == 7 and doc.out_dir == "out"
-    fam = doc.family.build()
+    fam = doc.family.family
     assert np.abs(fam.b(0) - Y_OP).max() == 0.0
     spec = doc.analyses[0]
     assert spec.kind == "lambda_scan"
@@ -59,7 +59,7 @@ def test_parse_fixture_with_params():
                    "params": {"q": 0.25}},
         "analyses": [{"kind": "validate"}],
     })
-    fam = doc.family.build()
+    fam = doc.family.family
     assert np.abs(fam.b(0) - 0.25 * Y_OP).max() < 1e-15
 
 
@@ -71,7 +71,7 @@ def test_parse_scaled_periodic_family():
                    "X": [X_JSON], "Y": [Y_JSON]},
         "analyses": [{"kind": "validate"}],
     })
-    fam = doc.family.build()
+    fam = doc.family.family
     assert np.abs(fam.a(4) - 5.0 * X_OP).max() < 1e-12
 
 
@@ -208,7 +208,7 @@ def test_well_formed_tables_are_typed_in_one_pass(monkeypatch):
     pairs = [[[[1.0, 0.1 * (n % 7)], [1, -0.0]], [[1, 0.0], [2.0, 0]]] for n in range(1000)]
     family = {"kind": "tabulated", "a": pairs, "b": [Y_JSON] * 1000}
     monkeypatch.setattr(config, "parse_complex", per_entry)
-    fam = parse_config({"family": family, "analyses": [{"kind": "validate"}]}).family.build()
+    fam = parse_config({"family": family, "analyses": [{"kind": "validate"}]}).family.family
     assert fam.a(999).tobytes() == np.array([[1 + 0.5j, complex(1, -0.0)], [1, 2]]).tobytes()
     assert fam.b(999).tobytes() == Y_OP.astype(complex).tobytes()
 
@@ -217,7 +217,7 @@ def test_well_formed_tables_are_typed_in_one_pass(monkeypatch):
     monkeypatch.setattr(config, "parse_complex",
                         lambda v, path: calls.append(path) or parse_complex(v, path))
     mixed = {"kind": "tabulated", "a": [pairs[0], X_JSON], "b": [Y_JSON] * 2}
-    fam = parse_config({"family": mixed, "analyses": [{"kind": "validate"}]}).family.build()
+    fam = parse_config({"family": mixed, "analyses": [{"kind": "validate"}]}).family.family
     assert len(calls) == 8 and fam.a(1).tobytes() == X_OP.astype(complex).tobytes()
 
 

@@ -136,7 +136,7 @@ def test_one_propagation_serves_every_analysis_at_one_z(monkeypatch):
     assert calls == [0.0]
     monkeypatch.undo()
 
-    fam = doc.family.build()
+    fam = doc.family.family
     starts = [np.array([complex(*x) if isinstance(x, list) else x for x in a]) for a in alphas]
     ea = exact_asymptotics(fam, extract_periodic_limits(fam, 1, H), 0.0, starts, H)
     chris = christoffel_limit(fam, ea.C, ea.phi.trajectory(ea.per_alpha[0]["alpha"]))

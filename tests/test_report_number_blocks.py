@@ -1,11 +1,11 @@
 """Byte-oracle tests of report number blocks around table.KERNEL_MIN: from
 that many numbers on, a finite float64 array is written by the CSV float
 kernel (`table.number_text`), each separator put in from a marker byte, and
-below it, or with any other leaf, it is not.  A nested list is never
-written by the kernel: a rectangular one of numbers, a table whose entries
-mix numbers with [re, im] pairs included, is one "%r" block.  Every block
-must keep the bytes of the two-walk encoder (`conftest.report_oracle`)
-either way."""
+below it, or with any other leaf, it is written as its list.  A nested list
+is never written by the kernel: the report writer's walk writes it entry by
+entry, a table whose entries mix numbers with [re, im] pairs included.
+Every block must keep the bytes of the two-walk encoder
+(`conftest.report_oracle`) either way."""
 
 import gc
 import importlib.util
@@ -127,6 +127,8 @@ def test_a_ragged_block_keeps_its_bytes():
     rows = np.array(every_exponent(2 * KERNEL_MIN)).reshape(-1, 2).tolist()
     for last in ([0.5], [0.5, 1.5, 2.5], [[0.5, 1.5], 2.5], []):
         assert_bytes(rows[:-1] + [last])
+    ragged = [[[1.0 + n, [1.0, 0.5]], [1, 2.0]] for n in range(50)]
+    assert_bytes({"block": [[1.0, 2], [3.0, 4.0]], "ragged": ragged})
 
 
 def test_the_kernel_serves_large_rectangular_number_blocks_only(kernel_sizes):
@@ -138,7 +140,7 @@ def test_the_kernel_serves_large_rectangular_number_blocks_only(kernel_sizes):
               "ragged": pairs[:-1] + [[0.5]], "nan": pairs[:-1] + [[0.5, math.nan]],
               "bool": pairs[:-1] + [[0.5, True]], "big int": [2 ** 63] + list(range(KERNEL_MIN))}
     assert_bytes(blocks)
-    assert kernel_sizes == []  # lists, whatever their size, go through "%r"
+    assert kernel_sizes == []  # lists, whatever their size, are walked entry by entry
     arrays = {"below": np.array(floats[:KERNEL_MIN - 1]), "at": np.array(floats[:KERNEL_MIN]),
               "pairs": np.array(pairs), "ints": np.arange(KERNEL_MIN),
               "float32": np.linspace(-1.0, 1.0, KERNEL_MIN, dtype=np.float32),
@@ -156,24 +158,20 @@ def hermitian_tables(n: int, seed: int = 0) -> list:
 
 
 @pytest.mark.parametrize("n", [KERNEL_MIN // 6 - 1, KERNEL_MIN // 6 + 1, 2000])
-def test_tables_mixing_numbers_and_pairs_are_blocks(n, kernel_sizes):
+def test_tables_mixing_numbers_and_pairs_keep_their_bytes(n, kernel_sizes):
     tables = hermitian_tables(n, seed=n)
-    assert runner._number_block(tables, "\n") is not None
-    kernel_sizes.clear()
     assert_bytes({"b": tables, "ints": [[1, [2, 3]], [[2, -3], 4]] * n})
-    assert kernel_sizes == []  # each a "%r" block, its pairs with a template of their own
+    assert kernel_sizes == []
 
 
 @pytest.mark.parametrize("n", [KERNEL_MIN // 6 - 1, KERNEL_MIN // 6 + 1])
-def test_mixed_tables_with_a_non_finite_or_ragged_entry_keep_the_entry_path(n):
+def test_mixed_tables_with_a_non_finite_or_ragged_entry_keep_their_bytes(n):
     for bad in (math.nan, math.inf, [0.5, 1.5, 2.5], [0.5], [0.5, True]):
         tables = hermitian_tables(n, seed=n)
         tables[-1][1][0] = bad
-        assert runner._number_block(tables, "\n") is None
         assert_bytes(tables)
     tables = hermitian_tables(n, seed=n)
     tables[-1][1] = tables[-1][1][:1]  # a row one entry short
-    assert runner._number_block(tables, "\n") is None
     assert_bytes(tables)
 
 
@@ -191,7 +189,6 @@ def test_mixed_blocks_that_start_or_end_with_a_pair_keep_their_bytes(n, ends, ke
     head = [general_table(1)] if "first" in ends else []
     tail = [general_table(2)] if "last" in ends else []
     tables = head + hermitian_tables(n, seed=n) + tail
-    assert runner._number_block(tables, "\n") is not None  # one block
     assert_bytes(tables)
     assert_bytes({"b": tables, "n": n})
     assert kernel_sizes == []
@@ -212,7 +209,6 @@ def test_mixed_blocks_with_pairs_anywhere_keep_their_bytes(shape, kernel_sizes):
     """Pairs at random entries, so that every kind of number meets every
     count of closing levels, with and without a pair next."""
     block = random_mixed(shape, seed=len(shape))
-    assert runner._number_block(block, "\n") is not None  # one block
     assert_bytes(block)
     assert_bytes(tuples(block))
     assert kernel_sizes == []
@@ -230,8 +226,7 @@ def test_float64_arrays_of_ranks_one_to_five_are_written_by_the_kernel(shape, ke
 
 @pytest.mark.parametrize("shape", [(KERNEL_MIN,), (KERNEL_MIN // 2, 2), (43, 3, 4),
                                    (KERNEL_MIN // 8, 2, 2, 2), (2, 3, 1, 5, 18)])
-def test_int64_and_float_lists_of_ranks_one_to_five_are_written_through_the_template(
-        shape, kernel_sizes):
+def test_int64_and_float_lists_of_ranks_one_to_five_are_written_as_lists(shape, kernel_sizes):
     rng = np.random.default_rng(len(shape))
     ints = rng.integers(-2 ** 63, 2 ** 63 - 1, size=shape, endpoint=True)
     ints //= 10 ** rng.integers(0, 19, size=shape)  # every digit count
@@ -248,7 +243,7 @@ def test_int64_and_float_lists_of_ranks_one_to_five_are_written_through_the_temp
 def test_float64_arrays_of_rank_30_and_31_keep_their_bytes(ones, sizes, kernel_sizes):
     """A rank-r array needs r + 1 separators: rank 30 takes all 31 of
     table.MARKS and the kernel, rank 31 one more and the list path."""
-    shape = (2,) * 9 + (1,) * ones
+    shape = (KERNEL_MIN // 2 ** 8,) + (2,) * 8 + (1,) * ones
     floats = np.array(every_exponent(KERNEL_MIN, seed=ones)).reshape(shape)
     assert_bytes(floats)
     assert kernel_sizes == sizes
@@ -257,7 +252,7 @@ def test_float64_arrays_of_rank_30_and_31_keep_their_bytes(ones, sizes, kernel_s
 def test_a_tabulated_echo_has_no_control_byte_but_the_line_feed(kernel_sizes):
     """A tabulated family with complex a_n written as pairs and Hermitian
     b_n with a real diagonal: a's echo, an array, is written by the kernel
-    and b's, a mixed list, through "%r", and no mark is left in the report."""
+    and b's, a mixed list, entry by entry, and no mark is left in the report."""
     def entry(n):
         e = 0.1 * math.exp(-n / 10)
         return ([[[2.0 + e, e], [0.5, -e]], [[0.25, e / 3], [1.5 - e, 0.0]]],
@@ -335,25 +330,21 @@ def test_an_echoed_table_keeps_the_bytes_of_the_raw_family(kind, form, step):
     assert type(leaf) is {"real": float, "int": int}.get(form, list)
 
 
-def test_a_tabulated_echo_is_written_from_the_family_tables(kernel_sizes, monkeypatch):
+def test_a_tabulated_echo_is_written_from_the_family_tables(kernel_sizes):
     """Real entries in a and pairs in b, each table above KERNEL_MIN numbers:
-    the list walker sees neither table, number_text gets each once, and
-    each echoed array is a view of the family's own table."""
+    number_text gets each once, and each echoed array is a view of the
+    family's own table."""
     a, _ = echo_tables(KERNEL_MIN + 4, "real", seed=1)
     _, b = echo_tables(2 * len(a) * 4, "pairs", seed=2)
     family = {"kind": "tabulated", "a": a, "b": b}
     config = parse_config({"family": family, "horizon": 2,
                            "analyses": [{"kind": "validate", "upto": 1}]})
-    walked = []
-    walk = runner.walk_nested
-    monkeypatch.setattr(runner, "walk_nested", lambda v, arrays: walked.append(v) or walk(v, arrays))
     report = run(config)
     raw = report.to_json_dict(include_times=False)
     raw["config"] = {**raw["config"], "family": family}
     assert report_json(report, include_times=False) == report_oracle(raw)
-    assert not [v for v in walked if v == a or v == b]
     assert kernel_sizes == [4 * len(a), 8 * len(b)]
-    fam, echo = config.family.build(), report.config["family"]
+    fam, echo = config.family.family, report.config["family"]
     assert np.shares_memory(echo["a"], fam._table_A)
     assert np.shares_memory(echo["b"], fam._table_B)
 

@@ -1,7 +1,7 @@
 """Property test of report number blocks whose sizes straddle
 table.KERNEL_MIN: floats, ints and both mixed, of rank 1 to 4, with now and
-then a leaf that sends the block entry by entry, keep the bytes of the
-two-walk encoder; a block of numbers also as a float64 array, the form the
+then another leaf (a bool, a non-finite float, None, a big int or a string),
+keep the bytes of the two-walk encoder; a block of numbers also as a float64 array, the form the
 float kernel writes (its ints made floats)."""
 
 import math

@@ -11,7 +11,7 @@ import pytest
 from blockjacobi.config import parse_config
 from blockjacobi.fixtures import FIXTURES
 from blockjacobi import runner
-from blockjacobi.runner import ANALYSES, AnalysisReport, report_json, run
+from blockjacobi.runner import ANALYSES, report_json, run
 from conftest import report_oracle as oracle
 
 
@@ -56,8 +56,9 @@ def _tabulated(entry) -> dict:
             "b": [entry(n)[1] for n in range(60)]}
 
 
-# "float" mixes real entries with [re, im] pairs, so the table is ragged;
-# "pairs" writes every entry as a pair, so the table is one number block.
+# "float" mixes real entries with [re, im] pairs, so the table is echoed as
+# written; "pairs" writes every entry as a pair, so it is echoed from the
+# float64 array of its parse.
 @pytest.mark.parametrize("entries", ["float", "pairs", "int", "mixed"])
 def test_tabulated_echo_keeps_its_bytes_and_its_ints(entries):
     def entry(n):
@@ -82,20 +83,6 @@ def test_tabulated_echo_keeps_its_bytes_and_its_ints(entries):
     leaf = echoed["a"][0][1][0]
     assert type(leaf[0] if entries == "pairs" else leaf) is (
         float if entries in ("float", "pairs") else int)
-
-
-def test_numpy_looks_at_a_ragged_table_once(monkeypatch):
-    """Once numpy finds a table ragged, its matrices, rows and pairs are
-    written one by one without numpy looking at each of them again."""
-    looked = []
-    number_block = runner._number_block
-    monkeypatch.setattr(runner, "_number_block",
-                        lambda obj, indent: looked.append(obj) or number_block(obj, indent))
-    ragged = [[[1.0 + n, [1.0, 0.5]], [1, 2.0]] for n in range(50)]
-    block = [[1.0, 2], [3.0, 4.0]]
-    report = AnalysisReport(tool={}, config={}, results={"block": block, "ragged": ragged})
-    assert report_json(report) == oracle(report.to_json_dict())
-    assert looked == [block, ragged]
 
 
 def test_emit_refuses_an_unknown_format_before_writing_anything(tmp_path):

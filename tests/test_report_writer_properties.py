@@ -24,8 +24,8 @@ def written(obj) -> str:
 # Leaves of every kind the writer meets: Python and numpy numbers (ints past
 # the float range included), strings (non-ASCII included), and arrays of
 # every dtype the program emits, 0-size ones included.  Rectangular number
-# lists exercise the bulk path, and a bool or non-finite float in one must
-# send it to the generic path.
+# lists, now and then holding a bool or non-finite float, are walked entry
+# by entry like any other list.
 REALS = st.one_of(
     st.floats(),
     st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, 2.5e-310, 1e308]))

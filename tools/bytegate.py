@@ -8,7 +8,8 @@ every seed, perfbench/workloads.py generates the inputs of the four
 workloads, and `extra_inputs` those of the gate's own jobs (paths no
 workload takes: a csv-bundle scan, the indeterminacy and turan_convergence
 analyses, the engine's sequential re-step, and the report echo of a
-tabulated family file of real entries, from the library and the CLI).  Each
+tabulated family file whose b mixes real numbers and [re, im] pairs, from
+the library and the CLI).  Each
 tree runs every job in its own process (the two side by side, with BLAS
 threads pinned to 1 as in the benchmark).  The digest of an output is the sha256 of
   - a `report.json`'s text up to its last key, `"wall_times"`, so that the
@@ -85,21 +86,25 @@ WALL_TIMES = b'\n  "wall_times": '
 # rounding excites passes the overflow limit before the horizon.
 DECAYING = [1.0, -0.7071067811865469, 0.17694472517071205, -0.12511881506340083]
 
-# The entries of the gate's tabulated family file: real 2x2 matrices, so
-# that b (640 numbers, over KERNEL_MIN) is echoed from a float view of the
-# family's complex table, and a, whose first number is the int 1, from the
-# config's lists.  tabulated-1e4 writes [re, im] pairs of floats only.
+# The entries of the gate's tabulated family file: 2x2 matrices.  a is real
+# and its first number the int 1; b is Hermitian, written as a config writes
+# it with a real diagonal: real numbers on the diagonal, [re, im] pairs off
+# it.  Both are echoed as the file wrote them, large lists that the report
+# writer walks entry by entry; tabulated-1e4 writes [re, im] pairs of floats
+# only, which are echoed from a float64 array.
 TABULATED_ENTRIES = 160
 
 
 def tabulated_file(seed: int) -> dict:
-    """The gate's tabulated family at a seed: a_n and symmetric b_n near
+    """The gate's tabulated family at a seed: a_n and Hermitian b_n near
     the identity and half of it, perturbed by at most 0.1 an entry."""
     rnd = random.Random(seed)
 
-    def entry(diag: float, symmetric: bool) -> list:
+    def entry(diag: float, hermitian: bool) -> list:
         e = [rnd.uniform(-0.1, 0.1) for _ in range(3)]
-        return [[diag + e[0], e[1]], [e[1] if symmetric else e[2], diag - e[0]]]
+        if hermitian:
+            return [[diag + e[0], [e[1], e[2]]], [[e[1], -e[2]], diag - e[0]]]
+        return [[diag + e[0], e[1]], [e[2], diag - e[0]]]
 
     a = [entry(1.0, False) for _ in range(TABULATED_ENTRIES)]
     b = [entry(0.5, True) for _ in range(TABULATED_ENTRIES)]

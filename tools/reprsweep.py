@@ -8,12 +8,12 @@ COUNT seeded random bit patterns (every exponent field equally likely, so
 subnormals, infinities and NaNs included), and compares each cell's bytes
 with `repr`.  Then writes the finite values, CHUNK at a time, as number
 blocks of a report through `blockjacobi.runner.report_json`: a list of
-table.KERNEL_MIN - 1 values (written through "%r"), a float64 array of
-KERNEL_MIN values and one of the rest (both from the kernel); and all of
-them again as a rank-4 float64 array of 2x2 tables of [re, im] pairs (from
-the kernel, its separators expanded from marker bytes) and as a list of
-2x2 tables whose entries are numbers or pairs at random, the first and the
-last a pair (through "%r").  It compares each line with the text of
+table.KERNEL_MIN - 1 values (written entry by entry by the report writer's
+walk), a float64 array of KERNEL_MIN values and one of the rest (both from
+the kernel); and all of them again as a rank-4 float64 array of 2x2 tables
+of [re, im] pairs (from the kernel, its separators expanded from marker
+bytes) and as a list of 2x2 tables whose entries are numbers or pairs at
+random, the first and the last a pair (by the walk).  It compares each line with the text of
 json.dumps.  Prints every mismatch (the first MISMATCHES_SHOWN of them),
 the number of differing report lines, and the share of values the kernel
 left to `repr`, over all values and over those inside its range; exits 1
