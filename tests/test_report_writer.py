@@ -11,7 +11,7 @@ import pytest
 from blockjacobi.config import parse_config
 from blockjacobi.fixtures import FIXTURES
 from blockjacobi import runner
-from blockjacobi.runner import ANALYSES, report_json, run
+from blockjacobi.runner import ANALYSES, AnalysisReport, report_json, run
 from conftest import report_oracle as oracle
 
 
@@ -83,6 +83,27 @@ def test_tabulated_echo_keeps_its_bytes_and_its_ints(entries):
     leaf = echoed["a"][0][1][0]
     assert type(leaf[0] if entries == "pairs" else leaf) is (
         float if entries in ("float", "pairs") else int)
+
+
+def test_a_ragged_table_is_walked_once(monkeypatch):
+    """A table mixing numbers and pairs is written in the one walk: `_write`
+    sees each of its matrices, rows and pairs once, and none of its numbers,
+    which the walk's loop writes itself."""
+    seen = []
+    write = runner._write
+    monkeypatch.setattr(runner, "_write",
+                        lambda obj, indent, out: seen.append(obj) or write(obj, indent, out))
+    ragged = [[[1.0 + n, [1.0, 0.5]], [1, 2.0]] for n in range(50)]
+    block = [[1.0, 2], [3.0, 4.0]]
+    report = AnalysisReport(tool={}, config={}, results={"block": block, "ragged": ragged})
+    assert report_json(report) == oracle(report.to_json_dict())
+
+    def lists(obj):
+        return [obj] + [x for v in obj if isinstance(v, list) for x in lists(v)]
+
+    walked = [id(obj) for obj in seen if isinstance(obj, list)]
+    assert sorted(walked) == sorted(id(obj) for obj in lists(block) + lists(ragged))
+    assert not any(isinstance(obj, (int, float)) for obj in seen)
 
 
 def test_emit_refuses_an_unknown_format_before_writing_anything(tmp_path):
