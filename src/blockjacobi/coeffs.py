@@ -248,19 +248,28 @@ WEIGHT_KINDS: dict[str, type] = {
 # ---- coefficient families ----
 
 
-def _grown(arr: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
-    """arr[:n] followed by rows.  Writes into arr while it has room and
-    otherwise moves to an array of at least twice the capacity; the result
-    is read-only, so views handed out stay valid and unmodified."""
+def _index_first(buf: np.ndarray) -> np.ndarray:
+    """A buffer that holds the index innermost, (..., count), as a
+    (count, ...) view, whose base is the buffer."""
+    return buf.transpose(-1, *range(buf.ndim - 1))
+
+
+def _grown(store: np.ndarray, n: int, rows: np.ndarray, most: float) -> np.ndarray:
+    """store[:n] followed by rows.  Writes into the store's buffer (its
+    base) while it has room and otherwise moves to one whose capacity is the
+    smallest power of two above the rows needed, so a read one row past them
+    moves nothing, or `most`, the rows a family can hold, if that is less;
+    the result is read-only, so views handed out stay valid and unmodified."""
+    buf = store.base
     need = n + len(rows)
-    if need > len(arr):
-        new = np.empty((max(need, 2 * len(arr)),) + arr.shape[1:], arr.dtype)
-        new[:n] = arr[:n]
-        arr = new
-    arr.flags.writeable = True
-    arr[n:need] = rows
-    arr.flags.writeable = False
-    return arr
+    if need > len(store):
+        new = np.empty(buf.shape[:-1] + (min(1 << need.bit_length(), most),), buf.dtype)
+        new[..., :n] = buf[..., :n]
+        buf = new
+    buf.flags.writeable = True
+    _index_first(buf)[n:need] = rows
+    buf.flags.writeable = False
+    return _index_first(buf)
 
 
 def _norms_and_inverses(mats: np.ndarray):
@@ -275,16 +284,21 @@ def _norms_and_inverses(mats: np.ndarray):
 class CoefficientFamily:
     """Pair of operator sequences: a(n) invertible, b(n) self-adjoint.
 
-    Entries live in per-family arrays filled together and in index order, one
-    each for a_n, b_n, ||a_n|| and a_n^{-1}, whose capacity doubles as they
-    grow.  `stacks` returns read-only views of them for an index range and
-    the per-index accessors are its one-row views.  Every family fills
+    Entries live in per-family stores filled together and in index order, one
+    each for a_n, b_n, ||a_n|| and a_n^{-1}.  Each holds its matrices with
+    the index innermost, a (d, d, capacity) buffer, so that a stack product
+    runs along the rows; the capacity is a power of two above the filled rows
+    (a table's length at most), so a read one row past them moves nothing.
+    `stacks` returns read-only (rows, d, d) views of them for an index range
+    and the per-index accessors are its one-row views.  Every family fills
     exactly the rows up to the largest index read, so user callables run
     once per index and never past it; `_entries` supplies a kind's rows.
     Validation of invertibility and Hermiticity is a separate pass
     (validate_family), so that defective families can still be probed and
     reported on.  Not safe for concurrent use.
     """
+
+    _rows_max = math.inf  # the rows a family can hold; a table's length
 
     def __init__(self, dim: int, a_fn: Callable[[int], np.ndarray] | None,
                  b_fn: Callable[[int], np.ndarray] | None, description: str = ""):
@@ -293,10 +307,10 @@ class CoefficientFamily:
         self._a_fn = a_fn
         self._b_fn = b_fn
         d = self.dim
-        self._A = np.empty((0, d, d), np.complex128)
-        self._B = np.empty((0, d, d), np.complex128)
-        self._AINV = np.empty((0, d, d), np.complex128)
-        self._NRM = np.empty(0)
+        self._A = _index_first(np.empty((d, d, 0), np.complex128))
+        self._B = _index_first(np.empty((d, d, 0), np.complex128))
+        self._AINV = _index_first(np.empty((d, d, 0), np.complex128))
+        self._NRM = _index_first(np.empty(0))
         self._n = 0  # rows filled
         self._error: Exception | None = None  # of the index _n, which failed
         self._singular: dict[int, float] = {}  # index -> condition of a_n
@@ -309,8 +323,8 @@ class CoefficientFamily:
         and that index's error (None when none does).  Each callable is
         evaluated once per index."""
         d = self.dim
-        A = np.empty((hi - lo, d, d), np.complex128)
-        B = np.empty_like(A)
+        A = _index_first(np.empty((d, d, hi - lo), np.complex128))
+        B = _index_first(np.empty((d, d, hi - lo), np.complex128))
         err = None
         for k in range(hi - lo):
             try:
@@ -336,10 +350,10 @@ class CoefficientFamily:
             raise self._error.with_traceback(None)  # not a traceback that grows per read
         lo = self._n
         A, B, (nrm, inv, cond, bad), err = self._entries(lo, stop)
-        self._A = _grown(self._A, lo, A)
-        self._B = _grown(self._B, lo, B)
-        self._NRM = _grown(self._NRM, lo, nrm)
-        self._AINV = _grown(self._AINV, lo, inv)
+        self._A = _grown(self._A, lo, A, self._rows_max)
+        self._B = _grown(self._B, lo, B, self._rows_max)
+        self._NRM = _grown(self._NRM, lo, nrm, self._rows_max)
+        self._AINV = _grown(self._AINV, lo, inv, self._rows_max)
         self._singular.update({lo + int(k): float(cond[k]) for k in np.flatnonzero(bad)})
         self._n = lo + len(A)
         self._error = err
@@ -427,22 +441,25 @@ class ScaledPeriodicFamily(CoefficientFamily):
         self.y = y
         self.X = X
         self.Y = Y
-        self._Xs = np.stack(X)
-        self._Ys = np.stack(Y)
-        self._X_norm, self._X_inv, self._X_cond, self._X_bad = _norms_and_inverses(self._Xs)
+        # (d, d, period), index innermost as in the stores, so rows are whole planes
+        self._Xs = np.stack(X, axis=-1)
+        self._Ys = np.stack(Y, axis=-1)
+        self._X_norm, X_inv, self._X_cond, self._X_bad = _norms_and_inverses(
+            _index_first(self._Xs))
+        self._X_inv = X_inv.transpose(1, 2, 0)
 
     def _entries(self, lo: int, hi: int):
         ns = np.arange(lo, hi)
         js = ns % self.period
         with np.errstate(over="ignore", invalid="ignore"):
             xs = self.x.array(ns)
-            A = xs[:, None, None] * self._Xs[js]
-            B = self.y.array(ns)[:, None, None] * self._Ys[js]
+            A = _index_first(xs * self._Xs.take(js, -1))
+            B = _index_first(self.y.array(ns) * self._Ys.take(js, -1))
         ok = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(B).all(axis=(1, 2))
         k = len(ns) if ok.all() else int(np.argmin(ok))
         xs, js = xs[:k], js[:k]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            inv = self._X_inv[js] / xs[:, None, None]
+            inv = _index_first(self._X_inv.take(js, -1) / xs)
         derived = (xs * self._X_norm[js], inv, np.where(xs == 0.0, np.inf, self._X_cond[js]),
                    self._X_bad[js] | (xs == 0.0))
         err = None if k == len(ns) else ValueError("matrix has non-finite entries")
@@ -461,7 +478,7 @@ class TabulatedFamily(CoefficientFamily):
     def __init__(self, A: np.ndarray, B: np.ndarray, description: str = ""):
         super().__init__(A.shape[1], None, None, description)
         self._table_A, self._table_B = A, B
-        self.length = len(A)
+        self.length = self._rows_max = len(A)
 
     def _entries(self, lo: int, hi: int):
         err = None

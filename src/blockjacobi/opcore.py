@@ -101,9 +101,12 @@ def singular_extremes(x):
     non-finite entry, take LAPACK's values and outcomes."""
     a = np.asarray(x)
     if a.shape[-2:] == (2, 2):
-        # u[i, j, c, k]: component c (re, im) of entry (i, j) of matrix k
-        u = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
-        u = np.ascontiguousarray(u.reshape(-1, 8).T)
+        # u[i, j, c, k]: component c (re, im) of entry (i, j) of matrix k, one
+        # copy that reads a stack holding the index innermost plane by plane
+        m = a.reshape(-1, 4).T
+        u = np.empty((4, 2, m.shape[1]))
+        u[:, 0], u[:, 1] = m.real, m.imag
+        u = u.reshape(8, -1)
         big = np.abs(u).max(axis=0)
         if np.isfinite(big).all():
             e = np.frexp(big)[1]
@@ -138,11 +141,13 @@ def adj(x) -> np.ndarray:
 
 def stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[n] @ b[n] over stacks (n, d, d) and (n, d, k) of small matrices, as
-    d broadcast multiply-adds over the contracted axis, in index order.  A
-    batched matmul pays a fixed cost per matrix, so this is faster for
-    d <= 3 (about 2.5x at d = 2) and slower from d = 4.  Each entry keeps
-    the dot-product error bound |fl(AB) - AB| <= gamma_d |A||B|, and each
-    row of the result depends on that row of a and b alone."""
+    d broadcast multiply-adds over the contracted axis, in index order, in
+    the operands' layout: on stacks that hold the index innermost, as a
+    family's stores do, they run along the rows, about 2x faster than on
+    C-order stacks.  A batched matmul pays a fixed cost per matrix, so this
+    is faster for d <= 3 (about 5x at d = 2) and about even at d = 4.  Each
+    entry keeps the dot-product error bound |fl(AB) - AB| <= gamma_d |A||B|,
+    and each row of the result depends on that row of a and b alone."""
     out = a[:, :, :1] * b[:, None, 0]
     for j in range(1, a.shape[2]):
         out += a[:, :, j:j + 1] * b[:, None, j]

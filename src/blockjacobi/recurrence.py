@@ -114,9 +114,10 @@ def transfer_stack(fam: CoefficientFamily, z: complex, start: int, count: int) -
 
 def formal_eigenvector_start(fam: CoefficientFamily, z: complex, u0: np.ndarray) -> np.ndarray:
     """Initial data (u_0, u_1) with u_1 = a_0^{-1} (z - b_0) u_0, which makes
-    the recurrence hold at n = 0 as well (with the convention a_{-1} = 0)."""
+    the recurrence hold at n = 0 as well (with the convention a_{-1} = 0).
+    Its matrices are C-order copies, as in the engine's sequential step."""
     u0 = np.asarray(u0, dtype=np.complex128).reshape(fam.dim)
-    u1 = fam.a_inv(0) @ (z * u0 - fam.b(0) @ u0)
+    u1 = fam.a_inv(0).copy() @ (z * u0 - fam.b(0).copy() @ u0)
     return np.concatenate([u0, u1])
 
 
@@ -179,7 +180,7 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(out)
 
 
-def _chunk_products(AINV: np.ndarray, AH: np.ndarray, B: np.ndarray, z: complex,
+def _chunk_products(AINV: np.ndarray, A: np.ndarray, B: np.ndarray, z: complex,
                     lo: int, hi: int, c: int) -> np.ndarray:
     """Local prefix products of the transfer matrices of steps lo .. hi-1,
     cut into chunks of c steps, by their lower halves.
@@ -204,12 +205,13 @@ def _chunk_products(AINV: np.ndarray, AH: np.ndarray, B: np.ndarray, z: complex,
     n = -(-cnt // c)
     eye = np.eye(d)
     ainv = AINV[lo - 1:hi - 1]
-    L = np.zeros((n * c, d, 2 * d), dtype=np.complex128)
-    L[:cnt, :, :d] = -stack_mul(ainv, AH[lo - 1:hi - 1])
-    L[:cnt, :, d:] = stack_mul(ainv, z * eye - B[lo:hi])
-    L[cnt:, :, d:] = eye
+    P = np.zeros((d, 2 * d, n * c), dtype=np.complex128)  # index innermost, as the stacks
+    lower = P.transpose(2, 0, 1)
+    lower[:cnt, :, :d] = -stack_mul(ainv, adj(A[lo - 1:hi - 1]))
+    lower[:cnt, :, d:] = stack_mul(ainv, z * eye - B[lo:hi])
+    lower[cnt:, :, d:] = eye
     # L[i, t, :, 0, j]: column t of the lower half of step i of chunk j
-    L = np.ascontiguousarray(L.reshape(n, c, d, 2 * d).transpose(1, 3, 2, 0))[:, :, :, None]
+    L = np.ascontiguousarray(P.reshape(d, 2 * d, n, c).transpose(3, 1, 0, 2))[:, :, :, None]
     Q = np.empty((c + 2, d, 2 * d, n), dtype=np.complex128)
     Q[:2] = np.eye(2 * d).reshape(2, d, 2 * d, 1)
     terms = np.empty((2 * d, d, 2 * d, n), dtype=np.complex128)
@@ -250,23 +252,23 @@ def _propagate(fam: CoefficientFamily, z: complex, alphas: Sequence[np.ndarray],
     k = al.shape[0]
     A, _, B, NRM = fam.stacks(0, horizon, inverse=False)
     AINV = fam.stacks(1, horizon - 1)[1]  # AINV[n - 1] = a_n^{-1}
-    AH = adj(A)
-    # column-major storage, so each trajectory is a view of its own rows;
-    # the arithmetic reads it through ut[n] = (u_n of every column)
-    u = np.zeros((k, horizon + 1, d), dtype=np.complex128)
+    # samples with the index innermost, as in the family's stores, read
+    # through ut[n] = (u_n of every column)
+    U = np.zeros((k, d, horizon + 1), dtype=np.complex128)
     res = np.zeros((k, horizon))
-    ut, rt = u.transpose(1, 2, 0), res.T
-    u[:, 0] = al[:, :d]
-    u[:, 1] = al[:, d:]
+    ut, rt = U.transpose(2, 1, 0), res.T
+    ut[0] = al[:, :d].T
+    ut[1] = al[:, d:].T
 
     def steps(lo: int, hi: int) -> int | None:
         """The sequential step for n = lo .. hi-1; the last stored index
-        when a column passes OVERFLOW_LIMIT, else None."""
+        when a column passes OVERFLOW_LIMIT, else None.  Its matrices are
+        C-order copies, whose products with one column numpy hands to BLAS."""
         for n in range(lo, hi):
             cur = ut[n]
-            rhs = z * cur - B[n] @ cur - AH[n - 1] @ ut[n - 1]
-            nxt = ut[n + 1] = AINV[n - 1] @ rhs
-            rt[n] = _norms(A[n] @ nxt - rhs)
+            rhs = z * cur - B[n].copy() @ cur - adj(A[n - 1].copy()) @ ut[n - 1]
+            nxt = ut[n + 1] = AINV[n - 1].copy() @ rhs
+            rt[n] = _norms(A[n].copy() @ nxt - rhs)
             if np.abs(nxt).max() > OVERFLOW_LIMIT:
                 return n + 1
         return None
@@ -276,7 +278,7 @@ def _propagate(fam: CoefficientFamily, z: complex, alphas: Sequence[np.ndarray],
         whose sample is non-finite or near OVERFLOW_LIMIT, or whose defect
         exceeds DEFECT_GATE, else None."""
         prev, cur, nxt = ut[lo - 1:hi - 1], ut[lo:hi], ut[lo + 1:hi + 1]
-        rhs = z * cur - stack_mul(B[lo:hi], cur) - stack_mul(AH[lo - 1:hi - 1], prev)
+        rhs = z * cur - stack_mul(B[lo:hi], cur) - stack_mul(adj(A[lo - 1:hi - 1]), prev)
         rt[lo:hi] = _norms(stack_mul(A[lo:hi], nxt) - rhs)
         gate = DEFECT_GATE * (NRM[lo:hi, None] * _norms(nxt) + _norms(rhs))
         # half the limit, so that a step accepted here cannot hold a value
@@ -292,7 +294,7 @@ def _propagate(fam: CoefficientFamily, z: complex, alphas: Sequence[np.ndarray],
     with np.errstate(all="ignore"):  # overflow is detected and stepped again
         for lo in range(1, horizon, max(CHUNK_GROUP * c, 1)):
             hi = min(lo + CHUNK_GROUP * c, horizon)
-            Q = _chunk_products(AINV, AH, B, z, lo, hi, c)
+            Q = _chunk_products(AINV, A, B, z, lo, hi, c)
             j = 0
             while cut is None and j < len(Q):
                 for i in range(j, len(Q)):  # each chunk from its predecessor's boundary
@@ -309,8 +311,15 @@ def _propagate(fam: CoefficientFamily, z: complex, alphas: Sequence[np.ndarray],
             if cut is not None:
                 break
     last = horizon if cut is None else cut
-    return [Trajectory(z, al[j], u[j, :last + 1], res[j, :last],
-                       cut is not None and bool(np.abs(u[j, last]).max() > OVERFLOW_LIMIT), cut)
+    u = []
+    for j in range(k):
+        # u_0 .. u_last in C order over the start of the column's own block of
+        # U (ravel copies them first), so that no second array of them is held
+        rows = U[j].reshape(-1)[:(last + 1) * d]
+        rows[:] = U[j, :, :last + 1].T.ravel()
+        u.append(rows.reshape(last + 1, d))
+    return [Trajectory(z, al[j], u[j], res[j, :last],
+                       cut is not None and bool(np.abs(u[j][last]).max() > OVERFLOW_LIMIT), cut)
             for j in range(k)]
 
 

@@ -29,6 +29,7 @@ from blockjacobi.coeffs import (
     block_index,
     block_indices,
     carleman_diagnostic,
+    constant_family,
     custom_family,
     g_product,
     sequence_limit,
@@ -460,9 +461,13 @@ def test_family_reads_are_views_of_one_read_only_array():
     fam = fixtures.paper_logweight()
     A, AINV, B, NRM = fam.stacks(0, 1000)
     assert np.shares_memory(A, fam.a(500))
+    # the store holds each entry's values over the index contiguously
+    assert np.moveaxis(fam._A, 0, -1).flags.c_contiguous
+    assert A.strides[0] == A.itemsize
     for arr in (A, AINV, B, NRM, fam.a(3), fam.a_inv(3)):
+        assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            arr.reshape(-1)[0] = 0.0
+            arr[(0,) * arr.ndim] = 0
 
 
 def test_singular_entries_raise_only_where_inverses_are_read():
@@ -616,6 +621,25 @@ def test_defect_gate_steps_a_mid_run_chunk_again(monkeypatch):
     assert np.all(gated.residuals[1:] <= (1 + 1e-9) * gate * _scale(fam, z, gated.u))
     ref = _sequential_propagate(fam, z, alpha, H)[0]
     assert np.abs(gated.u[:start] - ref[:start]).max() <= CHUNKED_TOL
+
+
+def test_a_one_column_re_step_is_the_c_order_matrix_vector_step_bit_for_bit():
+    # With complex coefficients, BLAS's matrix-vector product and numpy's own
+    # loop, which a matrix read from the index-innermost store would get,
+    # round differently.  Started on the decaying mode at z = 3, the chunk
+    # products lose the solution and the chunk before the overflow cut is
+    # stepped sequentially, from C-order copies of its matrices.
+    z = 3.0
+    fam = constant_family(X * (1 + 0.3j), Y + np.array([[0, 0.2j], [-0.2j, 0]]))
+    w, v = np.linalg.eig(recurrence.transfer(fam, 1, z))
+    traj = propagate(fam, z, v[:, np.argmin(np.abs(w))], 400)
+    cut = traj.truncated_at
+    assert traj.overflow and cut < 400
+    a, a_inv, b = fam.a(0).copy(), fam.a_inv(0).copy(), fam.b(0).copy()
+    for n in range(cut - 8, cut):
+        u, prev = traj.u[n][:, None], traj.u[n - 1][:, None]
+        step = a_inv @ (z * u - b @ u - adj(a) @ prev)
+        np.testing.assert_array_equal(step[:, 0], traj.u[n + 1], strict=True)
 
 
 @pytest.mark.parametrize("case", ["scalar-z10", "paper-constant-z0", "tabulated-z0.75"])

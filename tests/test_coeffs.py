@@ -345,6 +345,29 @@ def test_one_index_reads_are_amortised_by_capacity_doubling():
         assert len(buffers[name]) <= math.log2(1000) + 2, name
 
 
+@pytest.mark.parametrize("n", [1024, 1000])
+@pytest.mark.parametrize("make", [
+    fixtures.sqrt_growth,
+    lambda: custom_family(2, lambda n: X * (n + 1), lambda n: Y),
+    lambda: tabulated_family([X] * 1100, [Y] * 1100),
+], ids=["scaled-periodic", "custom", "tabulated"])
+def test_a_read_one_row_past_a_filled_store_moves_nothing(make, n):
+    fam = make()
+    names = ("_A", "_B", "_AINV", "_NRM")
+    fam.stacks(0, n)
+    before = [getattr(fam, name).__array_interface__["data"][0] for name in names]
+    fam.stacks(0, n + 1)
+    assert [getattr(fam, name).__array_interface__["data"][0] for name in names] == before
+    assert fam._n == n + 1
+
+
+def test_a_tabulated_store_holds_no_more_rows_than_its_table():
+    fam = tabulated_family([X] * 1100, [Y] * 1100)
+    fam.stacks(0, 1024)
+    fam.stacks(0, 1100)
+    assert [len(getattr(fam, name)) for name in ("_A", "_B", "_AINV", "_NRM")] == [1100] * 4
+
+
 def test_per_index_reads_are_read_only_views_and_name_a_singular_a_n():
     a_list = [X] * 4
     a_list[2] = np.array([[1.0, 2.0], [2.0, 4.0]])

@@ -319,3 +319,44 @@ def test_stack_mul_of_one_matrix_equals_its_stack_row_bit_for_bit(d):
         np.testing.assert_array_equal(stack_mul(a[i:i + 1], b[i:i + 1])[0], out[i])
     # rows of a strided view (every third row, a transposed operand) too
     np.testing.assert_array_equal(stack_mul(a[::3], adj(b)[::3]), stack_mul(a, adj(b))[::3])
+
+
+def _index_innermost(x: np.ndarray) -> np.ndarray:
+    """x's values in a stack whose buffer holds the index innermost, as a
+    family's stores do."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
+
+
+def _same_bits(x, y) -> bool:
+    """Equal shapes, dtypes and bytes, so NaN and -0.0 count too."""
+    x, y = np.asarray(x), np.asarray(y)
+    return (x.shape, x.dtype) == (y.shape, y.dtype) and \
+        np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_the_layout_of_a_stack_never_shows_in_its_values(d, k):
+    rng = np.random.default_rng([d, k])
+    a = rng.normal(size=(300, d, d)) + 1j * rng.normal(size=(300, d, d))
+    b = rng.normal(size=(300, d, k)) + 1j * rng.normal(size=(300, d, k))
+    h = a + adj(a)
+    ap, bp, hp = _index_innermost(a), _index_innermost(b), _index_innermost(h)
+    assert ap.strides[0] == ap.itemsize and not ap.flags.c_contiguous
+    out = stack_mul(a, b)
+    for x, y in ((ap, bp), (ap, b), (a, bp)):
+        assert _same_bits(stack_mul(x, y), out)
+    for f in (singular_extremes, conditioning):
+        assert all(_same_bits(p, c) for p, c in zip(f(ap), f(a)))
+    assert _same_bits(np.linalg.inv(ap), np.linalg.inv(a))
+    assert _same_bits(np.linalg.eigvalsh(hp), np.linalg.eigvalsh(h))
+    # a non-finite entry sends singular_extremes to LAPACK: an inf gives its
+    # values, a NaN its error, on either layout
+    c = a.copy()
+    c[7, 0, d - 1] = np.inf
+    assert all(_same_bits(p, q) for p, q in
+               zip(singular_extremes(_index_innermost(c)), singular_extremes(c)))
+    c[7, 0, d - 1] = np.nan
+    for x in (c, _index_innermost(c)):
+        with pytest.raises(np.linalg.LinAlgError):
+            singular_extremes(x)
