@@ -1,6 +1,9 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 configuration or validation error, 3 I/O error.
+Each command builds one JSON document (`analyze`: the file; `scan` and
+`trajectory`: the family and one analysis), with the keys its flags set,
+and types it in one `config.parse_config` call.  Exit codes: 0 success, 2
+configuration or validation error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .config import ParseError, load_json, parse_config, parse_value
+from .config import ParseError, load_json, parse_config
 from .fixtures import FIXTURES, FIXTURE_NOTES
 from .runner import emit, report_json, run
 
@@ -72,16 +75,22 @@ def _numbers(text: str, flag: str, kind=float) -> list:
         raise ParseError(flag, f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _flag_config(family: str, analysis: dict, flags: dict):
-    """The config of one analysis whose keys were set by command line flags
-    (`flags` maps key to flag); an error in a key names its flag."""
+# The flag of each config key that a flag sets, by the key's JSON path.
+FLAGS = {"$.horizon": "--horizon", "$.seed": "--seed", "$.out_dir": "--out-dir",
+         "$.analyses[0].range": "--range", "$.analyses[0].grid": "--grid",
+         "$.analyses[0].N": "--period", "$.analyses[0].z": "--z",
+         "$.analyses[0].alpha": "--alpha"}
+
+
+def _parse(doc, paths: list[str]):
+    """parse_config(doc), where flags set the keys at `paths`: an error in
+    such a key names its flag."""
     try:
-        return parse_config({"family": _family_config(family), "analyses": [analysis]})
+        return parse_config(doc)
     except ParseError as exc:
-        for key, flag in flags.items():
-            at = f"$.analyses[0].{key}"
+        for at in paths:
             if exc.path == at or exc.path.startswith((at + "[", at + ".")):
-                raise ParseError(flag + exc.path[len(at):], exc.message) from None
+                raise ParseError(FLAGS[at] + exc.path[len(at):], exc.message) from None
         raise
 
 
@@ -104,43 +113,35 @@ def _dispatch(args) -> int:
             print(f"{name}: {FIXTURE_NOTES.get(name, '')}")
         return 0
 
-    # flags are typed like the config keys they set, before the config
-    for key in ("horizon", "seed"):
-        if getattr(args, key) is not None:
-            parse_value(key, getattr(args, key), f"--{key}")
     if args.command == "analyze":
         try:
             text = Path(args.config).read_bytes()
         except OSError as exc:
             raise OSError(f"cannot read {args.config}: {exc}") from exc
-        doc = parse_config(text)
+        doc, analysis = load_json(text), {}
     elif args.command == "scan":
-        doc = _flag_config(args.family, {"kind": "lambda_scan",
-                                         "range": _numbers(args.range, "--range"),
-                                         "grid": args.grid, "N": args.period},
-                           {"range": "--range", "grid": "--grid", "N": "--period"})
+        analysis = {"kind": "lambda_scan", "range": _numbers(args.range, "--range"),
+                    "grid": args.grid, "N": args.period}
     else:  # trajectory
         z = _numbers(args.z, "--z")
         if len(z) > 2:
             raise ParseError("--z", "expected re or re,im")
         alpha = [[a.real, a.imag] if a.imag else a.real
                  for a in _numbers(args.alpha, "--alpha", complex)]
-        doc = _flag_config(args.family, {"kind": "trajectory",
-                                         "z": z if len(z) == 2 else [z[0], 0.0],
-                                         "alpha": alpha},
-                           {"z": "--z", "alpha": "--alpha"})
+        analysis = {"kind": "trajectory", "z": z if len(z) == 2 else [z[0], 0.0], "alpha": alpha}
+    if args.command != "analyze":
+        doc = {"family": _family_config(args.family), "analyses": [analysis]}
+    flagged = {key: getattr(args, key) for key in ("horizon", "seed", "out_dir")
+               if getattr(args, key) is not None}
+    if isinstance(doc, dict):  # else parse_config refuses the document at $
+        doc.update(flagged)
+    config = _parse(doc, [f"$.{key}" for key in flagged]
+                    + [f"$.analyses[0].{key}" for key in analysis if key != "kind"])
 
-    if args.horizon is not None:
-        doc.horizon = args.horizon
-    if args.seed is not None:
-        doc.seed = args.seed
-    if args.out_dir is not None:
-        doc.out_dir = args.out_dir
-
-    report = run(doc)
-    if doc.out_dir:
-        emit(report, doc.out_dir, args.format)
-        print(f"wrote {doc.out_dir}/report.json")
+    report = run(config)
+    if config.out_dir:
+        emit(report, config.out_dir, args.format)
+        print(f"wrote {config.out_dir}/report.json")
     else:
         print(report_json(report, include_times=False))
     return 0

@@ -50,10 +50,12 @@ class ParseError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-def _require_keys(obj: dict, path: str, required: set[str], optional: set[str]) -> None:
+def _require_keys(obj: dict, path: str, required: set[str], optional: set[str] | None) -> None:
+    """obj is an object with every required key; with optional None any
+    other key is allowed, else only those of optional."""
     if not isinstance(obj, dict):
         raise ParseError(path, f"expected an object, got {type(obj).__name__}")
-    unknown = set(obj) - required - optional
+    unknown = set() if optional is None else set(obj) - required - optional
     if unknown:
         raise ParseError(path, f"unknown keys {sorted(unknown)}")
     missing = required - set(obj)
@@ -62,11 +64,9 @@ def _require_keys(obj: dict, path: str, required: set[str], optional: set[str]) 
 
 
 def _kind(obj: Any, path: str, known, what: str) -> str:
-    """The "kind" of an object, one of `known`."""
-    if not isinstance(obj, dict):
-        raise ParseError(path, f"expected an object, got {type(obj).__name__}")
-    if "kind" not in obj:
-        raise ParseError(path, "missing required keys ['kind']")
+    """The "kind" of an object, one of `known`; its other keys are the
+    kind's to check."""
+    _require_keys(obj, path, {"kind"}, None)
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in known:
         raise ParseError(f"{path}.kind", f"unknown {what} {kind!r}; known: {sorted(known)}")
@@ -310,12 +310,6 @@ _PARSERS = {
 }
 
 
-def parse_value(key: str, v: Any, path: str, dim: int = 0):
-    """One value of a config key typed as parse_config types it, an error
-    reported at `path`; for command line flags."""
-    return _PARSERS[key](v, path, dim)
-
-
 @dataclass
 class AnalysisSpec:
     kind: str
@@ -372,8 +366,8 @@ def parse_config(text: str | bytes | dict) -> AnalysisConfig:
         raise ParseError("$.analyses", "expected a non-empty array")
     analyses = [parse_analysis(a, f"$.analyses[{i}]", fam.family.dim)
                 for i, a in enumerate(analyses_obj)]
-    horizon = parse_value("horizon", obj.get("horizon", DEFAULT_HORIZON), "$.horizon")
-    seed = parse_value("seed", obj.get("seed", 0), "$.seed")
+    horizon = _PARSERS["horizon"](obj.get("horizon", DEFAULT_HORIZON), "$.horizon")
+    seed = _PARSERS["seed"](obj.get("seed", 0), "$.seed")
     out_dir = obj.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ParseError("$.out_dir", "expected a string")

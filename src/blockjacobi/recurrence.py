@@ -68,18 +68,16 @@ def transfer_inv(fam: CoefficientFamily, n: int, z: complex) -> np.ndarray:
 
 
 def window_product(fam: CoefficientFamily, z: complex, n: int, N: int) -> np.ndarray:
-    """Ordered product B_{n+N-1}(z) ... B_n(z), highest index leftmost, of
-    one transfer_stack.
+    """Ordered product B_{n+N-1}(z) ... B_n(z), highest index leftmost: the
+    whole product of the single N-step chunk of _chunk_products.
 
     An empty window (N = 0) gives the identity on H (+) H.
     """
     if N < 0:
         raise ValueError("window length must be >= 0")
-    out = np.eye(2 * fam.dim, dtype=np.complex128)
-    if N:
-        for b in transfer_stack(fam, z, n, N):
-            out = b @ out
-    return out
+    if not N:
+        return np.eye(2 * fam.dim, dtype=np.complex128)
+    return _chunk_products(fam, z, n, n + N, N)[0, N:].reshape(2 * fam.dim, 2 * fam.dim)
 
 
 def coefficient_stacks(fam: CoefficientFamily, start: int, count: int):
@@ -95,21 +93,28 @@ def norm_stack(fam: CoefficientFamily, start: int, count: int) -> np.ndarray:
 
 
 def transfer_stack(fam: CoefficientFamily, z: complex, start: int, count: int) -> np.ndarray:
-    """Stacked transfer matrices B_start(z) .. B_{start+count-1}(z), built with
-    batched matrix products.  Needs start >= 1, and a_n^{-1} for n >= start
-    only."""
+    """Stacked transfer matrices B_start(z) .. B_{start+count-1}(z): [0, Id]
+    over the lower halves of _lower_halves.  Needs start >= 1, and a_n^{-1}
+    for n >= start only."""
+    d = fam.dim
+    out = np.zeros((count, 2 * d, 2 * d), dtype=np.complex128)
+    out[:, :d, d:] = np.eye(d)
+    _lower_halves(fam, z, start, out[:, d:])
+    return out
+
+
+def _lower_halves(fam: CoefficientFamily, z: complex, start: int, out: np.ndarray) -> None:
+    """Write the lower halves [-a_n^{-1} a_{n-1}^*, a_n^{-1}(z - b_n)] of
+    B_n(z), n = start .. start+len(out)-1, into out (count, d, 2d): the one
+    builder of transfer matrices, stack_mul products on views of the
+    family's stores."""
     if start < 1:
         raise ValueError("transfer matrices start at n = 1")
-    d = fam.dim
+    d, count = fam.dim, len(out)
     A, _, B, _ = fam.stacks(start - 1, count + 1, inverse=False)
     AINV = fam.stacks(start, count)[1]
-    AH = adj(A)
-    out = np.zeros((count, 2 * d, 2 * d), dtype=np.complex128)
-    eye = np.eye(d)
-    out[:, :d, d:] = eye
-    out[:, d:, :d] = -(AINV @ AH[:-1])
-    out[:, d:, d:] = AINV @ (z * eye - B[1:])
-    return out
+    out[:, :, :d] = -stack_mul(AINV, adj(A[:-1]))
+    out[:, :, d:] = stack_mul(AINV, z * np.eye(d) - B[1:])
 
 
 def formal_eigenvector_start(fam: CoefficientFamily, z: complex, u0: np.ndarray) -> np.ndarray:
@@ -180,10 +185,9 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(out)
 
 
-def _chunk_products(AINV: np.ndarray, A: np.ndarray, B: np.ndarray, z: complex,
-                    lo: int, hi: int, c: int) -> np.ndarray:
+def _chunk_products(fam: CoefficientFamily, z: complex, lo: int, hi: int, c: int) -> np.ndarray:
     """Local prefix products of the transfer matrices of steps lo .. hi-1,
-    cut into chunks of c steps, by their lower halves.
+    cut into chunks of c steps, by their lower halves, from those of _lower_halves.
 
     With m = lo + j c the start of chunk j, out[j, i + 2] is the lower half
     of B_{m+i}(z) ... B_m(z), which maps (u_{m-1}, u_m) to u_{m+i+1}, and
@@ -200,16 +204,13 @@ def _chunk_products(AINV: np.ndarray, A: np.ndarray, B: np.ndarray, z: complex,
     any size.  They are returned chunk-major, as one copy, so that each
     chunk's products are one contiguous matrix.
     """
-    d = B.shape[1]
+    d = fam.dim
     cnt = hi - lo
     n = -(-cnt // c)
-    eye = np.eye(d)
-    ainv = AINV[lo - 1:hi - 1]
     P = np.zeros((d, 2 * d, n * c), dtype=np.complex128)  # index innermost, as the stacks
     lower = P.transpose(2, 0, 1)
-    lower[:cnt, :, :d] = -stack_mul(ainv, adj(A[lo - 1:hi - 1]))
-    lower[:cnt, :, d:] = stack_mul(ainv, z * eye - B[lo:hi])
-    lower[cnt:, :, d:] = eye
+    _lower_halves(fam, z, lo, lower[:cnt])
+    lower[cnt:, :, d:] = np.eye(d)
     # L[i, t, :, 0, j]: column t of the lower half of step i of chunk j
     L = np.ascontiguousarray(P.reshape(d, 2 * d, n, c).transpose(3, 1, 0, 2))[:, :, :, None]
     Q = np.empty((c + 2, d, 2 * d, n), dtype=np.complex128)
@@ -294,7 +295,7 @@ def _propagate(fam: CoefficientFamily, z: complex, alphas: Sequence[np.ndarray],
     with np.errstate(all="ignore"):  # overflow is detected and stepped again
         for lo in range(1, horizon, max(CHUNK_GROUP * c, 1)):
             hi = min(lo + CHUNK_GROUP * c, horizon)
-            Q = _chunk_products(AINV, A, B, z, lo, hi, c)
+            Q = _chunk_products(fam, z, lo, hi, c)
             j = 0
             while cut is None and j < len(Q):
                 for i in range(j, len(Q)):  # each chunk from its predecessor's boundary

@@ -710,6 +710,46 @@ def test_cli_flag_errors_read_exactly(argv, err, capsys):
     assert captured.err == f"error: {err}\n" and captured.out == ""
 
 
+def test_a_flag_replaces_the_file_key_it_sets_before_the_parse(tmp_path, capsys):
+    # the file's horizon 1 would be refused; the flag's key is the one parsed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "paper-constant", "analyses": [{"kind": "carleman"}],
+                               "horizon": 1, "seed": "x", "out_dir": 3}))
+    assert main(["analyze", str(cfg), "--horizon", "300", "--seed", "4"]) == 2
+    assert capsys.readouterr().err == "error: $.out_dir: expected a string\n"
+    out = tmp_path / "out"
+    assert main(["analyze", str(cfg), "--horizon", "300", "--seed", "4",
+                 "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}/report.json\n"
+    echo = json.loads((out / "report.json").read_text())["config"]
+    assert (echo["horizon"], echo["seed"]) == (300, 4)
+
+
+@pytest.mark.parametrize("doc,flags,err", [
+    ({"horizon": 50}, ["--horizon", "1"], "--horizon: expected an integer >= 2"),
+    ({"seed": 2}, ["--seed", "-1"], "--seed: expected an integer >= 0"),
+    ({"seed": -1}, ["--horizon", "50"], "$.seed: expected an integer >= 0"),
+])
+def test_analyze_names_the_flag_that_set_a_refused_key(tmp_path, capsys, doc, flags, err):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "paper-constant", "analyses": [{"kind": "carleman"}],
+                               **doc}))
+    assert main(["analyze", str(cfg), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_analyze_reads_its_file_before_any_flag_is_typed(tmp_path, capsys):
+    # the flags are keys of the file's document, so a missing file is an I/O
+    # error whatever the flags hold, and a document that is no object is
+    # refused as such
+    assert main(["analyze", "/nonexistent/nope.json", "--horizon", "1"]) == 3
+    assert capsys.readouterr().err.startswith("error: cannot read /nonexistent/nope.json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1]")
+    assert main(["analyze", str(cfg), "--horizon", "300", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "error: $: expected an object, got list\n"
+
+
 def test_ranges_whose_width_overflows_are_refused(capsys):
     # hi - lo = inf would overflow the scan grid
     assert main(["scan", "--family", "paper-constant", "--range=-1e308,1e308"]) == 2

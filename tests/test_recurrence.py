@@ -98,6 +98,43 @@ def test_transfer_stack_matches_loop():
         transfer_stack(fam, z, 0, 3)
 
 
+ONE_KERNEL_FAMILIES = {
+    **fixtures.FIXTURES,
+    "sqrt-growth": fixtures.sqrt_growth,
+    "complex-custom": lambda: custom_family(
+        2, lambda n: (n + 1.0) ** 0.5 * (X_OP + 0.3j * Y_OP),
+        lambda n: np.cos(n) * Y_OP + 0.2 * np.array([[0, 1j], [-1j, 0]]), "complex custom"),
+}
+
+
+@pytest.mark.parametrize("z", [0.75, 0.5 + 0.5j])
+@pytest.mark.parametrize("name", sorted(ONE_KERNEL_FAMILIES))
+def test_transfer_stack_and_window_product_are_the_engine_kernel_bit_for_bit(
+        monkeypatch, name, z):
+    # One builder of lower halves: transfer_stack holds the very lower halves
+    # that _chunk_products starts from, and window_product is the whole
+    # product of one chunk.  A product by `@` rounds differently on every
+    # family here but paper-constant, so a second formula shows.
+    fam = ONE_KERNEL_FAMILIES[name]()
+    d = fam.dim
+    built, build = [], recurrence._lower_halves
+
+    def spy(fam, z, start, out):
+        build(fam, z, start, out)
+        built.append((start, out.copy()))
+
+    with monkeypatch.context() as m:
+        m.setattr(recurrence, "_lower_halves", spy)
+        recurrence._chunk_products(fam, z, 3, 3 + 40, 7)
+    assert [start for start, _ in built] == [3]
+    lower = transfer_stack(fam, z, 3, 40)[:, d:]
+    assert lower.shape == built[0][1].shape
+    assert np.ascontiguousarray(lower).tobytes() == built[0][1].tobytes()
+    for n, N in [(1, 1), (3, 7), (10, 40)]:
+        want = recurrence._chunk_products(fam, z, n, n + N, N)[0, N:].reshape(2 * d, 2 * d)
+        assert window_product(fam, z, n, N).tobytes() == want.tobytes()
+
+
 def test_coefficient_stacks_periodic_fast_path_agrees():
     fam = paper_constant()  # scaled periodic under the hood
     A, AINV, B, NRM = coefficient_stacks(fam, 2, 5)
