@@ -119,18 +119,20 @@ def _dispatch(args) -> int:
         except OSError as exc:
             raise OSError(f"cannot read {args.config}: {exc}") from exc
         doc, analysis = load_json(text), {}
-    elif args.command == "scan":
-        analysis = {"kind": "lambda_scan", "range": _numbers(args.range, "--range"),
-                    "grid": args.grid, "N": args.period}
-    else:  # trajectory
-        z = _numbers(args.z, "--z")
-        if len(z) > 2:
-            raise ParseError("--z", "expected re or re,im")
-        alpha = [[a.real, a.imag] if a.imag else a.real
-                 for a in _numbers(args.alpha, "--alpha", complex)]
-        analysis = {"kind": "trajectory", "z": z if len(z) == 2 else [z[0], 0.0], "alpha": alpha}
-    if args.command != "analyze":
-        doc = {"family": _family_config(args.family), "analyses": [analysis]}
+    else:  # the family is read before any flag is typed
+        doc = {"family": _family_config(args.family)}
+        if args.command == "scan":
+            analysis = {"kind": "lambda_scan", "range": _numbers(args.range, "--range"),
+                        "grid": args.grid, "N": args.period}
+        else:  # trajectory
+            z = _numbers(args.z, "--z")
+            if len(z) > 2:
+                raise ParseError("--z", "expected re or re,im")
+            alpha = [[a.real, a.imag] if a.imag else a.real
+                     for a in _numbers(args.alpha, "--alpha", complex)]
+            analysis = {"kind": "trajectory", "z": z if len(z) == 2 else [z[0], 0.0],
+                        "alpha": alpha}
+        doc["analyses"] = [analysis]
     flagged = {key: getattr(args, key) for key in ("horizon", "seed", "out_dir")
                if getattr(args, key) is not None}
     if isinstance(doc, dict):  # else parse_config refuses the document at $

@@ -569,7 +569,7 @@ def validate_family(fam: CoefficientFamily, indices: Sequence[int]) -> list[Viol
     have = idx < fam._n
     defect = np.zeros(len(idx))
     non_herm = np.zeros(len(idx), dtype=bool)
-    defect[have], _, non_herm[have] = hermiticity(fam._B[idx[have]])
+    defect[have], non_herm[have] = hermiticity(fam._B[idx[have]])
     singular = np.isin(idx, np.fromiter(fam._singular, np.int64, len(fam._singular)))
     out: list[Violation] = []
     for k in np.flatnonzero(~have | singular | non_herm):

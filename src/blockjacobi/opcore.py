@@ -54,6 +54,11 @@ class Definiteness(Enum):
     DEGENERATE = "degenerate"
 
 
+# The classes as classify_definiteness indexes them.
+_CLASSES = np.array([Definiteness.STRICTLY_POSITIVE, Definiteness.STRICTLY_NEGATIVE,
+                     Definiteness.INDEFINITE, Definiteness.DEGENERATE], dtype=object)
+
+
 def _as_operators(x) -> np.ndarray:
     """Coerce to complex128 square matrices on the last two axes (one matrix
     or a stack), rejecting non-finite entries."""
@@ -166,27 +171,40 @@ def op_norm(x):
 
 
 def herm_defect(x):
-    """Operator-norm distance from x to its adjoint."""
-    return _per_matrix(singular_extremes(x - adj(x))[0])
+    """Operator-norm distance from x to its adjoint; 0.0, with no singular
+    value taken, where x equals its adjoint entry for entry (as both
+    singular value kernels give for the zero matrix)."""
+    g = x - adj(x)
+    nonzero = np.any(g != 0, axis=(-2, -1))
+    defect = np.zeros(nonzero.shape)
+    if nonzero.any():
+        defect[nonzero] = singular_extremes(g[nonzero])[0]
+    return _per_matrix(defect)
 
 
 def hermiticity(x):
-    """(defect, allowance, offends): herm_defect, the HERMITICITY_RTOL
-    * max(1, ||x||) it may reach, and whether it goes past that."""
-    defect = herm_defect(x)
-    allowance = HERMITICITY_RTOL * np.maximum(1.0, op_norm(x))
-    return defect, allowance, defect > allowance
+    """(defect, offends): herm_defect, and whether it goes past
+    HERMITICITY_RTOL * max(1, ||x||).  A defect within HERMITICITY_RTOL never
+    does, so only the matrices past it have their norm taken."""
+    a = np.asarray(x)
+    defect = np.asarray(herm_defect(a))
+    offends = np.asarray(defect > HERMITICITY_RTOL)
+    if offends.any():
+        norm = singular_extremes(a[offends])[0]
+        offends[offends] = defect[offends] > HERMITICITY_RTOL * np.maximum(1.0, norm)
+    return _per_matrix(defect), offends
 
 
 def require_hermitian(x) -> np.ndarray:
     """sym(x) for self-adjoint x; NotHermitianError names the defect of the
-    first matrix that fails hermiticity."""
+    first matrix that fails hermiticity, and the allowance it went past."""
     a = _as_operators(x)
-    defect, allowance, offends = hermiticity(a)
+    defect, offends = hermiticity(a)
     if np.any(offends):
         k = np.argmax(offends)
+        allowance = HERMITICITY_RTOL * max(1.0, op_norm(a.reshape(-1, *a.shape[-2:])[k]))
         raise NotHermitianError("matrix deviates from self-adjointness by %.3e (allowed %.3e)"
-                                % (np.ravel(defect)[k], np.ravel(allowance)[k]))
+                                % (np.ravel(defect)[k], allowance))
     return sym(a)
 
 
@@ -224,10 +242,8 @@ def classify_definiteness(x, eps: float = DEFINITENESS_EPS):
     """
     w = np.linalg.eigvalsh(require_hermitian(x))
     degenerate = np.any(np.abs(w) <= eps, axis=-1)
-    return np.where(w[..., 0] > eps, Definiteness.STRICTLY_POSITIVE,
-                    np.where(w[..., -1] < -eps, Definiteness.STRICTLY_NEGATIVE,
-                             np.where(degenerate, Definiteness.DEGENERATE,
-                                      Definiteness.INDEFINITE))).tolist()
+    k = np.where(w[..., 0] > eps, 0, np.where(w[..., -1] < -eps, 1, 2 + degenerate))
+    return np.asarray(_CLASSES[k]).tolist()
 
 
 def conditioning(x):

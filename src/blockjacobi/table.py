@@ -20,9 +20,14 @@ CSV and number kernels only; nested lists are walked by their users.
 `repr` does: it rounds x 10^p to 15, 16 and 17 significant digits in
 double-double arithmetic (Dekker's exact product against 10^p held as
 hi + lo) and keeps the shortest rounding that lies inside the float's
-rounding interval.  A cell it cannot decide with margin (non-finite, far
-outside 1e+-280, or within a relative 1e-6 of a rounding or round-trip
-boundary) takes Python's `repr`, so the bytes equal `repr` by construction.
+rounding interval.  That interval is symmetric except at a power of two,
+whose gap below is half as wide: every cell is decided with the symmetric
+interval, and the cells with a zero mantissa again, as a subset, with the
+narrower reach below.  Each pass reads and writes contiguous arrays (10^p
+from four 1-D tables, the digits as five arrays of 4-digit chunks).  A
+cell it cannot decide with margin (non-finite, far outside 1e+-280, or
+within a relative 1e-6 of a rounding or round-trip boundary) takes
+Python's `repr`, so the bytes equal `repr` by construction.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _powers_of_ten() -> np.ndarray:
-    """Rows of hi, lo and Dekker's split of hi, for p = _P_MIN .. _P_MAX."""
+    """hi, lo and Dekker's split of hi, one row each, for p = _P_MIN .. _P_MAX."""
     hi, lo = [], []
     for p in range(_P_MIN, _P_MAX + 1):
         if p >= 0:
@@ -68,10 +73,11 @@ def _powers_of_ten() -> np.ndarray:
             lo.append((b - a * d) / (b * d))
         hi.append(h)
     hi = np.array(hi)
-    return np.stack([hi, np.array(lo), *_split(hi)], axis=1)
+    return np.stack([hi, np.array(lo), *_split(hi)])
 
 
-_P10 = _powers_of_ten()
+# Four contiguous tables, so that each read of a stack of p is contiguous.
+_HI, _LO, _BH, _BL = _powers_of_ten()
 
 # Relative distance to a rounding or round-trip boundary below which a cell
 # takes `repr`; the double-double error is about 1e-14 of a unit.
@@ -81,12 +87,13 @@ _MARGIN = 1e-6
 def _scaled(ax: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """N = round(ax 10^p) as int64 and d = ax 10^p - N, for ax 10^p < 2^62:
     Dekker's exact product ax * hi = P + E, plus ax * lo."""
-    b, lo, bh, bl = np.moveaxis(np.take(_P10, p - _P_MIN, axis=0), -1, 0)
-    P = ax * b
+    i = p - _P_MIN
+    bh, bl = _BH.take(i), _BL.take(i)
+    P = ax * _HI.take(i)
     ah, al = _split(ax)
     E = ((ah * bh - P) + ah * bl + al * bh) + al * bl
     Pi = np.rint(P)
-    r = (P - Pi) + E + ax * lo
+    r = (P - Pi) + E + ax * _LO.take(i)
     Nr = np.rint(r)
     return Pi.astype(np.int64) + Nr.astype(np.int64), r - Nr
 
@@ -125,8 +132,8 @@ _ZERO_CODE = (1 + 3) * 17  # 0.0: d_0 = 0 before the point, d_1 = 0 after
 
 def _layouts() -> np.ndarray:
     """_LAYOUT[code] marks the bytes a float field of that layout keeps, as
-    15 words of 4 bools."""
-    keep = np.zeros((_EXP_CODE + 34, FIELD - 4), dtype=bool)
+    16 words of 4 bools, the last (the separator's) kept by none."""
+    keep = np.zeros((_EXP_CODE + 34, FIELD), dtype=bool)
     for decpt in range(-3, 17):
         for ndig in range(1, 18):
             row = keep[(decpt + 3) * 17 + ndig - 1]
@@ -150,6 +157,40 @@ def _layouts() -> np.ndarray:
 _LAYOUT = _layouts()
 
 
+def _shortest(N: np.ndarray, d: np.ndarray, h17: np.ndarray, pow2: bool):
+    """The interval rule: the digits of the shortest of N, and of N rounded
+    once more to 16 and to 15 digits, that lies inside the float's rounding
+    interval, and a mask of the cells too close to a boundary to decide.
+    N + d is the float in units of N's last digit and h17 half the gap to
+    the next float in those units; the gap below is as wide, or, for
+    powers of two (pow2), half as wide."""
+    tie = 0.5 - np.abs(d) < _MARGIN  # N's rounding; matters unless a shorter one fits
+    unsure = np.zeros_like(tie)
+    short = np.zeros_like(tie)
+    M = N
+    for scale in (10, 100):  # 16 and 15 digits; the shorter wins when it reads back
+        r = N - N // scale * scale  # N % scale, without int64 %
+        v = (r + d) / scale
+        n = np.rint(v)
+        dk = v - n
+        h = h17 / scale
+        low = 0.5 * h if pow2 else h  # the reach below the float
+        below = np.where(dk > 0, low, h) if pow2 else h
+        fits = np.abs(dk) < below
+        # a tie between two roundings matters only when both may fit
+        unsure |= (((0.5 - np.abs(dk) < _MARGIN) & (low > 0.5 - _MARGIN))
+                   | (np.abs(np.abs(dk) - below) < _MARGIN * h))
+        if pow2:  # the decimal above may fit where the one below does not
+            up = ~fits & (dk > 0)
+            unsure |= up & (np.abs(1 - dk - h) < _MARGIN * h)
+            up &= 1 - dk < h
+            n += up
+            fits |= up
+        M = np.where(fits, N - r + scale * n.astype(np.int64), M)
+        short |= fits
+    return M, unsure | (tie & ~short)
+
+
 def _decimals(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For floats ax in [_SMALL, _LARGE]: the digits M of repr(ax) as an
     int64 in [10^16, 10^17) (a shorter decimal padded with zeros) and decpt,
@@ -160,7 +201,10 @@ def _decimals(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     15-digit roundings are N's digits rounded once more, and the shortest
     that lies inside ax's rounding interval wins.  Fifteen digits are too
     coarse for two decimals to fit, so a fitting 15-digit rounding with
-    trailing zeros is also the shortest decimal overall."""
+    trailing zeros is also the shortest decimal overall.  Every value is
+    decided by the symmetric interval of `_shortest`; the values with a
+    zero mantissa, powers of two, whose gap below is half the gap above,
+    are then decided again, as a subset, with that narrower reach below."""
     p = 16 - np.floor(np.log10(ax)).astype(np.int64)
     N, d = _scaled(ax, p)
     off = np.where((N > 10 ** 17) | ((N == 10 ** 17) & (d >= 0)), -1, 0)
@@ -169,74 +213,59 @@ def _decimals(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         j = off != 0
         p[j] += off[j]
         N[j], d[j] = _scaled(ax[j], p[j])
-    tie = 0.5 - np.abs(d) < _MARGIN  # N's rounding; matters unless a shorter one fits
-    unsure = np.zeros_like(tie)
-    short = np.zeros_like(tie)
-    # half the gap to the next float, in units of N's last digit; at a
-    # power of two the gap below is half as wide
+    # half the gap to the next float, in units of N's last digit
     h17 = 0.5 * np.spacing(ax) / ax * N
+    M, unsure = _shortest(N, d, h17, False)
     pow2 = (ax.view(np.int64) & ((1 << 52) - 1)) == 0
-    M = N
-    for scale in (10, 100):  # 16 and 15 digits; the shorter wins when it reads back
-        r = N - N // scale * scale  # N % scale, without int64 %
-        v = (r + d) / scale
-        n = np.rint(v)
-        dk = v - n
-        h = h17 / scale
-        low = np.where(pow2, 0.5 * h, h)  # the reach below the float
-        below = np.where(dk > 0, low, h)
-        fits = np.abs(dk) < below
-        up = pow2 & ~fits & (dk > 0) & (1 - dk < h)  # the decimal above fits
-        # a tie between two roundings matters only when both may fit
-        unsure |= (((0.5 - np.abs(dk) < _MARGIN) & (low > 0.5 - _MARGIN))
-                   | (np.abs(np.abs(dk) - below) < _MARGIN * h)
-                   | (pow2 & ~fits & (dk > 0) & (np.abs(1 - dk - h) < _MARGIN * h)))
-        M = np.where(fits | up, N - r + scale * (n.astype(np.int64) + up), M)
-        short |= fits | up
+    if pow2.any():
+        M[pow2], unsure[pow2] = _shortest(N[pow2], d[pow2], h17[pow2], True)
     top = M == 10 ** 17  # rounded up to the next decade
-    return np.where(top, 10 ** 16, M), 17 - p + top, unsure | (tie & ~short)
+    return np.where(top, 10 ** 16, M), 17 - p + top, unsure
 
 
 def _chunks(m: np.ndarray) -> np.ndarray:
-    """m < 10^20 as five 4-digit numbers, the most significant first; peeled
-    off with // alone, which numpy computes faster than int64 %."""
-    out = np.empty(m.shape + (5,), dtype=m.dtype)
+    """m < 10^20 as five 4-digit numbers on a new first axis, the most
+    significant first, each a contiguous array; peeled off with // alone,
+    which numpy computes faster than int64 %."""
+    out = np.empty((5,) + m.shape, dtype=m.dtype)
     for j in (4, 3, 2, 1):
         q = m // 10 ** 4
-        out[..., j] = m - q * 10 ** 4
+        np.subtract(m, q * 10 ** 4, out=out[j])
         m = q
-    out[..., 0] = m
+    out[0] = m
     return out
 
 
 def float_fields(x: np.ndarray, buf: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Lay out repr(v) for every float64 v of x in fields: buf and keep have
     the shape of x plus a last axis of FIELD bytes, and the first FIELD - 4
-    of them get the bytes of each cell and the mask of those it keeps, so
-    that buf[i][keep[i]] is repr(x[i]).  Returns the mask of the cells that
-    took Python's repr."""
+    of them get the bytes of each cell and the mask of those it keeps (the
+    last four, the separator's, are not kept), so that buf[i][keep[i]] is
+    repr(x[i]).  Returns the mask of the cells that took Python's repr."""
     ax = np.abs(x)
     zero = ax == 0
     live = (ax >= _SMALL) & (ax <= _LARGE)
-    M, decpt, unsure = _decimals(np.where(live, ax, 1.0))
+    # 3.0 stands in for zero and non-finite cells: not being a power of two,
+    # it stays out of _decimals' second pass
+    M, decpt, unsure = _decimals(np.where(live, ax, 3.0))
     chunks = _chunks(np.where(zero, 0, M))
-    digits = np.take(_WORDS, chunks)
-    zeros = np.take(_ZEROS, chunks)
-    ndig, run = 17 - zeros[..., 4], zeros[..., 4] == 4  # M's first chunk is not 0
-    for j in (3, 2, 1):
-        ndig -= run * zeros[..., j]
-        run &= zeros[..., j] == 4
-    e = decpt - 1
-    code = np.where((decpt < -3) | (decpt > 16), _EXP_CODE + 2 * (ndig - 1) + (np.abs(e) >= 100),
-                    (decpt + 3) * 17 + ndig - 1)
     words = buf.view(np.uint32)
     words[..., 0], words[..., 1] = _HEAD
-    words[..., 2:7] = digits
+    for j, c in enumerate(chunks):
+        words[..., 2 + j] = words[..., 8 + j] = _WORDS.take(c)
     words[..., 7] = _POINT
-    words[..., 8:13] = digits
+    zeros = _ZEROS.take(chunks[1:])
+    ndig, run = 17 - zeros[3], zeros[3] == 4  # M's first chunk is not 0
+    for z in zeros[2::-1]:
+        ndig -= run * z
+        run &= z == 4
+    e = decpt - 1
     words[..., 13] = np.where(e < 0, _E_MINUS, _E_PLUS)
-    words[..., 14] = np.take(_WORDS, np.abs(e))
-    keep.view(np.uint32)[..., :15] = np.take(_LAYOUT, np.where(zero, _ZERO_CODE, code), axis=0)
+    words[..., 14] = _WORDS.take(np.abs(e))
+    code = np.where((decpt < -3) | (decpt > 16), _EXP_CODE + 2 * (ndig - 1) + (np.abs(e) >= 100),
+                    (decpt + 3) * 17 + ndig - 1)
+    code[zero] = _ZERO_CODE
+    keep.view(np.uint32)[...] = _LAYOUT.take(code, axis=0)
     keep[..., 0] = np.signbit(x)
     other = ~(live | zero) | (live & unsure)
     _put(buf, keep, other, [repr(v).encode() for v in x[other].tolist()])
@@ -265,7 +294,7 @@ def int_fields(v: np.ndarray, buf: np.ndarray, keep: np.ndarray) -> None:
     zeros not kept.  buf and keep are as for float_fields."""
     m = np.abs(v).view(np.uint64)  # |-2^63| wraps to -2^63, which is 2^63 as uint64
     buf[..., 0] = ord("-")
-    buf.view(np.uint32)[..., 1:6] = np.take(_WORDS, _chunks(m))
+    buf.view(np.uint32)[..., 1:6] = np.moveaxis(_WORDS.take(_chunks(m)), 0, -1)
     keep[..., :24] = np.take(_INT_LAYOUT, np.searchsorted(_TENS, m, side="right") + 1, axis=0)
     keep[..., 0] = v < 0
 

@@ -750,6 +750,24 @@ def test_analyze_reads_its_file_before_any_flag_is_typed(tmp_path, capsys):
     assert capsys.readouterr().err == "error: $: expected an object, got list\n"
 
 
+@pytest.mark.parametrize("flags", [
+    ["scan", "--range=a,b"], ["scan", "--range=5,1"], ["scan", "--range=1,2", "--grid", "1"],
+    ["trajectory", "--z", "x", "--alpha", "1,0,0,0"],
+    ["trajectory", "--z", "1,2,3", "--alpha", "1,0,0,0"],
+    ["trajectory", "--z", "0.5", "--alpha", "1,q"],
+])
+def test_scan_and_trajectory_read_the_family_before_any_flag_is_typed(tmp_path, capsys, flags):
+    # one rule for every flag: an unreadable family file exits 3 whether the
+    # flags would split, type or be refused; a readable file with the same
+    # flags exits 2 at the flag
+    missing = str(tmp_path / "nope.json")
+    cmd, *rest = flags
+    assert main([cmd, "--family", missing, *rest]) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot read family file {missing}")
+    assert main([cmd, "--family", "paper-constant", *rest]) == 2
+    assert capsys.readouterr().err.startswith("error: --")
+
+
 def test_ranges_whose_width_overflows_are_refused(capsys):
     # hi - lo = inf would overflow the scan grid
     assert main(["scan", "--family", "paper-constant", "--range=-1e308,1e308"]) == 2

@@ -26,6 +26,8 @@ from blockjacobi.opcore import (
     sym,
 )
 
+from blockjacobi.fixtures import paper_constant
+from blockjacobi.turan import extract_periodic_limits, lambda_scan, limit_form
 from conftest import rand_hermitian, rand_operator, rand_unit
 
 X = np.array([[1.0, 1.0], [1.0, 2.0]])
@@ -192,6 +194,49 @@ def test_one_matrix_and_a_stack_agree():
     assert str(from_stack.value) == str(from_one.value)
     with pytest.raises(ValueError, match="non-finite"):
         classify_definiteness(np.stack([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]]))
+
+
+def _svd_calls(monkeypatch) -> list:
+    """Spy on np.linalg.svd: the stacks it is called on, each as (n, d, d)."""
+    calls, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.array(a).reshape(-1, *np.shape(a)[-2:]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def test_classifying_exactly_hermitian_forms_runs_no_svd(monkeypatch):
+    # sym() makes the limit forms Hermitian entry for entry, so neither their
+    # defect nor their norm is needed; the forms are 4x4, past the 2x2 closed
+    # form, so a singular value would cost a LAPACK call
+    lim = extract_periodic_limits(paper_constant(), 1, 2000)
+    forms = limit_form(lim, np.linspace(-5.0, 10.0, 201))
+    assert forms.shape == (201, 4, 4) and np.array_equal(forms, adj(forms))
+    calls = _svd_calls(monkeypatch)
+    classify_definiteness(forms)
+    assert len(lambda_scan(lim, (-5.0, 10.0)).intervals) == 1
+    assert calls == []
+
+
+def test_require_hermitian_takes_the_norm_of_the_offending_matrix_only(monkeypatch):
+    rng = np.random.default_rng(12)
+    x = np.stack([rand_hermitian(rng, 4) for _ in range(9)])
+    x[2] += 1e-14 * rand_operator(rng, 4)  # a defect within the allowance
+    x[6] += 1e-3 * rand_operator(rng, 4)  # the one matrix that offends
+    calls = _svd_calls(monkeypatch)
+    with pytest.raises(NotHermitianError):
+        require_hermitian(x)
+    seen = np.concatenate(calls)
+    defect = np.array([np.array_equal(m, -adj(m)) for m in seen])
+    # the defects x - x^* of the two matrices not Hermitian entry for entry,
+    # and otherwise the norm of x[6] alone
+    assert sorted(k for m in seen[defect] for k in (2, 6)
+                  if np.array_equal(m, x[k] - adj(x[k]))) == [2, 6]
+    assert len(seen[defect]) == 2 and (~defect).any()
+    assert all(np.array_equal(m, x[6]) for m in seen[~defect])
 
 
 # ---- the 2x2 singular-value kernel ----
