@@ -401,6 +401,8 @@ class CoefficientFamily:
         SingularError names the first of them whose condition estimate
         exceeds CONDITION_LIMIT."""
         ns = np.asarray(ns)
+        if not ns.size:  # [] reads as a float array, which numpy refuses as an index
+            ns = ns.astype(int)
         if ns.min(initial=0) < 0:
             raise ValueError("index must be >= 0")
         stop = int(ns.max(initial=-1)) + 1

@@ -236,8 +236,7 @@ def c_limit(fam: CoefficientFamily, strategy: AlphaStrategy, lam: float,
             f"after {mid_res:.3e} mid-trace"
         )
     converged = last_res < 1e-8 * scale
-    return CLimitReport(last, last_res, converged, classify_definiteness(sym(last)),
-                        horizon)
+    return CLimitReport(last, last_res, converged, classify_definiteness(last), horizon)
 
 
 # ---- the four weight conditions ----

@@ -287,8 +287,8 @@ def limit_form(lim: PeriodicLimitData, lam: float | np.ndarray, start: int = 0) 
     highest index leftmost, where e = start + N - 1 (mod N); an array of
     lambda gives the stack of forms.  Strict definiteness marks lambda as a
     point of the asymptotic band."""
-    prod = np.eye(2 * lim.dim, dtype=np.complex128)
-    for k in range(start, start + lim.N):
+    prod = limit_block(lim, lam, start)
+    for k in range(start + 1, start + lim.N):
         prod = limit_block(lim, lam, k) @ prod
     return sym(_weight_block(lim.C[(start + lim.N - 1) % lim.N]) @ prod)
 
@@ -340,8 +340,12 @@ class LambdaSet:
 def definiteness_scan(fn: Callable[[float], np.ndarray], lo: float, hi: float,
                       grid: int = 201, eps: float = DEFINITENESS_EPS) -> LambdaSet:
     """Scan a Hermitian-matrix-valued function of one float for strict
-    definiteness (see _scan); fn is called once per point."""
-    return _scan(lambda xs: np.stack([fn(float(x)) for x in xs]), lo, hi, grid, eps)
+    definiteness (see _scan); fn is called once per distinct point of each
+    stack, so a midpoint that two edges of one cell share costs one call."""
+    def forms(xs: np.ndarray) -> np.ndarray:
+        points, which = np.unique(xs, return_inverse=True)
+        return np.stack([fn(float(x)) for x in points])[which]
+    return _scan(forms, lo, hi, grid, eps)
 
 
 def _scan(forms: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, grid: int,
@@ -357,35 +361,25 @@ def _scan(forms: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, grid:
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
     xs = np.linspace(lo, hi, grid)
-    cls = classify_definiteness(forms(xs), eps)
-    strict = (Definiteness.STRICTLY_POSITIVE, Definiteness.STRICTLY_NEGATIVE)
-    runs, edges = [], []  # runs (first, last, sign); edges (outside, inside)
-    i = 0
-    while i < grid:
-        if cls[i] not in strict:
-            i += 1
-            continue
-        j = i
-        while j + 1 < grid and cls[j + 1] == cls[i]:
-            j += 1
-        runs.append((i, j, cls[i]))
-        edges += [(i - 1, i)] * (i > 0) + [(j + 1, j)] * (j < grid - 1)
-        i = j + 1
-    outside, inside = xs[np.array(edges, dtype=int).reshape(-1, 2).T]
+    cls = np.array(classify_definiteness(forms(xs), eps), dtype=object)
+    change = cls[1:] != cls[:-1]
+    strict = np.isin(cls, [Definiteness.STRICTLY_POSITIVE, Definiteness.STRICTLY_NEGATIVE])
+    first = np.flatnonzero(strict & np.r_[True, change])  # the runs of one strict class
+    last = np.flatnonzero(strict & np.r_[change, True])
+    # the edges at the runs' first points, then at their last; at an end of
+    # the grid the outside point is the inside one, an edge of width 0
+    ins = np.r_[first, last]
+    out = np.r_[np.maximum(first - 1, 0), np.minimum(last + 1, grid - 1)]
+    inside, outside, sign = xs[ins], xs[out], cls[ins]
     todo = np.flatnonzero(np.abs(inside - outside) > ENDPOINT_TOL)
     while len(todo):
         mid = 0.5 * (inside[todo] + outside[todo])
-        # edges that share a cell share midpoints: classify each once
-        points, which = np.unique(mid, return_inverse=True)
-        got = classify_definiteness(forms(points), eps)
-        hit = np.array([got[w] == cls[edges[k][1]] for w, k in zip(which, todo)])
+        hit = np.array(classify_definiteness(forms(mid), eps), dtype=object) == sign[todo]
         inside[todo[hit]] = mid[hit]
         outside[todo[~hit]] = mid[~hit]
         todo = todo[np.abs(inside[todo] - outside[todo]) > ENDPOINT_TOL]
-    ends = iter((0.5 * (inside + outside)).tolist())
-    intervals = [SignInterval(float(xs[i]) if i == 0 else next(ends),
-                              float(xs[j]) if j == grid - 1 else next(ends), sign)
-                 for i, j, sign in runs]
+    ends = np.where(ins == out, inside, 0.5 * (inside + outside)).tolist()
+    intervals = list(map(SignInterval, ends[:len(first)], ends[len(first):], cls[first]))
     return LambdaSet(intervals, grid, eps, (float(lo), float(hi)))
 
 
@@ -583,6 +577,8 @@ def indeterminacy_probe(fam: CoefficientFamily, z_samples: Sequence[complex],
     trajectories square-summable.  The d solutions seeded from u_0 = e_1 .. e_d
     through the n = 0 relation are combinations of the basis; they span
     d dimensions (solution_dim), and a singular a_0 raises SingularError.
+    The basis is propagated only to min(horizon, 2000); the Carleman sum and
+    the limit data read the whole horizon, which the report echoes.
 
     A divergent Carleman sum yields the self-adjoint-regime verdict instead;
     anything short of either standard stays undecided.

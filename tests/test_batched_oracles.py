@@ -809,6 +809,13 @@ def test_inverse_rows_raise_only_for_singular_indices_read():
         fam.a_inv_rows([-1])
 
 
+def test_inverse_rows_of_no_index_are_an_empty_stack():
+    fam = tabulated_family([X] * 8, [Y] * 8)
+    for ns in ([], np.array([], dtype=int)):
+        got = fam.a_inv_rows(ns)
+        assert got.shape == (0, 2, 2) and got.dtype == np.complex128
+
+
 def test_extraction_reads_no_inverse_outside_its_samples():
     # the limits sample a_n^{-1} in the last decade and at n >= H/32 only,
     # so a singular a_0 stops nothing

@@ -26,6 +26,7 @@ from blockjacobi.fixtures import (
     sqrt_growth,
 )
 from blockjacobi.opcore import (
+    DEFINITENESS_EPS,
     HypothesisViolatedError,
     NotConvergentError,
     NotHermitianError,
@@ -44,6 +45,7 @@ from blockjacobi.recurrence import (
     transfer_inv,
 )
 from blockjacobi.turan import (
+    _scan,
     COMPLETE_INDETERMINATE,
     PROBE_UNDECIDED,
     SELF_ADJOINT_REGIME,
@@ -377,6 +379,45 @@ def test_definiteness_scan_locates_boundaries():
 
     with pytest.raises(ValueError):
         definiteness_scan(lambda lam: np.eye(2), 0.0, 1.0, grid=1)
+
+
+def _sign_change(x):
+    # the shared cell (6, 7) of an 11-point scan of (0, 10): a positive run
+    # meets a negative one, so both edges bisect the same midpoints
+    return np.eye(2) if x < 6.6 else -np.eye(2)
+
+
+def _pieces(x):
+    if x < 2.3:
+        return np.diag([1.0, 2.0])
+    if x < 3.7:
+        return np.diag([1.0, -1.0])
+    return np.diag([x, 1.0]) if x < 6.6 else -np.eye(2)
+
+
+@pytest.mark.parametrize("fn, lo, hi, grid", [
+    (_sign_change, 0.0, 10.0, 11),
+    (_pieces, 0.0, 10.0, 11),
+    (lambda lam: np.diag([lam - 1.0, 3.0 - lam]), 0.0, 4.0, 81),
+    (lambda lam, lim=extract_periodic_limits(paper_constant(), 2, 1000): limit_form(lim, lam),
+     -5.0, 10.0, 201),
+], ids=["sign-change", "pieces", "diagonal", "limit-form-N2"])
+def test_deduplication_moves_calls_never_an_endpoint(fn, lo, hi, grid):
+    # _scan fed each point's form, duplicates included, against
+    # definiteness_scan, which evaluates each distinct midpoint once
+    points = []
+
+    def forms(xs):
+        points.extend(xs.tolist())
+        return np.stack([fn(float(x)) for x in xs])
+
+    got = _scan(forms, lo, hi, grid, DEFINITENESS_EPS)
+    want = definiteness_scan(fn, lo, hi, grid)
+    assert [(iv.lo, iv.hi, iv.sign) for iv in got.intervals] == \
+        [(iv.lo, iv.hi, iv.sign) for iv in want.intervals]
+    assert got.intervals and got.to_dict() == want.to_dict()
+    if fn is _sign_change:
+        assert len(set(points)) == 38 < len(points)
 
 
 def test_lambda_scan_constant_example():
