@@ -27,6 +27,8 @@ from .opcore import (
     conditioning,
     hermiticity,
     op_norm,
+    op_norm_from,
+    op_norms,
 )
 
 # Default index horizon for whole-family diagnostics.
@@ -397,9 +399,10 @@ class CoefficientFamily:
         return self.stacks(n, 1)[1][0]
 
     def a_inv_rows(self, ns) -> np.ndarray:
-        """a_n^{-1} for the indices in the array ns, as one stack; a
-        SingularError names the first of them whose condition estimate
-        exceeds CONDITION_LIMIT."""
+        """a_n^{-1} for the indices in the array ns, of any shape, as one
+        stack of shape ns.shape + (d, d); a SingularError names the first of
+        them in row-major order whose condition estimate exceeds
+        CONDITION_LIMIT."""
         ns = np.asarray(ns)
         if not ns.size:  # [] reads as a float array, which numpy refuses as an index
             ns = ns.astype(int)
@@ -408,9 +411,10 @@ class CoefficientFamily:
         stop = int(ns.max(initial=-1)) + 1
         if self._n < stop:
             self._fill(stop)
-        bad = next((n for n in ns.tolist() if n in self._singular), None)
-        if bad is not None:
-            raise self._singular_error(bad)
+        if self._singular:
+            bad = ns[np.isin(ns, list(self._singular))]
+            if bad.size:
+                raise self._singular_error(int(bad[0]))
         return self._AINV[ns]
 
     def norm_a(self, n: int) -> float:
@@ -828,14 +832,15 @@ def bounded_verdict(values: np.ndarray) -> tuple[bool, dict]:
 
 def _aitken(s1: np.ndarray, s2: np.ndarray, s3: np.ndarray) -> np.ndarray:
     """Entrywise Aitken extrapolation from samples at geometrically spaced
-    indices; exact for limits approached like c * n^(-p) or c * r^n.  An
-    entry whose extrapolant is not finite (second differences too large to
-    square) keeps its raw value s3."""
+    indices, over stacks of matrices; exact for limits approached like
+    c * n^(-p) or c * r^n.  An entry whose extrapolant is not finite (second
+    differences too large to square), or whose second difference is not
+    clear of its matrix's scale, keeps its raw value s3."""
     d1 = s2 - s1
     d2 = s3 - s2
     denom = d2 - d1
-    scale = max(float(np.abs(s3).max()), 1.0)
-    out = s3.astype(np.complex128).copy()
+    scale = np.maximum(np.abs(s3).max(axis=(-2, -1), keepdims=True), 1.0)
+    out = s3.astype(np.complex128)
     with np.errstate(all="ignore"):
         ext = s3 - d2 ** 2 / denom
     ok = (np.abs(denom) > 1e-14 * scale) & np.isfinite(ext)
@@ -843,19 +848,22 @@ def _aitken(s1: np.ndarray, s2: np.ndarray, s3: np.ndarray) -> np.ndarray:
     return out
 
 
-def _neville_at_zero(ts: Sequence[float], ys: Sequence[np.ndarray]) -> np.ndarray:
-    """Polynomial extrapolation of samples y_i = f(t_i) to t = 0, entrywise.
+def _neville_at_zero(ts: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Polynomial extrapolation of samples y_i = f(t_i) to t = 0, entrywise,
+    for a stack of sequences, ts (m, k) abscissas and ys (m, k, d, d)
+    samples: through all k samples, and through all but the first, an entry
+    of the same tableau.
 
     With t = 1/n and exact abscissas this is Richardson extrapolation; it
     collapses smooth 1/n tails regardless of how the sample indices round.
     """
-    cur = [np.asarray(y, dtype=np.complex128) for y in ys]
-    for m in range(1, len(cur)):
-        cur = [
-            (ts[i] * cur[i + 1] - ts[i + m] * cur[i]) / (ts[i] - ts[i + m])
-            for i in range(len(cur) - 1)
-        ]
-    return cur[0]
+    t = ts[:, :, None, None]
+    cur = ys
+    for m in range(1, ys.shape[1]):
+        cur = (t[:, :-m] * cur[:, 1:] - t[:, m:] * cur[:, :-1]) / (t[:, :-m] - t[:, m:])
+        if len(cur[0]) == 2:
+            part = cur[:, 1]
+    return cur[:, 0], part
 
 
 @dataclass
@@ -878,50 +886,91 @@ def sequence_limit(getter: Callable[[int], np.ndarray], indices: Sequence[int],
 def stack_limit(take: Callable[[np.ndarray], np.ndarray], indices: Sequence[int],
                 tol: float = CAUCHY_TOL) -> SequenceLimit:
     """Numerical limit of a matrix sequence along the given increasing index
-    list, where take(ns) returns the terms at the index array ns as a stack.
+    list, where take(ns) returns the terms at the index array ns as a stack:
+    the one-sequence view of stack_limits, raising what it returns.
 
     Accepts by the plain Cauchy rule over the last decade of indices; when
-    the raw terms still drift (slow power tails), falls back to Aitken
-    extrapolation over geometrically spaced samples and accepts when two
-    staggered extrapolations agree.
+    the raw terms still drift (slow power tails), extrapolates from six
+    geometrically spaced samples and accepts the first of three estimates
+    whose staggered variants agree: Aitken, Aitken on the Aitken values,
+    and Richardson in 1/n.
     """
-    idx = np.asarray(indices)
-    if len(idx) < 16:
-        return SequenceLimit(take(idx[-1:])[0], float("inf"), False, "none")
-    cut = max(2, len(idx) // 10)
-    vals = np.asarray(take(idx[-cut:]), dtype=np.complex128)
-    # drift across the whole last decade, not between neighbours: slow
-    # monotone tails have tiny consecutive steps but large remaining drift
-    raw_res = float(op_norm(vals - vals[-1]).max())
-    scale = max(1.0, op_norm(vals[-1]))
-    if raw_res < tol * scale:
-        return SequenceLimit(vals[-1], raw_res, True, "cauchy")
+    lim = stack_limits([take], [indices], tol)[0]
+    if isinstance(lim, Exception):
+        raise lim
+    return lim
 
-    k = len(idx) - 1
-    picks = sorted({k // 32, k // 16, k // 8, k // 4, k // 2, k})
-    if len(picks) == 6 and picks[0] >= 1:
-        s = list(np.asarray(take(idx[picks]), dtype=np.complex128))
-        a = [_aitken(s[i], s[i + 1], s[i + 2]) for i in range(4)]
-        ext_scale = max(1.0, op_norm(a[3]))
-        first_res = op_norm(a[3] - a[2])
-        if first_res < tol * ext_scale:
-            return SequenceLimit(a[3], first_res, True, "extrapolated")
-        # iterate once more on the extrapolants themselves and accept when
-        # the two staggered second-stage values agree
-        b1 = _aitken(a[0], a[1], a[2])
-        b2 = _aitken(a[1], a[2], a[3])
-        second_res = op_norm(b2 - b1)
-        if second_res < tol * max(1.0, op_norm(b2)):
-            return SequenceLimit(b2, second_res, True, "extrapolated")
-        # Richardson in 1/n with the exact sample indices; staggered
-        # agreement (with and without the farthest node) gates acceptance
-        ts = [1.0 / idx[j] for j in picks]
-        v_full = _neville_at_zero(ts, s)
-        v_part = _neville_at_zero(ts[1:], s[1:])
-        rich_res = op_norm(v_full - v_part)
-        if rich_res < tol * max(1.0, op_norm(v_full)):
-            return SequenceLimit(v_full, rich_res, True, "extrapolated")
-    return SequenceLimit(vals[-1], raw_res, False, "none")
+
+def stack_limits(takes: Sequence[Callable[[np.ndarray], np.ndarray]],
+                 indices: Sequence[Sequence[int]],
+                 tol: float = CAUCHY_TOL) -> list[SequenceLimit | Exception]:
+    """stack_limit of many sequences of matrices of one shape, sequence i
+    read by takes[i] along indices[i]: per sequence, its SequenceLimit or
+    the exception stack_limit raises on it alone.
+
+    Each last decade is read and normed on its own, so only one is held at
+    a time.  The last terms' norms are one stack, and so are the
+    extrapolants of every sequence the Cauchy rule refuses and then their
+    norms.  A row of a norm stack has its matrix's own bits and a sequence
+    reads only its own rows, so no outcome depends on the other sequences;
+    a norm of a non-finite matrix is taken by op_norm itself, which raises
+    where a one-sequence reading reaches it.
+    """
+    out: list = [None] * len(takes)
+    tails = {}  # sequence -> (indices, last term, raw residual)
+    for i, (take, idx) in enumerate(zip(takes, indices)):
+        idx = np.asarray(idx)
+        try:
+            if len(idx) < 16:
+                out[i] = SequenceLimit(take(idx[-1:])[0], float("inf"), False, "none")
+                continue
+            vals = np.asarray(take(idx[-max(2, len(idx) // 10):]), dtype=np.complex128)
+            # drift across the whole last decade, not between neighbours: slow
+            # monotone tails have tiny consecutive steps but large remaining drift
+            tails[i] = idx, vals[-1].copy(), float(op_norm(vals - vals[-1]).max())
+        except Exception as exc:  # this sequence's outcome; the others go on
+            out[i] = exc
+        vals = None  # freed before the next decade is read
+    refused = {}  # sequence -> (sample indices, samples)
+    last_norms = op_norms(np.stack([last for _, last, _ in tails.values()])) if tails else []
+    for (i, (idx, last, raw)), nrm in zip(tails.items(), last_norms):
+        try:
+            if raw < tol * max(1.0, op_norm_from(nrm, last)):
+                out[i] = SequenceLimit(last, raw, True, "cauchy")
+                continue
+            out[i] = SequenceLimit(last, raw, False, "none")  # unless an estimate passes
+            k = len(idx) - 1
+            picks = sorted({k // 32, k // 16, k // 8, k // 4, k // 2, k})
+            if len(picks) == 6 and picks[0] >= 1:
+                refused[i] = idx[picks], np.asarray(takes[i](idx[picks]), dtype=np.complex128)
+        except Exception as exc:
+            out[i] = exc
+    if refused:
+        s = np.stack([v for _, v in refused.values()])
+        ts = 1.0 / np.stack([p for p, _ in refused.values()])
+        with np.errstate(all="ignore"):  # non-finite samples are op_norm's to refuse
+            a = _aitken(s[:, :4], s[:, 1:5], s[:, 2:])
+            # iterate once more on the extrapolants themselves
+            b = _aitken(a[:, :2], a[:, 1:3], a[:, 2:])
+            # Richardson in 1/n with the exact sample indices, with and
+            # without the farthest node
+            v_full, v_part = _neville_at_zero(ts, s)
+            # each estimate's residual against its staggered variant, then
+            # its own norm: the order in which a sequence reads them
+            ests = np.stack([a[:, 3], b[:, 1], v_full], axis=1)
+            cands = np.stack([a[:, 3] - a[:, 2], a[:, 3], b[:, 1] - b[:, 0], b[:, 1],
+                              v_full - v_part, v_full], axis=1)
+        norms = op_norms(cands)
+        for i, est, cand, nrm in zip(refused, ests, cands, norms):
+            try:
+                for j in range(3):
+                    res = op_norm_from(nrm[2 * j], cand[2 * j])
+                    if res < tol * max(1.0, op_norm_from(nrm[2 * j + 1], cand[2 * j + 1])):
+                        out[i] = SequenceLimit(est[j], res, True, "extrapolated")
+                        break
+            except Exception as exc:
+                out[i] = exc
+    return out
 
 
 # ---- Carleman diagnostic ----

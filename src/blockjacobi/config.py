@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import inspect
 import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -139,15 +140,23 @@ def _built(make, path: str, echo, *args, **kwargs) -> FamilySpec:
         raise ParseError(path, str(exc)) from exc
 
 
+@functools.cache
+def _keywords(fn: Callable, kind: Any) -> dict[str, inspect.Parameter]:
+    """fn's parameters of one kind by the key that names them (a trailing
+    _ dropped, as in lambda_), read once per process; not to be mutated."""
+    return {name.rstrip("_"): p for name, p in inspect.signature(fn).parameters.items()
+            if p.kind is kind}
+
+
 def _fixture(name: Any, params: Any, name_path: str, params_path: str, echo) -> FamilySpec:
     """A built-in family, each parameter typed like its factory default."""
     if not isinstance(name, str) or name not in FIXTURES:
         raise ParseError(name_path, f"unknown fixture {name!r}; known: {sorted(FIXTURES)}")
     factory = FIXTURES[name]
-    defaults = {k: p.default for k, p in inspect.signature(factory).parameters.items()}
-    _require_keys(params, params_path, set(), set(defaults))
+    keys = _keywords(factory, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    _require_keys(params, params_path, set(), set(keys))
     for key, value in params.items():
-        _number(type(defaults[key]))(value, f"{params_path}.{key}")
+        _number(type(keys[key].default))(value, f"{params_path}.{key}")
     return _built(factory, params_path, echo, **params)
 
 
@@ -320,9 +329,7 @@ class AnalysisSpec:
 def parse_analysis(obj: Any, path: str, dim: int) -> AnalysisSpec:
     """Type the keys of one analysis for a family of dimension `dim`."""
     kind = _kind(obj, path, ANALYSES, "analysis")
-    keys = {name.rstrip("_"): p
-            for name, p in inspect.signature(ANALYSES[kind]).parameters.items()
-            if p.kind is p.KEYWORD_ONLY}
+    keys = _keywords(ANALYSES[kind], inspect.Parameter.KEYWORD_ONLY)
     _require_keys(obj, path, {"kind"} | {k for k, p in keys.items() if p.default is p.empty},
                   set(keys))
     params = {}

@@ -10,6 +10,7 @@ operators on H (+) H are (2d, 2d) (np.block); decompositions use numpy.linalg.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -168,6 +169,25 @@ def sym(x) -> np.ndarray:
 def op_norm(x):
     """Operator norm (largest singular value)."""
     return _per_matrix(singular_extremes(_operand(x))[0])
+
+
+def op_norms(x) -> np.ndarray:
+    """op_norm of every finite matrix of a stack, from one singular_extremes
+    call, and NaN for the others, on each of which op_norm raises; a row
+    has the bits op_norm gives its matrix alone."""
+    a = np.asarray(x)
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if finite.all():
+        return singular_extremes(a)[0]
+    out = np.full(finite.shape, np.nan)
+    out[finite] = singular_extremes(a[finite])[0]
+    return out
+
+
+def op_norm_from(norm, m) -> float:
+    """op_norm(m) from its op_norms value: that float, or op_norm's
+    ValueError where m is not finite."""
+    return op_norm(m) if math.isnan(norm) else float(norm)
 
 
 def herm_defect(x):

@@ -25,7 +25,7 @@ from .coeffs import (
     CoefficientFamily,
     carleman_diagnostic,
     sequence_stack,
-    stack_limit,
+    stack_limits,
     tail_window,
     tenth,
     total_variation,
@@ -35,13 +35,15 @@ from .opcore import (
     Definiteness,
     HypothesisViolatedError,
     NotConvergentError,
-    SingularError,
     adj,
     as_operator,
     classify_definiteness,
+    conditioning,
     herm_defect,
     invert,
     op_norm,
+    op_norm_from,
+    op_norms,
     quad_form,
     require_hermitian,
     stack_mul,
@@ -196,19 +198,25 @@ def _limit_data(N: int, T: list, Q: list, R: list, C: list, singular_ok: bool = 
                 **extra) -> PeriodicLimitData:
     """Limit data with the quantities derived from T, Q, R and C: the
     norm-ratio limits r_j = ||C_j^{-1} C_{j-1}^* R_j^{-1}|| and the
-    weighted-trace reduction D.  A C_j or R_j past CONDITION_LIMIT raises
-    SingularError, or with singular_ok gives r_j = nan, no D and a cleared
-    converged flag."""
-    r = []
-    for j in range(N):
-        try:
-            r.append(op_norm(invert(C[j]) @ adj(C[j - 1]) @ invert(R[j])))
-        except SingularError:
-            if not singular_ok:
-                raise
-            r.append(float("nan"))
-    lim = PeriodicLimitData(N, T, Q, R, C, r, **extra)
-    if np.isnan(r).any():
+    weighted-trace reduction D.  The C_j and the R_j are inverted as two
+    stacks and the r_j normed as one.  A C_j or R_j past CONDITION_LIMIT
+    raises SingularError, or with singular_ok gives r_j = nan, no D and a
+    cleared converged flag; the first j in period order that fails decides
+    what is raised."""
+    CR = np.array((C, R))
+    past = conditioning(CR)[2].any(axis=0)  # refuses non-finite entries, as invert does
+    # a past C_j or R_j is inverted as the identity; its r_j is NaN
+    Cs, Rs = np.where(past[:, None, None], np.eye(CR.shape[-1]), CR)
+    prod = np.linalg.inv(Cs) @ adj(CR[0, np.arange(-1, N - 1)]) @ np.linalg.inv(Rs)
+    r = op_norms(prod)
+    r[past] = np.nan
+    for j in np.flatnonzero(np.isnan(r)):  # in period order
+        if not past[j]:
+            op_norm(prod[j])  # a non-finite product: op_norm's ValueError
+        elif not singular_ok:
+            invert(CR[:, j])  # the SingularError naming C_j, or else R_j
+    lim = PeriodicLimitData(N, T, Q, R, C, r.tolist(), **extra)
+    if past.any():
         lim.converged = False
     else:
         lim.D = _diagonal_reduction(lim)
@@ -217,8 +225,10 @@ def _limit_data(N: int, T: list, Q: list, R: list, C: list, singular_ok: bool = 
 
 def _diagonal_reduction(lim: PeriodicLimitData) -> list[np.ndarray] | None:
     """Common diagonal block of each window form, when the forms are z-free
-    (T = 0) and block-diagonal with equal Hermitian halves."""
-    if any(op_norm(t) > REDUCTION_TOL for t in lim.T):
+    (T = 0) and block-diagonal with equal Hermitian halves.  The T_j are
+    normed as one stack, and each window's three blocks as another; a
+    window's form is built only when the windows before it reduce."""
+    if any(op_norm_from(n, t) > REDUCTION_TOL for n, t in zip(op_norms(np.stack(lim.T)), lim.T)):
         return None
     out = []
     d = lim.dim
@@ -226,7 +236,8 @@ def _diagonal_reduction(lim: PeriodicLimitData) -> list[np.ndarray] | None:
         f = limit_form(lim, 0.0, start=j)
         tl, tr, bl, br = f[:d, :d], f[:d, d:], f[d:, :d], f[d:, d:]
         tol = REDUCTION_TOL * max(1.0, op_norm(f))
-        if op_norm(tr) > tol or op_norm(bl) > tol or op_norm(tl - br) > tol:
+        blocks = np.stack([tr, bl, tl - br])
+        if any(op_norm_from(n, m) > tol for n, m in zip(op_norms(blocks), blocks)):
             return None
         out.append(br)  # for N = 1 this is sym C exactly
     return out
@@ -239,7 +250,9 @@ def extract_periodic_limits(fam: CoefficientFamily, N: int,
     Each entry is accepted by the Cauchy rule over the last decade of indices
     or, for slow power-law tails, by agreement of staggered Aitken
     extrapolations.  Failures leave the last raw value in place and clear the
-    converged flag; extraction is diagnostic, not fatal.
+    converged flag; extraction is diagnostic, not fatal.  All 4N sequences
+    are one stack_limits call; the first of them, in the order T, Q, R, C
+    and by residue, that fails raises its error.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -250,22 +263,22 @@ def extract_periodic_limits(fam: CoefficientFamily, N: int,
         "R": lambda ns: fam.a_inv_rows(ns) @ adj(A[ns - 1]),
         "C": lambda ns: A[ns] / NRM[ns, None, None],
     }
+    seqs = [(name, np.arange(j if j >= (name == "R") else j + N, horizon, N))
+            for name in takes for j in range(N)]
+    lims = stack_limits([takes[name] for name, _ in seqs], [idx for _, idx in seqs],
+                        tol=EXTRACTION_TOL)
     data: dict[str, list[np.ndarray]] = {k: [] for k in takes}
     residuals: dict[str, list[float]] = {k: [] for k in takes}
-    converged = True
-    for name, take in takes.items():
-        lo = 1 if name == "R" else 0
-        for j in range(N):
-            first = j if j >= lo else j + N
-            idx = np.arange(first, horizon, N)
-            if not len(idx):
-                raise ValueError("horizon too small for the requested period")
-            lim = stack_limit(take, idx, tol=EXTRACTION_TOL)
-            data[name].append(lim.value)
-            residuals[name].append(lim.residual)
-            converged = converged and lim.converged
+    for (name, idx), lim in zip(seqs, lims):
+        if not len(idx):
+            raise ValueError("horizon too small for the requested period")
+        if isinstance(lim, Exception):
+            raise lim
+        data[name].append(lim.value)
+        residuals[name].append(lim.residual)
     return _limit_data(N, data["T"], data["Q"], data["R"], data["C"], singular_ok=True,
-                       residuals=residuals, converged=converged, horizon=horizon)
+                       residuals=residuals, converged=all(lim.converged for lim in lims),
+                       horizon=horizon)
 
 
 def limit_block(lim: PeriodicLimitData, z: complex | np.ndarray, i: int) -> np.ndarray:

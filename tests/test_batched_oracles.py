@@ -816,6 +816,40 @@ def test_inverse_rows_of_no_index_are_an_empty_stack():
         assert got.shape == (0, 2, 2) and got.dtype == np.complex128
 
 
+def test_inverse_rows_of_an_index_array_of_any_shape():
+    a_list = [X] * 8
+    a_list[3] = np.array([[1.0, 2.0], [2.0, 4.0]])
+    fam = tabulated_family(a_list, [Y] * 8)
+    ns = np.array([[5, 1, 2], [0, 7, 4]])
+    got = fam.a_inv_rows(ns)
+    assert got.shape == (2, 3, 2, 2)
+    assert np.array_equal(got.reshape(-1, 2, 2), fam.a_inv_rows(ns.ravel()))
+    assert fam.a_inv_rows(np.zeros((2, 0), int)).shape == (2, 0, 2, 2)
+    bad = np.array([[5, 1], [3, 0]])
+    with pytest.raises(SingularError) as flat:
+        fam.a_inv_rows(bad.ravel())
+    with pytest.raises(SingularError) as square:
+        fam.a_inv_rows(bad)
+    assert str(square.value) == str(flat.value) and "a_3" in str(flat.value)
+
+
+class _NoLookup(dict):
+    """An empty singular map that fails any per-index lookup."""
+
+    def __contains__(self, key):
+        raise AssertionError("per-index singular lookup on a family with none")
+
+    def __iter__(self):
+        raise AssertionError("per-index singular lookup on a family with none")
+
+
+def test_inverse_rows_skip_the_singular_lookup_without_singular_entries():
+    fam = tabulated_family([X] * 8, [Y] * 8)
+    want = fam.a_inv_rows(np.arange(8))
+    fam._singular = _NoLookup()
+    assert np.array_equal(fam.a_inv_rows(np.arange(8)), want)
+
+
 def test_extraction_reads_no_inverse_outside_its_samples():
     # the limits sample a_n^{-1} in the last decade and at n >= H/32 only,
     # so a singular a_0 stops nothing

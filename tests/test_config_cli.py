@@ -1,6 +1,7 @@
 """Tests for configuration parsing, the analysis runner, and the CLI."""
 
 import csv
+import inspect
 import json
 import re
 
@@ -895,3 +896,20 @@ def test_cli_trajectory_past_an_overflow_cut_with_no_representable_norm(tmp_path
     assert rows[0][5] == "norm" and len(rows) == 4
     assert rows[3][:5] == ["2", "-1e+308", "-1e+308", "1e+308", "1e+308"]
     assert rows[3][5] == "inf"
+
+
+def test_signatures_are_read_once_per_process(monkeypatch):
+    doc = {"family": {"kind": "fixture", "name": "paper-unbounded",
+                      "params": {"exponent": 0.5}},
+           "analyses": [{"kind": "lambda_scan", "range": [-5, 10]},
+                        {"kind": "commutator", "strategy": "an", "lambda": 1}],
+           "horizon": 600}
+    first = parse_config(json.dumps(doc))
+
+    def signature(*args, **kwargs):
+        raise AssertionError("inspect.signature read again")
+
+    monkeypatch.setattr(inspect, "signature", signature)
+    again = parse_config(json.dumps(doc))
+    assert [a.params for a in again.analyses] == [a.params for a in first.analyses]
+    assert again.family.echo == first.family.echo
