@@ -26,6 +26,13 @@ DEFINITENESS_EPS = 1e-9
 
 _TINY = np.finfo(np.float64).tiny
 
+# LAPACK's constants for a symmetric eigenproblem in binary64: the rounding
+# unit dlamch('E'); dsyevd scales a matrix whose largest entry lies outside
+# [2^-485, 2^485] to that bound, and dsterf a tridiagonal matrix whose
+# largest entry lies below 2^-405 up to it.
+_EPS = 2.0 ** -53
+_EIG_RMIN, _EIG_RMAX, _EIG_SSFMIN = 2.0 ** -485, 2.0 ** 485, 2.0 ** -405
+
 
 class NotHermitianError(ValueError):
     """Input had to be self-adjoint and is not, beyond tolerance."""
@@ -140,6 +147,66 @@ def singular_extremes(x):
     return s[..., 0], s[..., -1]
 
 
+def _dlae2_extremes(p, b, r, split):
+    """(smallest, largest) eigenvalue of [[p, b], [b, r]] (b >= 0) as dsterf
+    takes a 2x2 matrix it does not scale: p and r where split (its first
+    test for a negligible b, made by the caller) or its second test holds,
+    else dlae2's
+
+        rt = m sqrt(1 + (m'/m)^2),  m, m' = max, min of |p - r| and 2b,
+        rt1 = (p + r + rt)/2, or (p + r - rt)/2 where p + r < 0,
+        rt2 = (acmx/rt1) acmn - (b/rt1) b,
+
+    acmx and acmn the diagonal entries of larger and smaller modulus (for
+    p + r = 0, rt1, rt2 = rt/2, -rt/2)."""
+    e2 = b * b
+    b = np.sqrt(e2)
+    split = split | (e2 <= (_EPS * _EPS) * np.abs(p * r))
+    # the split rows (the zero matrix among them) may reach 0/0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sm = p + r
+        adf = np.abs(p - r)
+        ab = b + b
+        m = np.maximum(adf, ab)
+        rt = m * np.sqrt(1.0 + (np.minimum(adf, ab) / m) ** 2)
+        rt1 = 0.5 * (sm + np.where(sm < 0, -rt, rt))
+        wide = np.abs(p) > np.abs(r)
+        rt2 = np.where(sm == 0, -0.5 * rt,
+                       (np.where(wide, p, r) / rt1) * np.where(wide, r, p) - (b / rt1) * b)
+        return (np.where(split, np.minimum(p, r), np.minimum(rt1, rt2)),
+                np.where(split, np.maximum(p, r), np.maximum(rt1, rt2)))
+
+
+def _hermitian_2x2_extremes(a):
+    """(smallest, largest) eigenvalue of sym(M) for every M of a finite 2x2
+    stack, by LAPACK's own rules for a 2x2 symmetric matrix.
+
+    With p, r the diagonal of sym(M) and b = |q| its off-diagonal modulus,
+    [[p, b], [b, r]] takes dsyevd's scaling, dsterf's first test for a
+    negligible b and its scaling of a tiny matrix, then _dlae2_extremes:
+    both scalings leave a matrix alone whose largest entry lies in
+    [2^-405, 2^485].  On real entries this is eigvalsh's own arithmetic, so
+    the results have its bits; for a complex q LAPACK's unitary reduction to
+    real form also rounds r, and the two differ by a few ulps of the largest
+    eigenvalue modulus."""
+    p = a[..., 0, 0].real
+    r = a[..., 1, 1].real
+    b = np.abs(a[..., 1, 0] + np.conj(a[..., 0, 1])) * 0.5
+    big = np.maximum(np.maximum(np.abs(p), np.abs(r)), b)
+    if not np.any((big > _EIG_RMAX) | (big < _EIG_SSFMIN) & (big > 0)):
+        return _dlae2_extremes(p, b, r, b <= np.sqrt(np.abs(p)) * np.sqrt(np.abs(r)) * _EPS)
+    sigma = np.divide(np.clip(big, _EIG_RMIN, _EIG_RMAX), big,
+                      out=np.ones_like(big), where=big > 0)
+    p, b, r, big = p * sigma, b * sigma, r * sigma, big * sigma
+    split = b <= np.sqrt(np.abs(p)) * np.sqrt(np.abs(r)) * _EPS
+    tau = np.divide(np.maximum(big, _EIG_SSFMIN), big, out=np.ones_like(big), where=big > 0)
+    lo, hi = _dlae2_extremes(p * tau, b * tau, r * tau, split)
+    undo = big / np.maximum(big, _EIG_SSFMIN)
+    back = 1.0 / sigma
+    return (np.where(split, np.minimum(p, r), lo * undo) * back,
+            np.where(split, np.maximum(p, r), hi * undo) * back)
+
+
 def adj(x) -> np.ndarray:
     """Adjoint (conjugate transpose)."""
     return np.swapaxes(np.conj(x), -1, -2)
@@ -235,10 +302,26 @@ def neg_part(x) -> np.ndarray:
     return (v * np.maximum(0.0, -w)[..., None, :]) @ adj(v)
 
 
+def _sym_extremes(a: np.ndarray):
+    """(smallest, largest) eigenvalue of sym(X) for every X of a finite
+    stack: the 2x2 kernel, LAPACK's eigvalsh for other sizes."""
+    if a.shape[-2:] == (2, 2):
+        return _hermitian_2x2_extremes(a)
+    w = np.linalg.eigvalsh(sym(a))
+    return w[..., 0], w[..., -1]
+
+
 def stack_neg_part_norms(x: np.ndarray) -> np.ndarray:
     """||sym(X)^-|| for every X in a stack: the negative part's norm is
-    max(0, -smallest eigenvalue of sym(X))."""
-    return np.maximum(0.0, -np.linalg.eigvalsh(sym(x))[..., 0])
+    max(0, -smallest eigenvalue of sym(X)).  NaN for a matrix with a
+    non-finite entry; the others are one stack."""
+    a = np.asarray(x)
+    if np.isfinite(a).all():
+        return np.maximum(0.0, -_sym_extremes(a)[0])
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    out = np.full(finite.shape, np.nan)
+    out[finite] = stack_neg_part_norms(a[finite])
+    return out
 
 
 def abs_val(x) -> np.ndarray:
@@ -248,9 +331,10 @@ def abs_val(x) -> np.ndarray:
 
 
 def hermitian_extremes(x):
-    """(smallest, largest) eigenvalue of a self-adjoint matrix."""
-    w = np.linalg.eigvalsh(require_hermitian(x))
-    return _per_matrix(w[..., 0]), _per_matrix(w[..., -1])
+    """(smallest, largest) eigenvalue of a self-adjoint matrix, from the
+    2x2 kernel or eigvalsh as stack_neg_part_norms takes them."""
+    lo, hi = _sym_extremes(require_hermitian(x))
+    return _per_matrix(lo), _per_matrix(hi)
 
 
 def classify_definiteness(x, eps: float = DEFINITENESS_EPS):
