@@ -238,17 +238,23 @@ def op_norm(x):
     return _per_matrix(singular_extremes(_operand(x))[0])
 
 
+def _finite_rows(f, x) -> np.ndarray:
+    """f of the stack of x's finite matrices, one call, and NaN for each
+    matrix with a non-finite entry."""
+    a = np.asarray(x)
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if finite.all():
+        return f(a)
+    out = np.full(finite.shape, np.nan)
+    out[finite] = f(a[finite])
+    return out
+
+
 def op_norms(x) -> np.ndarray:
     """op_norm of every finite matrix of a stack, from one singular_extremes
     call, and NaN for the others, on each of which op_norm raises; a row
     has the bits op_norm gives its matrix alone."""
-    a = np.asarray(x)
-    finite = np.isfinite(a).all(axis=(-2, -1))
-    if finite.all():
-        return singular_extremes(a)[0]
-    out = np.full(finite.shape, np.nan)
-    out[finite] = singular_extremes(a[finite])[0]
-    return out
+    return _finite_rows(lambda a: singular_extremes(a)[0], x)
 
 
 def op_norm_from(norm, m) -> float:
@@ -315,13 +321,7 @@ def stack_neg_part_norms(x: np.ndarray) -> np.ndarray:
     """||sym(X)^-|| for every X in a stack: the negative part's norm is
     max(0, -smallest eigenvalue of sym(X)).  NaN for a matrix with a
     non-finite entry; the others are one stack."""
-    a = np.asarray(x)
-    if np.isfinite(a).all():
-        return np.maximum(0.0, -_sym_extremes(a)[0])
-    finite = np.isfinite(a).all(axis=(-2, -1))
-    out = np.full(finite.shape, np.nan)
-    out[finite] = stack_neg_part_norms(a[finite])
-    return out
+    return _finite_rows(lambda a: np.maximum(0.0, -_sym_extremes(a)[0]), x)
 
 
 def abs_val(x) -> np.ndarray:

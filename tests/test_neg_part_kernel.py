@@ -4,9 +4,10 @@ hermitian_extremes, against LAPACK's eigvalsh.
 On real entries the kernel is eigvalsh's own arithmetic (dsyevd's scaling,
 dsterf's splitting tests and scaling, dlae2), so its values have the same
 bits at every magnitude and on the checkers' own inputs; on complex entries
-LAPACK's reduction to real form rounds differently, and the two agree to a
-few ulps of the largest eigenvalue modulus.  Matrices with a non-finite entry
-give NaN, and the checkers that sum negative parts make no numpy.linalg call.
+LAPACK's reduction to real form rounds differently, and the kernel is held to
+a few ulps of the largest eigenvalue modulus of the exact eigenvalues.
+Matrices with a non-finite entry give NaN, and the checkers that sum negative
+parts make no numpy.linalg call.
 """
 
 import warnings
@@ -100,21 +101,29 @@ def test_checkers_inputs_keep_eigvalsh_bits(monkeypatch):
 
 
 def test_complex_hermitian_stacks_stay_within_a_few_ulps():
+    # against the exact eigenvalues m -+ sqrt(g^2 + |q|^2) of each sym(X), not
+    # against eigvalsh: LAPACK's own error on complex entries reaches 7 eps
+    # max|lambda|, so kernel and eigvalsh can differ by more than 6 eps
     hypothesis = pytest.importorskip("hypothesis")
+    mpmath = pytest.importorskip("mpmath")
     st = hypothesis.strategies
 
     @hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
-    @hypothesis.given(st.integers(0, 2**32 - 1), st.integers(-300, 300), st.integers(1, 40))
+    @hypothesis.given(st.integers(0, 2**32 - 1), st.integers(-300, 300), st.integers(1, 20))
     def check(seed, exponent, n):
         rng = np.random.default_rng(seed)
         x = (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))) * 2.0 ** exponent
         h = sym(x)
-        want = np.linalg.eigvalsh(h)
-        tol = 6 * EPS * np.abs(want).max(axis=-1)
         lo, hi = hermitian_extremes(h)
-        assert np.all(np.abs(lo - want[:, 0]) <= tol)
-        assert np.all(np.abs(hi - want[:, 1]) <= tol)
-        assert np.all(np.abs(stack_neg_part_norms(x) - np.maximum(0.0, -want[:, 0])) <= tol)
+        neg = stack_neg_part_norms(x)
+        with mpmath.workdps(40):
+            for k, m in enumerate(h.tolist()):
+                p, r, q = mpmath.mpf(m[0][0].real), mpmath.mpf(m[1][1].real), mpmath.mpc(m[1][0])
+                rt = mpmath.sqrt(((p - r) / 2) ** 2 + abs(q) ** 2)
+                want_lo, want_hi = (p + r) / 2 - rt, (p + r) / 2 + rt
+                tol = 6 * EPS * max(abs(want_lo), abs(want_hi))
+                assert abs(lo[k] - want_lo) <= tol and abs(hi[k] - want_hi) <= tol
+                assert abs(neg[k] - max(0, -want_lo)) <= tol
 
     check()
 
