@@ -183,8 +183,8 @@ def _hermitian_2x2_extremes(a):
 
     With p, r the diagonal of sym(M) and b = |q| its off-diagonal modulus,
     [[p, b], [b, r]] takes dsyevd's scaling, dsterf's first test for a
-    negligible b and its scaling of a tiny matrix, then _dlae2_extremes:
-    both scalings leave a matrix alone whose largest entry lies in
+    negligible b and its scaling of a tiny matrix, then _dlae2_extremes;
+    every factor is exactly 1 for a matrix whose largest entry lies in
     [2^-405, 2^485].  On real entries this is eigvalsh's own arithmetic, so
     the results have its bits; for a complex q LAPACK's unitary reduction to
     real form also rounds r, and the two differ by a few ulps of the largest
@@ -193,8 +193,6 @@ def _hermitian_2x2_extremes(a):
     r = a[..., 1, 1].real
     b = np.abs(a[..., 1, 0] + np.conj(a[..., 0, 1])) * 0.5
     big = np.maximum(np.maximum(np.abs(p), np.abs(r)), b)
-    if not np.any((big > _EIG_RMAX) | (big < _EIG_SSFMIN) & (big > 0)):
-        return _dlae2_extremes(p, b, r, b <= np.sqrt(np.abs(p)) * np.sqrt(np.abs(r)) * _EPS)
     sigma = np.divide(np.clip(big, _EIG_RMIN, _EIG_RMAX), big,
                       out=np.ones_like(big), where=big > 0)
     p, b, r, big = p * sigma, b * sigma, r * sigma, big * sigma
@@ -308,20 +306,24 @@ def neg_part(x) -> np.ndarray:
     return (v * np.maximum(0.0, -w)[..., None, :]) @ adj(v)
 
 
-def _sym_extremes(a: np.ndarray):
-    """(smallest, largest) eigenvalue of sym(X) for every X of a finite
-    stack: the 2x2 kernel, LAPACK's eigvalsh for other sizes."""
-    if a.shape[-2:] == (2, 2):
-        return _hermitian_2x2_extremes(a)
-    w = np.linalg.eigvalsh(sym(a))
+def _self_adjoint_extremes(h: np.ndarray):
+    """(smallest, largest) eigenvalue of every matrix of a finite
+    self-adjoint stack: the 2x2 kernel, LAPACK's eigvalsh for other sizes.
+    The kernel reads sym(H) off H's entries, so a 2x2 H need not be
+    self-adjoint: it gives the eigenvalues of sym(H)."""
+    if h.shape[-2:] == (2, 2):
+        return _hermitian_2x2_extremes(h)
+    w = np.linalg.eigvalsh(h)
     return w[..., 0], w[..., -1]
 
 
 def stack_neg_part_norms(x: np.ndarray) -> np.ndarray:
     """||sym(X)^-|| for every X in a stack: the negative part's norm is
     max(0, -smallest eigenvalue of sym(X)).  NaN for a matrix with a
-    non-finite entry; the others are one stack."""
-    return _finite_rows(lambda a: np.maximum(0.0, -_sym_extremes(a)[0]), x)
+    non-finite entry; the others are one stack, formed as sym(X) only for
+    eigvalsh, at sizes other than 2x2."""
+    return _finite_rows(lambda a: np.maximum(0.0, -_self_adjoint_extremes(
+        a if a.shape[-2:] == (2, 2) else sym(a))[0]), x)
 
 
 def abs_val(x) -> np.ndarray:
@@ -333,7 +335,7 @@ def abs_val(x) -> np.ndarray:
 def hermitian_extremes(x):
     """(smallest, largest) eigenvalue of a self-adjoint matrix, from the
     2x2 kernel or eigvalsh as stack_neg_part_norms takes them."""
-    lo, hi = _sym_extremes(require_hermitian(x))
+    lo, hi = _self_adjoint_extremes(require_hermitian(x))
     return _per_matrix(lo), _per_matrix(hi)
 
 

@@ -3,7 +3,11 @@ hermitian_extremes, against LAPACK's eigvalsh.
 
 On real entries the kernel is eigvalsh's own arithmetic (dsyevd's scaling,
 dsterf's splitting tests and scaling, dlae2), so its values have the same
-bits at every magnitude and on the checkers' own inputs; on complex entries
+bits at every magnitude and on the checkers' own inputs.  That bit equality
+holds against reference LAPACK compiled without fused multiply-adds, as
+numpy's x86-64 wheels ship it in OpenBLAS (the CI configuration); a LAPACK
+that fuses dlae2's (acmx/rt1) acmn - (b/rt1) b, or another vendor's, may
+differ from the kernel by a few ulps with both correct.  On complex entries
 LAPACK's reduction to real form rounds differently, and the kernel is held to
 a few ulps of the largest eigenvalue modulus of the exact eigenvalues.
 Matrices with a non-finite entry give NaN, and the checkers that sum negative
