@@ -716,12 +716,15 @@ def series_verdict(terms: np.ndarray, first_index: int = 0) -> SumEvidence:
     """Heuristic classification of sum(terms) as a truncated infinite series.
 
     Term k of the array is understood as index n = first_index + k.  The
-    ladder: a series with a term of +inf diverges; series at the noise floor converge; geometric tails converge; a last-decade
-    log-log slope >= -0.95 diverges (terms decaying no faster than c/n) and
-    <= -1.3 converges; slopes in between are refined by fitting the exponent p
-    in t_n ~ 1/(n log^p n), since that family straddles the boundary.  The
-    refinement cannot settle deeper iterated-log boundaries; those remain
-    whatever the p-fit reports, and callers get the evidence either way.
+    ladder: a series with a term of +inf diverges, and one with a NaN term
+    (and no +inf) stays undecided; series at the noise floor converge;
+    geometric tails converge; a last-decade log-log slope >= -0.95 diverges
+    (terms decaying no faster than c/n) and <= -1.3 converges; slopes in
+    between are refined by fitting the exponent p in t_n ~ 1/(n log^p n),
+    since that family straddles the boundary (one centred y for every fit;
+    the flat fit is the shift-0 fit of the 31 shifts).  The refinement cannot
+    settle deeper iterated-log boundaries; those remain whatever the p-fit
+    reports, and callers get the evidence either way.
     """
     t = np.asarray(terms, dtype=float)
     if np.any(t < 0):
@@ -731,6 +734,8 @@ def series_verdict(terms: np.ndarray, first_index: int = 0) -> SumEvidence:
     ev = SumEvidence(UNDECIDED, total, count)
     if np.isposinf(t).any():
         ev.verdict = DIVERGES
+        return ev
+    if math.isnan(total):  # a NaN term: no fit would see it
         return ev
     if count > 0 and float(t.max()) <= SERIES_NOISE_FLOOR:
         ev.verdict = CONVERGES
@@ -777,16 +782,20 @@ def series_verdict(terms: np.ndarray, first_index: int = 0) -> SumEvidence:
     wide = sel & (ns >= max(10.0, ns[-1] / 100.0))
     if wide.sum() >= 10:
         ln = np.log(ns[wide])
-        y = np.log(t[wide]) + ln
-        p_flat = _fit_slope(np.log(ln), y)
-        p_shift = None
-        best_ssr = None
-        for sft in np.linspace(0.0, 3.0, 31):
-            x = np.log(sft + ln)
-            p = _fit_slope(x, y)
-            if p is None:
+        yc = np.log(t[wide]) + ln
+        yc -= yc.sum() / len(yc)
+        xc, resid = np.empty_like(ln), np.empty_like(ln)
+        p_flat = p_shift = best_ssr = None
+        for sft in np.linspace(0.0, 3.0, 31):  # shift 0 is the flat fit
+            np.log(np.add(sft, ln, out=xc), out=xc)
+            xc -= xc.sum() / len(xc)
+            denom = float(np.dot(xc, xc))
+            if denom == 0.0:
                 continue
-            resid = (y - y.mean()) - p * (x - x.mean())
+            p = float(np.dot(xc, yc) / denom)
+            if sft == 0.0:
+                p_flat = p
+            np.subtract(yc, np.multiply(p, xc, out=resid), out=resid)
             ssr = float(np.dot(resid, resid))
             if best_ssr is None or ssr < best_ssr:
                 best_ssr, p_shift = ssr, p

@@ -505,6 +505,20 @@ def test_series_verdict_rejects_negative_terms():
         series_verdict(np.array([1.0, -1.0]))
 
 
+def test_series_verdict_nan_term_is_undecided():
+    # the fits drop a NaN term, so without the NaN rule 1/n^2 read
+    # "converges" and 1/n "diverges" over a NaN partial sum
+    n = np.arange(2, 10002, dtype=float)
+    for terms in (1.0 / n ** 2, 1.0 / n):
+        terms[500] = np.nan
+        ev = series_verdict(terms, first_index=2)
+        assert ev.verdict == UNDECIDED
+        assert math.isnan(ev.partial_sum)
+        assert (ev.slope, ev.log_exponent, ev.window_ratio) == (None, None, None)
+    terms[3] = np.inf  # +inf still diverges
+    assert series_verdict(terms, first_index=2).verdict == DIVERGES
+
+
 def test_series_verdict_geometric_rule_at_ratio_one_half():
     # 20 terms: the last two tenths are two entries each; the tail is too
     # short for a slope fit, so only the geometric rule can decide
