@@ -1006,4 +1006,4 @@ def carleman_diagnostic(fam: CoefficientFamily, horizon: int = DEFAULT_HORIZON) 
     with np.errstate(divide="ignore", over="ignore"):  # a vanishing ||a_n|| gives +inf
         terms = 1.0 / fam.stacks(0, horizon, inverse=False)[3]
     ev = series_verdict(terms, first_index=0)
-    return CarlemanReport(horizon, float(terms.sum()), ev)
+    return CarlemanReport(horizon, ev.partial_sum, ev)

@@ -23,7 +23,6 @@ import numpy as np
 from . import coeffs as _coeffs
 from .coeffs import (
     CoefficientFamily,
-    SumEvidence,
     bounded_verdict,
     iter_log_arrays,
     require_nested_logs,
@@ -117,18 +116,13 @@ class CustomWeights(AlphaStrategy):
 # ---- forms and values ----
 
 
-def _cross_term(fam: CoefficientFamily, strategy: AlphaStrategy, n: int) -> np.ndarray:
-    """a_{n-1}^{-1} alpha_{n-1} a_n, the conjugated lower weight."""
-    return fam.a_inv(n - 1) @ strategy.alpha(fam, n - 1) @ fam.a(n)
-
-
 def commutator_form(fam: CoefficientFamily, strategy: AlphaStrategy, n: int,
                     lam: float) -> np.ndarray:
     """Un-normalized Hermitian form matrix evaluated at (u_n, u_{n+1}); n >= 1."""
     if n < 1:
         raise ValueError("forms start at n = 1")
     d = fam.dim
-    g = _cross_term(fam, strategy, n)
+    g = fam.a_inv(n - 1) @ strategy.alpha(fam, n - 1) @ fam.a(n)  # conjugated lower weight
     m11 = strategy.alpha(fam, n) @ adj(fam.a(n))
     m12 = -(lam * np.eye(d) - fam.b(n)) @ g
     m22 = adj(fam.a(n)) @ g
@@ -239,36 +233,54 @@ def c_limit(fam: CoefficientFamily, strategy: AlphaStrategy, lam: float,
     return CLimitReport(last, last_res, converged, classify_definiteness(last), horizon)
 
 
-# ---- the four weight conditions ----
+# ---- criterion reports ----
 
 
 @dataclass
-class ConditionReport:
-    """Per-condition term traces, partial sums and verdicts for a weight
-    sequence: (a) summable negative parts, (b) summable weight drift,
-    (c) summable commutator defect, (d) divergent inverse weight norms."""
+class CheckItem:
+    name: str
+    ok: bool
+    evidence: dict
 
-    strategy: str
+
+@dataclass
+class CriterionReport:
+    """A criterion's items and term traces; the four weight conditions of a
+    strategy are one, named after the strategy."""
+
+    name: str
     horizon: int
-    neg_part_sum: SumEvidence
-    drift_sum: SumEvidence
-    commutator_sum: SumEvidence
-    inverse_weight_sum: SumEvidence
-    traces: dict
+    items: list[CheckItem]
+    traces: dict = field(default_factory=dict)
 
     @property
-    def all_hold(self) -> bool:
-        return (
-            self.neg_part_sum.verdict == _coeffs.CONVERGES
-            and self.drift_sum.verdict == _coeffs.CONVERGES
-            and self.commutator_sum.verdict == _coeffs.CONVERGES
-            and self.inverse_weight_sum.verdict == _coeffs.DIVERGES
-        )
+    def passed(self) -> bool:
+        return all(item.ok for item in self.items)
+
+    def item(self, name: str) -> CheckItem:
+        for it in self.items:
+            if it.name == name:
+                return it
+        raise KeyError(name)
+
+
+def _series_item(name: str, terms: np.ndarray, first_index: int,
+                 want: str = _coeffs.CONVERGES) -> CheckItem:
+    """The item `name`, holding when the series of `terms` (term k is index
+    first_index + k) reads `want`."""
+    ev = series_verdict(terms, first_index=first_index)
+    return CheckItem(name, ev.verdict == want, ev.to_dict())
+
+
+# ---- the four weight conditions ----
 
 
 def weight_conditions(fam: CoefficientFamily, strategy: AlphaStrategy,
-                      horizon: int = _coeffs.DEFAULT_HORIZON) -> ConditionReport:
-    """Evaluate the four summability conditions for the given weights.
+                      horizon: int = _coeffs.DEFAULT_HORIZON) -> CriterionReport:
+    """The four summability conditions for the given weights, as the items
+    (a) "neg_part": summable negative parts, (b) "drift": summable weight
+    drift, (c) "commutator": summable commutator defect, and
+    (d) "inverse_weight": divergent inverse weight norms.
 
     Terms start at n = 1 (the n = 0 commutator term would reach back to the
     undefined a_{-1}; summability is a tail property, so the start index does
@@ -287,44 +299,18 @@ def weight_conditions(fam: CoefficientFamily, strategy: AlphaStrategy,
     t_drift = op_norm(g - AL[1:-1]) / s
     t_comm = op_norm(stack_mul(AL[1:-1], B[2:]) - stack_mul(B[1:-1], g)) / s
     t_inv = 1.0 / scales[:horizon]
-    return ConditionReport(
-        strategy=strategy.name,
-        horizon=horizon,
-        neg_part_sum=series_verdict(t_neg, first_index=1),
-        drift_sum=series_verdict(t_drift, first_index=1),
-        commutator_sum=series_verdict(t_comm, first_index=1),
-        inverse_weight_sum=series_verdict(t_inv, first_index=0),
-        traces={"neg_part": t_neg, "drift": t_drift, "commutator": t_comm,
-                "inverse_weight": t_inv},
-    )
+    items = [
+        _series_item("neg_part", t_neg, 1),
+        _series_item("drift", t_drift, 1),
+        _series_item("commutator", t_comm, 1),
+        _series_item("inverse_weight", t_inv, 0, want=_coeffs.DIVERGES),
+    ]
+    traces = {"neg_part": t_neg, "drift": t_drift, "commutator": t_comm,
+              "inverse_weight": t_inv}
+    return CriterionReport(strategy.name, horizon, items, traces)
 
 
 # ---- packaged criteria ----
-
-
-@dataclass
-class CheckItem:
-    name: str
-    ok: bool
-    evidence: dict
-
-
-@dataclass
-class CriterionReport:
-    name: str
-    horizon: int
-    items: list[CheckItem]
-    traces: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(item.ok for item in self.items)
-
-    def item(self, name: str) -> CheckItem:
-        for it in self.items:
-            if it.name == name:
-                return it
-        raise KeyError(name)
 
 
 def check_growth_criterion(fam: CoefficientFamily,
@@ -338,8 +324,6 @@ def check_growth_criterion(fam: CoefficientFamily,
     AINV = fam.stacks(0, horizon)[1]
     inv_norms = op_norm(AINV)
     invb_norms = op_norm(stack_mul(AINV, B[:-1]))
-    ok_inv, ev_inv = vanishing_verdict(inv_norms)
-    ok_invb, ev_invb = vanishing_verdict(invb_norms)
 
     # terms for n = 1 .. horizon-1 from C_n = a_n/||a_n|| and a_{n+1}/||a_n||:
     # no product of two large a_n is formed, and no division by ||a_horizon||
@@ -349,21 +333,17 @@ def check_growth_criterion(fam: CoefficientFamily,
     t_comm = op_norm(stack_mul(C[1:], B[2:]) - stack_mul(B[1:-1], C[1:])) / NRM[1:-1]
     with np.errstate(over="ignore"):  # 1/inf is 0 in the norm-square sum
         sq = NRM[:-1] ** 2
-    ev_neg = series_verdict(t_neg, first_index=1)
-    ev_comm = series_verdict(t_comm, first_index=1)
-    ev_sq = series_verdict(1.0 / sq, first_index=0)
 
     lim = stack_limit(lambda ns: C[ns], np.arange(horizon))
     cond, past = conditioning(lim.value)[1:] if lim.converged else (float("inf"), True)
-    ok_dir = lim.converged and not past
 
     items = [
-        CheckItem("inverse_vanishes", ok_inv, ev_inv),
-        CheckItem("inverse_b_vanishes", ok_invb, ev_invb),
-        CheckItem("neg_part_summable", ev_neg.verdict == _coeffs.CONVERGES, ev_neg.to_dict()),
-        CheckItem("commutator_summable", ev_comm.verdict == _coeffs.CONVERGES, ev_comm.to_dict()),
-        CheckItem("norm_square_sum_diverges", ev_sq.verdict == _coeffs.DIVERGES, ev_sq.to_dict()),
-        CheckItem("direction_converges", ok_dir,
+        CheckItem("inverse_vanishes", *vanishing_verdict(inv_norms)),
+        CheckItem("inverse_b_vanishes", *vanishing_verdict(invb_norms)),
+        _series_item("neg_part_summable", t_neg, 1),
+        _series_item("commutator_summable", t_comm, 1),
+        _series_item("norm_square_sum_diverges", 1.0 / sq, 0, want=_coeffs.DIVERGES),
+        CheckItem("direction_converges", lim.converged and not past,
                   {"residual": lim.residual, "condition": cond, "method": lim.method}),
     ]
     traces = {"inverse_norms": inv_norms, "inverse_b_norms": invb_norms,
@@ -389,7 +369,6 @@ def check_log_weight_criterion(fam: CoefficientFamily, depth: int,
     A, _, B, _ = fam.stacks(0, horizon + 1, inverse=False)
     AINV = fam.stacks(0, horizon)[1]
     inv_norms = op_norm(AINV)
-    ok_inv, ev_inv = vanishing_verdict(inv_norms)
 
     # |W| has the singular values of W as its spectrum, so the envelope
     # compares the extreme singular values of W = (a_{n-1}^*)^{-1} a_n
@@ -401,24 +380,15 @@ def check_log_weight_criterion(fam: CoefficientFamily, depth: int,
         env_sum = env_sum + 1.0 / (ns * iter_log_arrays(j, ns)[1])
     env = 1.0 + 1.0 / ns + env_sum
     slack = np.maximum(np.maximum(0.0, 1.0 - sv_min), sv_max - env)
-    ev_slack = series_verdict(slack, first_index=n_start + 1)
-
     b_norms = op_norm(B[:-1])
-    ok_b, ev_b = bounded_verdict(b_norms)
     t_tw = op_norm(stack_mul(AINV, B[:-1]) - stack_mul(B[1:], AINV))
-    ev_tw = series_verdict(t_tw, first_index=0)
-
-    ev_wsum = series_verdict(inv_norms[1:] / np.arange(1, horizon), first_index=1)
 
     items = [
-        CheckItem("inverse_vanishes", ok_inv, ev_inv),
-        CheckItem("envelope_slack_summable", ev_slack.verdict == _coeffs.CONVERGES,
-                  ev_slack.to_dict()),
-        CheckItem("b_bounded", ok_b, ev_b),
-        CheckItem("twisted_commutator_summable", ev_tw.verdict == _coeffs.CONVERGES,
-                  ev_tw.to_dict()),
-        CheckItem("weighted_inverse_summable", ev_wsum.verdict == _coeffs.CONVERGES,
-                  ev_wsum.to_dict()),
+        CheckItem("inverse_vanishes", *vanishing_verdict(inv_norms)),
+        _series_item("envelope_slack_summable", slack, n_start + 1),
+        CheckItem("b_bounded", *bounded_verdict(b_norms)),
+        _series_item("twisted_commutator_summable", t_tw, 0),
+        _series_item("weighted_inverse_summable", inv_norms[1:] / np.arange(1, horizon), 1),
     ]
     traces = {"inverse_norms": inv_norms, "envelope_slack": slack, "b_norms": b_norms,
               "twisted_commutator": t_tw}

@@ -187,9 +187,8 @@ def _commutator(ctx: _Context, *, strategy, lambda_, depth=1, n_start=20) -> dic
     cond = weight_conditions(ctx.fam, weights, ctx.horizon)
     out = {
         "strategy": weights.name,
-        "conditions": {name: getattr(cond, f"{name}_sum").to_dict()
-                       for name in ("neg_part", "drift", "commutator", "inverse_weight")},
-        "all_hold": cond.all_hold,
+        "conditions": {it.name: it.evidence for it in cond.items},
+        "all_hold": cond.passed,
     }
     try:
         cl = c_limit(ctx.fam, weights, lambda_, ctx.horizon)

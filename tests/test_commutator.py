@@ -8,11 +8,16 @@ import pytest
 
 from conftest import rand_family, rand_invertible, rand_unit
 from blockjacobi.coeffs import (
+    CONVERGES,
+    DIVERGES,
     LogProductWeight,
     RecipIterLogWeight,
+    bounded_verdict,
     constant_family,
     custom_family,
     g_product,
+    series_verdict,
+    vanishing_verdict,
 )
 from blockjacobi.commutator import (
     ANWeights,
@@ -28,6 +33,7 @@ from blockjacobi.commutator import (
     weight_conditions,
     weight_scale,
 )
+from blockjacobi.config import parse_config
 from blockjacobi.fixtures import (
     X_OP,
     Y_OP,
@@ -44,6 +50,7 @@ from blockjacobi.opcore import (
     sym,
 )
 from blockjacobi.recurrence import propagate
+from blockjacobi.runner import run
 
 ZERO2 = np.zeros((2, 2))
 
@@ -222,23 +229,23 @@ def test_weight_conditions_commuting_constant():
     # a_n = X, b_n = 0 with alpha_n = a_n: every defect vanishes identically
     # and the inverse weights sum like n / ||X||^2.
     rep = weight_conditions(constant_family(X_OP, ZERO2), ANWeights(), 1000)
-    assert rep.all_hold
-    assert rep.neg_part_sum.verdict == "converges"
-    assert rep.drift_sum.verdict == "converges"
-    assert rep.commutator_sum.verdict == "converges"
-    assert rep.inverse_weight_sum.verdict == "diverges"
+    assert rep.passed
+    assert rep.item("neg_part").evidence["verdict"] == "converges"
+    assert rep.item("drift").evidence["verdict"] == "converges"
+    assert rep.item("commutator").evidence["verdict"] == "converges"
+    assert rep.item("inverse_weight").evidence["verdict"] == "diverges"
 
 
 def test_weight_conditions_blockrepeat():
     rep = weight_conditions(paper_blockrepeat(), ANWeights(), 4000)
-    assert rep.all_hold
-    assert rep.strategy == "an"
+    assert rep.passed
+    assert rep.name == "an"
     assert set(rep.traces) == {"neg_part", "drift", "commutator", "inverse_weight"}
 
 
 def test_weight_conditions_log_weight_family():
     rep = weight_conditions(paper_logweight(), LogWeights(1), 10000)
-    assert rep.all_hold
+    assert rep.passed
 
 
 # ---- packaged criteria ----
@@ -319,6 +326,71 @@ def test_log_weight_criterion_rejects_fast_growth():
     rep = check_log_weight_criterion(fam, 1, horizon=600)
     assert not rep.passed
     assert not rep.item("envelope_slack_summable").ok
+
+
+def _from_series(terms, first_index, want=CONVERGES):
+    ev = series_verdict(terms, first_index=first_index)
+    return ev.verdict == want, ev.to_dict()
+
+
+# a_n = (n+1)^1.5 X_{n mod 2} with non-normal X_j: unlike the paper fixtures,
+# its negative parts and envelope slack are not 0, so every item's evidence
+# depends on the first index of its series
+POWER_PERIOD_2 = {"kind": "scaled_periodic", "period": 2,
+                  "x": {"kind": "power", "exponent": 1.5}, "y": {"kind": "constant"},
+                  "X": [[[1.0, 0.3], [0.0, 1.0]], [[1.2, 0.0], [0.4, 0.9]]],
+                  "Y": [[[0.0, 1.0], [1.0, 0.0]], [[0.5, 0.0], [0.0, -0.5]]]}
+
+
+@pytest.mark.parametrize("family", ["paper-constant", "paper-logweight", POWER_PERIOD_2],
+                         ids=["paper-constant", "paper-logweight", "power-period-2"])
+def test_every_item_reads_its_own_series(family):
+    """Each item of the weight conditions and of both criteria, in order,
+    with the (ok, evidence) that its trace gives it: every summability item
+    is series_verdict on that trace from the item's first index."""
+    H = 2000
+    config = parse_config({"family": family, "horizon": H, "analyses": [
+        {"kind": "commutator", "strategy": s, "lambda": 0.5} for s in ("an", "log")]})
+    fam = config.family.family
+    conditions = {s: weight_conditions(fam, strat, H)
+                  for s, strat in (("an", ANWeights()), ("log", LogWeights(1)))}
+    growth = check_growth_criterion(fam, H)
+    logw = check_log_weight_criterion(fam, 1, horizon=H)
+    expected = [(rep, {
+        "neg_part": _from_series(rep.traces["neg_part"], 1),
+        "drift": _from_series(rep.traces["drift"], 1),
+        "commutator": _from_series(rep.traces["commutator"], 1),
+        "inverse_weight": _from_series(rep.traces["inverse_weight"], 0, DIVERGES),
+    }) for rep in conditions.values()]
+    tr = growth.traces
+    expected.append((growth, {
+        "inverse_vanishes": vanishing_verdict(tr["inverse_norms"]),
+        "inverse_b_vanishes": vanishing_verdict(tr["inverse_b_norms"]),
+        "neg_part_summable": _from_series(tr["neg_part"], 1),
+        "commutator_summable": _from_series(tr["commutator"], 1),
+        "norm_square_sum_diverges": _from_series(1.0 / tr["norm_squares"], 0, DIVERGES),
+        "direction_converges": None,
+    }))
+    tr = logw.traces
+    expected.append((logw, {
+        "inverse_vanishes": vanishing_verdict(tr["inverse_norms"]),
+        "envelope_slack_summable": _from_series(tr["envelope_slack"], 21),
+        "b_bounded": bounded_verdict(tr["b_norms"]),
+        "twisted_commutator_summable": _from_series(tr["twisted_commutator"], 0),
+        "weighted_inverse_summable": _from_series(
+            tr["inverse_norms"][1:] / np.arange(1, H), 1),
+    }))
+    for rep, want in expected:
+        assert [it.name for it in rep.items] == list(want)
+        for it in rep.items:
+            if want[it.name] is not None:
+                assert repr((it.ok, it.evidence)) == repr(want[it.name]), (rep.name, it.name)
+        assert rep.passed == all(it.ok for it in rep.items)
+    # the runner's commutator entry is the weight conditions' record
+    results = run(config).results
+    for entry, rep in zip(results.values(), conditions.values()):
+        assert repr(entry["conditions"]) == repr({it.name: it.evidence for it in rep.items})
+        assert entry["all_hold"] == rep.passed
 
 
 def test_log_weight_criterion_rejects_unbounded_b():

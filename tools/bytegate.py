@@ -7,7 +7,8 @@ PARENT_SRC and CHANGE_SRC are the `src/` directories of two checkouts.  For
 every seed, perfbench/workloads.py generates the inputs of the four
 workloads, and `extra_inputs` those of the gate's own jobs (paths no
 workload takes: a csv-bundle scan, the indeterminacy and turan_convergence
-analyses, the engine's sequential re-step, and the report echo of a
+analyses, the engine's sequential re-step, the identity-weight conditions
+and both packaged criteria, and the report echo of a
 tabulated family file whose b mixes real numbers and [re, im] pairs, from
 the library and the CLI).  Each
 tree runs every job in its own process (the two side by side, with BLAS
@@ -79,8 +80,10 @@ WALL_TIMES = b'\n  "wall_times": '
 
 # Jobs the gate runs besides the workloads', for paths no workload takes: the
 # object-cell CSV of a csv-bundle scan, the indeterminacy and
-# turan_convergence analyses, and the sequential re-step of the propagation
-# engine.  The trajectory starts on the decaying solution of paper-constant
+# turan_convergence analyses, the sequential re-step of the propagation
+# engine, and the commutator analysis with identity weights and the growth and
+# log-weight criteria, whose items mostly fail there (the workloads run the an
+# and log weights on families whose items mostly hold).  The trajectory starts on the decaying solution of paper-constant
 # at z = 3 (the transfer matrix's eigenvector for its eigenvalue 0.1769): a
 # chunk product loses it to cancellation, and the growing solution that
 # rounding excites passes the overflow limit before the horizon.
@@ -120,6 +123,9 @@ def extra_inputs(seed: int):
         {"kind": "indeterminacy", "z_samples": [0.5, [1.0, 0.5]]},
         {"kind": "turan_convergence", "z": 1.0, "alphas": {"random": 3}},
         {"kind": "trajectory", "z": [3.0, 0.0], "alpha": DECAYING},
+        {"kind": "commutator", "strategy": "identity", "lambda": 0.5},
+        {"kind": "growth_criterion"},
+        {"kind": "log_weight_criterion", "depth": 1},
     ]}
     scan = ["scan", "--family", "paper-constant", "--range=-5,10", "--grid", "201",
             "--horizon", "1000", "--out-dir", "out/scan", "--format", "csv-bundle"]
