@@ -12,7 +12,6 @@ from .opcore import (  # noqa: F401
     NotConvergentError,
     NotHermitianError,
     SingularError,
-    abs_val,
     classify_definiteness,
     hermitian_extremes,
     invert,

@@ -471,10 +471,6 @@ class ScaledPeriodicFamily(CoefficientFamily):
         err = None if k == len(ns) else ValueError("matrix has non-finite entries")
         return A[:k], B[:k], derived, err
 
-    def scalar_arrays(self, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        ns = np.arange(start, start + count)
-        return self.x.array(ns), self.y.array(ns)
-
 
 class TabulatedFamily(CoefficientFamily):
     """Finite tables of a_n and b_n; reading past the end raises IndexError.
@@ -717,14 +713,15 @@ def series_verdict(terms: np.ndarray, first_index: int = 0) -> SumEvidence:
 
     Term k of the array is understood as index n = first_index + k.  The
     ladder: a series with a term of +inf diverges, and one with a NaN term
-    (and no +inf) stays undecided; series at the noise floor converge;
-    geometric tails converge; a last-decade log-log slope >= -0.95 diverges
-    (terms decaying no faster than c/n) and <= -1.3 converges; slopes in
-    between are refined by fitting the exponent p in t_n ~ 1/(n log^p n),
-    since that family straddles the boundary (one centred y for every fit;
-    the flat fit is the shift-0 fit of the 31 shifts).  The refinement cannot
-    settle deeper iterated-log boundaries; those remain whatever the p-fit
-    reports, and callers get the evidence either way.
+    (and no +inf) stays undecided; an empty series and one at the noise
+    floor converge; geometric tails converge; a last-decade log-log slope
+    >= -0.95 diverges (terms decaying no faster than c/n) and <= -1.3
+    converges; slopes in between are refined by fitting the exponent p in
+    t_n ~ 1/(n log^p n), since that family straddles the boundary (one
+    centred y for every fit; the flat fit is the shift-0 fit of the 31
+    shifts).  The refinement cannot settle deeper iterated-log boundaries;
+    those remain whatever the p-fit reports, and callers get the evidence
+    either way.
     """
     t = np.asarray(terms, dtype=float)
     if np.any(t < 0):
@@ -737,14 +734,11 @@ def series_verdict(terms: np.ndarray, first_index: int = 0) -> SumEvidence:
         return ev
     if math.isnan(total):  # a NaN term: no fit would see it
         return ev
-    if count > 0 and float(t.max()) <= SERIES_NOISE_FLOOR:
+    if float(t.max(initial=0.0)) <= SERIES_NOISE_FLOOR:
         ev.verdict = CONVERGES
         ev.tail_estimate = 0.0
         return ev
     if count < 20:
-        if total == 0.0:
-            ev.verdict = CONVERGES
-            ev.tail_estimate = 0.0
         return ev
 
     prev, last = tail_window(t)
@@ -985,19 +979,8 @@ def stack_limits(takes: Sequence[Callable[[np.ndarray], np.ndarray]],
 # ---- Carleman diagnostic ----
 
 
-@dataclass
-class CarlemanReport:
-    horizon: int
-    partial_sum: float
-    evidence: SumEvidence
-
-    @property
-    def verdict(self) -> str:
-        return self.evidence.verdict
-
-
-def carleman_diagnostic(fam: CoefficientFamily, horizon: int = DEFAULT_HORIZON) -> CarlemanReport:
-    """Partial sums of 1/||a_n|| with a divergence verdict.
+def carleman_diagnostic(fam: CoefficientFamily, horizon: int = DEFAULT_HORIZON) -> SumEvidence:
+    """The series verdict of 1/||a_n|| for n = 0 .. horizon - 1.
 
     Divergence of this sum is the classical sufficient condition for the
     matrix to be essentially self-adjoint; its failure opens the door to
@@ -1005,5 +988,4 @@ def carleman_diagnostic(fam: CoefficientFamily, horizon: int = DEFAULT_HORIZON) 
     """
     with np.errstate(divide="ignore", over="ignore"):  # a vanishing ||a_n|| gives +inf
         terms = 1.0 / fam.stacks(0, horizon, inverse=False)[3]
-    ev = series_verdict(terms, first_index=0)
-    return CarlemanReport(horizon, ev.partial_sum, ev)
+    return series_verdict(terms, first_index=0)

@@ -326,12 +326,6 @@ def stack_neg_part_norms(x: np.ndarray) -> np.ndarray:
         a if a.shape[-2:] == (2, 2) else sym(a))[0]), x)
 
 
-def abs_val(x) -> np.ndarray:
-    """Operator absolute value |X| = (X^* X)^(1/2), via singular values."""
-    _, s, vh = np.linalg.svd(_operand(x))
-    return (adj(vh) * s[..., None, :]) @ vh
-
-
 def hermitian_extremes(x):
     """(smallest, largest) eigenvalue of a self-adjoint matrix, from the
     2x2 kernel or eigvalsh as stack_neg_part_norms takes them."""

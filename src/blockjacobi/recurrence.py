@@ -17,7 +17,7 @@ import numpy as np
 
 from .coeffs import UNDECIDED, CoefficientFamily, geometric_remainder, tail_window
 from .opcore import adj, stack_mul
-from .table import Table, write_csv
+from .table import Table
 
 # Trajectories are truncated once a norm passes this guard.
 OVERFLOW_LIMIT = 1e150
@@ -413,11 +413,6 @@ def trajectory_table(traj: Trajectory, fam: CoefficientFamily) -> Table:
     mask = np.zeros(vals.shape, dtype=bool)
     mask[[0, L], -2:] = True
     return Table(cols, vals, mask, numbered=True)
-
-
-def trajectory_to_csv(traj: Trajectory, fam: CoefficientFamily, path) -> None:
-    """Write trajectory_table(traj, fam) as CSV, undefined cells empty."""
-    write_csv(trajectory_table(traj, fam), path)
 
 
 @dataclass

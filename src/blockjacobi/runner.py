@@ -136,9 +136,8 @@ def _validate(ctx: _Context, *, upto=None) -> dict:
 
 
 def _carleman(ctx: _Context) -> dict:
-    rep = carleman_diagnostic(ctx.fam, ctx.horizon)
-    return {"partial_sum": rep.partial_sum, "verdict": rep.verdict,
-            "evidence": rep.evidence.to_dict()}
+    ev = carleman_diagnostic(ctx.fam, ctx.horizon)
+    return {"partial_sum": ev.partial_sum, "verdict": ev.verdict, "evidence": ev.to_dict()}
 
 
 def _variation(ctx: _Context, *, sequence, N, window=None) -> dict:

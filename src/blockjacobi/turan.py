@@ -564,7 +564,7 @@ PROBE_UNDECIDED = UNDECIDED
 @dataclass
 class IndeterminacyReport:
     verdict: str
-    carleman: object
+    carleman: _coeffs.SumEvidence
     lambda_set: LambdaSet | None
     per_z: list[dict]
     horizon: int

@@ -2,6 +2,7 @@
 (variation windows, series verdicts, numerical limits, Carleman sums)."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -52,12 +53,16 @@ def test_iter_log_values():
     assert iter_log(2, math.exp(math.e)) == pytest.approx(1.0)
     with pytest.raises(DomainError):
         iter_log(2, 1.0)  # log log 1 = log 0
+    with pytest.raises(ValueError, match=r"^depth must be >= 0$"):
+        coeffs.iter_log_arrays(-1, 3)
 
 
 def test_g_product_values():
     assert g_product(0, 100.0) == 1.0
     assert g_product(1, 100.0) == pytest.approx(math.log(100.0))
     assert g_product(2, 100.0) == pytest.approx(math.log(100.0) * math.log(math.log(100.0)))
+    with pytest.raises(DomainError):
+        g_product(2, 0.5)  # log 0.5 < 0 has no log
 
 
 def test_power_weight():
@@ -146,7 +151,7 @@ def test_scaled_periodic_family_scalars_factor_through():
     assert np.abs(fam.b(n) - 0.5 * np.eye(2)).max() == 0.0
     assert fam.norm_a(n) == pytest.approx((n + 1) * op_norm(X + np.eye(2)))
     assert np.abs(fam.a_inv(n) @ fam.a(n) - np.eye(2)).max() < 1e-12
-    xs, ys = fam.scalar_arrays(3, 4)
+    xs, ys = fam.x.array(np.arange(3, 7)), fam.y.array(np.arange(3, 7))
     assert np.allclose(xs, [4.0, 5.0, 6.0, 7.0])
     assert np.allclose(ys, 0.5)
 
@@ -172,6 +177,11 @@ def test_tabulated_family_names_its_odd_entry():
         tabulated_family([np.eye(2)] * 3, [np.eye(2), np.eye(2), np.ones((2, 3))])
     with pytest.raises(ValueError, match=r"^a\[1\]: "):
         tabulated_family([np.eye(2), [[1.0, 2.0], [3.0]]], [np.eye(2)] * 2)
+    with pytest.raises(ValueError, match=r"^expected a non-empty list of square matrices, "
+                                         r"got shape \(1, 3\)$"):
+        tabulated_family(np.zeros((1, 3)), np.zeros((1, 3)))
+    with pytest.raises(ValueError, match=r"^matrix has non-finite entries$"):
+        tabulated_family([[[np.inf, 0.0], [0.0, 1.0]]], [np.eye(2)])
 
 
 def test_validate_family_reports_violations():
@@ -186,6 +196,9 @@ def test_validate_family_reports_violations():
 
 def test_validate_family_clean_window_is_empty():
     assert validate_family(constant_family(X, Y), range(100)) == []
+    assert validate_family(constant_family(X, Y), []) == []
+    with pytest.raises(ValueError, match=r"^index must be >= 0$"):
+        validate_family(constant_family(X, Y), [-1])
 
 
 def test_validate_family_reports_overflowing_entries_as_non_finite():
@@ -193,6 +206,23 @@ def test_validate_family_reports_overflowing_entries_as_non_finite():
     viols = validate_family(fixtures.indeterminate_doubling(), range(1030))
     assert [(v.index, v.kind) for v in viols] == [(n, "non_finite") for n in range(1023, 1030)]
     assert all("non-finite" in v.detail for v in viols)
+
+
+def test_an_entry_of_the_wrong_shape_fails_every_read():
+    calls = []
+
+    def a_fn(n):
+        calls.append(n)
+        return np.eye(3)
+
+    fam = custom_family(2, a_fn, lambda n: np.eye(2))
+    msg = "expected a 2x2 matrix at index 0, got shape (3, 3)"
+    for _ in range(2):  # the second read raises the stored error
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            fam.a(0)
+    assert calls == [0]
+    assert [(v.index, v.kind, v.detail) for v in validate_family(fam, range(3))] == [
+        (n, "non_finite", msg) for n in range(3)]
 
 
 def test_validate_family_reports_a_failing_b_from_its_index_on():
@@ -441,6 +471,9 @@ def test_total_variation_rejects_bad_windows():
         total_variation(lambda n: X, 0, (0, 10))
     with pytest.raises(ValueError):
         total_variation(lambda n: X, 1, (5, 5))
+    with pytest.raises(ValueError, match=r"^expected 11 square matrices for the window, "
+                                         r"got shape \(5, 2, 2\)$"):
+        total_variation(np.zeros((5, 2, 2)), 1, (0, 10))
 
 
 def test_total_variation_tail_estimate_at_the_window_edges():
@@ -456,6 +489,12 @@ def test_total_variation_tail_estimate_at_the_window_edges():
     rep = total_variation(np.stack([eye] * 20 + [np.full((2, 2), np.inf)]), 1, (0, 20))
     assert math.isnan(rep.partial_sum) and math.isnan(rep.tail_estimate)
     assert not rep.converged
+
+
+def test_sequence_stack_refuses_an_unknown_sequence():
+    with pytest.raises(ValueError, match=r"^unknown sequence 'nope'; "
+                                         r"known: a, b, a_inv, a_inv_b, a_inv_a_prev$"):
+        coeffs.sequence_stack(constant_family(X, Y), "nope", 1, 3)
 
 
 # ---- series verdicts ----
@@ -498,6 +537,8 @@ def test_series_verdict_noise_floor_counts_as_zero():
 def test_series_verdict_short_input_undecided():
     assert series_verdict(np.ones(5)).verdict == UNDECIDED
     assert series_verdict(np.zeros(5)).verdict == CONVERGES
+    ev = series_verdict(np.array([]))  # an empty series converges
+    assert (ev.verdict, ev.partial_sum, ev.count, ev.tail_estimate) == (CONVERGES, 0.0, 0, 0.0)
 
 
 def test_series_verdict_rejects_negative_terms():
@@ -544,6 +585,8 @@ def test_vanishing_and_bounded_verdicts():
     assert ok
     ok, _ = bounded_verdict(np.exp(n / 100))
     assert not ok
+    # fewer than 20 values have no last decade to grow in
+    assert bounded_verdict(np.arange(5.0)) == (True, {"max": 4.0})
 
 
 # ---- sequence limits ----
@@ -613,4 +656,4 @@ def test_carleman_geometric_growth_converges():
     rep = carleman_diagnostic(fam, horizon=300)
     assert rep.verdict == CONVERGES
     assert rep.partial_sum == pytest.approx(2.0 / op_norm(X), rel=1e-12)
-    assert rep.evidence.tail_estimate < 1e-10
+    assert rep.tail_estimate < 1e-10

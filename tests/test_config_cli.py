@@ -194,7 +194,12 @@ def test_a_and_b_of_different_sizes_are_config_errors(tmp_path, capsys, family):
     ({"kind": "scaled_periodic", "period": 2, "x": {"kind": "constant"},
       "y": {"kind": "constant"}, "X": [X_JSON, [[[1, 0], [0, 0]]]], "Y": [Y_JSON] * 2},
      "$.family.X[1]: expected a 2x2 matrix, as $.family.X[0]"),
-], ids=["tabulated-a", "tabulated-b", "scaled_periodic-X"])
+    ({"kind": "tabulated", "a": 5, "b": [Y_JSON]},
+     "$.family.a: expected a non-empty array of matrices"),
+    ({"kind": "tabulated", "a": [], "b": [Y_JSON]},
+     "$.family.a: expected a non-empty array of matrices"),
+], ids=["tabulated-a", "tabulated-b", "scaled_periodic-X", "tabulated-a-number",
+        "tabulated-a-empty"])
 def test_a_table_of_differing_sizes_names_its_entry(tmp_path, capsys, family, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": family, "analyses": [{"kind": "validate"}]}))

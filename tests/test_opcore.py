@@ -8,7 +8,6 @@ from blockjacobi.opcore import (
     Definiteness,
     NotHermitianError,
     SingularError,
-    abs_val,
     adj,
     as_operator,
     classify_definiteness,
@@ -41,6 +40,8 @@ def test_as_operator_validates():
         as_operator([[1, 2, 3]])
     with pytest.raises(ValueError):
         as_operator([[np.nan, 0], [0, 1]])
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 2, 2\)$"):
+        as_operator(np.zeros((2, 2, 2)))
 
 
 def test_sym_is_hermitian_half_sum():
@@ -96,21 +97,6 @@ def test_neg_part_compensates():
         np_ = neg_part(h)
         assert np.linalg.eigvalsh(np_).min() >= -1e-10
         assert np.linalg.eigvalsh(h + np_).min() >= -1e-10
-
-
-def test_abs_val_known_value():
-    m = np.array([[0.0, 2.0], [0.0, 0.0]])
-    assert np.abs(abs_val(m) - np.diag([0.0, 2.0])).max() < 1e-12
-
-
-def test_abs_val_squares_to_mstar_m():
-    rng = np.random.default_rng(5)
-    for _ in range(60):
-        d = int(rng.integers(1, 4))
-        m = rand_operator(rng, d)
-        v = abs_val(m)
-        err = op_norm(v @ v - adj(m) @ m)
-        assert err <= 1e-9 * (1.0 + op_norm(m) ** 2)
 
 
 def test_op_norm_known_value():

@@ -24,13 +24,13 @@ from blockjacobi.recurrence import (
     propagate,
     propagate_block,
     trajectory_table,
-    trajectory_to_csv,
     transfer,
     transfer_inv,
     transfer_stack,
     weighted_norm_trace,
     window_product,
 )
+from blockjacobi.table import write_csv
 
 from conftest import formal_rank, rand_family, rand_unit
 
@@ -82,6 +82,8 @@ def test_window_product_empty_and_composed():
     fam = rand_family(rng, 2, 12)
     z = 0.3 + 0.1j
     assert np.abs(window_product(fam, z, 3, 0) - np.eye(4)).max() == 0.0
+    with pytest.raises(ValueError, match=r"^window length must be >= 0$"):
+        window_product(fam, z, 1, -1)
     whole = window_product(fam, z, 1, 7)
     split = window_product(fam, z, 4, 4) @ window_product(fam, z, 1, 3)
     assert np.abs(whole - split).max() < 1e-9 * max(1.0, np.abs(whole).max())
@@ -415,7 +417,7 @@ def test_trajectory_csv_roundtrip(tmp_path):
     fam = paper_constant()
     traj = propagate(fam, 1.0, np.array([1.0, 0.0, 0.0, 1.0]), 20)
     path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, fam, path)
+    write_csv(trajectory_table(traj, fam), path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "n,re_u0,im_u0,re_u1,im_u1,norm,s_n,residual"
     assert len(lines) == traj.u.shape[0] + 1
@@ -454,5 +456,5 @@ def test_trajectory_csv_bytes_match_csv_writer_rows(tmp_path, name, z, horizon):
         w = csv.writer(fh)
         w.writerow(table.columns)
         w.writerows(want)
-    trajectory_to_csv(traj, fam, tmp_path / "got.csv")
+    write_csv(trajectory_table(traj, fam), tmp_path / "got.csv")
     assert (tmp_path / "got.csv").read_bytes() == path.read_bytes()

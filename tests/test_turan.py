@@ -209,9 +209,13 @@ def test_make_periodic_limits_norm_ratios_and_reduction():
 
     dense = make_periodic_limits(1, [XINV], [XINV @ Y_OP], [np.eye(2)], [X_OP / XN])
     assert dense.D is None
+    with pytest.raises(ValueError, match=r"^all period lists must have length N$"):
+        make_periodic_limits(2, [X_OP], [X_OP], [X_OP], [X_OP])
 
 
 def test_extracted_constant_limits_are_exact():
+    with pytest.raises(ValueError, match=r"^N must be >= 1$"):
+        extract_periodic_limits(paper_constant(), 0, 100)
     lim = extract_periodic_limits(paper_constant(), 1, 2000)
     assert lim.converged
     assert op_norm(lim.T[0] - XINV) < 1e-10
@@ -681,6 +685,12 @@ def test_exact_asymptotics_checks_hypotheses():
         even = make_periodic_limits(2, [zero] * 2, [zero] * 2, [np.eye(2)] * 2,
                                     [X_OP / XN] * 2)
         exact_asymptotics(fam, even, 0.0, alphas, 500)
+    # a reduction exists, with D_j = -sym C_{j+2}, but D_2 = -Y is not D_0 = -X
+    zero = np.zeros((2, 2))
+    varying = make_periodic_limits(3, [zero] * 3, [zero] * 3, [np.eye(2)] * 3, [X_OP, Y_OP, X_OP])
+    assert varying.D is not None
+    with pytest.raises(HypothesisViolatedError, match=r"^D\[2\] is not constant across the period$"):
+        exact_asymptotics(fam, varying, 0.0, alphas, 500)
 
 
 def test_exact_asymptotics_weights_by_d_for_n_3_mod_4():
